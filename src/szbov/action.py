@@ -41,6 +41,7 @@ __all__ = [
     "eval_action",
     "eval_unregularized",
     "gradient",
+    "stacked_gradient",
     "component_gradients",
     "delay_residual",
     "pack",
@@ -92,39 +93,48 @@ class DelayResidual:
         return self.sup_norm / max(self.z_second_scale, 1e-300)
 
 
-def _prepare(loop: DiscreteLoop, eps_zhat: float):
-    z = loop.samples
+def _mean(x: np.ndarray) -> np.ndarray:
+    """Mean over the samples (the last axis), kept as an axis of length one."""
+    return np.mean(x, axis=-1, keepdims=True)
+
+
+def _prepare(z: np.ndarray, eps_zhat: float):
+    """Conformal weights of samples shaped (..., n) and their means F."""
     w = conformal_weight(z)
-    f = float(np.mean(w))
-    if f <= eps_zhat:
+    f = _mean(w)
+    if np.any(f <= eps_zhat):
         raise DegenerateLoopError("degenerate loop: zhat vanishes")
-    return z, w, f
+    return w, f
 
 
-def _zprime(loop: DiscreteLoop) -> np.ndarray:
-    if loop.twisted:
-        return _spectral_derivative(double_cover(loop), period=2.0)[: loop.n]
-    return _spectral_derivative(loop.samples, period=1.0)
+def _cover(z: np.ndarray, twisted: bool):
+    """The genuine periodic loop behind the samples and its spectral
+    derivative: z itself, or for twisted loops the double cover z, 1/z."""
+    if twisted:
+        zc = np.concatenate([z, 1.0 / z], axis=-1)
+        return zc, _spectral_derivative(zc, period=2.0)
+    return z, _spectral_derivative(z, period=1.0)
 
 
-def _kinetic(loop: DiscreteLoop) -> float:
+def _kinetic(zc: np.ndarray, zp: np.ndarray) -> np.ndarray:
     """G as a quadrature; for twisted loops averaged over the full double cover
     so that the discrete gradient differentiates exactly what is evaluated."""
-    if loop.twisted:
-        zc = double_cover(loop)
-        zp = _spectral_derivative(zc, period=2.0)
-        return 0.25 * float(np.mean(np.abs(zp) ** 2 / np.abs(zc) ** 2)) * 2.0
-    zp = _spectral_derivative(loop.samples, period=1.0)
-    return 0.5 * float(np.mean(np.abs(zp) ** 2 / np.abs(loop.samples) ** 2))
+    return 0.5 * _mean(np.abs(zp) ** 2 / np.abs(zc) ** 2)
+
+
+def _centers(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two-center quadratures H1 and H2."""
+    absz = np.abs(z)
+    return 0.5 * _mean(np.abs(z - 1.0) ** 2 / absz), 0.5 * _mean(np.abs(z + 1.0) ** 2 / absz)
 
 
 def _gauge_complex(cfg: FieldConfig, q: np.ndarray) -> np.ndarray:
     return cfg.magnetic.gauge_at(q)
 
 
-def _electric_times(w: np.ndarray, f: float) -> tuple[np.ndarray, np.ndarray]:
+def _electric_times(w: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
     """Raw cumulative integral T_j of w and normalized times t_j = T_j/F."""
-    raw = integration_matrix(len(w)) @ w
+    raw = w @ integration_matrix(w.shape[-1]).T
     return raw, raw / f
 
 
@@ -135,10 +145,9 @@ def _df_integrand(z: np.ndarray) -> np.ndarray:
 
 def eval_components(loop: DiscreteLoop, cfg: FieldConfig, eps_zhat: float = EPS_ZHAT) -> ActionBreakdown:
     """All component quadratures of the regularized functional."""
-    z, w, f = _prepare(loop, eps_zhat)
-    g = _kinetic(loop)
-    h1 = 0.5 * float(np.mean(np.abs(z - 1.0) ** 2 / np.abs(z)))
-    h2 = 0.5 * float(np.mean(np.abs(z + 1.0) ** 2 / np.abs(z)))
+    z = loop.samples
+    w, f = _prepare(z, eps_zhat)
+    h1, h2 = _centers(z)
 
     q = birkhoff_map(z)
     qp = _spectral_derivative(q, period=1.0)
@@ -149,9 +158,12 @@ def eval_components(loop: DiscreteLoop, cfg: FieldConfig, eps_zhat: float = EPS_
         e1 = 0.0
     else:
         raw, t = _electric_times(w, f)
-        e_val = float(np.mean(cfg.electric.e(t, q) * w)) / f
-        e1 = float(np.mean(cfg.electric.dot(t, q) * raw * w)) / f**2
-    return ActionBreakdown(F=f, G=g, H1=h1, H2=h2, M=m_val, E_val=e_val, E1=e1, mu=cfg.mu)
+        e_val = (_mean(cfg.electric.e(t, q) * w) / f).item()
+        e1 = (_mean(cfg.electric.dot(t, q) * raw * w) / f**2).item()
+    return ActionBreakdown(
+        F=f.item(), G=_kinetic(*_cover(z, loop.twisted)).item(), H1=h1.item(), H2=h2.item(),
+        M=m_val, E_val=e_val, E1=e1, mu=cfg.mu,
+    )
 
 
 def eval_action(loop: DiscreteLoop, cfg: FieldConfig, eps_zhat: float = EPS_ZHAT) -> float:
@@ -177,21 +189,13 @@ def eval_unregularized(q: PhysicalLoop, cfg: FieldConfig, eps_col: float = EPS_C
     return kinetic - circulation + attract - electric
 
 
-def _grad_F(z: np.ndarray) -> np.ndarray:
-    return _df_integrand(z)
-
-
-def _grad_G(loop: DiscreteLoop) -> np.ndarray:
-    if loop.twisted:
-        zc = double_cover(loop)
-        zp = _spectral_derivative(zc, period=2.0)
-        gz = -_spectral_derivative(zp / np.abs(zc) ** 2, period=2.0) - zc * np.abs(zp) ** 2 / np.abs(zc) ** 4
-        n = loop.n
-        z = loop.samples
-        return 0.5 * (gz[:n] - gz[n:] / np.conj(z) ** 2)
-    z = loop.samples
-    zp = _spectral_derivative(z, period=1.0)
-    return -_spectral_derivative(zp / np.abs(z) ** 2, period=1.0) - z * np.abs(zp) ** 2 / np.abs(z) ** 4
+def _grad_G(z: np.ndarray, twisted: bool, zc: np.ndarray, zp: np.ndarray) -> np.ndarray:
+    period = 2.0 if twisted else 1.0
+    gz = -_spectral_derivative(zp / np.abs(zc) ** 2, period=period) - zc * np.abs(zp) ** 2 / np.abs(zc) ** 4
+    if not twisted:
+        return gz
+    n = z.shape[-1]
+    return 0.5 * (gz[..., :n] - gz[..., n:] / np.conj(z) ** 2)
 
 
 def _grad_H1(z: np.ndarray) -> np.ndarray:
@@ -202,8 +206,7 @@ def _grad_H2(z: np.ndarray) -> np.ndarray:
     return z * (z + 1.0) * (np.conj(z) - 1.0) / (2.0 * np.abs(z) ** 3)
 
 
-def _grad_M(loop: DiscreteLoop, cfg: FieldConfig) -> np.ndarray:
-    z = loop.samples
+def _grad_M(z: np.ndarray, cfg: FieldConfig) -> np.ndarray:
     q = birkhoff_map(z)
     qp = _spectral_derivative(q, period=1.0)
     ac = _gauge_complex(cfg, q)
@@ -213,71 +216,82 @@ def _grad_M(loop: DiscreteLoop, cfg: FieldConfig) -> np.ndarray:
     return np.conj(birkhoff_derivative(z)) * gq
 
 
-def _grad_E(loop: DiscreteLoop, cfg: FieldConfig, z, w, f) -> np.ndarray:
-    """Exact gradient of the discretized electric term, chain rule through the
-    discrete cumulative time map."""
-    n = loop.n
+def _grad_E(z: np.ndarray, cfg: FieldConfig, w, f) -> tuple[np.ndarray, np.ndarray]:
+    """Value and exact gradient of the discretized electric term, chain rule
+    through the discrete cumulative time map."""
+    n = z.shape[-1]
     q = birkhoff_map(z)
     raw, t = _electric_times(w, f)
     e = cfg.electric.e(t, q)
     edot = cfg.electric.dot(t, q)
     egrad = cfg.electric.grad(t, q)
     phi = _df_integrand(z)
-    kmat = integration_matrix(n)
 
     # N := F * E;  dN collects a dW channel and a position channel
     beta = edot * w  # multiplies dt_j inside the quadrature, before 1/N weight
     # coefficient vector c with  (dW-channel of dN) = c . dW
-    c = e / n + (kmat.T @ beta) / (n * f) - (np.mean(beta * t) / (n * f))
+    c = e / n + (beta @ integration_matrix(n)) / (n * f) - (_mean(beta * t) / (n * f))
     grad_n = n * c * phi + w * np.conj(birkhoff_derivative(z)) * egrad
-    e_val = float(np.mean(e * w)) / f
-    return (grad_n - e_val * phi) / f
+    e_val = _mean(e * w) / f
+    return e_val, (grad_n - e_val * phi) / f
 
 
 def component_gradients(loop: DiscreteLoop, cfg: FieldConfig, eps_zhat: float = EPS_ZHAT) -> dict:
     """Per-component (value, gradient) pairs, for isolating each formula."""
-    z, w, f = _prepare(loop, eps_zhat)
+    z = loop.samples
+    w, f = _prepare(z, eps_zhat)
+    zc, zp = _cover(z, loop.twisted)
+    h1, h2 = _centers(z)
     out = {
-        "F": (f, _grad_F(z)),
-        "G": (_kinetic(loop), _grad_G(loop)),
-        "H1": (0.5 * float(np.mean(np.abs(z - 1.0) ** 2 / np.abs(z))), _grad_H1(z)),
-        "H2": (0.5 * float(np.mean(np.abs(z + 1.0) ** 2 / np.abs(z))), _grad_H2(z)),
-        "M": (eval_components(loop, cfg, eps_zhat).M, _grad_M(loop, cfg)),
+        "F": (f.item(), _df_integrand(z)),
+        "G": (_kinetic(zc, zp).item(), _grad_G(z, loop.twisted, zc, zp)),
+        "H1": (h1.item(), _grad_H1(z)),
+        "H2": (h2.item(), _grad_H2(z)),
+        "M": (eval_components(loop, cfg, eps_zhat).M, _grad_M(z, cfg)),
     }
     if not cfg.electric.is_zero:
-        raw, t = _electric_times(w, f)
-        q = birkhoff_map(z)
-        e_val = float(np.mean(cfg.electric.e(t, q) * w)) / f
-        out["E"] = (e_val, _grad_E(loop, cfg, z, w, f))
+        e_val, grad_e = _grad_E(z, cfg, w, f)
+        out["E"] = (e_val.item(), grad_e)
     return out
+
+
+def stacked_gradient(
+    z: np.ndarray, twisted: bool, cfg: FieldConfig, eps_zhat: float = EPS_ZHAT
+) -> np.ndarray:
+    """Exact gradients of the discretized regularized functional for a stack
+    of loops: z has shape (..., n), one loop's samples along the last axis,
+    and every loop shares the sector ``twisted``.  Raises DegenerateLoopError
+    if any loop in the stack is degenerate."""
+    w, f = _prepare(z, eps_zhat)
+    zc, zp = _cover(z, twisted)
+    mu = cfg.mu
+    h1, h2 = _centers(z)
+    h_mu = (1 - mu) * h1 + mu * h2
+    phi = _df_integrand(z)
+
+    grad = _kinetic(zc, zp) * phi + f * _grad_G(z, twisted, zc, zp)
+    grad += ((1 - mu) * _grad_H1(z) + mu * _grad_H2(z)) / f
+    grad -= h_mu / f**2 * phi
+    grad -= _grad_M(z, cfg)
+    if not cfg.electric.is_zero:
+        grad -= _grad_E(z, cfg, w, f)[1]
+    return grad
 
 
 def gradient(loop: DiscreteLoop, cfg: FieldConfig, eps_zhat: float = EPS_ZHAT) -> np.ndarray:
     """Exact gradient of the discretized regularized functional."""
-    z, w, f = _prepare(loop, eps_zhat)
-    mu = cfg.mu
-    g_val = _kinetic(loop)
-    h1 = 0.5 * float(np.mean(np.abs(z - 1.0) ** 2 / np.abs(z)))
-    h2 = 0.5 * float(np.mean(np.abs(z + 1.0) ** 2 / np.abs(z)))
-    h_mu = (1 - mu) * h1 + mu * h2
-
-    grad = g_val * _grad_F(z) + f * _grad_G(loop)
-    grad += ((1 - mu) * _grad_H1(z) + mu * _grad_H2(z)) / f
-    grad -= h_mu / f**2 * _grad_F(z)
-    grad -= _grad_M(loop, cfg)
-    if not cfg.electric.is_zero:
-        grad -= _grad_E(loop, cfg, z, w, f)
-    return grad
+    return stacked_gradient(loop.samples, loop.twisted, cfg, eps_zhat)
 
 
 def pack(g: np.ndarray) -> np.ndarray:
-    """Complex samples to the real coordinate vector [Re; Im]."""
-    return np.concatenate([g.real, g.imag])
+    """Complex samples to the real coordinate vector [Re; Im] (along the last
+    axis, so a stack of loops packs row by row)."""
+    return np.concatenate([g.real, g.imag], axis=-1)
 
 
 def unpack(x: np.ndarray) -> np.ndarray:
-    n = len(x) // 2
-    return x[:n] + 1j * x[n:]
+    n = np.shape(x)[-1] // 2
+    return x[..., :n] + 1j * x[..., n:]
 
 
 def grad_norm(g: np.ndarray) -> float:
@@ -291,7 +305,9 @@ def delay_residual(loop: DiscreteLoop, cfg: FieldConfig, eps_zhat: float = EPS_Z
     Evaluates the right-hand side with spectral derivatives and cumulative
     quadratures and subtracts the spectral z''.
     """
-    z, w, f = _prepare(loop, eps_zhat)
+    z = loop.samples
+    w, f = _prepare(z, eps_zhat)
+    f = f.item()
     n = loop.n
     mu = cfg.mu
     comp = eval_components(loop, cfg, eps_zhat)

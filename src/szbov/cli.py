@@ -13,7 +13,8 @@ export      extract the blown-up loop of an archive so it can reseed a run
 
 Exit codes: 0 success, 2 validation failure, 3 no convergence, 4 I/O failure.
 All floating-point output is serialized with 17 significant digits so that
-identical inputs produce byte-identical archives.
+identical inputs produce byte-identical archives, for a fixed BLAS thread
+count: the thread count can change the solver's iteration count.
 """
 
 from __future__ import annotations

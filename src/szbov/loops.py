@@ -108,7 +108,8 @@ def double_cover(loop: DiscreteLoop) -> np.ndarray:
 
 
 def _spectral_derivative(samples: np.ndarray, period: float = 1.0, order: int = 1) -> np.ndarray:
-    n = len(samples)
+    """Spectral derivative along the last axis."""
+    n = np.shape(samples)[-1]
     k = np.fft.fftfreq(n, d=1.0 / n)
     k = k.copy()
     k[n // 2] = 0.0  # keep the differentiation matrix real antisymmetric

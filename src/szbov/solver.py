@@ -2,12 +2,19 @@
 
 Critical points are generically saddles, so instead of descending the
 functional we drive its exact discrete gradient to zero with a damped
-Gauss-Newton (Levenberg-Marquardt) iteration.  Jacobian-vector products use
-central differences of the analytic gradient (the Jacobian is the second
-variation, which is never hand-coded), and the damped normal equations are
-solved matrix-free by conjugate gradients with a Fourier-diagonal
-preconditioner that captures the spectral-differentiation part of the
-operator.
+Gauss-Newton (Levenberg-Marquardt) iteration.  The residual stacks the scaled
+gradient, a proximal anchor that is weakened in stages as the iteration
+settles, and, for autonomous fields, a phase row.  Its Jacobian is never
+hand-coded: the gradient block is the second variation, taken by central
+differences of the analytic gradient.
+
+Grids up to ``SolveOptions.dense_threshold`` nodes (every grid the tests and
+examples use) assemble that Jacobian densely, the gradient block from
+stacked coordinate perturbations evaluated a block of loops per gradient
+call, and solve the damped normal equations directly.  Larger grids solve
+them matrix-free by conjugate gradients on Jacobian-vector products, with a
+Fourier-diagonal preconditioner that captures the spectral-differentiation
+part of the operator.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
 from . import action as _action
-from .action import eval_components, gradient, grad_norm, pack, unpack
+from .action import eval_components, gradient, grad_norm, pack, stacked_gradient, unpack
 from .dynamics import phi_profile, verify_generalized
 from .fields import FieldConfig, config_to_dict
 from .geometry import WindingError, WindingReport, winding_report
@@ -372,6 +379,49 @@ def _prox_jacobian(loop: DiscreteLoop, tau: np.ndarray) -> np.ndarray:
     return bp[:, None] * a
 
 
+# Rows of the stacked +-h perturbations per gradient call in the dense
+# Jacobian.  Blocks this size already amortize the per-call overhead; the
+# whole stack at once would grow the temporaries (and the peak resident set)
+# with the grid for no further gain.
+_JACOBIAN_BLOCK = 32
+
+
+def _dense_jacobian(
+    xc: np.ndarray,
+    twisted: bool,
+    cfg: FieldConfig,
+    opts: SolveOptions,
+    cmat: np.ndarray,
+    sq: float,
+    phase_dir: Optional[np.ndarray],
+) -> np.ndarray:
+    """The frozen Gauss-Newton Jacobian of the residual at xc, as a dense matrix.
+
+    Gradient block: column i is the central difference of the scaled gradient
+    along the coordinate direction e_i, with the step of ``hvp``; the
+    perturbed loops are stacked and evaluated a block of rows at a time.
+    Anchor block: sq * C acting on [Re; Im] coordinates, with C from
+    ``_prox_jacobian``.  Phase row: ``phase_dir``.
+    """
+    n2 = len(xc)
+    scale = 1.0 / np.sqrt(n2 // 2)
+    h = opts.fd_step * max(1.0, np.linalg.norm(xc))
+
+    def grad_rows(xs):
+        return pack(stacked_gradient(unpack(xs), twisted, cfg, opts.eps_zhat)) * scale
+
+    grad_block = np.empty((n2, n2))
+    for start in range(0, n2, _JACOBIAN_BLOCK):
+        cols = np.arange(start, min(start + _JACOBIAN_BLOCK, n2))
+        step = np.zeros((len(cols), n2))
+        step[np.arange(len(cols)), cols] = h
+        grad_block[:, cols] = ((grad_rows(xc + step) - grad_rows(xc - step)) / (2.0 * h)).T
+    blocks = [grad_block, sq * np.block([[cmat.real, -cmat.imag], [cmat.imag, cmat.real]])]
+    if phase_dir is not None:
+        blocks.append(phase_dir[None, :])
+    return np.vstack(blocks)
+
+
 def _preconditioner(z: np.ndarray, f: float, lam: float, lam_prox: float, n: int) -> np.ndarray:
     """Fourier symbol of the dominant (spectral-differentiation) block of the
     Gauss-Newton normal operator."""
@@ -421,7 +471,8 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
     seed_winding = _safe_winding(reconstruct(seed, opts.m))
 
     def make_ops(xc):
-        """Forward/transpose products of the frozen Gauss-Newton Jacobian."""
+        """The frozen Gauss-Newton Jacobian at xc: its anchor block (complex
+        matrix and weight) and its forward/transpose products."""
         loop_c = DiscreteLoop(unpack(xc), twisted=twisted)
         tau_c = time_map(loop_c).inverse(t_grid)
         cmat = _prox_jacobian(loop_c, tau_c)
@@ -440,12 +491,12 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
                 out = out + u[-1] * phase_dir
             return out
 
-        return forward, transpose
+        return cmat, sq, forward, transpose
 
     # optional gradient-flow style warm-up when the seed is very rough
     if gn > opts.warmup_threshold:
         for _ in range(opts.warmup_steps):
-            _, transpose = make_ops(x)
+            *_, transpose = make_ops(x)
             d = -transpose(r)
             step = 1.0
             base = np.linalg.norm(r)
@@ -468,24 +519,31 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
     stage_start, stage_gn = 0, gn
 
     def decay_anchor():
+        """Weaken the anchor one stage and restart the damping and the stage
+        bookkeeping: lam grown against the stronger anchor would otherwise
+        throttle the steps that the weaker one allows."""
+        nonlocal lam, gn, stage_start, stage_gn
         new_prox = max(state["lam_prox"] * opts.prox_decay, opts.prox_min)
         r[2 * n : 4 * n] *= np.sqrt(new_prox / state["lam_prox"])
         state["lam_prox"] = new_prox
+        lam = opts.lam0
+        gn = gn_of(r)
+        stage_start, stage_gn = iterations, gn
 
     for iterations in range(1, opts.max_iter + 1):
         if gn < opts.g_tol:
             break
 
         xc, rc = x, r
-        forward, transpose = make_ops(xc)
+        cmat, sq, forward, transpose = make_ops(xc)
         rhs = -transpose(rc)
 
         if dense:
-            # assemble the Gauss-Newton normal matrix column by column; at
-            # desk-scale grids this resolves the near-null symmetry directions
-            # that a truncated Krylov solve cannot reach
+            # the dense Gauss-Newton normal matrix resolves, at desk-scale
+            # grids, the near-null symmetry directions that a truncated
+            # Krylov solve cannot reach
             eye = np.eye(len(xc))
-            jmat = np.column_stack([forward(eye[:, i]) for i in range(len(xc))])
+            jmat = _dense_jacobian(xc, twisted, cfg, opts, cmat, sq, phase_dir)
             ata = jmat.T @ jmat
 
             def solve_with(lam_cur, b):
@@ -542,9 +600,6 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
                 # anchor one stage and continue, so that near-degenerate
                 # directions stay regularized throughout the hand-off
                 decay_anchor()
-                lam = opts.lam0
-                gn = gn_of(r)
-                stage_start, stage_gn = iterations, gn
                 continue
             # stop when damping explodes without producing an acceptable step
             if lam > 1e12:
@@ -563,8 +618,6 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
             )
             if settled or iterations - stage_start >= opts.prox_patience:
                 decay_anchor()
-                gn = gn_of(r)
-                stage_start, stage_gn = iterations, gn
         if gn < best_gn:
             best_x, best_gn = x.copy(), gn
         log.debug(

@@ -17,6 +17,7 @@ from szbov import (
     reconstruct,
     unpack,
 )
+from szbov.action import stacked_gradient
 
 ZERO = preset("zero", mu=0.5)
 
@@ -107,6 +108,20 @@ class TestGradient:
         samples = np.full(64, 1.0 + 1e-9 + 0j)
         with pytest.raises(DegenerateLoopError):
             gradient(DiscreteLoop(samples=samples), ZERO)
+
+    @pytest.mark.parametrize("name,cfg", CONFIGS, ids=[c[0] for c in CONFIGS])
+    @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+    def test_stack_matches_single_loops(self, rng, name, cfg, twisted):
+        loops = [random_smooth_loop(rng, 64, twisted=twisted) for _ in range(5)]
+        stacked = stacked_gradient(np.array([lp.samples for lp in loops]), twisted, cfg)
+        for row, loop in zip(stacked, loops):
+            g = gradient(loop, cfg)
+            assert np.max(np.abs(row - g)) <= 1e-13 * np.max(np.abs(g))
+
+    def test_stack_with_a_degenerate_row_rejected(self, rng):
+        stack = np.array([random_smooth_loop(rng, 64).samples, np.full(64, 1.0 + 1e-9 + 0j)])
+        with pytest.raises(DegenerateLoopError):
+            stacked_gradient(stack, False, ZERO)
 
 
 class TestPacking:

@@ -8,11 +8,13 @@ from szbov import (
     SolveError,
     SolveOptions,
     continue_family,
+    derivative,
     eval_action,
     grad_norm,
     gradient,
     involution,
     make_seed,
+    pack,
     preset,
     record_from_dict,
     save_loop,
@@ -22,8 +24,11 @@ from szbov import (
     solve,
     solve_many,
     thread_limit,
+    time_map,
+    unpack,
     winding_report,
 )
+from szbov.solver import _dense_jacobian, _prox_jacobian
 
 KEPLER = preset("zero", mu=0.0)
 EULER = preset("zero", mu=0.5)
@@ -124,6 +129,43 @@ class TestSolve:
         assert again.action == pytest.approx(rec.action, rel=1e-12)
         assert again.grad_norm == pytest.approx(rec.grad_norm, rel=1e-6)
         assert again.cfg.mu == rec.cfg.mu
+
+
+class TestDenseJacobian:
+    @staticmethod
+    def column_by_column(xc, twisted, cfg, opts, cmat, sq, phase_dir):
+        """Reference assembly: one forward product per coordinate direction,
+        its gradient block a central difference of two single-loop gradients."""
+        n = len(xc) // 2
+
+        def grad_block(x):
+            return pack(gradient(DiscreteLoop(unpack(x), twisted=twisted), cfg)) / np.sqrt(n)
+
+        def forward(v):
+            h = opts.fd_step * max(1.0, np.linalg.norm(xc)) / np.linalg.norm(v)
+            hvp = (grad_block(xc + h * v) - grad_block(xc - h * v)) / (2.0 * h)
+            return np.concatenate([hvp, sq * pack(cmat @ unpack(v)), [phase_dir @ v]])
+
+        eye = np.eye(len(xc))
+        return np.column_stack([forward(eye[:, i]) for i in range(len(xc))])
+
+    @pytest.mark.parametrize(
+        "seed,cfg",
+        [(seed_kepler_guess(-1, 0.3, 64), KEPLER), (seed_circle(0.0, 1.0, 64), EULER)],
+        ids=["kepler", "unit_circle"],
+    )
+    def test_matches_column_by_column_assembly(self, seed, cfg):
+        n = seed.n
+        xc = pack(seed.samples)
+        cmat = _prox_jacobian(seed, time_map(seed).inverse(np.arange(n) / n))
+        sq = np.sqrt(OPTS.prox0 / n)
+        phase_dir = pack(derivative(seed))
+        phase_dir /= np.linalg.norm(phase_dir)
+        args = (xc, seed.twisted, cfg, OPTS, cmat, sq, phase_dir)
+        jmat = _dense_jacobian(*args)
+        ref = self.column_by_column(*args)
+        assert jmat.shape == (4 * n + 1, 2 * n)
+        assert np.max(np.abs(jmat - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
 class TestContinuation:
