@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .fields import FieldConfig
 from .geometry import birkhoff_derivative, birkhoff_map, conformal_weight
@@ -147,6 +146,10 @@ def integrate(
 
     near_collision.terminal = True
     near_collision.direction = -1
+
+    # imported here, not at module level: it is most of the import time of
+    # the package, and only this function needs it
+    from scipy.integrate import solve_ivp
 
     sol = solve_ivp(
         rhs,

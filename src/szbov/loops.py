@@ -9,6 +9,12 @@ near-machine tolerances for smooth loops.
 A twisted loop satisfies ``z(tau + 1) = 1/z(tau)``; its pointwise inversions
 appended to the original samples form a genuine 2-periodic loop (the double
 cover) which is what gets differentiated and interpolated.
+
+Off the nodes, every Fourier sum (the interpolant in ``eval_loop`` and
+``lift``, the time map t(tau) and its derivative) is evaluated by one
+baby-step/giant-step routine, ``_fourier_sum``: two small tables of phases,
+of about sqrt(N) columns each, and one matrix product, so that M points cost
+about 2 sqrt(N) M complex exponentials instead of an M x N phase matrix.
 """
 
 from __future__ import annotations
@@ -117,16 +123,53 @@ def _spectral_derivative(samples: np.ndarray, period: float = 1.0, order: int = 
     return np.fft.ifft(np.fft.fft(samples) * sym)
 
 
+def _fourier_sum(c: np.ndarray, x) -> np.ndarray:
+    """sum_k c_k exp(2 pi i k x) over the modes of ``np.fft.fftfreq(n, 1/n)``,
+    for coefficients c in that order, with the Nyquist mode k = -n/2 taken as
+    cos(pi n x) (the symmetric convention).
+
+    Baby-step/giant-step: with B a power of two near sqrt(n), each mode but
+    the Nyquist one is k = a*B + b with -B/2 <= b < B/2.  The coefficients,
+    zero-padded into a table with one row per a and one column per b, are
+    contracted against the m x B baby-step phases exp(2 pi i b x) in one
+    matmul, and the result against the giant-step phases exp(2 pi i a B x).
+    So each point costs about 2 sqrt(n) complex exponentials instead of n.
+    The steps are centred on k = 0 so that the low modes, which carry the
+    largest coefficients of a smooth loop, keep phase arguments of size |k|
+    and with them the round-off of a direct sum; x is shifted by an integer
+    to |x| <= 1/2 for the same reason (the shift is exact).
+    """
+    n = len(c)
+    half = n // 2
+    baby = 1 << (n.bit_length() // 2)
+    first = (baby // 2 - half) // baby
+    rows = (half - 1 + baby // 2) // baby - first + 1
+    zero = baby // 2 - first * baby  # table slot of k = 0
+    table = np.zeros(rows * baby, dtype=complex)
+    table[zero : zero + half] = c[:half]
+    table[zero - half + 1 : zero] = c[half + 1 :]
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = x - np.round(x)
+    baby_phase = _phases(x, np.arange(-(baby // 2), baby // 2))
+    giant_phase = _phases(x, baby * np.arange(first, first + rows))
+    out = np.einsum("ij,ij->i", giant_phase, baby_phase @ table.reshape(rows, baby).T)
+    return out + c[half] * np.cos(np.pi * n * x)
+
+
+def _phases(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """exp(2 pi i x_j k_l) as a len(x) x len(k) matrix (cos and sin of the
+    real argument: the same values as complex exp, computed faster)."""
+    arg = np.multiply.outer(2.0 * np.pi * x, k)
+    out = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
+
+
 def _trig_eval(samples: np.ndarray, x, period: float = 1.0) -> np.ndarray:
     """Evaluate the trigonometric interpolant of uniform samples at x."""
-    n = len(samples)
-    c = np.fft.fft(samples) / n
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    x = np.atleast_1d(np.asarray(x, dtype=float)) / period
-    phase = np.exp(2j * np.pi * np.outer(x, k))
-    m = n // 2
-    phase[:, m] = np.cos(2.0 * np.pi * m * x)  # symmetric Nyquist convention
-    return phase @ c
+    c = np.fft.fft(samples) / len(samples)
+    return _fourier_sum(c, np.asarray(x, dtype=float) / period)
 
 
 def derivative(loop: DiscreteLoop) -> np.ndarray:
@@ -176,9 +219,12 @@ class TimeMap:
     """Cumulative reparametrization data between loop parameter and time.
 
     t(tau) is the normalized antiderivative of the conformal weight along the
-    loop; its continuous inverse is realized by a safeguarded Newton iteration
-    inside the node brackets of ``t_of_tau``, falling back to bisection where
-    t' vanishes (collisions) or the Newton step leaves the bracket.
+    loop.  The Fourier coefficients of the weights and of their antiderivative
+    are computed once per map (``_spectral``); ``t`` and ``t_prime`` then sum
+    them at any tau with ``_fourier_sum``.  The continuous inverse is realized
+    by a safeguarded Newton iteration inside the node brackets of
+    ``t_of_tau``, falling back to bisection where t' vanishes (collisions) or
+    the Newton step leaves the bracket.
     """
 
     zhat: float
@@ -191,6 +237,9 @@ class TimeMap:
 
     @functools.cached_property
     def _spectral(self):
+        """Fourier coefficients c of the weights; coefficients of their
+        antiderivative, c_k / (2 pi i k) with the mean and Nyquist modes
+        zeroed; and that antiderivative's value at tau = 0."""
         n = self.n
         c = np.fft.fft(self.weights) / n
         k = np.fft.fftfreq(n, d=1.0 / n)
@@ -198,17 +247,16 @@ class TimeMap:
         nz = k != 0
         coef[nz] = c[nz] / (2j * np.pi * k[nz])
         coef[n // 2] = 0.0  # Nyquist handled as a cosine below
-        return c, k, coef
+        return c, coef, np.real(np.sum(coef))
 
     def t(self, tau) -> np.ndarray:
         """Continuous evaluation of t(tau); extends by t(tau+1) = t(tau)+1."""
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         base = np.floor(tau)
         frac = tau - base
-        c, k, coef = self._spectral
+        c, coef, at_zero = self._spectral
         m = self.n // 2
-        phase = np.exp(2j * np.pi * np.outer(frac, k))
-        osc = np.real((phase - 1.0) @ coef)
+        osc = np.real(_fourier_sum(coef, frac)) - at_zero
         # Nyquist mode interpolated as cos: antiderivative sin(2 pi m tau)/(2 pi m)
         osc += np.real(c[m]) * np.sin(2.0 * np.pi * m * frac) / (2.0 * np.pi * m)
         raw = np.real(c[0]) * frac + osc
@@ -216,7 +264,7 @@ class TimeMap:
 
     def t_prime(self, tau) -> np.ndarray:
         """dt/dtau = w(z(tau))/zhat via trigonometric interpolation of w."""
-        w = np.real(_trig_eval(self.weights, np.asarray(tau, dtype=float) % 1.0))
+        w = np.real(_fourier_sum(self._spectral[0], tau))
         return np.clip(w, 0.0, None) / self.zhat
 
     def inverse(self, t) -> np.ndarray:
@@ -300,18 +348,21 @@ def zhat(loop: DiscreteLoop, eps: float = EPS_ZHAT) -> float:
     return value
 
 
+def _monotone_nodes(scaled: np.ndarray, n: int) -> np.ndarray:
+    nodes = np.empty(n + 1)
+    nodes[:n] = np.maximum.accumulate(np.clip(scaled, 0.0, 1.0))
+    nodes[0] = 0.0
+    nodes[n] = 1.0
+    return nodes
+
+
 def time_map(loop: DiscreteLoop, eps: float = EPS_ZHAT) -> TimeMap:
     """Reparametrization t(tau) between loop parameter and physical time."""
     w = conformal_weight(loop.samples)
     zh = float(np.mean(w))
     if zh <= eps:
         raise DegenerateLoopError("degenerate loop: zhat vanishes")
-    n = loop.n
-    raw = integration_matrix(n) @ w
-    nodes = np.empty(n + 1)
-    nodes[:n] = np.maximum.accumulate(np.clip(raw / zh, 0.0, 1.0))
-    nodes[0] = 0.0
-    nodes[n] = 1.0
+    nodes = _monotone_nodes(integration_matrix(loop.n) @ w / zh, loop.n)
     return TimeMap(zhat=zh, t_of_tau=nodes, weights=w)
 
 
@@ -389,14 +440,6 @@ def lift(q: PhysicalLoop, eps_col: float = EPS_COLLISION) -> DiscreteLoop:
     else:
         samples = _trig_eval(zt, t_of_uniform_tau, period=1.0)
     return DiscreteLoop(samples=samples, twisted=twisted)
-
-
-def _monotone_nodes(scaled: np.ndarray, n: int) -> np.ndarray:
-    nodes = np.empty(n + 1)
-    nodes[:n] = np.maximum.accumulate(np.clip(scaled, 0.0, 1.0))
-    nodes[0] = 0.0
-    nodes[n] = 1.0
-    return nodes
 
 
 def loop_to_dict(loop: DiscreteLoop) -> dict:

@@ -31,7 +31,7 @@ from . import action as _action
 from .action import eval_components, gradient, grad_norm, pack, stacked_gradient, unpack
 from .dynamics import phi_profile, verify_generalized
 from .fields import FieldConfig, config_to_dict
-from .geometry import WindingError, WindingReport, winding_report
+from .geometry import WindingError, WindingReport, birkhoff_map, winding_report
 from .loops import (
     EPS_COLLISION,
     EPS_ZHAT,
@@ -287,13 +287,13 @@ def _admissible(x: np.ndarray, twisted: bool, opts: SolveOptions) -> bool:
     return float(np.mean(conformal_weight(z))) > opts.eps_zhat
 
 
-def _physical_samples(loop: DiscreteLoop, t: np.ndarray) -> np.ndarray:
-    """q at the given uniform physical times, through the loop's time map."""
-    from .geometry import birkhoff_map
+def _anchor_points(loop: DiscreteLoop, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tau(t) at the given physical times, through the loop's time map, and
+    the loop z(tau) there."""
     from .loops import eval_loop, time_map
 
-    tm = time_map(loop)
-    return birkhoff_map(eval_loop(loop, tm.inverse(t)))
+    tau = time_map(loop).inverse(t)
+    return tau, eval_loop(loop, tau)
 
 
 def _residual_factory(cfg: FieldConfig, twisted: bool, opts: SolveOptions, x0: np.ndarray):
@@ -308,6 +308,10 @@ def _residual_factory(cfg: FieldConfig, twisted: bool, opts: SolveOptions, x0: n
     L2 distance instead of leaving that choice to round-off.  An optional
     scalar phase row removes the parameter-shift direction in the autonomous
     case.
+
+    ``residual(x)`` returns the residual and the anchor points
+    ``(tau(t_grid), z(tau))`` of x, which the Jacobian at x reuses instead of
+    inverting the time map again.
     """
     n2 = len(x0)
     n = n2 // 2
@@ -329,19 +333,20 @@ def _residual_factory(cfg: FieldConfig, twisted: bool, opts: SolveOptions, x0: n
         phase_dir = None
 
     t_grid = np.arange(n) / n
-    q0 = _physical_samples(DiscreteLoop(unpack(x0), twisted=twisted), t_grid)
+    q0 = birkhoff_map(_anchor_points(DiscreteLoop(unpack(x0), twisted=twisted), t_grid)[1])
     state = {"lam_prox": opts.prox0}
 
-    def residual(x: np.ndarray) -> np.ndarray:
+    def residual(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         loop = DiscreteLoop(unpack(x), twisted=twisted)
         g = gradient(loop, cfg, opts.eps_zhat)
         parts = [pack(g) * scale]
         lam = state["lam_prox"]
-        dq = _physical_samples(loop, t_grid) - q0
+        anchor = _anchor_points(loop, t_grid)
+        dq = birkhoff_map(anchor[1]) - q0
         parts.append(np.sqrt(lam) * scale * np.concatenate([dq.real, dq.imag]))
         if phase_dir is not None:
             parts.append(np.array([float(phase_dir @ (x - x0))]))
-        return np.concatenate(parts)
+        return np.concatenate(parts), anchor
 
     return residual, phase_dir, state
 
@@ -362,11 +367,11 @@ def _interp_kernel(n_samples: int, period: float, x: np.ndarray) -> np.ndarray:
     return out / n_samples
 
 
-def _prox_jacobian(loop: DiscreteLoop, tau: np.ndarray) -> np.ndarray:
+def _prox_jacobian(loop: DiscreteLoop, tau: np.ndarray, z_tau: np.ndarray) -> np.ndarray:
     """Complex n x n matrix C with (C v)_i = d q(t_i) under sample variation v,
-    holding the time map (hence tau(t_i)) frozen at the current iterate."""
+    holding the time map (hence tau(t_i)) frozen at the current iterate;
+    z_tau is the loop at tau."""
     from .geometry import birkhoff_derivative
-    from .loops import eval_loop
 
     z = np.asarray(loop.samples)
     n = loop.n
@@ -375,7 +380,7 @@ def _prox_jacobian(loop: DiscreteLoop, tau: np.ndarray) -> np.ndarray:
         a = k[:, :n] - k[:, n:] * (1.0 / z**2)[None, :]
     else:
         a = _interp_kernel(n, 1.0, tau).astype(complex)
-    bp = birkhoff_derivative(eval_loop(loop, tau))
+    bp = birkhoff_derivative(z_tau)
     return bp[:, None] * a
 
 
@@ -441,15 +446,12 @@ def _apply_precond(v: np.ndarray, diag_hat: np.ndarray) -> np.ndarray:
 
 def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOptions()) -> OrbitRecord:
     """Levenberg-Marquardt on the gradient residual from the given seed."""
-    from .loops import time_map
-
     twisted = seed.twisted
     n = seed.n
     x = pack(np.asarray(seed.samples))
     x0 = x.copy()
     residual, phase_dir, state = _residual_factory(cfg, twisted, opts, x0)
     scale = 1.0 / np.sqrt(n)
-    t_grid = np.arange(n) / n
 
     def grad_block(xv: np.ndarray) -> np.ndarray:
         g = gradient(DiscreteLoop(unpack(xv), twisted=twisted), cfg, opts.eps_zhat)
@@ -466,16 +468,15 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
     def gn_of(r: np.ndarray) -> float:
         return float(np.linalg.norm(r[: 2 * n]))
 
-    r = residual(x)
+    r, anchor = residual(x)
     gn = gn_of(r)
     seed_winding = _safe_winding(reconstruct(seed, opts.m))
 
-    def make_ops(xc):
-        """The frozen Gauss-Newton Jacobian at xc: its anchor block (complex
+    def make_ops(xc, anchor_c):
+        """The frozen Gauss-Newton Jacobian at xc, whose anchor points
+        ``residual(xc)`` returned as anchor_c: its anchor block (complex
         matrix and weight) and its forward/transpose products."""
-        loop_c = DiscreteLoop(unpack(xc), twisted=twisted)
-        tau_c = time_map(loop_c).inverse(t_grid)
-        cmat = _prox_jacobian(loop_c, tau_c)
+        cmat = _prox_jacobian(DiscreteLoop(unpack(xc), twisted=twisted), *anchor_c)
         sq = np.sqrt(state["lam_prox"]) * scale
 
         def forward(v):
@@ -496,16 +497,16 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
     # optional gradient-flow style warm-up when the seed is very rough
     if gn > opts.warmup_threshold:
         for _ in range(opts.warmup_steps):
-            *_, transpose = make_ops(x)
+            *_, transpose = make_ops(x, anchor)
             d = -transpose(r)
             step = 1.0
             base = np.linalg.norm(r)
             while step > 1e-8:
                 xt = x + step * d
                 if _admissible(xt, twisted, opts):
-                    rt = residual(xt)
+                    rt, at = residual(xt)
                     if np.linalg.norm(rt) < base:
-                        x, r = xt, rt
+                        x, r, anchor = xt, rt, at
                         break
                 step *= 0.5
             else:
@@ -535,7 +536,7 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
             break
 
         xc, rc = x, r
-        cmat, sq, forward, transpose = make_ops(xc)
+        cmat, sq, forward, transpose = make_ops(xc, anchor)
         rhs = -transpose(rc)
 
         if dense:
@@ -577,16 +578,16 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
                 and _admissible(x - hg * delta, twisted, opts)
             ):
                 second = (
-                    residual(x + hg * delta) - 2.0 * rc + residual(x - hg * delta)
+                    residual(x + hg * delta)[0] - 2.0 * rc + residual(x - hg * delta)[0]
                 ) / hg**2
                 accel = solve_with(lam, -transpose(second))
                 if np.linalg.norm(accel) < 0.75 * np.linalg.norm(delta):
                     delta = delta + 0.5 * accel
             xt = x + delta
             if _admissible(xt, twisted, opts):
-                rt = residual(xt)
+                rt, at = residual(xt)
                 if np.linalg.norm(rt) < np.linalg.norm(r):
-                    x, r = xt, rt
+                    x, r, anchor = xt, rt, at
                     lam = max(lam * opts.lam_down, 1e-14)
                     accepted = True
                     break

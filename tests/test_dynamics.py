@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import szbov
 
 from conftest import random_smooth_loop
 from szbov import (
@@ -147,3 +154,15 @@ class TestVerifyGeneralized:
         )
         report = verify_generalized(bad, KEPLER, tol=1e-5)
         assert not report.ok
+
+
+def test_import_leaves_the_integrator_unloaded():
+    # scipy.integrate is most of the package's import time, and only
+    # integrate() needs it
+    env = {**os.environ, "PYTHONPATH": str(Path(szbov.__file__).resolve().parents[1])}
+    code = "import sys, szbov; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

@@ -19,8 +19,17 @@ from szbov import (
     time_map,
     zhat,
 )
+from szbov.loops import _trig_eval
 
 TAU64 = np.arange(64) / 64
+
+
+def direct_phases(n, x):
+    """exp(2 pi i k x) for the modes k of np.fft.fftfreq(n, 1/n), one row per
+    point, with the Nyquist mode k = -n/2 taken as cos(pi n x)."""
+    phase = np.exp(2j * np.pi * np.outer(x, np.fft.fftfreq(n, d=1.0 / n)))
+    phase[:, n // 2] = np.cos(np.pi * n * x)
+    return phase
 
 
 class TestDiscreteLoop:
@@ -73,6 +82,18 @@ class TestSpectralCalculus:
         expected = 2.0 + 0.3 * np.exp(2j * np.pi * probe)
         np.testing.assert_allclose(eval_loop(loop, probe), expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("period", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [16, 48, 100, 1024])
+    def test_trig_eval_matches_direct_sum(self, n, period):
+        rng = np.random.default_rng(n)
+        samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+        c = np.fft.fft(samples) / n
+        assert abs(c[n // 2]) > 1e-3 * np.max(np.abs(c))  # Nyquist mode exercised
+        x = np.concatenate([[-1.5, 0.0, 0.5, 2.5], rng.uniform(-1.5, 2.5, 200)])
+        direct = direct_phases(n, x / period) @ c
+        error = np.max(np.abs(_trig_eval(samples, x, period) - direct))
+        assert error <= 1e-13 * np.sum(np.abs(c))
+
 
 class TestTimeMap:
     def test_zhat_of_centered_circle(self):
@@ -92,6 +113,30 @@ class TestTimeMap:
         assert t[-1] == pytest.approx(1.0, rel=1e-12)
         assert np.all(np.diff(t) > 0)
 
+    def test_t_and_t_prime_match_direct_sums(self):
+        n = 100
+        rng = np.random.default_rng(1)
+        # noise in the samples gives the weights a sizeable Nyquist mode
+        noise = 0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        z = 2.0 + 0.99 * np.exp(2j * np.pi * np.arange(n) / n) + noise
+        tm = time_map(DiscreteLoop(samples=z))
+        c = np.fft.fft(tm.weights) / n
+        assert abs(c[n // 2]) > 1e-3 * np.max(np.abs(c))
+        x = np.concatenate([[0.0, 0.5], rng.uniform(0.0, 1.0, 200)])
+        phase = direct_phases(n, x)
+        bound = 1e-13 * np.sum(np.abs(c)) / tm.zhat
+        w = np.real(phase @ c)
+        expected = np.clip(w, 0.0, None) / tm.zhat
+        np.testing.assert_allclose(tm.t_prime(x), expected, rtol=0, atol=bound)
+        # t: the antiderivative of the same sum, from 0, over zhat
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        osc = (k != 0) & (k != -n // 2)  # the mean and Nyquist terms are added below
+        coef = np.zeros(n, dtype=complex)
+        coef[osc] = c[osc] / (2j * np.pi * k[osc])
+        raw = np.real((phase - 1.0) @ coef)
+        raw += np.real(c[0]) * x + np.real(c[n // 2]) * np.sin(np.pi * n * x) / (np.pi * n)
+        np.testing.assert_allclose(tm.t(x), raw / tm.zhat, rtol=0, atol=bound)
+
     def test_inverse_round_trip(self):
         z = 2.1 + 0.4 * np.exp(2j * np.pi * TAU64)
         tm = time_map(DiscreteLoop(samples=z))
@@ -106,8 +151,11 @@ class TestTimeMap:
             np.exp(2j * np.pi * np.arange(1024) / 1024),
             # passes within 1e-2 of the branch point +1
             2.0 + 0.99 * np.exp(2j * np.pi * np.arange(1024) / 1024),
+            # the same two at a grid size that is not a power of two
+            np.exp(2j * np.pi * np.arange(100) / 100),
+            2.0 + 0.99 * np.exp(2j * np.pi * np.arange(100) / 100),
         ],
-        ids=["collision", "grazing"],
+        ids=["collision", "grazing", "collision_n100", "grazing_n100"],
     )
     def test_inverse_at_round_off_and_monotone(self, z):
         tm = time_map(DiscreteLoop(samples=z))

@@ -10,6 +10,7 @@ from szbov import (
     continue_family,
     derivative,
     eval_action,
+    eval_loop,
     grad_norm,
     gradient,
     involution,
@@ -157,7 +158,8 @@ class TestDenseJacobian:
     def test_matches_column_by_column_assembly(self, seed, cfg):
         n = seed.n
         xc = pack(seed.samples)
-        cmat = _prox_jacobian(seed, time_map(seed).inverse(np.arange(n) / n))
+        tau = time_map(seed).inverse(np.arange(n) / n)
+        cmat = _prox_jacobian(seed, tau, eval_loop(seed, tau))
         sq = np.sqrt(OPTS.prox0 / n)
         phase_dir = pack(derivative(seed))
         phase_dir /= np.linalg.norm(phase_dir)
