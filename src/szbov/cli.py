@@ -126,8 +126,6 @@ class RunConfig:
     """Resolved run configuration: fields, grids, solver options, seed spec."""
 
     cfg: FieldConfig
-    n: int = 256
-    m: int = 512
     opts: SolveOptions = dataclasses.field(default_factory=SolveOptions)
     seed_spec: dict = dataclasses.field(default_factory=lambda: dict(_DEFAULT_SEED))
     out: str | None = None
@@ -163,10 +161,12 @@ def load_run_config(args) -> RunConfig:
     m = int(grid.get("m", 512))
 
     solver_block = dict(data.get("solver", {}))
-    option_names = {f.name for f in dataclasses.fields(SolveOptions)}
+    # n and m are SolveOptions fields too, but they are set from the grid
+    option_names = {f.name for f in dataclasses.fields(SolveOptions)} - {"n", "m"}
     unknown = set(solver_block) - option_names
     if unknown:
-        raise FieldConfigError(f"unknown solver keys: {sorted(unknown)}")
+        hint = " (n and m belong under 'grid')" if unknown & {"n", "m"} else ""
+        raise FieldConfigError(f"unknown solver keys: {sorted(unknown)}{hint}")
 
     seed_spec = data.get("seed", dict(_DEFAULT_SEED))
     out = data.get("out")
@@ -187,7 +187,7 @@ def load_run_config(args) -> RunConfig:
         opts = SolveOptions(n=n, m=m, **solver_block)
     except TypeError as exc:
         raise FieldConfigError(f"bad solver options: {exc}")
-    return RunConfig(cfg=cfg, n=n, m=m, opts=opts, seed_spec=seed_spec, out=out, path=path)
+    return RunConfig(cfg=cfg, opts=opts, seed_spec=seed_spec, out=out, path=path)
 
 
 def _parse_seed_flag(text: str) -> dict:
@@ -201,7 +201,7 @@ def _parse_seed_flag(text: str) -> dict:
 
 
 def _build_seed(run: RunConfig, args) -> DiscreteLoop:
-    loop = make_seed(run.seed_spec, n=run.n)
+    loop = make_seed(run.seed_spec, n=run.opts.n)
     twisted = getattr(args, "twisted", None)
     if twisted is not None and twisted != loop.twisted:
         loop = DiscreteLoop(samples=loop.samples, twisted=twisted)
@@ -353,7 +353,7 @@ def cmd_integrate(args) -> int:
     data = _load_json(args.orbit)
     record = record_from_dict(data)
     q0, v0 = _initial_conditions(record.z)
-    m = run.m
+    m = run.opts.m
     times = np.arange(m + 1) / m
     tol = args.tol or 1e-10
     traj = integrate(q0, v0, 0.0, 1.0, record.cfg, tol=tol, sample_times=times)

@@ -2,40 +2,34 @@
 
 Critical points are generically saddles, so instead of descending the
 functional we drive its exact discrete gradient to zero with a damped
-Gauss-Newton (Levenberg-Marquardt) iteration.  The residual stacks the scaled
-gradient, a proximal anchor that is weakened in stages as the iteration
-settles, and, for autonomous fields, a phase row.  Its Jacobian is never
-hand-coded: the gradient block is the second variation, taken by central
-differences of the analytic gradient.
+Gauss-Newton (Levenberg-Marquardt) iteration with geodesic acceleration.  The
+residual stacks the scaled gradient, a proximal anchor that is weakened in
+stages as the iteration settles, and, for autonomous fields, a phase row.
 
-Grids up to ``SolveOptions.dense_threshold`` nodes (every grid the tests and
-examples use) assemble that Jacobian densely, the gradient block from
-stacked coordinate perturbations evaluated a block of loops per gradient
-call, and solve the damped normal equations directly.  Larger grids solve
-them matrix-free by conjugate gradients on Jacobian-vector products, with a
-Fourier-diagonal preconditioner that captures the spectral-differentiation
-part of the operator.
+Each iteration assembles the Jacobian of that residual densely, once: the
+gradient block is the second variation, taken by central differences of the
+analytic gradient on stacked coordinate perturbations, a block of loops per
+gradient call.  The same matrix gives the damped normal equations, the
+step's right-hand side and that of the acceleration, which are solved
+directly.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from . import action as _action
 from .action import eval_components, gradient, grad_norm, pack, stacked_gradient, unpack
-from .dynamics import phi_profile, verify_generalized
+from .dynamics import phi_profile
 from .fields import FieldConfig, config_to_dict
 from .geometry import WindingError, WindingReport, birkhoff_map, winding_report
 from .loops import (
-    EPS_COLLISION,
     EPS_ZHAT,
-    DegenerateLoopError,
     DiscreteLoop,
     PhysicalLoop,
     LoopError,
@@ -93,16 +87,12 @@ class SolveOptions:
     phase_fix: bool = True
     eps_zhat: float = EPS_ZHAT
     fd_step: float = 1e-5
-    cg_maxiter: int = 300
-    warmup_threshold: float = 1e3
-    warmup_steps: int = 10
     min_abs_z: float = 1e-6
     prox0: float = 1e-2
     prox_min: float = 1e-12
     prox_decay: float = 1e-2
     prox_release: float = 1e-8
     prox_patience: int = 15
-    dense_threshold: int = 384
 
     def __post_init__(self):
         for name in ("g_tol", "lam0", "eps_zhat", "fd_step"):
@@ -280,7 +270,7 @@ def make_seed(spec, n: int = 256) -> DiscreteLoop:
 
 # ------------------------------------------------------------------- solve
 
-def _admissible(x: np.ndarray, twisted: bool, opts: SolveOptions) -> bool:
+def _admissible(x: np.ndarray, opts: SolveOptions) -> bool:
     z = unpack(x)
     if np.any(np.abs(z) < opts.min_abs_z):
         return False
@@ -403,8 +393,8 @@ def _dense_jacobian(
     """The frozen Gauss-Newton Jacobian of the residual at xc, as a dense matrix.
 
     Gradient block: column i is the central difference of the scaled gradient
-    along the coordinate direction e_i, with the step of ``hvp``; the
-    perturbed loops are stacked and evaluated a block of rows at a time.
+    along the coordinate direction e_i, with step h = fd_step * max(1, |xc|);
+    the perturbed loops are stacked and evaluated a block of rows at a time.
     Anchor block: sq * C acting on [Re; Im] coordinates, with C from
     ``_prox_jacobian``.  Phase row: ``phase_dir``.
     """
@@ -427,23 +417,6 @@ def _dense_jacobian(
     return np.vstack(blocks)
 
 
-def _preconditioner(z: np.ndarray, f: float, lam: float, lam_prox: float, n: int) -> np.ndarray:
-    """Fourier symbol of the dominant (spectral-differentiation) block of the
-    Gauss-Newton normal operator."""
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    a = float(np.mean(1.0 / np.abs(z) ** 2))
-    sym = f * a * (2 * np.pi * k) ** 2 + 1.0 + f
-    bp2 = float(np.mean(np.abs(1.0 - 1.0 / z**2) ** 2)) * 0.25
-    return 1.0 / (sym**2 / n + lam_prox * bp2 / n + lam)
-
-
-def _apply_precond(v: np.ndarray, diag_hat: np.ndarray) -> np.ndarray:
-    n = len(v) // 2
-    zv = v[:n] + 1j * v[n:]
-    out = np.fft.ifft(np.fft.fft(zv) * diag_hat)
-    return np.concatenate([out.real, out.imag])
-
-
 def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOptions()) -> OrbitRecord:
     """Levenberg-Marquardt on the gradient residual from the given seed."""
     twisted = seed.twisted
@@ -453,18 +426,6 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
     residual, phase_dir, state = _residual_factory(cfg, twisted, opts, x0)
     scale = 1.0 / np.sqrt(n)
 
-    def grad_block(xv: np.ndarray) -> np.ndarray:
-        g = gradient(DiscreteLoop(unpack(xv), twisted=twisted), cfg, opts.eps_zhat)
-        return pack(g) * scale
-
-    def hvp(xc: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Second-variation product by central differences of the gradient."""
-        vn = np.linalg.norm(v)
-        if vn == 0:
-            return np.zeros_like(v)
-        h = opts.fd_step * max(1.0, np.linalg.norm(xc)) / vn
-        return (grad_block(xc + h * v) - grad_block(xc - h * v)) / (2.0 * h)
-
     def gn_of(r: np.ndarray) -> float:
         return float(np.linalg.norm(r[: 2 * n]))
 
@@ -472,48 +433,13 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
     gn = gn_of(r)
     seed_winding = _safe_winding(reconstruct(seed, opts.m))
 
-    def make_ops(xc, anchor_c):
+    def jacobian(xc, anchor_c):
         """The frozen Gauss-Newton Jacobian at xc, whose anchor points
-        ``residual(xc)`` returned as anchor_c: its anchor block (complex
-        matrix and weight) and its forward/transpose products."""
+        ``residual(xc)`` returned as anchor_c."""
         cmat = _prox_jacobian(DiscreteLoop(unpack(xc), twisted=twisted), *anchor_c)
         sq = np.sqrt(state["lam_prox"]) * scale
+        return _dense_jacobian(xc, twisted, cfg, opts, cmat, sq, phase_dir)
 
-        def forward(v):
-            parts = [hvp(xc, v), sq * pack(cmat @ unpack(v))]
-            if phase_dir is not None:
-                parts.append(np.array([float(phase_dir @ v)]))
-            return np.concatenate(parts)
-
-        def transpose(u):
-            out = hvp(xc, u[: 2 * n])
-            out = out + sq * pack(cmat.conj().T @ unpack(u[2 * n : 4 * n]))
-            if phase_dir is not None:
-                out = out + u[-1] * phase_dir
-            return out
-
-        return cmat, sq, forward, transpose
-
-    # optional gradient-flow style warm-up when the seed is very rough
-    if gn > opts.warmup_threshold:
-        for _ in range(opts.warmup_steps):
-            *_, transpose = make_ops(x, anchor)
-            d = -transpose(r)
-            step = 1.0
-            base = np.linalg.norm(r)
-            while step > 1e-8:
-                xt = x + step * d
-                if _admissible(xt, twisted, opts):
-                    rt, at = residual(xt)
-                    if np.linalg.norm(rt) < base:
-                        x, r, anchor = xt, rt, at
-                        break
-                step *= 0.5
-            else:
-                break
-        gn = gn_of(r)
-
-    dense = n <= opts.dense_threshold
     lam = opts.lam0
     best_x, best_gn = x.copy(), gn
     iterations = 0
@@ -536,55 +462,31 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
             break
 
         xc, rc = x, r
-        cmat, sq, forward, transpose = make_ops(xc, anchor)
-        rhs = -transpose(rc)
-
-        if dense:
-            # the dense Gauss-Newton normal matrix resolves, at desk-scale
-            # grids, the near-null symmetry directions that a truncated
-            # Krylov solve cannot reach
-            eye = np.eye(len(xc))
-            jmat = _dense_jacobian(xc, twisted, cfg, opts, cmat, sq, phase_dir)
-            ata = jmat.T @ jmat
-
-            def solve_with(lam_cur, b):
-                return np.linalg.solve(ata + lam_cur * eye, b)
-
-        else:
-            zc = unpack(xc)
-            f = float(np.mean(conformal_weight(zc)))
-
-            def solve_with(lam_cur, b):
-                def normal_op(v):
-                    return transpose(forward(v)) + lam_cur * v
-
-                diag_hat = _preconditioner(zc, f, lam_cur, state["lam_prox"], n)
-                op = LinearOperator((len(xc), len(xc)), matvec=normal_op)
-                pre = LinearOperator(
-                    (len(xc), len(xc)), matvec=lambda v: _apply_precond(v, diag_hat)
-                )
-                delta, _ = cg(op, b, rtol=1e-8, atol=0.0, maxiter=opts.cg_maxiter, M=pre)
-                return delta
+        jmat = jacobian(xc, anchor)
+        ata = jmat.T @ jmat
+        eye = np.eye(len(xc))
+        rhs = -(jmat.T @ rc)
 
         accepted = False
         for _ in range(10):
-            delta = solve_with(lam, rhs)
+            normal = ata + lam * eye
+            delta = np.linalg.solve(normal, rhs)
             # geodesic acceleration: second-order correction along the step,
             # which keeps long narrow valleys from throttling the step size
             hg = 0.1
             if (
                 np.linalg.norm(delta) > 1e-13
-                and _admissible(x + hg * delta, twisted, opts)
-                and _admissible(x - hg * delta, twisted, opts)
+                and _admissible(x + hg * delta, opts)
+                and _admissible(x - hg * delta, opts)
             ):
                 second = (
                     residual(x + hg * delta)[0] - 2.0 * rc + residual(x - hg * delta)[0]
                 ) / hg**2
-                accel = solve_with(lam, -transpose(second))
+                accel = np.linalg.solve(normal, -(jmat.T @ second))
                 if np.linalg.norm(accel) < 0.75 * np.linalg.norm(delta):
                     delta = delta + 0.5 * accel
             xt = x + delta
-            if _admissible(xt, twisted, opts):
+            if _admissible(xt, opts):
                 rt, at = residual(xt)
                 if np.linalg.norm(rt) < np.linalg.norm(r):
                     x, r, anchor = xt, rt, at

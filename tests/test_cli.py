@@ -136,9 +136,11 @@ class TestExitCodes:
         seed = '{"kind": "circle", "center": [0.3, 0.2], "radius": 2.5}'
         assert run(["solve", "--config", cfg, "--seed", seed, "--quiet"]) == 3
 
-    def test_unknown_solver_option_rejected(self, tmp_path):
-        cfg = write_config(
-            tmp_path, {"fields": {"mu": 0.5}, "solver": {"warp_speed": True}}
-        )
+    def test_unknown_solver_option_rejected(self, tmp_path, capsys):
+        # n and m are SolveOptions fields, but belong under "grid"
         seed = '{"kind": "circle", "radius": 2}'
-        assert run(["eval", "--config", cfg, "--seed", seed]) == 2
+        cases = [({"warp_speed": True}, "unknown solver keys"), ({"m": 128}, "'grid'")]
+        for block, message in cases:
+            cfg = write_config(tmp_path, {"fields": {"mu": 0.5}, "solver": block})
+            assert run(["eval", "--config", cfg, "--seed", seed]) == 2
+            assert message in capsys.readouterr().err
