@@ -29,9 +29,12 @@ from .loops import (
     DegenerateLoopError,
     DiscreteLoop,
     PhysicalLoop,
+    _periodic_cover,
     _spectral_derivative,
-    double_cover,
+    _tail_integral,
+    derivative,
     integration_matrix,
+    second_derivative,
 )
 
 __all__ = [
@@ -110,10 +113,8 @@ def _prepare(z: np.ndarray, eps_zhat: float):
 def _cover(z: np.ndarray, twisted: bool):
     """The genuine periodic loop behind the samples and its spectral
     derivative: z itself, or for twisted loops the double cover z, 1/z."""
-    if twisted:
-        zc = np.concatenate([z, 1.0 / z], axis=-1)
-        return zc, _spectral_derivative(zc, period=2.0)
-    return z, _spectral_derivative(z, period=1.0)
+    zc, period = _periodic_cover(z, twisted)
+    return zc, _spectral_derivative(zc, period=period)
 
 
 def _kinetic(zc: np.ndarray, zp: np.ndarray) -> np.ndarray:
@@ -206,6 +207,11 @@ def _grad_H2(z: np.ndarray) -> np.ndarray:
     return z * (z + 1.0) * (np.conj(z) - 1.0) / (2.0 * np.abs(z) ** 3)
 
 
+def _grad_centers(z: np.ndarray, mu: float) -> np.ndarray:
+    """Gradient of the mass-weighted two-center term (1-mu) H1 + mu H2."""
+    return (1 - mu) * _grad_H1(z) + mu * _grad_H2(z)
+
+
 def _grad_M(z: np.ndarray, cfg: FieldConfig) -> np.ndarray:
     q = birkhoff_map(z)
     qp = _spectral_derivative(q, period=1.0)
@@ -216,22 +222,27 @@ def _grad_M(z: np.ndarray, cfg: FieldConfig) -> np.ndarray:
     return np.conj(birkhoff_derivative(z)) * gq
 
 
+def _electric_fields(z: np.ndarray, cfg: FieldConfig, w, f):
+    """At the discrete times t_j: t, the potential E, its time derivative,
+    and the force term w conj(B'(z)) grad E pulled back to the z-plane."""
+    q = birkhoff_map(z)
+    t = _electric_times(w, f)[1]
+    force = w * np.conj(birkhoff_derivative(z)) * cfg.electric.grad(t, q)
+    return t, cfg.electric.e(t, q), cfg.electric.dot(t, q), force
+
+
 def _grad_E(z: np.ndarray, cfg: FieldConfig, w, f) -> tuple[np.ndarray, np.ndarray]:
     """Value and exact gradient of the discretized electric term, chain rule
     through the discrete cumulative time map."""
     n = z.shape[-1]
-    q = birkhoff_map(z)
-    raw, t = _electric_times(w, f)
-    e = cfg.electric.e(t, q)
-    edot = cfg.electric.dot(t, q)
-    egrad = cfg.electric.grad(t, q)
+    t, e, edot, force = _electric_fields(z, cfg, w, f)
     phi = _df_integrand(z)
 
     # N := F * E;  dN collects a dW channel and a position channel
     beta = edot * w  # multiplies dt_j inside the quadrature, before 1/N weight
     # coefficient vector c with  (dW-channel of dN) = c . dW
     c = e / n + (beta @ integration_matrix(n)) / (n * f) - (_mean(beta * t) / (n * f))
-    grad_n = n * c * phi + w * np.conj(birkhoff_derivative(z)) * egrad
+    grad_n = n * c * phi + force
     e_val = _mean(e * w) / f
     return e_val, (grad_n - e_val * phi) / f
 
@@ -270,7 +281,7 @@ def stacked_gradient(
     phi = _df_integrand(z)
 
     grad = _kinetic(zc, zp) * phi + f * _grad_G(z, twisted, zc, zp)
-    grad += ((1 - mu) * _grad_H1(z) + mu * _grad_H2(z)) / f
+    grad += _grad_centers(z, mu) / f
     grad -= h_mu / f**2 * phi
     grad -= _grad_M(z, cfg)
     if not cfg.electric.is_zero:
@@ -308,43 +319,23 @@ def delay_residual(loop: DiscreteLoop, cfg: FieldConfig, eps_zhat: float = EPS_Z
     z = loop.samples
     w, f = _prepare(z, eps_zhat)
     f = f.item()
-    n = loop.n
-    mu = cfg.mu
-    comp = eval_components(loop, cfg, eps_zhat)
-    c_const = comp.C
-
-    if loop.twisted:
-        zc = double_cover(loop)
-        zp = _spectral_derivative(zc, period=2.0)[:n]
-        zpp = _spectral_derivative(zc, period=2.0, order=2)[:n]
-    else:
-        zp = _spectral_derivative(z, period=1.0)
-        zpp = _spectral_derivative(z, period=1.0, order=2)
-
+    c_const = eval_components(loop, cfg, eps_zhat).C
+    zp = derivative(loop)
+    zpp = second_derivative(loop)
     phi = _df_integrand(z)
     absz2 = np.abs(z) ** 2
-    q = birkhoff_map(z)
 
     rhs = c_const * phi * absz2 / f**2
     rhs = rhs + np.conj(z) * zp**2 / absz2
-    rhs = rhs + ((1 - mu) * z * (z - 1.0) * (np.conj(z) + 1.0) / np.abs(z)
-                 + mu * z * (z + 1.0) * (np.conj(z) - 1.0) / np.abs(z)) / (2.0 * f**2)
+    rhs = rhs + absz2 * _grad_centers(z, cfg.mu) / f**2
     # magnetic delay term, same orientation as the Lorentz force B i qdot
-    rhs = rhs + (w / f) * cfg.magnetic.field_at(q) * 1j * zp
+    rhs = rhs + (w / f) * cfg.magnetic.field_at(birkhoff_map(z)) * 1j * zp
 
     if cfg.electric.is_zero:
-        eps1 = np.zeros(n, dtype=complex)
-        eps2 = np.zeros(n, dtype=complex)
-        eps3 = np.zeros(n, dtype=complex)
+        eps1, eps2, eps3 = np.zeros((3, loop.n), dtype=complex)
     else:
-        raw, t = _electric_times(w, f)
-        e = cfg.electric.e(t, q)
-        edot = cfg.electric.dot(t, q)
-        egrad = cfg.electric.grad(t, q)
-        fw = edot * w
-        tail = float(np.mean(fw)) - integration_matrix(n) @ fw
-        eps1 = (tail / f) * phi
-        eps2 = egrad * np.conj(birkhoff_derivative(z)) * w
+        _, e, edot, eps2 = _electric_fields(z, cfg, w, f)
+        eps1 = (_tail_integral(edot * w) / f) * phi
         eps3 = e * phi
         rhs = rhs - (absz2 / f**2) * (eps1 + eps2 + eps3)
 

@@ -30,17 +30,15 @@ import numpy as np
 from .action import eval_components
 from .dynamics import SingularityError, integrate, verify_generalized
 from .fields import FieldConfig, FieldConfigError, config_from_dict, config_to_dict, preset
-from .geometry import birkhoff_derivative, birkhoff_map, conformal_weight
 from .loops import (
     DiscreteLoop,
     LoopError,
-    derivative,
+    chain_rule_state,
     double_cover,
     load_loop,
     loop_from_dict,
     loop_to_dict,
     save_loop,
-    time_map,
 )
 from .action import eval_action, gradient, pack
 from .solver import (
@@ -69,7 +67,7 @@ _DEFAULT_SEED = {"kind": "kepler_guess", "side": -1, "radius": 0.3}
 
 def _fmt_float(x: float) -> str:
     if x != x:
-        return "NaN"
+        return '"NaN"'
     if x in (float("inf"), float("-inf")):
         return '"Infinity"' if x > 0 else '"-Infinity"'
     return format(float(x), ".17g")
@@ -337,26 +335,15 @@ def cmd_continue(args) -> int:
     return EXIT_OK
 
 
-def _initial_conditions(z_loop: DiscreteLoop):
-    """Position and velocity at physical time zero, from the blown-up side."""
-    tm = time_map(z_loop)
-    z0 = complex(z_loop.samples[0])
-    zp0 = complex(derivative(z_loop)[0])
-    w0 = float(conformal_weight(np.array([z0]))[0])
-    q0 = complex(birkhoff_map(np.array([z0]))[0])
-    v0 = complex(birkhoff_derivative(np.array([z0]))[0]) * zp0 * tm.zhat / w0
-    return q0, v0
-
-
 def cmd_integrate(args) -> int:
     run = load_run_config(args)
     data = _load_json(args.orbit)
     record = record_from_dict(data)
-    q0, v0 = _initial_conditions(record.z)
+    q0, v0 = chain_rule_state(record.z)
     m = run.opts.m
     times = np.arange(m + 1) / m
     tol = args.tol or 1e-10
-    traj = integrate(q0, v0, 0.0, 1.0, record.cfg, tol=tol, sample_times=times)
+    traj = integrate(q0[0], v0[0], 0.0, 1.0, record.cfg, tol=tol, sample_times=times)
     rows = ["t,q_re,q_im,v_re,v_im"]
     for t, q, v in zip(traj.times, traj.positions, traj.velocities):
         rows.append(

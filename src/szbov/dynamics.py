@@ -14,12 +14,15 @@ from typing import Optional
 import numpy as np
 
 from .fields import FieldConfig
-from .geometry import birkhoff_derivative, birkhoff_map, conformal_weight
+from .geometry import birkhoff_map
 from .loops import (
     EPS_COLLISION,
     DiscreteLoop,
     PhysicalLoop,
+    TimeMap,
     _spectral_derivative,
+    _tail_integral,
+    chain_rule_state,
     eval_loop,
     time_map,
 )
@@ -64,14 +67,15 @@ class Trajectory:
 class PhiProfile:
     """Energy-defect profile of a physical loop.
 
-    phi lives on the closed uniform time grid (M+1 nodes); psi, when a source
-    loop in the blown-up plane is supplied, lives on its tau grid.
+    phi lives on the closed uniform time grid (M+1 nodes).  When a source
+    loop in the blown-up plane is supplied, phi_source is the same defect on
+    its tau grid, from the chain-rule velocity, and psi_mask marks the nodes
+    where that velocity is defined (off collisions).
     """
 
     C: float
     phi: np.ndarray
     mask: np.ndarray  # True where the node is usable (off collisions)
-    psi: Optional[np.ndarray] = None
     psi_mask: Optional[np.ndarray] = None
     phi_source: Optional[np.ndarray] = None  # chain-rule profile on the tau grid
     energy_scale: Optional[float] = None
@@ -203,14 +207,16 @@ def phi_profile(
     C: Optional[float] = None,
     z_loop: Optional[DiscreteLoop] = None,
     eps_col: float = EPS_COLLISION,
+    tm: Optional[TimeMap] = None,
 ) -> PhiProfile:
     """Energy defect Phi(t) = C - |qdot|^2/2 - U(q) - tail(t) - E_t(q).
 
     When C is not supplied it is assembled from the loop by the defining
     quadratures, which makes the trapezoid mean of Phi vanish identically for
-    every loop, critical or not.  When a source loop z is supplied, the scaled
-    profile Psi(tau) = Phi * |z^2-1|^2/|z|^2 is evaluated on the tau grid from
-    the chain-rule velocity, which stays accurate between collisions.
+    every loop, critical or not.  When a source loop z is supplied, the
+    defect is also evaluated on its tau grid from the chain-rule velocity,
+    which stays accurate between collisions; ``tm`` is that loop's time map,
+    built here when not given.
     """
     qs, t = _closed_grid(q)
     m = q.m
@@ -229,45 +235,23 @@ def phi_profile(
     phi = C - energy
     mask = np.minimum(np.abs(qs - 1.0), np.abs(qs + 1.0)) > 10.0 * eps_col
 
-    psi = None
-    psi_mask = None
-    if z_loop is not None:
-        z = z_loop.samples
+    if z_loop is None:
+        return PhiProfile(C=float(C), phi=phi, mask=mask)
+    if tm is None:
         tm = time_map(z_loop)
-        w = conformal_weight(z)
-        if z_loop.twisted:
-            from .loops import double_cover
-
-            zp = _spectral_derivative(double_cover(z_loop), period=2.0)[: z_loop.n]
-        else:
-            zp = _spectral_derivative(z, period=1.0)
-        tz = tm.t(z_loop.tau) % 1.0
-        qz = 0.5 * (z + 1.0 / z)
-        safe = w > 1e-12
-        qdot_z = np.zeros_like(z)
-        qdot_z[safe] = birkhoff_derivative(z[safe]) * (tm.zhat / w[safe]) * zp[safe]
-        ez = cfg.electric.e(tz, qz)
-        fz = cfg.electric.dot(tz, qz) * w
-        from .loops import integration_matrix
-
-        tail_z = (float(np.mean(fz)) - integration_matrix(z_loop.n) @ fz) / tm.zhat
-        phi_z = C - 0.5 * np.abs(qdot_z) ** 2 - _potential(qz, cfg.mu) - tail_z - ez
-        scale = np.abs(z**2 - 1.0) ** 2 / np.abs(z) ** 2
-        psi = np.where(safe, phi_z * scale, 0.0)
-        psi_mask = safe
-        phi_source = np.where(safe, phi_z, 0.0)
-        energy_scale = float(
-            np.max(
-                np.abs(C)
-                + 0.5 * np.abs(qdot_z[safe]) ** 2
-                + np.abs(_potential(qz[safe], cfg.mu))
-            )
-        )
-        return PhiProfile(
-            C=float(C), phi=phi, mask=mask, psi=psi, psi_mask=psi_mask,
-            phi_source=phi_source, energy_scale=energy_scale,
-        )
-    return PhiProfile(C=float(C), phi=phi, mask=mask, psi=psi, psi_mask=psi_mask)
+    qz, qdot_z = chain_rule_state(z_loop, tm=tm)
+    safe = np.isfinite(qdot_z)
+    tz = tm.t(z_loop.tau) % 1.0
+    ez = cfg.electric.e(tz, qz)
+    tail_z = _tail_integral(cfg.electric.dot(tz, qz) * tm.weights) / tm.zhat
+    phi_z = C - 0.5 * np.abs(qdot_z) ** 2 - _potential(qz, cfg.mu) - tail_z - ez
+    energy_scale = float(
+        np.max(np.abs(C) + 0.5 * np.abs(qdot_z[safe]) ** 2 + np.abs(_potential(qz[safe], cfg.mu)))
+    )
+    return PhiProfile(
+        C=float(C), phi=phi, mask=mask, psi_mask=safe,
+        phi_source=np.where(safe, phi_z, 0.0), energy_scale=energy_scale,
+    )
 
 
 @dataclass(frozen=True)
@@ -286,24 +270,6 @@ class VerificationReport:
         for name, value, tol, passed in self.checks:
             lines.append(f"{'ok  ' if passed else 'FAIL'} {name}: {value:.3e} (tol {tol:.1e})")
         return "\n".join(lines)
-
-
-def _chain_rule_state(z_loop: DiscreteLoop, tm, t: float):
-    """(q, qdot) at physical time t from the blown-up loop via the cover."""
-    from .loops import _trig_eval, double_cover
-
-    tau = float(tm.inverse([t])[0])
-    z = complex(eval_loop(z_loop, np.array([tau]))[0])
-    if z_loop.twisted:
-        zp_nodes = _spectral_derivative(double_cover(z_loop), period=2.0)
-        zp = complex(_trig_eval(zp_nodes, np.array([tau]), period=2.0)[0])
-    else:
-        zp_nodes = _spectral_derivative(z_loop.samples, period=1.0)
-        zp = complex(_trig_eval(zp_nodes, np.array([tau]), period=1.0)[0])
-    w = float(conformal_weight(np.array([z]))[0])
-    q = 0.5 * (z + 1.0 / z)
-    qdot = complex(birkhoff_derivative(np.array([z]))[0]) * (tm.zhat / w) * zp
-    return q, qdot
 
 
 def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5, eps_col: float = EPS_COLLISION) -> VerificationReport:
@@ -359,7 +325,7 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5, eps_col: floa
         if tb - ta < 4 * margin:
             continue
         tmid = 0.5 * (ta + tb)
-        q0, v0 = _chain_rule_state(z_loop, tm, tmid)
+        q0, v0 = chain_rule_state(z_loop, tm.inverse([tmid]), tm)
         for lo, hi in ((tmid, tb - margin), (tmid, ta + margin)):
             # compare at the uniform grid times inside the integration window
             ka, kb = sorted((lo, hi))
@@ -367,7 +333,7 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5, eps_col: floa
             if len(kk) < 2:
                 continue
             ts = kk / m
-            traj = integrate(q0, v0, lo, hi, cfg, tol=1e-12, eps_col=0.5 * eps_col, sample_times=ts)
+            traj = integrate(q0[0], v0[0], lo, hi, cfg, tol=1e-12, eps_col=0.5 * eps_col, sample_times=ts)
             if traj.terminated != COMPLETED:
                 worst = max(worst, np.inf)
                 continue
@@ -378,7 +344,7 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5, eps_col: floa
     # (3) continuity of the energy extension across collisions, evaluated on
     # the source-loop grid where chain-rule velocities stay accurate near a
     # collision, and compared between the closest usable nodes on either side
-    prof = phi_profile(q_loop, cfg, C=c_const, z_loop=z_loop, eps_col=eps_col)
+    prof = phi_profile(q_loop, cfg, C=c_const, z_loop=z_loop, eps_col=eps_col, tm=tm)
     energy_z = c_const - prof.phi_source
     qz = birkhoff_map(z_loop.samples)
     dist_z = np.minimum(np.abs(qz - 1.0), np.abs(qz + 1.0))

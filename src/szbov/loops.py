@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import birkhoff_map, conformal_weight
+from .geometry import birkhoff_derivative, birkhoff_map, conformal_weight
 
 __all__ = [
     "LoopError",
@@ -35,11 +35,11 @@ __all__ = [
     "TimeMap",
     "PhysicalLoop",
     "derivative",
+    "chain_rule_state",
     "second_derivative",
     "double_cover",
     "zhat",
     "time_map",
-    "inverse_time",
     "reconstruct",
     "lift",
     "loop_to_dict",
@@ -50,6 +50,8 @@ __all__ = [
 
 EPS_ZHAT = 1e-10
 EPS_COLLISION = 1e-6
+# conformal weight below which chain_rule_state leaves the velocity undefined
+_EPS_WEIGHT = 1e-12
 
 # TimeMap.inverse: residual and bracket width at which a point has converged
 # (t and tau both lie in [0, 1], so these are round-off), and a step cap
@@ -172,25 +174,55 @@ def _trig_eval(samples: np.ndarray, x, period: float = 1.0) -> np.ndarray:
     return _fourier_sum(c, np.asarray(x, dtype=float) / period)
 
 
+def _periodic_cover(z: np.ndarray, twisted: bool) -> tuple[np.ndarray, float]:
+    """The genuine periodic loop behind samples shaped (..., n) and its
+    period: z on [0, 1), or for a twisted loop the double cover z, 1/z on
+    [0, 2)."""
+    if twisted:
+        return np.concatenate([z, 1.0 / z], axis=-1), 2.0
+    return z, 1.0
+
+
 def derivative(loop: DiscreteLoop) -> np.ndarray:
     """Spectral derivative z' at the nodes (via the double cover if twisted)."""
-    if loop.twisted:
-        return _spectral_derivative(double_cover(loop), period=2.0)[: loop.n]
-    return _spectral_derivative(loop.samples, period=1.0)
+    zc, period = _periodic_cover(loop.samples, loop.twisted)
+    return _spectral_derivative(zc, period=period)[: loop.n]
 
 
 def second_derivative(loop: DiscreteLoop) -> np.ndarray:
     """Spectral second derivative z'' at the nodes."""
-    if loop.twisted:
-        return _spectral_derivative(double_cover(loop), period=2.0, order=2)[: loop.n]
-    return _spectral_derivative(loop.samples, period=1.0, order=2)
+    zc, period = _periodic_cover(loop.samples, loop.twisted)
+    return _spectral_derivative(zc, period=period, order=2)[: loop.n]
 
 
 def eval_loop(loop: DiscreteLoop, tau) -> np.ndarray:
     """Evaluate the loop at arbitrary parameters by trigonometric interpolation."""
-    if loop.twisted:
-        return _trig_eval(double_cover(loop), tau, period=2.0)
-    return _trig_eval(loop.samples, tau, period=1.0)
+    zc, period = _periodic_cover(loop.samples, loop.twisted)
+    return _trig_eval(zc, tau, period=period)
+
+
+def chain_rule_state(loop: DiscreteLoop, tau=None, tm: TimeMap | None = None):
+    """Physical position q = B(z) and velocity of a blown-up loop, at the
+    nodes (``tau`` None) or at the loop parameters ``tau``.
+
+    Since dt/dtau = w(z)/zhat, the chain rule gives
+    qdot = B'(z) z' zhat / w(z), with z' the spectral derivative (interpolated
+    off the nodes).  At a collision the weight vanishes and the speed is
+    unbounded; the velocity is NaN there.  ``tm``, the loop's time map, is
+    only read for zhat; pass it when the caller has one.
+    """
+    zh = zhat(loop) if tm is None else tm.zhat
+    if tau is None:
+        z, zp = loop.samples, derivative(loop)
+    else:
+        zc, period = _periodic_cover(loop.samples, loop.twisted)
+        z = _trig_eval(zc, tau, period=period)
+        zp = _trig_eval(_spectral_derivative(zc, period=period), tau, period=period)
+    w = conformal_weight(z)
+    safe = w > _EPS_WEIGHT
+    qdot = np.full(z.shape, np.nan, dtype=complex)
+    qdot[safe] = birkhoff_derivative(z[safe]) * (zh / w[safe]) * zp[safe]
+    return birkhoff_map(z), qdot
 
 
 @functools.lru_cache(maxsize=8)
@@ -212,6 +244,11 @@ def integration_matrix(n: int) -> np.ndarray:
     p[:, 0] = tau  # mean term integrates to c0 * tau
     p[:, n // 2] = 0.0  # Nyquist cosine integrates to sin, zero at the nodes
     return np.real(p @ dft)
+
+
+def _tail_integral(f: np.ndarray) -> np.ndarray:
+    """Integral of the trigonometric interpolant of f from each node to 1."""
+    return float(np.mean(f)) - integration_matrix(len(f)) @ f
 
 
 @dataclass(frozen=True)
@@ -348,27 +385,24 @@ def zhat(loop: DiscreteLoop, eps: float = EPS_ZHAT) -> float:
     return value
 
 
-def _monotone_nodes(scaled: np.ndarray, n: int) -> np.ndarray:
+def _time_map_from_weights(w: np.ndarray) -> TimeMap:
+    """The map whose t(tau) is the normalized antiderivative of the weights
+    w, with its node values made monotone against round-off."""
+    n = len(w)
+    total = float(np.mean(w))
     nodes = np.empty(n + 1)
-    nodes[:n] = np.maximum.accumulate(np.clip(scaled, 0.0, 1.0))
+    nodes[:n] = np.maximum.accumulate(np.clip(integration_matrix(n) @ w / total, 0.0, 1.0))
     nodes[0] = 0.0
     nodes[n] = 1.0
-    return nodes
+    return TimeMap(zhat=total, t_of_tau=nodes, weights=w)
 
 
 def time_map(loop: DiscreteLoop, eps: float = EPS_ZHAT) -> TimeMap:
     """Reparametrization t(tau) between loop parameter and physical time."""
     w = conformal_weight(loop.samples)
-    zh = float(np.mean(w))
-    if zh <= eps:
+    if float(np.mean(w)) <= eps:
         raise DegenerateLoopError("degenerate loop: zhat vanishes")
-    nodes = _monotone_nodes(integration_matrix(loop.n) @ w / zh, loop.n)
-    return TimeMap(zhat=zh, t_of_tau=nodes, weights=w)
-
-
-def inverse_time(tm: TimeMap, t) -> np.ndarray:
-    """tau(t), the continuous inverse of the reparametrization."""
-    return tm.inverse(t)
+    return _time_map_from_weights(w)
 
 
 def reconstruct(loop: DiscreteLoop, m: int, eps_col: float = EPS_COLLISION) -> PhysicalLoop:
@@ -429,17 +463,10 @@ def lift(q: PhysicalLoop, eps_col: float = EPS_COLLISION) -> DiscreteLoop:
     zt, twisted = _track_branch(qs, eps_col)
     m = len(zt)
     # reparametrize: dtau/dt proportional to 1/w(z(t)); normalize tau(1) = 1
-    w = conformal_weight(zt)
-    u = 1.0 / w
-    raw = integration_matrix(m) @ u
-    total = float(np.mean(u))
-    aux = TimeMap(zhat=total, t_of_tau=_monotone_nodes(raw / total, m), weights=u)
+    aux = _time_map_from_weights(1.0 / conformal_weight(zt))
     t_of_uniform_tau = aux.inverse(np.arange(m) / m)
-    if twisted:
-        samples = _trig_eval(np.concatenate([zt, 1.0 / zt]), t_of_uniform_tau, period=2.0)
-    else:
-        samples = _trig_eval(zt, t_of_uniform_tau, period=1.0)
-    return DiscreteLoop(samples=samples, twisted=twisted)
+    zc, period = _periodic_cover(zt, twisted)
+    return DiscreteLoop(samples=_trig_eval(zc, t_of_uniform_tau, period=period), twisted=twisted)
 
 
 def loop_to_dict(loop: DiscreteLoop) -> dict:

@@ -34,6 +34,7 @@ from .loops import (
     PhysicalLoop,
     LoopError,
     conformal_weight,
+    derivative,
     lift,
     load_loop,
     loop_from_dict,
@@ -309,15 +310,7 @@ def _residual_factory(cfg: FieldConfig, twisted: bool, opts: SolveOptions, x0: n
 
     use_phase = opts.phase_fix and cfg.autonomous
     if use_phase:
-        from .loops import _spectral_derivative, double_cover
-
-        z0 = unpack(x0)
-        loop0 = DiscreteLoop(z0, twisted=twisted)
-        if twisted:
-            d0 = _spectral_derivative(double_cover(loop0), period=2.0)[:n]
-        else:
-            d0 = _spectral_derivative(z0, period=1.0)
-        phase_dir = pack(d0)
+        phase_dir = pack(derivative(DiscreteLoop(unpack(x0), twisted=twisted)))
         phase_dir = phase_dir / max(np.linalg.norm(phase_dir), 1e-300)
     else:
         phase_dir = None

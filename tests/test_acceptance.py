@@ -15,6 +15,7 @@ from szbov import (
     PhysicalLoop,
     SolveOptions,
     birkhoff_map,
+    chain_rule_state,
     continue_family,
     eval_action,
     eval_components,
@@ -35,7 +36,6 @@ from szbov import (
     verify_generalized,
     winding_report,
 )
-from szbov.cli import _initial_conditions
 
 OPTS = SolveOptions(n=128, m=512)
 
@@ -220,9 +220,9 @@ def test_criterion_06_oracle_cross_integration(capsys):
         dist = np.min(np.minimum(np.abs(rec.q.samples - 1), np.abs(rec.q.samples + 1)))
         if dist <= 1e-2:
             continue  # collisional trace: the RK oracle cannot follow it
-        q0, v0 = _initial_conditions(rec.z)
+        q0, v0 = chain_rule_state(rec.z)
         times = np.arange(rec.q.m + 1) / rec.q.m
-        traj = integrate(q0, v0, 0.0, 1.0, rec.cfg, tol=1e-10, sample_times=times)
+        traj = integrate(q0[0], v0[0], 0.0, 1.0, rec.cfg, tol=1e-10, sample_times=times)
         assert traj.terminated == "completed", f"{name}: {traj.terminated}"
         closed = np.concatenate([rec.q.samples, rec.q.samples[:1]])
         sup = float(np.max(np.abs(traj.positions - closed)))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from szbov import cli, save_loop, seed_circle
+from szbov import cli, record_from_dict, save_loop, seed_circle
 
 
 def run(argv):
@@ -101,6 +101,19 @@ class TestPipeline:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "t,q_re,q_im,v_re,v_im"
         assert len(lines) > 10
+
+    def test_non_finite_diagnostics_are_valid_json(self, orbit_path):
+        data = json.loads(orbit_path.read_text())
+        data["diagnostics"].update(grad_norm=float("nan"), delay_sup=float("inf"), phi_sup=float("-inf"))
+
+        def reject(name):
+            raise ValueError(f"bare {name} is not JSON")
+
+        parsed = json.loads(cli.dumps_canonical(data), parse_constant=reject)
+        record = record_from_dict(parsed)
+        assert np.isnan(record.grad_norm)
+        assert record.delay_sup == float("inf")
+        assert record.phi_sup == float("-inf")
 
     def test_solve_is_deterministic(self, orbit_path, tmp_path):
         cfg = write_config(tmp_path, {"fields": {"mu": 0.0}, "grid": {"n": 64, "m": 256}})

@@ -5,7 +5,10 @@ from szbov import (
     DiscreteLoop,
     LoopError,
     PhysicalLoop,
+    birkhoff_derivative,
     birkhoff_map,
+    chain_rule_state,
+    conformal_weight,
     derivative,
     double_cover,
     eval_loop,
@@ -19,7 +22,8 @@ from szbov import (
     time_map,
     zhat,
 )
-from szbov.loops import _trig_eval
+from conftest import random_smooth_loop
+from szbov.loops import _spectral_derivative, _trig_eval
 
 TAU64 = np.arange(64) / 64
 
@@ -166,6 +170,52 @@ class TestTimeMap:
         tau = tm.inverse(t)
         assert np.max(np.abs(tm.t(tau) - t)) <= 1e-13
         assert np.all(np.diff(tau) >= 0)
+
+
+def smooth_twisted_loop(rng, n):
+    """z = exp(g) with g antiperiodic, so z(tau + 1) = 1/z(tau).  The small
+    odd harmonics keep |g| near 1.2, away from 0 and pi, so z avoids the
+    branch points +-1."""
+    tau = np.arange(n) / n
+    k = np.array([-3, -1, 1, 3])
+    coef = 0.15 * (rng.normal(size=4) + 1j * rng.normal(size=4))
+    g = 1.2 * np.exp(1j * np.pi * tau) + np.exp(1j * np.pi * np.outer(tau, k)) @ coef
+    return DiscreteLoop(np.exp(g), twisted=True)
+
+
+def collision_free_loops(rng, n=64):
+    return [
+        random_smooth_loop(rng, n, center=3.0 + 0.5j),
+        random_smooth_loop(rng, n, center=3.0 + 0.5j),
+        smooth_twisted_loop(rng, n),
+        smooth_twisted_loop(rng, n),
+    ]
+
+
+class TestChainRuleState:
+    def test_velocity_matches_the_reconstructed_loop(self, rng):
+        for loop in collision_free_loops(rng):
+            q = reconstruct(loop, 1024)
+            tm = time_map(loop)
+            pos, vel = chain_rule_state(loop, tm.inverse(q.times), tm)
+            reference = _spectral_derivative(q.samples)
+            np.testing.assert_array_equal(pos, q.samples)
+            assert np.max(np.abs(vel - reference)) < 1e-8 * np.max(np.abs(reference))
+
+    def test_node_values_are_the_phi_profile_formula(self, rng):
+        for loop in collision_free_loops(rng):
+            z = loop.samples
+            expected = birkhoff_derivative(z) * (zhat(loop) / conformal_weight(z)) * derivative(loop)
+            pos, vel = chain_rule_state(loop)
+            np.testing.assert_array_equal(vel, expected)
+            np.testing.assert_array_equal(pos, birkhoff_map(z))
+            np.testing.assert_array_equal(chain_rule_state(loop, tm=time_map(loop))[1], vel)
+
+    def test_velocity_is_undefined_at_a_collision(self):
+        loop = DiscreteLoop(np.exp(2j * np.pi * TAU64))
+        vel = chain_rule_state(loop)[1]
+        assert np.isnan(vel[0]) and np.isnan(vel[32])
+        assert np.all(np.isfinite(np.delete(vel, [0, 32])))
 
 
 class TestLiftReconstruct:
