@@ -13,6 +13,14 @@ solver's zero-gradient points are genuine critical points of the computed
 functional; the continuum differential formulas serve as test oracles.
 
 Gradients use the L2 pairing  dB(z)xi = mean_j Re(conj(g_j) xi_j).
+
+The second variation, the derivative of that gradient along a direction xi,
+is linearized by hand term by term (``stacked_second_variation``).  A
+pointwise term g(z) varies as  g_z xi + g_zbar conj(xi)  with its Wirtinger
+derivatives in closed form; the kinetic, magnetic and electric terms vary
+through the spectral derivative, the gauge and the cumulative time map.  So
+the solver's Jacobian is exact to round-off and symmetric in ``pack``
+coordinates, as the Hessian of the discretized functional.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ __all__ = [
     "eval_unregularized",
     "gradient",
     "stacked_gradient",
+    "stacked_second_variation",
     "component_gradients",
     "delay_residual",
     "pack",
@@ -151,8 +160,11 @@ def eval_components(loop: DiscreteLoop, cfg: FieldConfig, eps_zhat: float = EPS_
     h1, h2 = _centers(z)
 
     q = birkhoff_map(z)
-    qp = _spectral_derivative(q, period=1.0)
-    m_val = float(np.mean(np.real(np.conj(_gauge_complex(cfg, q)) * qp)))
+    if cfg.magnetic.is_zero:
+        m_val = 0.0
+    else:
+        qp = _spectral_derivative(q, period=1.0)
+        m_val = float(np.mean(np.real(np.conj(_gauge_complex(cfg, q)) * qp)))
 
     if cfg.electric.is_zero:
         e_val = 0.0
@@ -190,13 +202,22 @@ def eval_unregularized(q: PhysicalLoop, cfg: FieldConfig, eps_col: float = EPS_C
     return kinetic - circulation + attract - electric
 
 
-def _grad_G(z: np.ndarray, twisted: bool, zc: np.ndarray, zp: np.ndarray) -> np.ndarray:
-    period = 2.0 if twisted else 1.0
-    gz = -_spectral_derivative(zp / np.abs(zc) ** 2, period=period) - zc * np.abs(zp) ** 2 / np.abs(zc) ** 4
+def _grad_G_cover(zc: np.ndarray, zp: np.ndarray, period: float) -> np.ndarray:
+    """Gradient of the kinetic quadrature in the samples of the cover."""
+    return -_spectral_derivative(zp / np.abs(zc) ** 2, period=period) - zc * np.abs(zp) ** 2 / np.abs(zc) ** 4
+
+
+def _fold(gz: np.ndarray, z: np.ndarray, twisted: bool) -> np.ndarray:
+    """Pull a gradient on the cover back to the samples: for twisted loops
+    the cover is z, 1/z, whose second half varies as -xi/z^2."""
     if not twisted:
         return gz
     n = z.shape[-1]
     return 0.5 * (gz[..., :n] - gz[..., n:] / np.conj(z) ** 2)
+
+
+def _grad_G(z: np.ndarray, twisted: bool, zc: np.ndarray, zp: np.ndarray) -> np.ndarray:
+    return _fold(_grad_G_cover(zc, zp, 2.0 if twisted else 1.0), z, twisted)
 
 
 def _grad_H1(z: np.ndarray) -> np.ndarray:
@@ -283,7 +304,8 @@ def stacked_gradient(
     grad = _kinetic(zc, zp) * phi + f * _grad_G(z, twisted, zc, zp)
     grad += _grad_centers(z, mu) / f
     grad -= h_mu / f**2 * phi
-    grad -= _grad_M(z, cfg)
+    if not cfg.magnetic.is_zero:
+        grad -= _grad_M(z, cfg)
     if not cfg.electric.is_zero:
         grad -= _grad_E(z, cfg, w, f)[1]
     return grad
@@ -292,6 +314,192 @@ def stacked_gradient(
 def gradient(loop: DiscreteLoop, cfg: FieldConfig, eps_zhat: float = EPS_ZHAT) -> np.ndarray:
     """Exact gradient of the discretized regularized functional."""
     return stacked_gradient(loop.samples, loop.twisted, cfg, eps_zhat)
+
+
+def _pairing(u: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """mean_j Re(conj(u_ij) xi_kj) for rows u (m, n) and directions xi (k, n),
+    shaped (k, m)."""
+    return (xi.real @ u.real.T + xi.imag @ u.imag.T) / xi.shape[-1]
+
+
+def _wirtinger_phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d/dz and d/dzbar of ``_df_integrand``, which is a(z) conj(b(z)) with
+    a = (z - 1/z)/2 and b = 1 + 1/z^2."""
+    return 0.5 * np.abs(1.0 + 1.0 / z**2) ** 2, -(z - 1.0 / z) / np.conj(z) ** 3
+
+
+def _wirtinger_centers(z: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """d/dz and d/dzbar of ``_grad_centers``: the center at s contributes
+    (z - s)(1 + s/conj(z)) / (2|z|), s = 1 for H1 and s = -1 for H2."""
+    absz, zb = np.abs(z), np.conj(z)
+    d_z, d_zb = 0.0, 0.0
+    for s, weight in ((1.0, 1.0 - mu), (-1.0, mu)):
+        d_z = d_z + weight * np.abs(1.0 + s / z) ** 2 / (4.0 * absz)
+        d_zb = d_zb - weight * (z - s) * (1.0 + 3.0 * s / zb) / (4.0 * absz * zb)
+    return d_z, d_zb
+
+
+def _kinetic_variation(z: np.ndarray, twisted: bool, zc: np.ndarray, zp: np.ndarray):
+    """Derivative of ``_grad_G`` along a stack of directions, through the
+    cover: a direction xi moves the cover by xi, and for twisted loops its
+    second half 1/z by -xi/z^2, whose own variation gives the fold a
+    conj(xi)/conj(z)^3 term."""
+    n = z.shape[-1]
+    period = 2.0 if twisted else 1.0
+    # _grad_G_cover is -D(r zp) - r^2 |zp|^2 zc with r = 1/|zc|^2; a cover
+    # variation zeta moves r by -2 r^2 Re(conj(zc) zeta) and |zp|^2 by
+    # 2 Re(conj(zp) zeta')
+    r = 1.0 / np.abs(zc) ** 2
+    zp2 = np.abs(zp) ** 2
+    zc_bar, zp_bar = np.conj(zc), np.conj(zp)
+    c_s = 2.0 * r**2 * zp
+    c_zeta = r**2 * zp2
+    c_zp2 = 2.0 * r**2 * zc
+    c_s_out = 4.0 * r**3 * zp2 * zc
+    inv_z2 = 1.0 / z**2
+    if twisted:
+        fold_xi = _grad_G_cover(zc, zp, period)[n:] / np.conj(z) ** 3
+
+    def vary(xi):
+        zeta = np.concatenate([xi, -xi * inv_z2], axis=-1) if twisted else xi
+        zetap = _spectral_derivative(zeta, period=period)
+        s = np.real(zc_bar * zeta)
+        dgz = (
+            c_s_out * s
+            - _spectral_derivative(r * zetap - c_s * s, period=period)
+            - c_zeta * zeta
+            - c_zp2 * np.real(zp_bar * zetap)
+        )
+        dg = _fold(dgz, z, twisted)
+        if twisted:
+            dg += fold_xi * np.conj(xi)
+        return dg
+
+    return vary
+
+
+def _magnetic_variation(z: np.ndarray, cfg: FieldConfig):
+    """Derivative of ``_grad_M`` along a stack of directions, through the
+    gauge's first and second derivatives at q = B(z)."""
+    q = birkhoff_map(z)
+    qp = _spectral_derivative(q, period=1.0)
+    d1, d2 = cfg.magnetic.gauge_jac_at(q)
+    h11, h12, h22 = cfg.magnetic.gauge_hess_at(q)
+    zeta = np.real(np.conj(d1) * qp) + 1j * np.real(np.conj(d2) * qp)
+    gq = zeta - _spectral_derivative(_gauge_complex(cfg, q), period=1.0)
+    bp = birkhoff_derivative(z)
+    bpp = 1.0 / z**3
+
+    def vary(xi):
+        eta = bp * xi
+        etap = _spectral_derivative(eta, period=1.0)
+        e1, e2 = eta.real, eta.imag
+        dd1 = h11 * e1 + h12 * e2
+        dd2 = h12 * e1 + h22 * e2
+        dzeta = np.real(np.conj(dd1) * qp + np.conj(d1) * etap) + 1j * np.real(
+            np.conj(dd2) * qp + np.conj(d2) * etap
+        )
+        dgq = dzeta - _spectral_derivative(d1 * e1 + d2 * e2, period=1.0)
+        return np.conj(bpp * xi) * gq + np.conj(bp) * dgq
+
+    return vary
+
+
+def _electric_variation(z: np.ndarray, cfg: FieldConfig, w: np.ndarray, f: float):
+    """Derivative of ``_grad_E`` along a stack of directions: through the
+    discrete time map t = K w / F, and through the field's second
+    derivatives at the nodes.  Names follow ``_grad_E``: N = F E is the
+    quadrature mean(e w) and grad_n its gradient n c phi + force."""
+    n = z.shape[-1]
+    kmat = integration_matrix(n)
+    q = birkhoff_map(z)
+    t = _electric_times(w, f)[1]
+    e, edot, ge = cfg.electric.e(t, q), cfg.electric.dot(t, q), cfg.electric.grad(t, q)
+    e_tt, ge_t, g1, g2 = cfg.electric.hess(t, q)
+    phi = _df_integrand(z)
+    phi_z, phi_zb = _wirtinger_phi(z)
+    bp = birkhoff_derivative(z)
+    bpp = 1.0 / z**3
+
+    beta = edot * w
+    beta_k = beta @ kmat
+    beta_t = np.mean(beta * t)
+    c = e / n + (beta_k - beta_t) / (n * f)
+    grad_n = n * c * phi + w * np.conj(bp) * ge
+    e_val = np.mean(e * w) / f
+    grad_e = (grad_n - e_val * phi) / f
+
+    def vary(xi):
+        dw = np.real(np.conj(phi) * xi)
+        df = _mean(dw)
+        eta = bp * xi
+        dt = (dw @ kmat.T - t * df) / f
+        de = edot * dt + np.real(np.conj(ge) * eta)
+        dedot = e_tt * dt + np.real(np.conj(ge_t) * eta)
+        dge = ge_t * dt + g1 * eta.real + g2 * eta.imag
+        dbeta = dedot * w + edot * dw
+        dc = de / n + (
+            dbeta @ kmat - beta_k * (df / f) - _mean(dbeta * t + beta * dt) + beta_t * (df / f)
+        ) / (n * f)
+        dphi = phi_z * xi + phi_zb * np.conj(xi)
+        dforce = np.conj(bp) * (dw * ge + w * dge) + w * np.conj(bpp * xi) * ge
+        dgrad_n = n * (dc * phi + c * dphi) + dforce
+        de_val = (_mean(de * w + e * dw) - e_val * df) / f
+        return (dgrad_n - de_val * phi - e_val * dphi - grad_e * df) / f
+
+    return vary
+
+
+def _second_variation(z: np.ndarray, twisted: bool, cfg: FieldConfig, eps_zhat: float = EPS_ZHAT):
+    """The second variation at one loop z (shape (n,)): a map taking a stack
+    of directions xi (shape (k, n)) to the derivatives of ``stacked_gradient``
+    along them.  Every quantity of the base point is computed here, once;
+    only the terms that depend on xi are evaluated on the stack."""
+    w, f = _prepare(z, eps_zhat)
+    f = f.item()
+    zc, zp = _cover(z, twisted)
+    mu = cfg.mu
+    h1, h2 = _centers(z)
+    h_mu = ((1 - mu) * h1 + mu * h2).item()
+    phi = _df_integrand(z)
+    g_kin = _grad_G(z, twisted, zc, zp)
+    g_cen = _grad_centers(z, mu)
+    phi_z, phi_zb = _wirtinger_phi(z)
+    cen_z, cen_zb = _wirtinger_centers(z, mu)
+
+    # the gradient  G phi + F g_kin + g_cen / F - h_mu phi / F^2  varies
+    # pointwise as a_z xi + a_zb conj(xi), plus F times the kinetic
+    # variation, plus the means dF = <phi, xi> and dG - dh_mu / F^2
+    a0 = _kinetic(zc, zp).item() - h_mu / f**2
+    a_z = a0 * phi_z + cen_z / f
+    a_zb = a0 * phi_zb + cen_zb / f
+    along_df = g_kin - g_cen / f**2 + 2.0 * h_mu / f**3 * phi
+    means = np.stack([phi, g_kin - g_cen / f**2])
+    kinetic = _kinetic_variation(z, twisted, zc, zp)
+    fields = []
+    if not cfg.magnetic.is_zero:
+        fields.append(_magnetic_variation(z, cfg))
+    if not cfg.electric.is_zero:
+        fields.append(_electric_variation(z, cfg, w, f))
+
+    def apply(xi: np.ndarray) -> np.ndarray:
+        df, dm = np.split(_pairing(means, xi), 2, axis=-1)
+        out = a_z * xi + a_zb * np.conj(xi) + f * kinetic(xi) + df * along_df + dm * phi
+        for vary in fields:
+            out -= vary(xi)
+        return out
+
+    return apply
+
+
+def stacked_second_variation(
+    z: np.ndarray, dz: np.ndarray, twisted: bool, cfg: FieldConfig, eps_zhat: float = EPS_ZHAT
+) -> np.ndarray:
+    """Exact directional derivatives of ``stacked_gradient`` at the one loop z
+    (shape (n,)) along each direction of the stack dz (shape (k, n)): row i
+    is d/ds stacked_gradient(z + s dz_i) at s = 0."""
+    z = np.asarray(z, dtype=complex)
+    return _second_variation(z, twisted, cfg, eps_zhat)(np.asarray(dz, dtype=complex))
 
 
 def pack(g: np.ndarray) -> np.ndarray:

@@ -223,7 +223,8 @@ def phi_profile(
     qdot = _spectral_derivative(q.samples, period=1.0)
     qdot = np.concatenate([qdot, qdot[:1]])
     kin = 0.5 * np.abs(qdot) ** 2
-    u = _potential(qs, cfg.mu)
+    with np.errstate(divide="ignore"):  # infinite on a node at a center, which mask drops
+        u = _potential(qs, cfg.mu)
     e = cfg.electric.e(t, qs)
     edot = cfg.electric.dot(t, qs)
     # tail(t) = integral of Edot from t to 1, by reverse cumulative trapezoid
@@ -244,13 +245,14 @@ def phi_profile(
     tz = tm.t(z_loop.tau) % 1.0
     ez = cfg.electric.e(tz, qz)
     tail_z = _tail_integral(cfg.electric.dot(tz, qz) * tm.weights) / tm.zhat
-    phi_z = C - 0.5 * np.abs(qdot_z) ** 2 - _potential(qz, cfg.mu) - tail_z - ez
-    energy_scale = float(
-        np.max(np.abs(C) + 0.5 * np.abs(qdot_z[safe]) ** 2 + np.abs(_potential(qz[safe], cfg.mu)))
-    )
+    # the potential is singular where a node sits on a collision; those
+    # nodes are left out (psi_mask) and read 0
+    u_z = _potential(qz[safe], cfg.mu)
+    phi_z = np.zeros(len(qz))
+    phi_z[safe] = C - 0.5 * np.abs(qdot_z[safe]) ** 2 - u_z - tail_z[safe] - ez[safe]
+    energy_scale = float(np.max(np.abs(C) + 0.5 * np.abs(qdot_z[safe]) ** 2 + np.abs(u_z)))
     return PhiProfile(
-        C=float(C), phi=phi, mask=mask, psi_mask=safe,
-        phi_source=np.where(safe, phi_z, 0.0), energy_scale=energy_scale,
+        C=float(C), phi=phi, mask=mask, psi_mask=safe, phi_source=phi_z, energy_scale=energy_scale,
     )
 
 

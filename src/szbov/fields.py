@@ -5,6 +5,13 @@ All evaluators are vectorized over numpy arrays: the magnetic field and gauge
 take a complex position array, the electric evaluators take matching time and
 position arrays.  Custom evaluators must follow the same convention and be
 pure; they are trusted but can be checked with :func:`validate`.
+
+The exact second variation of the action needs second derivatives of the
+gauge and of the electric potential.  Every preset has them in closed form.
+A custom spec may pass its own (``gauge_hess``, ``hess``); without them the
+spec takes central differences of its own first-derivative evaluators,
+pointwise, so only that field's terms of the second variation carry a
+truncation error.
 """
 
 from __future__ import annotations
@@ -40,14 +47,21 @@ class MagneticSpec:
 
     field(q) -> real array; gauge(q) -> complex array a1 + i a2 (covector
     components); gauge_jac(q) -> (dAc/dq1, dAc/dq2) complex arrays, or None to
-    fall back on central differences of the gauge.
+    fall back on central differences of the gauge; gauge_hess(q) ->
+    (d2Ac/dq1^2, d2Ac/dq1dq2, d2Ac/dq2^2) complex arrays, or None to fall back
+    on central differences of ``gauge_jac_at``.
     """
 
     kind: str
     field_fn: Callable = field(repr=False, default=None)
     gauge_fn: Callable = field(repr=False, default=None)
     gauge_jac_fn: Optional[Callable] = field(repr=False, default=None)
+    gauge_hess_fn: Optional[Callable] = field(repr=False, default=None)
     params: dict = field(default_factory=dict)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.kind == "zero"
 
     def field_at(self, q):
         return np.asarray(self.field_fn(np.asarray(q, dtype=complex)), dtype=float)
@@ -64,6 +78,20 @@ class MagneticSpec:
         d2 = (self.gauge_at(q + 1j * h) - self.gauge_at(q - 1j * h)) / (2.0 * h)
         return d1, d2
 
+    def gauge_hess_at(self, q, h: float = 1e-4):
+        """(d11, d12, d22), the second derivatives of the gauge.  The fallback
+        differences ``gauge_jac_at`` at step h, passing h on, so that without
+        a gauge_jac either it is a second difference of the gauge at step 2h;
+        the mixed derivative is one symmetric average."""
+        q = np.asarray(q, dtype=complex)
+        if self.gauge_hess_fn is not None:
+            return tuple(np.asarray(d, dtype=complex) for d in self.gauge_hess_fn(q))
+        p1, p2 = self.gauge_jac_at(q + h, h)
+        m1, m2 = self.gauge_jac_at(q - h, h)
+        u1, u2 = self.gauge_jac_at(q + 1j * h, h)
+        v1, v2 = self.gauge_jac_at(q - 1j * h, h)
+        return (p1 - m1) / (2.0 * h), (p2 - m2 + u1 - v1) / (4.0 * h), (u2 - v2) / (2.0 * h)
+
 
 @dataclass(frozen=True)
 class ElectricSpec:
@@ -71,12 +99,16 @@ class ElectricSpec:
 
     e(t, q) -> real array; grad(t, q) -> complex array gx + i gy;
     dot(t, q) -> real array (partial derivative in t).  All 1-periodic in t.
+    hess(t, q) -> (d2E/dt2, d grad/dt, d grad/dq1, d grad/dq2), a real array
+    and three complex ones, or None to fall back on central differences of
+    ``grad`` and ``dot``.
     """
 
     kind: str
     e_fn: Callable = field(repr=False, default=None)
     grad_fn: Callable = field(repr=False, default=None)
     dot_fn: Callable = field(repr=False, default=None)
+    hess_fn: Optional[Callable] = field(repr=False, default=None)
     params: dict = field(default_factory=dict)
 
     def e(self, t, q):
@@ -87,6 +119,23 @@ class ElectricSpec:
 
     def dot(self, t, q):
         return np.asarray(self.dot_fn(np.asarray(t, dtype=float), np.asarray(q, dtype=complex)), dtype=float)
+
+    def hess(self, t, q, h: float = 1e-5):
+        """Second derivatives (e_tt, grad_t, grad_q1, grad_q2) at (t, q).  The
+        fallback takes central differences of ``dot`` in t and of ``grad`` in
+        t, q1 and q2, with one symmetric average for the mixed q1-q2 entry."""
+        t = np.asarray(t, dtype=float)
+        q = np.asarray(q, dtype=complex)
+        if self.hess_fn is not None:
+            e_tt, g_t, g1, g2 = self.hess_fn(t, q)
+            return (np.asarray(e_tt, dtype=float), np.asarray(g_t, dtype=complex),
+                    np.asarray(g1, dtype=complex), np.asarray(g2, dtype=complex))
+        e_tt = (self.dot(t + h, q) - self.dot(t - h, q)) / (2.0 * h)
+        g_t = (self.grad(t + h, q) - self.grad(t - h, q)) / (2.0 * h)
+        g1 = (self.grad(t, q + h) - self.grad(t, q - h)) / (2.0 * h)
+        g2 = (self.grad(t, q + 1j * h) - self.grad(t, q - 1j * h)) / (2.0 * h)
+        mixed = 0.5 * (g1.imag + g2.real)
+        return e_tt, g_t, g1.real + 1j * mixed, mixed + 1j * g2.imag
 
     @property
     def is_zero(self) -> bool:
@@ -114,6 +163,12 @@ class FieldConfig:
         return self.electric.is_zero
 
 
+def _zero_gauge_hess(q):
+    """The gauge of the zero and the constant field is linear in q."""
+    zero = np.zeros(np.shape(q), dtype=complex)
+    return zero, zero, zero
+
+
 def magnetic_preset(kind: str, **params) -> MagneticSpec:
     if kind == "zero":
         return MagneticSpec(
@@ -121,6 +176,7 @@ def magnetic_preset(kind: str, **params) -> MagneticSpec:
             field_fn=lambda q: np.zeros_like(q, dtype=float),
             gauge_fn=lambda q: np.zeros_like(q, dtype=complex),
             gauge_jac_fn=lambda q: (np.zeros_like(q, dtype=complex), np.zeros_like(q, dtype=complex)),
+            gauge_hess_fn=_zero_gauge_hess,
         )
     if kind == "constant":
         b = float(params.pop("b"))
@@ -135,6 +191,7 @@ def magnetic_preset(kind: str, **params) -> MagneticSpec:
                 np.full(np.shape(q), 0.5j * b, dtype=complex),
                 np.full(np.shape(q), -0.5 * b, dtype=complex),
             ),
+            gauge_hess_fn=_zero_gauge_hess,
             params={"b": b},
         )
     if kind == "custom":
@@ -143,6 +200,7 @@ def magnetic_preset(kind: str, **params) -> MagneticSpec:
             field_fn=params.pop("field"),
             gauge_fn=params.pop("gauge"),
             gauge_jac_fn=params.pop("gauge_jac", None),
+            gauge_hess_fn=params.pop("gauge_hess", None),
             params=params,
         )
         return spec
@@ -176,6 +234,12 @@ def electric_preset(kind: str, **params) -> ElectricSpec:
             e_fn=lambda t, q: eps * np.cos(2 * np.pi * t) * proj(q),
             grad_fn=lambda t, q: eps * np.cos(2 * np.pi * t) * d * np.ones(np.shape(q)),
             dot_fn=lambda t, q: -2 * np.pi * eps * np.sin(2 * np.pi * t) * proj(q),
+            hess_fn=lambda t, q: (
+                -4 * np.pi**2 * eps * np.cos(2 * np.pi * t) * proj(q),
+                -2 * np.pi * eps * np.sin(2 * np.pi * t) * d * np.ones(np.shape(q)),
+                np.zeros(np.shape(q), dtype=complex),
+                np.zeros(np.shape(q), dtype=complex),
+            ),
             params={"epsilon": eps, "d": d},
         )
     if kind == "rotating_charge":
@@ -204,11 +268,26 @@ def electric_preset(kind: str, **params) -> ElectricSpec:
             vs = 1j * omega * q_s(t)
             return -mu_s * np.real(np.conj(rel) * vs) / np.abs(rel) ** 3
 
+        def hess_fn(t, q):
+            qs = q_s(t)
+            rel = q - qs
+            vs = 1j * omega * qs
+            r3 = np.abs(rel) ** 3
+            r5 = np.abs(rel) ** 5
+            g = mu_s * rel / r3
+            g1 = mu_s * (1.0 / r3 - 3.0 * rel * rel.real / r5)
+            g2 = mu_s * (1j / r3 - 3.0 * rel * rel.imag / r5)
+            # the charge moves with velocity vs, so d/dt = -vs . grad_q
+            g_t = mu_s * (3.0 * rel * np.real(np.conj(rel) * vs) / r5 - vs / r3)
+            e_tt = omega**2 * np.real(np.conj(g) * qs) - np.real(np.conj(g_t) * vs)
+            return e_tt, g_t, g1, g2
+
         return ElectricSpec(
             kind="rotating_charge",
             e_fn=e_fn,
             grad_fn=grad_fn,
             dot_fn=dot_fn,
+            hess_fn=hess_fn,
             params={"mu_s": mu_s, "r_s": r_s, "k": k, "theta0": theta0},
         )
     if kind == "custom":
@@ -217,6 +296,7 @@ def electric_preset(kind: str, **params) -> ElectricSpec:
             e_fn=params.pop("e"),
             grad_fn=params.pop("grad"),
             dot_fn=params.pop("dot"),
+            hess_fn=params.pop("hess", None),
             params=params,
         )
     raise FieldConfigError(f"unknown electric preset {kind!r}")

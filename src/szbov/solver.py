@@ -7,11 +7,11 @@ residual stacks the scaled gradient, a proximal anchor that is weakened in
 stages as the iteration settles, and, for autonomous fields, a phase row.
 
 Each iteration assembles the Jacobian of that residual densely, once: the
-gradient block is the second variation, taken by central differences of the
-analytic gradient on stacked coordinate perturbations, a block of loops per
-gradient call.  The same matrix gives the damped normal equations, the
-step's right-hand side and that of the acceleration, which are solved
-directly.
+gradient block is the exact second variation of the discretized functional
+(``action.stacked_second_variation``), applied to the coordinate directions
+a block at a time, so it is symmetric to round-off.  The same matrix gives
+the damped normal equations, the step's right-hand side and that of the
+acceleration, which are solved directly.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import action as _action
-from .action import eval_components, gradient, grad_norm, pack, stacked_gradient, unpack
+from .action import _second_variation, eval_components, gradient, grad_norm, pack, unpack
 from .dynamics import phi_profile
 from .fields import FieldConfig, config_to_dict
 from .geometry import WindingError, WindingReport, birkhoff_map, winding_report
@@ -87,7 +87,6 @@ class SolveOptions:
     lam_down: float = 0.25
     phase_fix: bool = True
     eps_zhat: float = EPS_ZHAT
-    fd_step: float = 1e-5
     min_abs_z: float = 1e-6
     prox0: float = 1e-2
     prox_min: float = 1e-12
@@ -96,7 +95,7 @@ class SolveOptions:
     prox_patience: int = 15
 
     def __post_init__(self):
-        for name in ("g_tol", "lam0", "eps_zhat", "fd_step"):
+        for name in ("g_tol", "lam0", "eps_zhat"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -367,11 +366,17 @@ def _prox_jacobian(loop: DiscreteLoop, tau: np.ndarray, z_tau: np.ndarray) -> np
     return bp[:, None] * a
 
 
-# Rows of the stacked +-h perturbations per gradient call in the dense
+# Coordinate directions per call of the second variation in the dense
 # Jacobian.  Blocks this size already amortize the per-call overhead; the
 # whole stack at once would grow the temporaries (and the peak resident set)
 # with the grid for no further gain.
 _JACOBIAN_BLOCK = 32
+
+# Step, relative to the iterate, below which no geodesic acceleration is
+# taken: the residual's gradient block carries round-off of about 1e-16 times
+# its largest (kinetic) terms, so the second difference across a tenth of
+# such a step resolves nothing.
+_ACCEL_MIN_STEP = 1e-8
 
 
 def _dense_jacobian(
@@ -385,25 +390,19 @@ def _dense_jacobian(
 ) -> np.ndarray:
     """The frozen Gauss-Newton Jacobian of the residual at xc, as a dense matrix.
 
-    Gradient block: column i is the central difference of the scaled gradient
-    along the coordinate direction e_i, with step h = fd_step * max(1, |xc|);
-    the perturbed loops are stacked and evaluated a block of rows at a time.
-    Anchor block: sq * C acting on [Re; Im] coordinates, with C from
-    ``_prox_jacobian``.  Phase row: ``phase_dir``.
+    Gradient block: column i is the exact second variation of the scaled
+    gradient along the coordinate direction e_i, evaluated a block of
+    directions at a time.  Anchor block: sq * C acting on [Re; Im]
+    coordinates, with C from ``_prox_jacobian``.  Phase row: ``phase_dir``.
     """
     n2 = len(xc)
     scale = 1.0 / np.sqrt(n2 // 2)
-    h = opts.fd_step * max(1.0, np.linalg.norm(xc))
-
-    def grad_rows(xs):
-        return pack(stacked_gradient(unpack(xs), twisted, cfg, opts.eps_zhat)) * scale
-
+    second_variation = _second_variation(unpack(xc), twisted, cfg, opts.eps_zhat)
+    eye = np.eye(n2)
     grad_block = np.empty((n2, n2))
     for start in range(0, n2, _JACOBIAN_BLOCK):
-        cols = np.arange(start, min(start + _JACOBIAN_BLOCK, n2))
-        step = np.zeros((len(cols), n2))
-        step[np.arange(len(cols)), cols] = h
-        grad_block[:, cols] = ((grad_rows(xc + step) - grad_rows(xc - step)) / (2.0 * h)).T
+        stop = min(start + _JACOBIAN_BLOCK, n2)
+        grad_block[:, start:stop] = pack(second_variation(unpack(eye[start:stop]))).T * scale
     blocks = [grad_block, sq * np.block([[cmat.real, -cmat.imag], [cmat.imag, cmat.real]])]
     if phase_dir is not None:
         blocks.append(phase_dir[None, :])
@@ -465,10 +464,12 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
             normal = ata + lam * eye
             delta = np.linalg.solve(normal, rhs)
             # geodesic acceleration: second-order correction along the step,
-            # which keeps long narrow valleys from throttling the step size
+            # which keeps long narrow valleys from throttling the step size.
+            # Below _ACCEL_MIN_STEP the residual's second difference is
+            # round-off, and a correction made of it only spoils the step.
             hg = 0.1
             if (
-                np.linalg.norm(delta) > 1e-13
+                np.linalg.norm(delta) > _ACCEL_MIN_STEP * max(1.0, np.linalg.norm(x))
                 and _admissible(x + hg * delta, opts)
                 and _admissible(x - hg * delta, opts)
             ):

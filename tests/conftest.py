@@ -14,13 +14,24 @@ def random_smooth_loop(
 ) -> DiscreteLoop:
     """Band-limited random loop kept away from the origin and the branch
     points, suitable for identities that assume a resolved collision-free
-    curve."""
+    curve.
+
+    A plain loop is ``center`` plus harmonics |k| <= bandwidth.  A twisted
+    loop is z = exp(g) with g antiperiodic, so that z(tau + 1) = 1/z(tau):
+    g is 1.2 exp(i pi tau) plus the odd half-harmonics |k| <= bandwidth of
+    size 0.75 * scale, which keep |g| near 1.2, away from 0 and i pi, so z
+    avoids +-1 (``center`` is not used)."""
+    tau = np.arange(n) / n
+    if twisted:
+        k = np.arange(-bandwidth, bandwidth + 1)
+        k = k[k % 2 == 1]
+        coef = 0.75 * scale * (rng.normal(0, 1, len(k)) + 1j * rng.normal(0, 1, len(k)))
+        g = 1.2 * np.exp(1j * np.pi * tau) + np.exp(1j * np.pi * np.outer(tau, k)) @ coef
+        return DiscreteLoop(samples=np.exp(g), twisted=True)
     k = np.arange(-bandwidth, bandwidth + 1)
     coef = scale * (rng.normal(0, 1, len(k)) + 1j * rng.normal(0, 1, len(k)))
-    tau = np.arange(n) / n
-    period = 2.0 if twisted else 1.0
-    z = center + sum(c * np.exp(2j * np.pi * kk * tau / period) for c, kk in zip(coef, k))
-    return DiscreteLoop(samples=z, twisted=twisted)
+    z = center + sum(c * np.exp(2j * np.pi * kk * tau) for c, kk in zip(coef, k))
+    return DiscreteLoop(samples=z)
 
 
 @pytest.fixture

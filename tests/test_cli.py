@@ -152,7 +152,11 @@ class TestExitCodes:
     def test_unknown_solver_option_rejected(self, tmp_path, capsys):
         # n and m are SolveOptions fields, but belong under "grid"
         seed = '{"kind": "circle", "radius": 2}'
-        cases = [({"warp_speed": True}, "unknown solver keys"), ({"m": 128}, "'grid'")]
+        cases = [
+            ({"warp_speed": True}, "unknown solver keys"),
+            ({"fd_step": 1e-6}, "unknown solver keys"),
+            ({"m": 128}, "'grid'"),
+        ]
         for block, message in cases:
             cfg = write_config(tmp_path, {"fields": {"mu": 0.5}, "solver": block})
             assert run(["eval", "--config", cfg, "--seed", seed]) == 2

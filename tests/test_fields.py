@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,37 @@ class TestPresets:
         np.testing.assert_allclose(
             ele.e(np.array([0.2]), q), ele.e(np.array([1.2]), q), rtol=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            electric_preset("uniform_oscillating", epsilon=0.3, d=0.5 + 0.2j),
+            electric_preset("rotating_charge", mu_s=0.1, r_s=3.0, k=2, theta0=0.3),
+        ],
+        ids=["oscillating", "rotating"],
+    )
+    def test_closed_form_second_derivatives(self, spec):
+        # the central-difference fallback converges to the closed forms as h^2
+        rng = np.random.default_rng(0)
+        q = rng.uniform(-2, 2, 50) + 1j * rng.uniform(-2, 2, 50)
+        t = rng.uniform(0, 1, 50)
+        exact = spec.hess(t, q)
+        fallback = dataclasses.replace(spec, hess_fn=None)
+        for h in (1e-3, 5e-4):
+            errors = [np.max(np.abs(a - b)) for a, b in zip(exact, fallback.hess(t, q, h))]
+            scales = [max(np.max(np.abs(a)), 1.0) for a in exact]
+            assert max(e / s for e, s in zip(errors, scales)) <= 2e-2 * h / 1e-3
+        assert max(np.max(np.abs(a - b)) / s for a, b, s in zip(exact, fallback.hess(t, q), scales)) <= 1e-6
+
+    def test_linear_gauges_have_zero_second_derivatives(self):
+        q = np.array([0.3 + 0.1j, -1.5 + 0.2j])
+        for spec in (magnetic_preset("zero"), magnetic_preset("constant", b=2.0)):
+            assert spec.is_zero == (spec.kind == "zero")
+            for d in spec.gauge_hess_at(q):
+                np.testing.assert_array_equal(d, 0.0)
+            fallback = dataclasses.replace(spec, gauge_jac_fn=None, gauge_hess_fn=None)
+            for d in fallback.gauge_hess_at(q):
+                np.testing.assert_allclose(d, 0.0, atol=1e-7)
 
     def test_unknown_parameters_rejected(self):
         with pytest.raises(FieldConfigError):

@@ -172,23 +172,12 @@ class TestTimeMap:
         assert np.all(np.diff(tau) >= 0)
 
 
-def smooth_twisted_loop(rng, n):
-    """z = exp(g) with g antiperiodic, so z(tau + 1) = 1/z(tau).  The small
-    odd harmonics keep |g| near 1.2, away from 0 and pi, so z avoids the
-    branch points +-1."""
-    tau = np.arange(n) / n
-    k = np.array([-3, -1, 1, 3])
-    coef = 0.15 * (rng.normal(size=4) + 1j * rng.normal(size=4))
-    g = 1.2 * np.exp(1j * np.pi * tau) + np.exp(1j * np.pi * np.outer(tau, k)) @ coef
-    return DiscreteLoop(np.exp(g), twisted=True)
-
-
 def collision_free_loops(rng, n=64):
     return [
         random_smooth_loop(rng, n, center=3.0 + 0.5j),
         random_smooth_loop(rng, n, center=3.0 + 0.5j),
-        smooth_twisted_loop(rng, n),
-        smooth_twisted_loop(rng, n),
+        random_smooth_loop(rng, n, twisted=True),
+        random_smooth_loop(rng, n, twisted=True),
     ]
 
 

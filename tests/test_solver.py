@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 
+from conftest import random_smooth_loop
 from szbov import (
     DiscreteLoop,
+    FieldConfig,
     LoopError,
     NoConvergenceError,
     SolveError,
     SolveOptions,
     continue_family,
     derivative,
+    electric_preset,
     eval_action,
     eval_loop,
     grad_norm,
     gradient,
     involution,
+    magnetic_preset,
     make_seed,
     pack,
     preset,
@@ -29,6 +33,7 @@ from szbov import (
     unpack,
     winding_report,
 )
+from szbov.action import stacked_second_variation
 from szbov.solver import _dense_jacobian, _prox_jacobian
 
 KEPLER = preset("zero", mu=0.0)
@@ -132,30 +137,97 @@ class TestSolve:
         assert again.cfg.mu == rec.cfg.mu
 
 
+def _custom_magnetic(b=1.5):
+    """A non-uniform field b (1 + 0.2|q|^2) given by its gauge alone, so the
+    gauge's first and second derivatives fall back to central differences."""
+    return magnetic_preset(
+        "custom",
+        field=lambda q: b * (1.0 + 0.2 * np.abs(q) ** 2),
+        gauge=lambda q: 0.5j * b * q * (1.0 + 0.1 * np.abs(q) ** 2),
+    )
+
+
+def _custom_electric(eps=0.2):
+    """E = eps (cos(2 pi t) |q|^2 / 2 + sin(2 pi t) q1), without second
+    derivatives: they fall back to central differences of grad and dot."""
+    c = lambda t: np.cos(2 * np.pi * t)
+    s = lambda t: np.sin(2 * np.pi * t)
+    return electric_preset(
+        "custom",
+        e=lambda t, q: eps * (c(t) * np.abs(q) ** 2 / 2 + s(t) * q.real),
+        grad=lambda t, q: eps * (c(t) * q + s(t)),
+        dot=lambda t, q: 2 * np.pi * eps * (c(t) * q.real - s(t) * np.abs(q) ** 2 / 2),
+    )
+
+
 class TestDenseJacobian:
+    FIELDS = [
+        ("zero", preset("zero", mu=0.3)),
+        ("constant", preset("constant", mu=0.5, b=2.0)),
+        ("oscillating", preset("uniform_oscillating", mu=0.5, epsilon=0.1)),
+        ("rotating", preset("rotating_charge", mu=0.5, mu_s=0.01, r_s=3.0, k=1)),
+        ("custom-magnetic", FieldConfig(mu=0.4, magnetic=_custom_magnetic(), electric=electric_preset("zero"))),
+        ("custom-electric", FieldConfig(mu=0.4, magnetic=magnetic_preset("zero"), electric=_custom_electric())),
+    ]
+
     @staticmethod
-    def column_by_column(xc, twisted, cfg, opts, cmat, sq, phase_dir):
-        """Reference assembly: one forward product per coordinate direction,
-        its gradient block a central difference of two single-loop gradients."""
-        n = len(xc) // 2
+    def gradient_block(loop, cfg):
+        n = loop.n
+        xc = pack(loop.samples)
+        jmat = _dense_jacobian(xc, loop.twisted, cfg, OPTS, np.zeros((n, n)), 0.0, None)
+        return jmat[: 2 * n]
 
-        def grad_block(x):
-            return pack(gradient(DiscreteLoop(unpack(x), twisted=twisted), cfg)) / np.sqrt(n)
+    @staticmethod
+    def central_differences(loop, cfg, h):
+        """Reference block: column i is the central difference of the scaled
+        single-loop gradient along the coordinate direction e_i."""
+        n = loop.n
+        xc = pack(loop.samples)
 
-        def forward(v):
-            h = opts.fd_step * max(1.0, np.linalg.norm(xc)) / np.linalg.norm(v)
-            hvp = (grad_block(xc + h * v) - grad_block(xc - h * v)) / (2.0 * h)
-            return np.concatenate([hvp, sq * pack(cmat @ unpack(v)), [phase_dir @ v]])
+        def grad(x):
+            return pack(gradient(DiscreteLoop(unpack(x), twisted=loop.twisted), cfg)) / np.sqrt(n)
 
-        eye = np.eye(len(xc))
-        return np.column_stack([forward(eye[:, i]) for i in range(len(xc))])
+        eye = np.eye(2 * n)
+        return np.column_stack([(grad(xc + h * e) - grad(xc - h * e)) / (2.0 * h) for e in eye])
+
+    @pytest.mark.parametrize("name,cfg", FIELDS, ids=[f[0] for f in FIELDS])
+    @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+    def test_exact_block_is_the_limit_of_central_differences(self, rng, name, cfg, twisted):
+        loop = random_smooth_loop(rng, 32, twisted=twisted)
+        zero = preset("zero", mu=cfg.mu)
+        block, block0 = self.gradient_block(loop, cfg), self.gradient_block(loop, zero)
+        # the block converges as h^2, and so do the field's own terms, which
+        # are small beside the kinetic ones: the part that the zero field lacks
+        h = 1e-3
+        whole, part = [], []
+        for step in (h, h / 2):
+            fd, fd0 = self.central_differences(loop, cfg, step), self.central_differences(loop, zero, step)
+            whole.append(np.max(np.abs(fd - block)) / np.max(np.abs(block)))
+            if name != "zero":
+                field_part = block - block0
+                part.append(np.max(np.abs(fd - fd0 - field_part)) / np.max(np.abs(field_part)))
+        for err_h, err_h2 in (whole, part) if part else (whole,):
+            assert err_h2 <= 1e-4
+            assert err_h >= 3.0 * err_h2
+        # the Hessian of the discretized action is symmetric in pack coordinates
+        assert np.linalg.norm(block - block.T) <= 1e-12 * np.linalg.norm(block)
+
+    @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+    def test_block_applies_the_second_variation(self, rng, twisted):
+        cfg = preset("rotating_charge", mu=0.5, mu_s=0.01, r_s=3.0, k=1)
+        loop = random_smooth_loop(rng, 32, twisted=twisted)
+        dz = rng.normal(size=(3, 32)) + 1j * rng.normal(size=(3, 32))
+        rows = stacked_second_variation(loop.samples, dz, twisted, cfg)
+        block = self.gradient_block(loop, cfg) * np.sqrt(loop.n)
+        expected = (block @ pack(dz).T).T
+        assert np.max(np.abs(pack(rows) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize(
         "seed,cfg",
         [(seed_kepler_guess(-1, 0.3, 64), KEPLER), (seed_circle(0.0, 1.0, 64), EULER)],
         ids=["kepler", "unit_circle"],
     )
-    def test_matches_column_by_column_assembly(self, seed, cfg):
+    def test_anchor_and_phase_rows(self, seed, cfg):
         n = seed.n
         xc = pack(seed.samples)
         tau = time_map(seed).inverse(np.arange(n) / n)
@@ -163,11 +235,12 @@ class TestDenseJacobian:
         sq = np.sqrt(OPTS.prox0 / n)
         phase_dir = pack(derivative(seed))
         phase_dir /= np.linalg.norm(phase_dir)
-        args = (xc, seed.twisted, cfg, OPTS, cmat, sq, phase_dir)
-        jmat = _dense_jacobian(*args)
-        ref = self.column_by_column(*args)
+        jmat = _dense_jacobian(xc, seed.twisted, cfg, OPTS, cmat, sq, phase_dir)
         assert jmat.shape == (4 * n + 1, 2 * n)
-        assert np.max(np.abs(jmat - ref)) <= 1e-8 * np.max(np.abs(ref))
+        eye = np.eye(2 * n)
+        anchor = np.column_stack([sq * pack(cmat @ unpack(e)) for e in eye])
+        np.testing.assert_array_equal(jmat[2 * n : 4 * n], anchor)
+        np.testing.assert_array_equal(jmat[-1], phase_dir)
 
 
 class TestContinuation:
