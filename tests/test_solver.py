@@ -222,12 +222,30 @@ class TestDenseJacobian:
         expected = (block @ pack(dz).T).T
         assert np.max(np.abs(pack(rows) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
+    @staticmethod
+    def column_by_column(xc, twisted, cfg, cmat, sq, phase_dir, h=1e-6):
+        """Reference assembly: one forward product per coordinate direction,
+        its gradient block a central difference of two single-loop gradients
+        at step h * max(1, |xc|)."""
+        n = len(xc) // 2
+
+        def grad_block(x):
+            return pack(gradient(DiscreteLoop(unpack(x), twisted=twisted), cfg)) / np.sqrt(n)
+
+        def forward(v):
+            step = h * max(1.0, np.linalg.norm(xc))
+            hvp = (grad_block(xc + step * v) - grad_block(xc - step * v)) / (2.0 * step)
+            return np.concatenate([hvp, sq * pack(cmat @ unpack(v)), [phase_dir @ v]])
+
+        eye = np.eye(len(xc))
+        return np.column_stack([forward(eye[:, i]) for i in range(len(xc))])
+
     @pytest.mark.parametrize(
         "seed,cfg",
         [(seed_kepler_guess(-1, 0.3, 64), KEPLER), (seed_circle(0.0, 1.0, 64), EULER)],
         ids=["kepler", "unit_circle"],
     )
-    def test_anchor_and_phase_rows(self, seed, cfg):
+    def test_matches_column_by_column_assembly(self, seed, cfg):
         n = seed.n
         xc = pack(seed.samples)
         tau = time_map(seed).inverse(np.arange(n) / n)
@@ -236,11 +254,9 @@ class TestDenseJacobian:
         phase_dir = pack(derivative(seed))
         phase_dir /= np.linalg.norm(phase_dir)
         jmat = _dense_jacobian(xc, seed.twisted, cfg, OPTS, cmat, sq, phase_dir)
+        ref = self.column_by_column(xc, seed.twisted, cfg, cmat, sq, phase_dir)
         assert jmat.shape == (4 * n + 1, 2 * n)
-        eye = np.eye(2 * n)
-        anchor = np.column_stack([sq * pack(cmat @ unpack(e)) for e in eye])
-        np.testing.assert_array_equal(jmat[2 * n : 4 * n], anchor)
-        np.testing.assert_array_equal(jmat[-1], phase_dir)
+        assert np.max(np.abs(jmat - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
 class TestContinuation:
