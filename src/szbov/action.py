@@ -233,39 +233,54 @@ def _grad_centers(z: np.ndarray, mu: float) -> np.ndarray:
     return (1 - mu) * _grad_H1(z) + mu * _grad_H2(z)
 
 
-def _grad_M(z: np.ndarray, cfg: FieldConfig) -> np.ndarray:
+def _magnetic_base(z: np.ndarray, cfg: FieldConfig):
+    """The circulation's base point: q = B(z), its spectral derivative qp, the
+    gauge's first derivatives d1, d2 at q, and the gradient gq of the
+    circulation in the q-plane."""
     q = birkhoff_map(z)
     qp = _spectral_derivative(q, period=1.0)
     ac = _gauge_complex(cfg, q)
     d1, d2 = cfg.magnetic.gauge_jac_at(q)
     zeta = np.real(np.conj(d1) * qp) + 1j * np.real(np.conj(d2) * qp)
     gq = zeta - _spectral_derivative(ac, period=1.0)
-    return np.conj(birkhoff_derivative(z)) * gq
+    return q, qp, d1, d2, gq
+
+
+def _grad_M(z: np.ndarray, cfg: FieldConfig) -> np.ndarray:
+    return np.conj(birkhoff_derivative(z)) * _magnetic_base(z, cfg)[-1]
 
 
 def _electric_fields(z: np.ndarray, cfg: FieldConfig, w, f):
-    """At the discrete times t_j: t, the potential E, its time derivative,
-    and the force term w conj(B'(z)) grad E pulled back to the z-plane."""
+    """At the discrete times t_j: t, the potential E, its time derivative and
+    its gradient at q = B(z)."""
     q = birkhoff_map(z)
     t = _electric_times(w, f)[1]
-    force = w * np.conj(birkhoff_derivative(z)) * cfg.electric.grad(t, q)
-    return t, cfg.electric.e(t, q), cfg.electric.dot(t, q), force
+    return t, cfg.electric.e(t, q), cfg.electric.dot(t, q), cfg.electric.grad(t, q)
+
+
+def _electric_base(z: np.ndarray, cfg: FieldConfig, w, f):
+    """The electric term's base point, chain rule through the discrete
+    cumulative time map.  N := F E is the quadrature mean(e w); its gradient
+    grad_n = n c phi + force collects a dW channel, with coefficients c, and
+    a position channel, force = w conj(B'(z)) grad E.  Returns the fields at
+    the nodes (t, e, edot, ge), the weights beta = edot w of dt inside the
+    quadrature with beta K and mean(beta t), c, grad_n and the value E."""
+    n = z.shape[-1]
+    t, e, edot, ge = _electric_fields(z, cfg, w, f)
+    phi = _df_integrand(z)
+    beta = edot * w
+    beta_k = beta @ integration_matrix(n)
+    beta_t = _mean(beta * t)
+    c = e / n + beta_k / (n * f) - beta_t / (n * f)
+    grad_n = n * c * phi + w * np.conj(birkhoff_derivative(z)) * ge
+    e_val = _mean(e * w) / f
+    return t, e, edot, ge, beta, beta_k, beta_t, c, grad_n, e_val
 
 
 def _grad_E(z: np.ndarray, cfg: FieldConfig, w, f) -> tuple[np.ndarray, np.ndarray]:
-    """Value and exact gradient of the discretized electric term, chain rule
-    through the discrete cumulative time map."""
-    n = z.shape[-1]
-    t, e, edot, force = _electric_fields(z, cfg, w, f)
-    phi = _df_integrand(z)
-
-    # N := F * E;  dN collects a dW channel and a position channel
-    beta = edot * w  # multiplies dt_j inside the quadrature, before 1/N weight
-    # coefficient vector c with  (dW-channel of dN) = c . dW
-    c = e / n + (beta @ integration_matrix(n)) / (n * f) - (_mean(beta * t) / (n * f))
-    grad_n = n * c * phi + force
-    e_val = _mean(e * w) / f
-    return e_val, (grad_n - e_val * phi) / f
+    """Value and exact gradient of the discretized electric term."""
+    grad_n, e_val = _electric_base(z, cfg, w, f)[-2:]
+    return e_val, (grad_n - e_val * _df_integrand(z)) / f
 
 
 def component_gradients(loop: DiscreteLoop, cfg: FieldConfig, eps_zhat: float = EPS_ZHAT) -> dict:
@@ -339,11 +354,11 @@ def _wirtinger_centers(z: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray
     return d_z, d_zb
 
 
-def _kinetic_variation(z: np.ndarray, twisted: bool, zc: np.ndarray, zp: np.ndarray):
+def _kinetic_variation(z: np.ndarray, twisted: bool, zc: np.ndarray, zp: np.ndarray, g_cover: np.ndarray):
     """Derivative of ``_grad_G`` along a stack of directions, through the
     cover: a direction xi moves the cover by xi, and for twisted loops its
     second half 1/z by -xi/z^2, whose own variation gives the fold a
-    conj(xi)/conj(z)^3 term."""
+    conj(xi)/conj(z)^3 term.  g_cover is ``_grad_G_cover`` at the base."""
     n = z.shape[-1]
     period = 2.0 if twisted else 1.0
     # _grad_G_cover is -D(r zp) - r^2 |zp|^2 zc with r = 1/|zc|^2; a cover
@@ -358,7 +373,7 @@ def _kinetic_variation(z: np.ndarray, twisted: bool, zc: np.ndarray, zp: np.ndar
     c_s_out = 4.0 * r**3 * zp2 * zc
     inv_z2 = 1.0 / z**2
     if twisted:
-        fold_xi = _grad_G_cover(zc, zp, period)[n:] / np.conj(z) ** 3
+        fold_xi = g_cover[n:] / np.conj(z) ** 3
 
     def vary(xi):
         zeta = np.concatenate([xi, -xi * inv_z2], axis=-1) if twisted else xi
@@ -381,12 +396,8 @@ def _kinetic_variation(z: np.ndarray, twisted: bool, zc: np.ndarray, zp: np.ndar
 def _magnetic_variation(z: np.ndarray, cfg: FieldConfig):
     """Derivative of ``_grad_M`` along a stack of directions, through the
     gauge's first and second derivatives at q = B(z)."""
-    q = birkhoff_map(z)
-    qp = _spectral_derivative(q, period=1.0)
-    d1, d2 = cfg.magnetic.gauge_jac_at(q)
+    q, qp, d1, d2, gq = _magnetic_base(z, cfg)
     h11, h12, h22 = cfg.magnetic.gauge_hess_at(q)
-    zeta = np.real(np.conj(d1) * qp) + 1j * np.real(np.conj(d2) * qp)
-    gq = zeta - _spectral_derivative(_gauge_complex(cfg, q), period=1.0)
     bp = birkhoff_derivative(z)
     bpp = 1.0 / z**3
 
@@ -412,21 +423,12 @@ def _electric_variation(z: np.ndarray, cfg: FieldConfig, w: np.ndarray, f: float
     quadrature mean(e w) and grad_n its gradient n c phi + force."""
     n = z.shape[-1]
     kmat = integration_matrix(n)
-    q = birkhoff_map(z)
-    t = _electric_times(w, f)[1]
-    e, edot, ge = cfg.electric.e(t, q), cfg.electric.dot(t, q), cfg.electric.grad(t, q)
-    e_tt, ge_t, g1, g2 = cfg.electric.hess(t, q)
+    t, e, edot, ge, beta, beta_k, beta_t, c, grad_n, e_val = _electric_base(z, cfg, w, f)
+    e_tt, ge_t, g1, g2 = cfg.electric.hess(t, birkhoff_map(z))
     phi = _df_integrand(z)
     phi_z, phi_zb = _wirtinger_phi(z)
     bp = birkhoff_derivative(z)
     bpp = 1.0 / z**3
-
-    beta = edot * w
-    beta_k = beta @ kmat
-    beta_t = np.mean(beta * t)
-    c = e / n + (beta_k - beta_t) / (n * f)
-    grad_n = n * c * phi + w * np.conj(bp) * ge
-    e_val = np.mean(e * w) / f
     grad_e = (grad_n - e_val * phi) / f
 
     def vary(xi):
@@ -450,11 +452,24 @@ def _electric_variation(z: np.ndarray, cfg: FieldConfig, w: np.ndarray, f: float
     return vary
 
 
-def _second_variation(z: np.ndarray, twisted: bool, cfg: FieldConfig, eps_zhat: float = EPS_ZHAT):
-    """The second variation at one loop z (shape (n,)): a map taking a stack
-    of directions xi (shape (k, n)) to the derivatives of ``stacked_gradient``
-    along them.  Every quantity of the base point is computed here, once;
-    only the terms that depend on xi are evaluated on the stack."""
+# Directions per pass of ``stacked_second_variation``.  Blocks this size
+# already amortize the per-pass overhead; a larger stack at once would grow
+# the temporaries (and the peak resident set) with the grid for no gain.
+_VARIATION_BLOCK = 32
+
+
+def stacked_second_variation(
+    z: np.ndarray, dz: np.ndarray, twisted: bool, cfg: FieldConfig, eps_zhat: float = EPS_ZHAT
+) -> np.ndarray:
+    """Exact directional derivatives of ``stacked_gradient`` at the one loop z
+    (shape (n,)) along each direction of the stack dz (shape (k, n)): row i
+    is d/ds stacked_gradient(z + s dz_i) at s = 0.
+
+    Every quantity of the base point is computed once; only the terms that
+    depend on the direction are evaluated, ``_VARIATION_BLOCK`` directions
+    at a time, so the temporaries stay O(block n) however many rows dz has."""
+    z = np.asarray(z, dtype=complex)
+    dz = np.asarray(dz, dtype=complex)
     w, f = _prepare(z, eps_zhat)
     f = f.item()
     zc, zp = _cover(z, twisted)
@@ -462,7 +477,8 @@ def _second_variation(z: np.ndarray, twisted: bool, cfg: FieldConfig, eps_zhat: 
     h1, h2 = _centers(z)
     h_mu = ((1 - mu) * h1 + mu * h2).item()
     phi = _df_integrand(z)
-    g_kin = _grad_G(z, twisted, zc, zp)
+    g_cover = _grad_G_cover(zc, zp, 2.0 if twisted else 1.0)
+    g_kin = _fold(g_cover, z, twisted)
     g_cen = _grad_centers(z, mu)
     phi_z, phi_zb = _wirtinger_phi(z)
     cen_z, cen_zb = _wirtinger_centers(z, mu)
@@ -475,31 +491,22 @@ def _second_variation(z: np.ndarray, twisted: bool, cfg: FieldConfig, eps_zhat: 
     a_zb = a0 * phi_zb + cen_zb / f
     along_df = g_kin - g_cen / f**2 + 2.0 * h_mu / f**3 * phi
     means = np.stack([phi, g_kin - g_cen / f**2])
-    kinetic = _kinetic_variation(z, twisted, zc, zp)
+    kinetic = _kinetic_variation(z, twisted, zc, zp, g_cover)
     fields = []
     if not cfg.magnetic.is_zero:
         fields.append(_magnetic_variation(z, cfg))
     if not cfg.electric.is_zero:
         fields.append(_electric_variation(z, cfg, w, f))
 
-    def apply(xi: np.ndarray) -> np.ndarray:
+    out = np.empty(dz.shape, dtype=complex)
+    for start in range(0, dz.shape[0], _VARIATION_BLOCK):
+        xi = dz[start:start + _VARIATION_BLOCK]
         df, dm = np.split(_pairing(means, xi), 2, axis=-1)
-        out = a_z * xi + a_zb * np.conj(xi) + f * kinetic(xi) + df * along_df + dm * phi
+        rows = a_z * xi + a_zb * np.conj(xi) + f * kinetic(xi) + df * along_df + dm * phi
         for vary in fields:
-            out -= vary(xi)
-        return out
-
-    return apply
-
-
-def stacked_second_variation(
-    z: np.ndarray, dz: np.ndarray, twisted: bool, cfg: FieldConfig, eps_zhat: float = EPS_ZHAT
-) -> np.ndarray:
-    """Exact directional derivatives of ``stacked_gradient`` at the one loop z
-    (shape (n,)) along each direction of the stack dz (shape (k, n)): row i
-    is d/ds stacked_gradient(z + s dz_i) at s = 0."""
-    z = np.asarray(z, dtype=complex)
-    return _second_variation(z, twisted, cfg, eps_zhat)(np.asarray(dz, dtype=complex))
+            rows -= vary(xi)
+        out[start:start + _VARIATION_BLOCK] = rows
+    return out
 
 
 def pack(g: np.ndarray) -> np.ndarray:
@@ -542,7 +549,8 @@ def delay_residual(loop: DiscreteLoop, cfg: FieldConfig, eps_zhat: float = EPS_Z
     if cfg.electric.is_zero:
         eps1, eps2, eps3 = np.zeros((3, loop.n), dtype=complex)
     else:
-        _, e, edot, eps2 = _electric_fields(z, cfg, w, f)
+        _, e, edot, ge = _electric_fields(z, cfg, w, f)
+        eps2 = w * np.conj(birkhoff_derivative(z)) * ge
         eps1 = (_tail_integral(edot * w) / f) * phi
         eps3 = e * phi
         rhs = rhs - (absz2 / f**2) * (eps1 + eps2 + eps3)

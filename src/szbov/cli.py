@@ -257,14 +257,19 @@ def cmd_eval(args) -> int:
 
 
 def _random_smooth_loop(rng, n: int, twisted: bool) -> DiscreteLoop:
+    """Band-limited random loop away from the origin and the centers: plain,
+    1.8 + 0.4i plus harmonics |k| <= 3; twisted, z = exp(g) with g = 1.2
+    exp(i pi tau) plus odd half-harmonics, antiperiodic, so that
+    z(tau + 1) = 1/z(tau)."""
     k = np.arange(-3, 4)
     coef = rng.normal(0, 0.25, len(k)) + 1j * rng.normal(0, 0.25, len(k))
     tau = np.arange(n) / n
-    period = 2.0 if twisted else 1.0
-    z = 1.8 + 0.4j + sum(
-        c * np.exp(2j * np.pi * kk * tau / period) for c, kk in zip(coef, k)
-    )
-    return DiscreteLoop(samples=z, twisted=twisted)
+    if twisted:
+        odd = k % 2 == 1
+        g = 1.2 * np.exp(1j * np.pi * tau) + 0.6 * np.exp(1j * np.pi * np.outer(tau, k[odd])) @ coef[odd]
+        return DiscreteLoop(samples=np.exp(g), twisted=True)
+    z = 1.8 + 0.4j + sum(c * np.exp(2j * np.pi * kk * tau) for c, kk in zip(coef, k))
+    return DiscreteLoop(samples=z)
 
 
 def cmd_grad_check(args) -> int:
@@ -283,7 +288,10 @@ def cmd_grad_check(args) -> int:
         for twisted in (False, True):
             for _ in range(3):
                 loop = _random_smooth_loop(rng, n, twisted)
-                direction = _random_smooth_loop(rng, n, twisted).samples - 1.8 - 0.4j
+                other = _random_smooth_loop(rng, n, twisted).samples
+                # a twisted loop exp(g) moves along z dg, dg antiperiodic, so
+                # that the perturbed loop is twisted too
+                direction = loop.samples * np.log(other) if twisted else other - 1.8 - 0.4j
                 # the discrete gradient pairs against perturbations through
                 # the mean-value quadrature, hence the 1/n weight
                 g = pack(gradient(loop, cfg))

@@ -8,10 +8,9 @@ pure; they are trusted but can be checked with :func:`validate`.
 
 The exact second variation of the action needs second derivatives of the
 gauge and of the electric potential.  Every preset has them in closed form.
-A custom spec may pass its own (``gauge_hess``, ``hess``); without them the
-spec takes central differences of its own first-derivative evaluators,
-pointwise, so only that field's terms of the second variation carry a
-truncation error.
+A custom spec takes central differences of its own first-derivative
+evaluators, pointwise, so only that field's terms of the second variation
+carry a truncation error.
 """
 
 from __future__ import annotations
@@ -47,9 +46,10 @@ class MagneticSpec:
 
     field(q) -> real array; gauge(q) -> complex array a1 + i a2 (covector
     components); gauge_jac(q) -> (dAc/dq1, dAc/dq2) complex arrays, or None to
-    fall back on central differences of the gauge; gauge_hess(q) ->
-    (d2Ac/dq1^2, d2Ac/dq1dq2, d2Ac/dq2^2) complex arrays, or None to fall back
-    on central differences of ``gauge_jac_at``.
+    fall back on central differences of the gauge.  The presets also set
+    gauge_hess(q) -> (d2Ac/dq1^2, d2Ac/dq1dq2, d2Ac/dq2^2) complex arrays; a
+    custom spec leaves it None and falls back on central differences of
+    ``gauge_jac_at``.
     """
 
     kind: str
@@ -99,9 +99,9 @@ class ElectricSpec:
 
     e(t, q) -> real array; grad(t, q) -> complex array gx + i gy;
     dot(t, q) -> real array (partial derivative in t).  All 1-periodic in t.
-    hess(t, q) -> (d2E/dt2, d grad/dt, d grad/dq1, d grad/dq2), a real array
-    and three complex ones, or None to fall back on central differences of
-    ``grad`` and ``dot``.
+    The presets also set hess(t, q) -> (d2E/dt2, d grad/dt, d grad/dq1,
+    d grad/dq2), a real array and three complex ones; a custom spec leaves it
+    None and falls back on central differences of ``grad`` and ``dot``.
     """
 
     kind: str
@@ -200,7 +200,6 @@ def magnetic_preset(kind: str, **params) -> MagneticSpec:
             field_fn=params.pop("field"),
             gauge_fn=params.pop("gauge"),
             gauge_jac_fn=params.pop("gauge_jac", None),
-            gauge_hess_fn=params.pop("gauge_hess", None),
             params=params,
         )
         return spec
@@ -296,7 +295,6 @@ def electric_preset(kind: str, **params) -> ElectricSpec:
             e_fn=params.pop("e"),
             grad_fn=params.pop("grad"),
             dot_fn=params.pop("dot"),
-            hess_fn=params.pop("hess", None),
             params=params,
         )
     raise FieldConfigError(f"unknown electric preset {kind!r}")

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import action as _action
-from .action import _second_variation, eval_components, gradient, grad_norm, pack, unpack
+from .action import eval_components, gradient, grad_norm, pack, stacked_second_variation, unpack
 from .dynamics import phi_profile
 from .fields import FieldConfig, config_to_dict
 from .geometry import WindingError, WindingReport, birkhoff_map, winding_report
@@ -366,16 +366,11 @@ def _prox_jacobian(loop: DiscreteLoop, tau: np.ndarray, z_tau: np.ndarray) -> np
     return bp[:, None] * a
 
 
-# Coordinate directions per call of the second variation in the dense
-# Jacobian.  Blocks this size already amortize the per-call overhead; the
-# whole stack at once would grow the temporaries (and the peak resident set)
-# with the grid for no further gain.
-_JACOBIAN_BLOCK = 32
-
 # Step, relative to the iterate, below which no geodesic acceleration is
-# taken: the residual's gradient block carries round-off of about 1e-16 times
-# its largest (kinetic) terms, so the second difference across a tenth of
-# such a step resolves nothing.
+# taken.  Across a tenth of a smaller step the residual's second difference
+# is round-off, and a correction made of it spoils the step: with the gate at
+# 1e-12, criterion 10's continuation steps take 7-12 iterations instead of
+# 4-6.  Every value from 1e-10 to 1e-4 gives the same counts there.
 _ACCEL_MIN_STEP = 1e-8
 
 
@@ -397,12 +392,8 @@ def _dense_jacobian(
     """
     n2 = len(xc)
     scale = 1.0 / np.sqrt(n2 // 2)
-    second_variation = _second_variation(unpack(xc), twisted, cfg, opts.eps_zhat)
-    eye = np.eye(n2)
-    grad_block = np.empty((n2, n2))
-    for start in range(0, n2, _JACOBIAN_BLOCK):
-        stop = min(start + _JACOBIAN_BLOCK, n2)
-        grad_block[:, start:stop] = pack(second_variation(unpack(eye[start:stop]))).T * scale
+    rows = stacked_second_variation(unpack(xc), unpack(np.eye(n2)), twisted, cfg, opts.eps_zhat)
+    grad_block = pack(rows).T * scale
     blocks = [grad_block, sq * np.block([[cmat.real, -cmat.imag], [cmat.imag, cmat.real]])]
     if phase_dir is not None:
         blocks.append(phase_dir[None, :])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from szbov import cli, record_from_dict, save_loop, seed_circle
+from szbov.loops import double_cover
 
 
 def run(argv):
@@ -52,6 +53,14 @@ class TestEval:
 class TestGradCheck:
     def test_passes_at_small_grid(self, capsys):
         assert run(["grad-check", "--n", 16, "--quiet"]) == 0
+
+    def test_twisted_loops_are_genuine(self):
+        # z(tau + 1) = 1/z(tau) makes the double cover smooth, so the upper
+        # half of its spectrum is negligible; a seam would leave it O(1e-2)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            spectrum = np.abs(np.fft.fft(double_cover(cli._random_smooth_loop(rng, 64, True))))
+            assert np.max(spectrum[32:97]) <= 1e-8 * np.max(spectrum)
 
 
 @pytest.fixture(scope="module")
