@@ -110,11 +110,11 @@ def _mean(x: np.ndarray) -> np.ndarray:
     return np.mean(x, axis=-1, keepdims=True)
 
 
-def _prepare(z: np.ndarray, eps_zhat: float):
+def _prepare(z: np.ndarray):
     """Conformal weights of samples shaped (..., n) and their means F."""
     w = conformal_weight(z)
     f = _mean(w)
-    if np.any(f <= eps_zhat):
+    if np.any(f <= EPS_ZHAT):
         raise DegenerateLoopError("degenerate loop: zhat vanishes")
     return w, f
 
@@ -153,10 +153,10 @@ def _df_integrand(z: np.ndarray) -> np.ndarray:
     return z * (z**2 - 1.0) * (np.conj(z) ** 2 + 1.0) / (2.0 * np.abs(z) ** 4)
 
 
-def eval_components(loop: DiscreteLoop, cfg: FieldConfig, eps_zhat: float = EPS_ZHAT) -> ActionBreakdown:
+def eval_components(loop: DiscreteLoop, cfg: FieldConfig) -> ActionBreakdown:
     """All component quadratures of the regularized functional."""
     z = loop.samples
-    w, f = _prepare(z, eps_zhat)
+    w, f = _prepare(z)
     h1, h2 = _centers(z)
 
     q = birkhoff_map(z)
@@ -179,9 +179,9 @@ def eval_components(loop: DiscreteLoop, cfg: FieldConfig, eps_zhat: float = EPS_
     )
 
 
-def eval_action(loop: DiscreteLoop, cfg: FieldConfig, eps_zhat: float = EPS_ZHAT) -> float:
+def eval_action(loop: DiscreteLoop, cfg: FieldConfig) -> float:
     """Value of the regularized functional."""
-    return eval_components(loop, cfg, eps_zhat).total
+    return eval_components(loop, cfg).total
 
 
 def eval_unregularized(q: PhysicalLoop, cfg: FieldConfig, eps_col: float = EPS_COLLISION) -> float:
@@ -283,10 +283,10 @@ def _grad_E(z: np.ndarray, cfg: FieldConfig, w, f) -> tuple[np.ndarray, np.ndarr
     return e_val, (grad_n - e_val * _df_integrand(z)) / f
 
 
-def component_gradients(loop: DiscreteLoop, cfg: FieldConfig, eps_zhat: float = EPS_ZHAT) -> dict:
+def component_gradients(loop: DiscreteLoop, cfg: FieldConfig) -> dict:
     """Per-component (value, gradient) pairs, for isolating each formula."""
     z = loop.samples
-    w, f = _prepare(z, eps_zhat)
+    w, f = _prepare(z)
     zc, zp = _cover(z, loop.twisted)
     h1, h2 = _centers(z)
     out = {
@@ -294,7 +294,7 @@ def component_gradients(loop: DiscreteLoop, cfg: FieldConfig, eps_zhat: float = 
         "G": (_kinetic(zc, zp).item(), _grad_G(z, loop.twisted, zc, zp)),
         "H1": (h1.item(), _grad_H1(z)),
         "H2": (h2.item(), _grad_H2(z)),
-        "M": (eval_components(loop, cfg, eps_zhat).M, _grad_M(z, cfg)),
+        "M": (eval_components(loop, cfg).M, _grad_M(z, cfg)),
     }
     if not cfg.electric.is_zero:
         e_val, grad_e = _grad_E(z, cfg, w, f)
@@ -302,14 +302,12 @@ def component_gradients(loop: DiscreteLoop, cfg: FieldConfig, eps_zhat: float = 
     return out
 
 
-def stacked_gradient(
-    z: np.ndarray, twisted: bool, cfg: FieldConfig, eps_zhat: float = EPS_ZHAT
-) -> np.ndarray:
+def stacked_gradient(z: np.ndarray, twisted: bool, cfg: FieldConfig) -> np.ndarray:
     """Exact gradients of the discretized regularized functional for a stack
     of loops: z has shape (..., n), one loop's samples along the last axis,
     and every loop shares the sector ``twisted``.  Raises DegenerateLoopError
     if any loop in the stack is degenerate."""
-    w, f = _prepare(z, eps_zhat)
+    w, f = _prepare(z)
     zc, zp = _cover(z, twisted)
     mu = cfg.mu
     h1, h2 = _centers(z)
@@ -326,9 +324,9 @@ def stacked_gradient(
     return grad
 
 
-def gradient(loop: DiscreteLoop, cfg: FieldConfig, eps_zhat: float = EPS_ZHAT) -> np.ndarray:
+def gradient(loop: DiscreteLoop, cfg: FieldConfig) -> np.ndarray:
     """Exact gradient of the discretized regularized functional."""
-    return stacked_gradient(loop.samples, loop.twisted, cfg, eps_zhat)
+    return stacked_gradient(loop.samples, loop.twisted, cfg)
 
 
 def _pairing(u: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -458,9 +456,7 @@ def _electric_variation(z: np.ndarray, cfg: FieldConfig, w: np.ndarray, f: float
 _VARIATION_BLOCK = 32
 
 
-def stacked_second_variation(
-    z: np.ndarray, dz: np.ndarray, twisted: bool, cfg: FieldConfig, eps_zhat: float = EPS_ZHAT
-) -> np.ndarray:
+def stacked_second_variation(z: np.ndarray, dz: np.ndarray, twisted: bool, cfg: FieldConfig) -> np.ndarray:
     """Exact directional derivatives of ``stacked_gradient`` at the one loop z
     (shape (n,)) along each direction of the stack dz (shape (k, n)): row i
     is d/ds stacked_gradient(z + s dz_i) at s = 0.
@@ -470,7 +466,7 @@ def stacked_second_variation(
     at a time, so the temporaries stay O(block n) however many rows dz has."""
     z = np.asarray(z, dtype=complex)
     dz = np.asarray(dz, dtype=complex)
-    w, f = _prepare(z, eps_zhat)
+    w, f = _prepare(z)
     f = f.item()
     zc, zp = _cover(z, twisted)
     mu = cfg.mu
@@ -525,16 +521,16 @@ def grad_norm(g: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(g) ** 2)))
 
 
-def delay_residual(loop: DiscreteLoop, cfg: FieldConfig, eps_zhat: float = EPS_ZHAT) -> DelayResidual:
+def delay_residual(loop: DiscreteLoop, cfg: FieldConfig) -> DelayResidual:
     """Pointwise defect of the delay equation z'' = RHS(z, z', nonlocal data).
 
     Evaluates the right-hand side with spectral derivatives and cumulative
     quadratures and subtracts the spectral z''.
     """
     z = loop.samples
-    w, f = _prepare(z, eps_zhat)
+    w, f = _prepare(z)
     f = f.item()
-    c_const = eval_components(loop, cfg, eps_zhat).C
+    c_const = eval_components(loop, cfg).C
     zp = derivative(loop)
     zpp = second_derivative(loop)
     phi = _df_integrand(z)

@@ -82,6 +82,10 @@ class PhiProfile:
 
     @property
     def mean_phi(self) -> float:
+        """Trapezoid mean of phi over the period; NaN when mask drops a node,
+        since the defect is not defined there."""
+        if not np.all(self.mask):
+            return float("nan")
         return float(np.trapezoid(self.phi, dx=1.0 / (len(self.phi) - 1)))
 
     @property

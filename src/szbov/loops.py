@@ -377,10 +377,10 @@ class PhysicalLoop:
         return np.arange(self.m) / self.m
 
 
-def zhat(loop: DiscreteLoop, eps: float = EPS_ZHAT) -> float:
+def zhat(loop: DiscreteLoop) -> float:
     """Mean of the conformal weight along the loop (periodic trapezoid rule)."""
     value = float(np.mean(conformal_weight(loop.samples)))
-    if value <= eps:
+    if value <= EPS_ZHAT:
         raise DegenerateLoopError("degenerate loop: zhat vanishes")
     return value
 
@@ -397,10 +397,10 @@ def _time_map_from_weights(w: np.ndarray) -> TimeMap:
     return TimeMap(zhat=total, t_of_tau=nodes, weights=w)
 
 
-def time_map(loop: DiscreteLoop, eps: float = EPS_ZHAT) -> TimeMap:
+def time_map(loop: DiscreteLoop) -> TimeMap:
     """Reparametrization t(tau) between loop parameter and physical time."""
     w = conformal_weight(loop.samples)
-    if float(np.mean(w)) <= eps:
+    if float(np.mean(w)) <= EPS_ZHAT:
         raise DegenerateLoopError("degenerate loop: zhat vanishes")
     return _time_map_from_weights(w)
 

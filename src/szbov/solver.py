@@ -5,6 +5,9 @@ functional we drive its exact discrete gradient to zero with a damped
 Gauss-Newton (Levenberg-Marquardt) iteration with geodesic acceleration.  The
 residual stacks the scaled gradient, a proximal anchor that is weakened in
 stages as the iteration settles, and, for autonomous fields, a phase row.
+Each of the three mechanisms was switched off in turn on the bench's matrix
+solves and each one pays; their settings are the module constants below, and
+``SolveOptions`` holds only the grid, the tolerance and the iteration cap.
 
 Each iteration assembles the Jacobian of that residual densely, once: the
 gradient block is the exact second variation of the discretized functional
@@ -17,8 +20,8 @@ acceleration, which are solved directly.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,9 +58,7 @@ __all__ = [
     "seed_from_file",
     "make_seed",
     "solve",
-    "solve_many",
     "continue_family",
-    "thread_limit",
 ]
 
 
@@ -76,28 +77,18 @@ class NoConvergenceError(SolveError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tolerances and controls of the critical-point iteration."""
+    """Grid, tolerance and iteration cap of the critical-point iteration."""
 
     n: int = 256
     m: int = 512
     g_tol: float = 1e-9
     max_iter: int = 200
-    lam0: float = 1e-4
-    lam_up: float = 4.0
-    lam_down: float = 0.25
-    phase_fix: bool = True
-    eps_zhat: float = EPS_ZHAT
-    min_abs_z: float = 1e-6
-    prox0: float = 1e-2
-    prox_min: float = 1e-12
-    prox_decay: float = 1e-2
-    prox_release: float = 1e-8
-    prox_patience: int = 15
 
     def __post_init__(self):
-        for name in ("g_tol", "lam0", "eps_zhat"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.g_tol <= 0:
+            raise ValueError("g_tol must be positive")
+        if not isinstance(self.max_iter, Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be a positive integer, not {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -270,11 +261,34 @@ def make_seed(spec, n: int = 256) -> DiscreteLoop:
 
 # ------------------------------------------------------------------- solve
 
-def _admissible(x: np.ndarray, opts: SolveOptions) -> bool:
+# Levenberg-Marquardt damping: its start, restored at every anchor stage,
+# and the factors it grows by on a rejected step and shrinks by on an
+# accepted one.
+_LAM0 = 1e-4
+_LAM_UP = 4.0
+_LAM_DOWN = 0.25
+# A trial iterate with a sample this close to 0, the pole of the conformal
+# weight, is refused before its residual is evaluated.
+_MIN_ABS_Z = 1e-6
+# The staged proximal anchor.  Its weight starts at _PROX0, which holds the
+# iterate near the seed's member of a family of critical points, and each
+# stage multiplies it by _PROX_DECAY down to the floor _PROX_MIN, where it
+# stays.  A stage ends once the step falls below _PROX_RELEASE of the iterate
+# (settled at this weight), or after _PROX_PATIENCE iterations that did not
+# halve the gradient norm (stalled at it).  Every faster release tried lands
+# `kepler` on a non-circular member of its family.
+_PROX0 = 1e-2
+_PROX_DECAY = 1e-2
+_PROX_MIN = 1e-12
+_PROX_RELEASE = 1e-8
+_PROX_PATIENCE = 15
+
+
+def _admissible(x: np.ndarray) -> bool:
     z = unpack(x)
-    if np.any(np.abs(z) < opts.min_abs_z):
+    if np.any(np.abs(z) < _MIN_ABS_Z):
         return False
-    return float(np.mean(conformal_weight(z))) > opts.eps_zhat
+    return float(np.mean(conformal_weight(z))) > EPS_ZHAT
 
 
 def _anchor_points(loop: DiscreteLoop, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +300,7 @@ def _anchor_points(loop: DiscreteLoop, t: np.ndarray) -> tuple[np.ndarray, np.nd
     return tau, eval_loop(loop, tau)
 
 
-def _residual_factory(cfg: FieldConfig, twisted: bool, opts: SolveOptions, x0: np.ndarray):
+def _residual_factory(cfg: FieldConfig, twisted: bool, x0: np.ndarray):
     """Residual map of the damped Gauss-Newton iteration.
 
     Two stacked blocks: the exact discrete gradient (the equation being
@@ -295,9 +309,8 @@ def _residual_factory(cfg: FieldConfig, twisted: bool, opts: SolveOptions, x0: n
     (symmetries of the physical problem make the second variation singular
     along them); the anchor, driven toward zero as the iteration converges,
     selects the member of the family nearest the seed in the physical-plane
-    L2 distance instead of leaving that choice to round-off.  An optional
-    scalar phase row removes the parameter-shift direction in the autonomous
-    case.
+    L2 distance instead of leaving that choice to round-off.  For autonomous
+    fields a scalar phase row removes the parameter-shift direction.
 
     ``residual(x)`` returns the residual and the anchor points
     ``(tau(t_grid), z(tau))`` of x, which the Jacobian at x reuses instead of
@@ -307,8 +320,7 @@ def _residual_factory(cfg: FieldConfig, twisted: bool, opts: SolveOptions, x0: n
     n = n2 // 2
     scale = 1.0 / np.sqrt(n)
 
-    use_phase = opts.phase_fix and cfg.autonomous
-    if use_phase:
+    if cfg.autonomous:
         phase_dir = pack(derivative(DiscreteLoop(unpack(x0), twisted=twisted)))
         phase_dir = phase_dir / max(np.linalg.norm(phase_dir), 1e-300)
     else:
@@ -316,11 +328,11 @@ def _residual_factory(cfg: FieldConfig, twisted: bool, opts: SolveOptions, x0: n
 
     t_grid = np.arange(n) / n
     q0 = birkhoff_map(_anchor_points(DiscreteLoop(unpack(x0), twisted=twisted), t_grid)[1])
-    state = {"lam_prox": opts.prox0}
+    state = {"lam_prox": _PROX0}
 
     def residual(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         loop = DiscreteLoop(unpack(x), twisted=twisted)
-        g = gradient(loop, cfg, opts.eps_zhat)
+        g = gradient(loop, cfg)
         parts = [pack(g) * scale]
         lam = state["lam_prox"]
         anchor = _anchor_points(loop, t_grid)
@@ -378,7 +390,6 @@ def _dense_jacobian(
     xc: np.ndarray,
     twisted: bool,
     cfg: FieldConfig,
-    opts: SolveOptions,
     cmat: np.ndarray,
     sq: float,
     phase_dir: Optional[np.ndarray],
@@ -392,7 +403,7 @@ def _dense_jacobian(
     """
     n2 = len(xc)
     scale = 1.0 / np.sqrt(n2 // 2)
-    rows = stacked_second_variation(unpack(xc), unpack(np.eye(n2)), twisted, cfg, opts.eps_zhat)
+    rows = stacked_second_variation(unpack(xc), unpack(np.eye(n2)), twisted, cfg)
     grad_block = pack(rows).T * scale
     blocks = [grad_block, sq * np.block([[cmat.real, -cmat.imag], [cmat.imag, cmat.real]])]
     if phase_dir is not None:
@@ -406,7 +417,7 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
     n = seed.n
     x = pack(np.asarray(seed.samples))
     x0 = x.copy()
-    residual, phase_dir, state = _residual_factory(cfg, twisted, opts, x0)
+    residual, phase_dir, state = _residual_factory(cfg, twisted, x0)
     scale = 1.0 / np.sqrt(n)
 
     def gn_of(r: np.ndarray) -> float:
@@ -421,9 +432,9 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         ``residual(xc)`` returned as anchor_c."""
         cmat = _prox_jacobian(DiscreteLoop(unpack(xc), twisted=twisted), *anchor_c)
         sq = np.sqrt(state["lam_prox"]) * scale
-        return _dense_jacobian(xc, twisted, cfg, opts, cmat, sq, phase_dir)
+        return _dense_jacobian(xc, twisted, cfg, cmat, sq, phase_dir)
 
-    lam = opts.lam0
+    lam = _LAM0
     best_x, best_gn = x.copy(), gn
     iterations = 0
     stage_start, stage_gn = 0, gn
@@ -433,10 +444,10 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         bookkeeping: lam grown against the stronger anchor would otherwise
         throttle the steps that the weaker one allows."""
         nonlocal lam, gn, stage_start, stage_gn
-        new_prox = max(state["lam_prox"] * opts.prox_decay, opts.prox_min)
+        new_prox = max(state["lam_prox"] * _PROX_DECAY, _PROX_MIN)
         r[2 * n : 4 * n] *= np.sqrt(new_prox / state["lam_prox"])
         state["lam_prox"] = new_prox
-        lam = opts.lam0
+        lam = _LAM0
         gn = gn_of(r)
         stage_start, stage_gn = iterations, gn
 
@@ -461,8 +472,8 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
             hg = 0.1
             if (
                 np.linalg.norm(delta) > _ACCEL_MIN_STEP * max(1.0, np.linalg.norm(x))
-                and _admissible(x + hg * delta, opts)
-                and _admissible(x - hg * delta, opts)
+                and _admissible(x + hg * delta)
+                and _admissible(x - hg * delta)
             ):
                 second = (
                     residual(x + hg * delta)[0] - 2.0 * rc + residual(x - hg * delta)[0]
@@ -471,19 +482,19 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
                 if np.linalg.norm(accel) < 0.75 * np.linalg.norm(delta):
                     delta = delta + 0.5 * accel
             xt = x + delta
-            if _admissible(xt, opts):
+            if _admissible(xt):
                 rt, at = residual(xt)
                 if np.linalg.norm(rt) < np.linalg.norm(r):
                     x, r, anchor = xt, rt, at
-                    lam = max(lam * opts.lam_down, 1e-14)
+                    lam = max(lam * _LAM_DOWN, 1e-14)
                     accepted = True
                     break
-            lam *= opts.lam_up
+            lam *= _LAM_UP
         if not accepted:
             zc2 = unpack(x)
-            if float(np.mean(conformal_weight(zc2))) < 10.0 * opts.eps_zhat:
+            if float(np.mean(conformal_weight(zc2))) < 10.0 * EPS_ZHAT:
                 raise SolveError("degenerated toward excluded locus")
-            if state["lam_prox"] > opts.prox_min:
+            if state["lam_prox"] > _PROX_MIN:
                 # anchored phase stalled at its stationary point: weaken the
                 # anchor one stage and continue, so that near-degenerate
                 # directions stay regularized throughout the hand-off
@@ -498,13 +509,11 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         # weaken the proximal anchor once the anchored iteration has settled:
         # either steps have gone quadratically small, or the gradient block
         # has stopped improving at this anchor strength
-        if state["lam_prox"] > opts.prox_min:
+        if state["lam_prox"] > _PROX_MIN:
             if gn < 0.5 * stage_gn:
                 stage_start, stage_gn = iterations, gn
-            settled = np.linalg.norm(delta) < opts.prox_release * max(
-                1.0, np.linalg.norm(x)
-            )
-            if settled or iterations - stage_start >= opts.prox_patience:
+            settled = np.linalg.norm(delta) < _PROX_RELEASE * max(1.0, np.linalg.norm(x))
+            if settled or iterations - stage_start >= _PROX_PATIENCE:
                 decay_anchor()
         if gn < best_gn:
             best_x, best_gn = x.copy(), gn
@@ -531,10 +540,10 @@ def _safe_winding(q: PhysicalLoop) -> Optional[WindingReport]:
 
 
 def _finalize(loop, cfg, opts, gn, iterations, seed_winding) -> OrbitRecord:
-    breakdown = eval_components(loop, cfg, opts.eps_zhat)
+    breakdown = eval_components(loop, cfg)
     from .action import delay_residual
 
-    delay = delay_residual(loop, cfg, opts.eps_zhat)
+    delay = delay_residual(loop, cfg)
     q = reconstruct(loop, opts.m)
     wind = _safe_winding(q)
     if seed_winding is not None and wind is not None and wind != seed_winding:
@@ -580,28 +589,3 @@ def continue_family(
         records.append(rec)
     return records
 
-
-def thread_limit() -> int:
-    """Solver parallelism cap from the SZBOV_THREADS environment variable."""
-    raw = os.environ.get("SZBOV_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return os.cpu_count() or 1
-
-
-def solve_many(seeds: Sequence[DiscreteLoop], cfg: FieldConfig, opts: SolveOptions = SolveOptions()):
-    """Solve several seeds concurrently (bounded by thread_limit()).
-
-    Returns a list of OrbitRecord or SolveError per seed, in order.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    def run(seed):
-        try:
-            return solve(seed, cfg, opts)
-        except SolveError as exc:
-            return exc
-
-    with ThreadPoolExecutor(max_workers=min(thread_limit(), max(len(seeds), 1))) as pool:
-        return list(pool.map(run, seeds))

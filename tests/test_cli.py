@@ -164,9 +164,21 @@ class TestExitCodes:
         cases = [
             ({"warp_speed": True}, "unknown solver keys"),
             ({"fd_step": 1e-6}, "unknown solver keys"),
+            ({"phase_fix": False}, "unknown solver keys"),
+            ({"prox0": 1e-3}, "unknown solver keys"),
+            ({"lam0": 1e-3}, "unknown solver keys"),
+            ({"eps_zhat": 1e-8}, "unknown solver keys"),
             ({"m": 128}, "'grid'"),
         ]
         for block, message in cases:
             cfg = write_config(tmp_path, {"fields": {"mu": 0.5}, "solver": block})
             assert run(["eval", "--config", cfg, "--seed", seed]) == 2
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_iter", [2.5, -3, 0])
+    def test_bad_max_iter_rejected(self, tmp_path, capsys, max_iter):
+        # rejected before any iteration, not as a crash or a non-convergence
+        cfg = write_config(tmp_path, {"fields": {"mu": 0.5}, "solver": {"max_iter": max_iter}})
+        seed = '{"kind": "circle", "radius": 2}'
+        assert run(["solve", "--config", cfg, "--seed", seed, "--n", 32, "--quiet"]) == 2
+        assert "max_iter must be a positive integer" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from szbov import (
     phi_profile,
     preset,
     reconstruct,
+    seed_circle,
     seed_kepler_guess,
     solve,
     verify_generalized,
@@ -124,6 +125,15 @@ class TestPhiProfile:
         base = phi_profile(q, ZERO, C=0.0)
         shifted = phi_profile(q, ZERO, C=1.0)
         np.testing.assert_allclose(shifted.phi - base.phi, 1.0, atol=1e-12)
+
+    def test_mean_is_undefined_when_mask_drops_a_node(self):
+        # the unit-circle collision orbit has reconstructed samples on the
+        # centers, where the defect is infinite and mask drops the node
+        rec = solve(seed_circle(0.0, 1.0, 64), ZERO, SolveOptions(n=64, m=256))
+        prof = phi_profile(rec.q, ZERO, C=rec.C, z_loop=rec.z)
+        assert not np.all(prof.mask)
+        assert np.isnan(prof.mean_phi)
+        assert np.isfinite(prof.sup_phi)
 
 
 class TestVerifyGeneralized:
