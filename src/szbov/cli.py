@@ -155,8 +155,9 @@ def load_run_config(args) -> RunConfig:
     unknown = set(grid) - {"n", "m"}
     if unknown:
         raise FieldConfigError(f"unknown grid keys: {sorted(unknown)}")
-    n = int(grid.get("n", 256))
-    m = int(grid.get("m", 512))
+    # read as given: SolveOptions rejects a value that is not a positive integer
+    n = grid.get("n", 256)
+    m = grid.get("m", 512)
 
     solver_block = dict(data.get("solver", {}))
     # n and m are SolveOptions fields too, but they are set from the grid
@@ -170,11 +171,12 @@ def load_run_config(args) -> RunConfig:
     out = data.get("out")
     path = [config_from_dict(block) for block in data.get("path", [])]
 
-    if getattr(args, "n", None):
+    # a flag given as 0 is rejected by SolveOptions below, not ignored
+    if getattr(args, "n", None) is not None:
         n = args.n
-    if getattr(args, "m", None):
+    if getattr(args, "m", None) is not None:
         m = args.m
-    if getattr(args, "tol", None):
+    if getattr(args, "tol", None) is not None:
         solver_block["g_tol"] = args.tol
     if getattr(args, "seed", None):
         seed_spec = _parse_seed_flag(args.seed)

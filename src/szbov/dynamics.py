@@ -3,7 +3,7 @@ the first-integral profile, and the generalized-solution verifier.
 
 The integrator is the independent oracle for reconstructed orbits: it knows
 nothing about the blown-up loop space and simply integrates the second-order
-equation with an adaptive embedded Runge-Kutta 5(4) scheme.
+equation with the adaptive Dormand-Prince 8(5,3) Runge-Kutta scheme.
 """
 
 from __future__ import annotations
@@ -106,18 +106,28 @@ class PhiProfile:
 
 
 def newtonian_rhs(t, q, v, cfg: FieldConfig):
-    """Acceleration of the charged particle at position q with velocity v."""
-    q = np.asarray(q, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if np.any(q == 1.0) or np.any(q == -1.0):
+    """Acceleration of the charged particle at position q with velocity v.
+
+    q and v are complex scalars or arrays of one shape, and the result takes
+    the same form; ``integrate`` passes scalars, once per Runge-Kutta stage,
+    and they skip the conversion to arrays.  A field that is zero adds no
+    term.
+    """
+    if not isinstance(q, (complex, float, int)):
+        q = np.asarray(q, dtype=complex)
+        v = np.asarray(v, dtype=complex)
+    rp = abs(q + 1.0)
+    rm = abs(q - 1.0)
+    if not np.all(rp * rm):
         raise SingularityError("position at a Coulomb center")
-    # Lorentz force B i qdot: sign fixed by consistency with the loop
-    # functional, whose magnetic circulation term satisfies
-    # d/ds \oint (q+s xi)^*A = <-B i qdot, xi>
-    acc = cfg.magnetic.field_at(q) * 1j * v
-    acc = acc - (1 - cfg.mu) * (q + 1.0) / np.abs(q + 1.0) ** 3
-    acc = acc - cfg.mu * (q - 1.0) / np.abs(q - 1.0) ** 3
-    acc = acc - cfg.electric.grad(t, q)
+    acc = -(1 - cfg.mu) * (q + 1.0) / rp**3 - cfg.mu * (q - 1.0) / rm**3
+    if not cfg.magnetic.is_zero:
+        # Lorentz force B i qdot: sign fixed by consistency with the loop
+        # functional, whose magnetic circulation term satisfies
+        # d/ds \oint (q+s xi)^*A = <-B i qdot, xi>
+        acc = acc + cfg.magnetic.field_at(q) * 1j * v
+    if not cfg.electric.is_zero:
+        acc = acc - cfg.electric.grad(t, q)
     return acc
 
 
@@ -131,7 +141,7 @@ def integrate(
     eps_col: float = EPS_COLLISION,
     sample_times=None,
 ) -> Trajectory:
-    """Adaptive RK 5(4) integration of the Newtonian equation.
+    """Adaptive Dormand-Prince 8(5,3) integration of the Newtonian equation.
 
     Aborts with ``collision_proximity`` when the particle comes within
     ``eps_col`` of a center; dense output is evaluated at ``sample_times``
@@ -143,13 +153,11 @@ def integrate(
         raise SingularityError("initial position at a Coulomb center")
 
     def rhs(t, y):
-        q = y[0] + 1j * y[1]
-        v = y[2] + 1j * y[3]
-        a = newtonian_rhs(t, q, v, cfg)
-        return [v.real, v.imag, float(a.real), float(a.imag)]
+        a = newtonian_rhs(t, complex(y[0], y[1]), complex(y[2], y[3]), cfg)
+        return [y[2], y[3], a.real, a.imag]
 
     def near_collision(t, y):
-        q = y[0] + 1j * y[1]
+        q = complex(y[0], y[1])
         return min(abs(q - 1.0), abs(q + 1.0)) - eps_col
 
     near_collision.terminal = True
@@ -163,7 +171,7 @@ def integrate(
         rhs,
         (t0, t1),
         [q0.real, q0.imag, v0.real, v0.imag],
-        method="RK45",
+        method="DOP853",
         rtol=tol,
         atol=tol,
         dense_output=sample_times is not None,
@@ -339,7 +347,7 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5, eps_col: floa
             if len(kk) < 2:
                 continue
             ts = kk / m
-            traj = integrate(q0[0], v0[0], lo, hi, cfg, tol=1e-12, eps_col=0.5 * eps_col, sample_times=ts)
+            traj = integrate(q0[0], v0[0], lo, hi, cfg, tol=1e-13, eps_col=0.5 * eps_col, sample_times=ts)
             if traj.terminated != COMPLETED:
                 worst = max(worst, np.inf)
                 continue

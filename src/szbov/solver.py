@@ -87,8 +87,10 @@ class SolveOptions:
     def __post_init__(self):
         if self.g_tol <= 0:
             raise ValueError("g_tol must be positive")
-        if not isinstance(self.max_iter, Integral) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be a positive integer, not {self.max_iter!r}")
+        for name in ("n", "m", "max_iter"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, not {value!r}")
 
 
 @dataclass(frozen=True)

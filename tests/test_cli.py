@@ -182,3 +182,23 @@ class TestExitCodes:
         seed = '{"kind": "circle", "radius": 2}'
         assert run(["solve", "--config", cfg, "--seed", seed, "--n", 32, "--quiet"]) == 2
         assert "max_iter must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["n", "m"])
+    @pytest.mark.parametrize("value", [40.9, 0, -8])
+    def test_bad_grid_rejected(self, tmp_path, capsys, key, value):
+        # rejected, not truncated to an integer grid or run at an empty one
+        cfg = write_config(tmp_path, {"fields": {"mu": 0.5}, "grid": {key: value}})
+        seed = '{"kind": "circle", "radius": 2}'
+        assert run(["eval", "--config", cfg, "--seed", seed, "--quiet"]) == 2
+        assert f"{key} must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n", 0, "n must be a positive integer"),
+        ("--m", -8, "m must be a positive integer"),
+        ("--tol", 0, "g_tol must be positive"),
+    ], ids=["n", "m", "tol"])
+    def test_bad_flag_rejected(self, capsys, flag, value, message):
+        # a flag given as 0 is rejected, not taken as absent
+        seed = '{"kind": "circle", "radius": 2}'
+        assert run(["eval", "--seed", seed, flag, value, "--quiet"]) == 2
+        assert message in capsys.readouterr().err

@@ -10,11 +10,14 @@ import szbov
 
 from conftest import random_smooth_loop
 from szbov import (
+    FieldConfig,
     PhysicalLoop,
     SingularityError,
     SolveOptions,
     Trajectory,
+    electric_preset,
     integrate,
+    magnetic_preset,
     newtonian_rhs,
     phi_profile,
     preset,
@@ -38,6 +41,40 @@ def circular_kepler(radius, m=256):
     return t * period, q, period, omega
 
 
+def circular_orbit(radius, b, periods, m=256):
+    """Closed-form circle of the given radius about the center at -1 when
+    mu = 0, under a constant magnetic field b: gravity and the Lorentz force
+    together give the centripetal acceleration, omega^2 = b omega + r^-3."""
+    omega = 0.5 * (b + np.sqrt(b**2 + 4.0 / radius**3))
+    t = np.arange(periods * m + 1) / m * (2 * np.pi / omega)
+    return t, -1.0 + radius * np.exp(1j * omega * t), omega
+
+
+def _custom_field(mu=0.5):
+    # B = 1 + q1/10 from the gauge Ac = i (q1 + q1^2/20); E = sin(2 pi t) |q|^2 / 10
+    magnetic = magnetic_preset(
+        "custom",
+        field=lambda q: 1.0 + 0.1 * q.real,
+        gauge=lambda q: 1j * (q.real + 0.05 * q.real**2),
+    )
+    electric = electric_preset(
+        "custom",
+        e=lambda t, q: 0.1 * np.sin(2 * np.pi * t) * np.abs(q) ** 2,
+        grad=lambda t, q: 0.2 * np.sin(2 * np.pi * t) * q,
+        dot=lambda t, q: 0.2 * np.pi * np.cos(2 * np.pi * t) * np.abs(q) ** 2,
+    )
+    return FieldConfig(mu=mu, magnetic=magnetic, electric=electric)
+
+
+SCALAR_CASES = {
+    "zero": ZERO,
+    "constant": preset("constant", mu=0.3, b=0.7),
+    "uniform_oscillating": preset("uniform_oscillating", mu=0.5, epsilon=0.05, d=0.6 + 0.8j),
+    "rotating_charge": preset("rotating_charge", mu=0.4, mu_s=0.2, r_s=3.0),
+    "custom": _custom_field(),
+}
+
+
 class TestNewtonianRhs:
     def test_pure_gravity_points_at_the_centers(self):
         q = np.array([0.0 + 1.0j])
@@ -58,6 +95,20 @@ class TestNewtonianRhs:
         with pytest.raises(SingularityError):
             newtonian_rhs(0.0, np.array([1.0 + 0j]), np.array([0j]), ZERO)
 
+    @pytest.mark.parametrize("name", sorted(SCALAR_CASES))
+    def test_scalar_matches_array(self, name):
+        cfg = SCALAR_CASES[name]
+        points = [(0.0, 0.3 + 0.7j, -0.4 + 0.2j), (0.37, -1.6 - 0.2j, 0.9j), (0.81, 2.5 + 1.1j, 1.3 - 0.6j)]
+        for t, q, v in points:
+            a = newtonian_rhs(t, q, v, cfg)
+            ref = newtonian_rhs(t, np.array([q]), np.array([v]), cfg)[0]
+            assert abs(a - ref) <= 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("q", [1.0 + 0j, -1.0 + 0j])
+    def test_rejects_a_scalar_at_a_center(self, q):
+        with pytest.raises(SingularityError):
+            newtonian_rhs(0.0, q, 0.5j, ZERO)
+
 
 class TestIntegrate:
     def test_circular_kepler_closed_form(self):
@@ -68,6 +119,18 @@ class TestIntegrate:
         traj = integrate(q0, v0, 0.0, period, KEPLER, tol=1e-12, sample_times=times)
         assert traj.terminated == "completed"
         np.testing.assert_allclose(traj.positions, q_exact, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "cfg, b, radius",
+        [(KEPLER, 0.0, 0.7), (preset("constant", mu=0.0, b=2.0), 2.0, 0.5)],
+        ids=["kepler", "constant_field"],
+    )
+    def test_circle_over_five_periods(self, cfg, b, radius):
+        # b = 2 at r = 0.5 has omega = 4 and exercises the Lorentz term
+        times, q_exact, omega = circular_orbit(radius, b, periods=5)
+        traj = integrate(q_exact[0], 1j * omega * radius, 0.0, times[-1], cfg, tol=1e-12, sample_times=times)
+        assert traj.terminated == "completed"
+        assert np.max(np.abs(traj.positions - q_exact)) <= 1e-9
 
     def test_collision_proximity_termination(self):
         # radial free fall onto the center at -1
