@@ -15,6 +15,14 @@ Off the nodes, every Fourier sum (the interpolant in ``eval_loop`` and
 baby-step/giant-step routine, ``_fourier_sum``: two small tables of phases,
 of about sqrt(N) columns each, and one matrix product, so that M points cost
 about 2 sqrt(N) M complex exponentials instead of an M x N phase matrix.
+Several coefficient rows at the same points share the tables: the time map
+sums t and its slope t' in one pass.
+
+The inverse time map tau(t), which every physical loop q(t) = B(z(tau(t)))
+needs, is a safeguarded Newton iteration that costs one such pass per step.
+It starts from the cubic Hermite interpolant of tau(t) on each node cell,
+whose end slopes zhat/w_j are known at the nodes, wherever the node slopes
+keep that cubic monotone; most points then converge in one Newton step.
 """
 
 from __future__ import annotations
@@ -130,6 +138,10 @@ def _fourier_sum(c: np.ndarray, x) -> np.ndarray:
     for coefficients c in that order, with the Nyquist mode k = -n/2 taken as
     cos(pi n x) (the symmetric convention).
 
+    c is one row of n coefficients or a stack of p rows shaped (p, n), and the
+    result is shaped (m,) or (p, m) to match: the phase tables depend on x
+    alone, so every row is summed from the same two tables.
+
     Baby-step/giant-step: with B a power of two near sqrt(n), each mode but
     the Nyquist one is k = a*B + b with -B/2 <= b < B/2.  The coefficients,
     zero-padded into a table with one row per a and one column per b, are
@@ -141,21 +153,25 @@ def _fourier_sum(c: np.ndarray, x) -> np.ndarray:
     and with them the round-off of a direct sum; x is shifted by an integer
     to |x| <= 1/2 for the same reason (the shift is exact).
     """
-    n = len(c)
+    c = np.asarray(c)
+    stack = np.atleast_2d(c)
+    p, n = stack.shape
     half = n // 2
     baby = 1 << (n.bit_length() // 2)
     first = (baby // 2 - half) // baby
     rows = (half - 1 + baby // 2) // baby - first + 1
     zero = baby // 2 - first * baby  # table slot of k = 0
-    table = np.zeros(rows * baby, dtype=complex)
-    table[zero : zero + half] = c[:half]
-    table[zero - half + 1 : zero] = c[half + 1 :]
+    table = np.zeros((p, rows * baby), dtype=complex)
+    table[:, zero : zero + half] = stack[:, :half]
+    table[:, zero - half + 1 : zero] = stack[:, half + 1 :]
     x = np.atleast_1d(np.asarray(x, dtype=float))
     x = x - np.round(x)
     baby_phase = _phases(x, np.arange(-(baby // 2), baby // 2))
     giant_phase = _phases(x, baby * np.arange(first, first + rows))
-    out = np.einsum("ij,ij->i", giant_phase, baby_phase @ table.reshape(rows, baby).T)
-    return out + c[half] * np.cos(np.pi * n * x)
+    partial = (baby_phase @ table.reshape(p * rows, baby).T).reshape(len(x), p, rows)
+    out = np.einsum("ik,ipk->pi", giant_phase, partial)
+    out += np.multiply.outer(stack[:, half], np.cos(np.pi * n * x))
+    return out if c.ndim == 2 else out[0]
 
 
 def _phases(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -257,11 +273,14 @@ class TimeMap:
 
     t(tau) is the normalized antiderivative of the conformal weight along the
     loop.  The Fourier coefficients of the weights and of their antiderivative
-    are computed once per map (``_spectral``); ``t`` and ``t_prime`` then sum
-    them at any tau with ``_fourier_sum``.  The continuous inverse is realized
-    by a safeguarded Newton iteration inside the node brackets of
-    ``t_of_tau``, falling back to bisection where t' vanishes (collisions) or
-    the Newton step leaves the bracket.
+    are computed once per map and kept as one two-row stack (``_spectral``);
+    ``t`` sums the antiderivative row at any tau with ``_fourier_sum`` and,
+    asked for the slope as well, sums both rows from the same phase tables.
+    The continuous inverse is realized by a safeguarded Newton iteration
+    inside the node brackets of ``t_of_tau``, one such pass per step, started
+    from the cubic Hermite interpolant of tau(t) on each node cell and
+    falling back to bisection where t' vanishes (collisions) or the Newton
+    step leaves the bracket.
     """
 
     zhat: float
@@ -274,9 +293,9 @@ class TimeMap:
 
     @functools.cached_property
     def _spectral(self):
-        """Fourier coefficients c of the weights; coefficients of their
-        antiderivative, c_k / (2 pi i k) with the mean and Nyquist modes
-        zeroed; and that antiderivative's value at tau = 0."""
+        """The stack of two coefficient rows: the antiderivative's,
+        c_k / (2 pi i k) with the mean and Nyquist modes zeroed, above the
+        weights' own c_k; and that antiderivative's value at tau = 0."""
         n = self.n
         c = np.fft.fft(self.weights) / n
         k = np.fft.fftfreq(n, d=1.0 / n)
@@ -284,33 +303,65 @@ class TimeMap:
         nz = k != 0
         coef[nz] = c[nz] / (2j * np.pi * k[nz])
         coef[n // 2] = 0.0  # Nyquist handled as a cosine below
-        return c, coef, np.real(np.sum(coef))
+        return np.stack([coef, c]), np.real(np.sum(coef))
 
-    def t(self, tau) -> np.ndarray:
-        """Continuous evaluation of t(tau); extends by t(tau+1) = t(tau)+1."""
+    def t(self, tau, with_slope: bool = False):
+        """Continuous evaluation of t(tau); extends by t(tau+1) = t(tau)+1.
+
+        With ``with_slope``, returns (t, t') where t' = w(z(tau))/zhat is the
+        trigonometric interpolant of the weights, clipped at 0, summed in the
+        same pass as t.
+        """
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         base = np.floor(tau)
         frac = tau - base
-        c, coef, at_zero = self._spectral
+        stack, at_zero = self._spectral
+        c = stack[1]
         m = self.n // 2
-        osc = np.real(_fourier_sum(coef, frac)) - at_zero
+        sums = np.real(_fourier_sum(stack[: 2 if with_slope else 1], frac))
+        osc = sums[0] - at_zero
         # Nyquist mode interpolated as cos: antiderivative sin(2 pi m tau)/(2 pi m)
         osc += np.real(c[m]) * np.sin(2.0 * np.pi * m * frac) / (2.0 * np.pi * m)
         raw = np.real(c[0]) * frac + osc
-        return base + raw / self.zhat
+        t = base + raw / self.zhat
+        if not with_slope:
+            return t
+        return t, np.clip(sums[1], 0.0, None) / self.zhat
 
-    def t_prime(self, tau) -> np.ndarray:
-        """dt/dtau = w(z(tau))/zhat via trigonometric interpolation of w."""
-        w = np.real(_fourier_sum(self._spectral[0], tau))
-        return np.clip(w, 0.0, None) / self.zhat
+    def _start(self, frac: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Where in node cell ``idx`` (0 at its left node, 1 at its right) the
+        inverse starts for times ``frac``: the inverse cubic Hermite
+        interpolant, tau as a function of t with end slopes 1/t'_j = zhat/w_j,
+        where both normalized slopes s = t'_j (1/n) / rise are >= 1/3
+        (Fritsch-Carlson: the cubic is then monotone and stays in its cell),
+        and linear interpolation elsewhere (collisions, grazing and flat
+        cells)."""
+        n = self.n
+        nodes = self.t_of_tau
+        rise = nodes[idx + 1] - nodes[idx]
+        flat = rise <= 0
+        rise = np.where(flat, 1.0, rise)
+        u = np.clip((frac - nodes[idx]) / rise, 0.0, 1.0)
+        scale = 1.0 / (n * self.zhat * rise)
+        s0 = self.weights[idx] * scale
+        s1 = self.weights[(idx + 1) % n] * scale
+        hermite = ~flat & (s0 >= 1.0 / 3.0) & (s1 >= 1.0 / 3.0)
+        d0 = 1.0 / np.where(hermite, s0, 1.0)
+        d1 = 1.0 / np.where(hermite, s1, 1.0)
+        # Hermite basis on [0, 1] with values 0, 1 and slopes d0, d1
+        cubic = u * u * (3.0 - 2.0 * u) + u * (1.0 - u) * ((1.0 - u) * d0 - u * d1)
+        return np.where(hermite, np.clip(cubic, 0.0, 1.0), u)
 
     def inverse(self, t) -> np.ndarray:
         """tau(t) with residual |t(tau) - t| below ~1e-13.
 
         Safeguarded Newton iteration, vectorized over the points.  Each point
-        starts from linear interpolation between its bracketing nodes of
-        ``t_of_tau`` and keeps that node cell as a bracket, shrunk by the sign
-        of the residual at every step.  The Newton step is taken when t' > 0
+        starts from the cubic Hermite interpolant of tau(t) between its
+        bracketing nodes of ``t_of_tau`` (linear interpolation where a node
+        slope is too small for the cubic to stay monotone, see ``_start``) and
+        keeps that node cell as a bracket, shrunk by the sign of the residual
+        at every step.  Each step evaluates t and t' in one pass,
+        ``t(tau, with_slope=True)``.  The Newton step is taken when t' > 0
         and it lands strictly inside the bracket; otherwise the bracket is
         bisected, which is what converges where the conformal weight (so t')
         vanishes at a collision, or where the interpolant is locally
@@ -322,23 +373,20 @@ class TimeMap:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         base = np.floor(t)
         frac = t - base
-        nodes = self.t_of_tau
         n = self.n
-        idx = np.clip(np.searchsorted(nodes, frac, side="right") - 1, 0, n - 1)
+        idx = np.clip(np.searchsorted(self.t_of_tau, frac, side="right") - 1, 0, n - 1)
         lo = idx / n
         hi = (idx + 1) / n
-        rise = nodes[idx + 1] - nodes[idx]
-        share = np.clip((frac - nodes[idx]) / np.where(rise > 0, rise, 1.0), 0.0, 1.0)
-        tau = lo + share * (hi - lo)
+        tau = lo + self._start(frac, idx) * (hi - lo)
         active = np.arange(len(frac))
         for _ in range(_INVERSE_MAX_STEPS):
             ta, fa, la, ha = tau[active], frac[active], lo[active], hi[active]
-            resid = self.t(ta) - fa
+            value, deriv = self.t(ta, with_slope=True)
+            resid = value - fa
             above = resid > 0
             la = np.where(above, la, ta)
             ha = np.where(above, ta, ha)
             lo[active], hi[active] = la, ha
-            deriv = self.t_prime(ta)
             newton = ta - resid / np.where(deriv > 0, deriv, 1.0)
             inside = (deriv > 0) & (newton > la) & (newton < ha)
             step = np.where(inside, newton, 0.5 * (la + ha))

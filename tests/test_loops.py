@@ -23,7 +23,7 @@ from szbov import (
     zhat,
 )
 from conftest import random_smooth_loop
-from szbov.loops import _spectral_derivative, _trig_eval
+from szbov.loops import TimeMap, _fourier_sum, _spectral_derivative, _trig_eval
 
 TAU64 = np.arange(64) / 64
 
@@ -97,6 +97,14 @@ class TestSpectralCalculus:
         direct = direct_phases(n, x / period) @ c
         error = np.max(np.abs(_trig_eval(samples, x, period) - direct))
         assert error <= 1e-13 * np.sum(np.abs(c))
+        # a (2, n) stack: each row summed from the same phase tables
+        other = np.fft.fft(rng.normal(size=n) + 1j * rng.normal(size=n)) / n
+        assert abs(other[n // 2]) > 1e-3 * np.max(np.abs(other))
+        sums = _fourier_sum(np.stack([c, other]), x / period)
+        assert sums.shape == (2, len(x))
+        for row, coef in zip(sums, [c, other]):
+            error = np.max(np.abs(row - direct_phases(n, x / period) @ coef))
+            assert error <= 1e-13 * np.sum(np.abs(coef))
 
 
 class TestTimeMap:
@@ -131,7 +139,8 @@ class TestTimeMap:
         bound = 1e-13 * np.sum(np.abs(c)) / tm.zhat
         w = np.real(phase @ c)
         expected = np.clip(w, 0.0, None) / tm.zhat
-        np.testing.assert_allclose(tm.t_prime(x), expected, rtol=0, atol=bound)
+        t, slope = tm.t(x, with_slope=True)
+        np.testing.assert_allclose(slope, expected, rtol=0, atol=bound)
         # t: the antiderivative of the same sum, from 0, over zhat
         k = np.fft.fftfreq(n, d=1.0 / n)
         osc = (k != 0) & (k != -n // 2)  # the mean and Nyquist terms are added below
@@ -139,6 +148,7 @@ class TestTimeMap:
         coef[osc] = c[osc] / (2j * np.pi * k[osc])
         raw = np.real((phase - 1.0) @ coef)
         raw += np.real(c[0]) * x + np.real(c[n // 2]) * np.sin(np.pi * n * x) / (np.pi * n)
+        np.testing.assert_allclose(t, raw / tm.zhat, rtol=0, atol=bound)
         np.testing.assert_allclose(tm.t(x), raw / tm.zhat, rtol=0, atol=bound)
 
     def test_inverse_round_trip(self):
@@ -170,6 +180,38 @@ class TestTimeMap:
         tau = tm.inverse(t)
         assert np.max(np.abs(tm.t(tau) - t)) <= 1e-13
         assert np.all(np.diff(tau) >= 0)
+
+    def test_inverse_takes_about_two_passes_per_point(self, rng, monkeypatch):
+        # the cubic Hermite start leaves most points one Newton step from
+        # round-off, and each step is one pass of t with its slope
+        n = 1024
+        circle = np.exp(2j * np.pi * np.arange(n) / n)
+        loops = [
+            DiscreteLoop(2.1 + 0.4 * circle),
+            DiscreteLoop(2.0 + 0.99 * circle),
+            DiscreteLoop(circle),
+            random_smooth_loop(rng, n, center=3.0 + 0.5j),
+            random_smooth_loop(rng, n, center=3.0 + 0.5j),
+            random_smooth_loop(rng, n, twisted=True),
+            random_smooth_loop(rng, n, twisted=True),
+        ]
+        points = []
+        t_eval = TimeMap.t
+
+        def counted(self, tau, *args, **kwargs):
+            points.append(np.size(tau))
+            return t_eval(self, tau, *args, **kwargs)
+
+        t = np.arange(1024) / 1024
+        for loop in loops:
+            tm = time_map(loop)
+            points.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(TimeMap, "t", counted)
+                tau = tm.inverse(t)
+            assert sum(points) <= 2.1 * len(t)
+            assert np.max(np.abs(tm.t(tau) - t)) <= 1e-13
+            assert np.all(np.diff(tau) >= 0)
 
 
 def collision_free_loops(rng, n=64):

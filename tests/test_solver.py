@@ -21,6 +21,7 @@ from szbov import (
     make_seed,
     pack,
     preset,
+    reconstruct,
     record_from_dict,
     save_loop,
     seed_circle,
@@ -41,8 +42,6 @@ OPTS = SolveOptions(n=64, m=256)
 
 class TestSeeds:
     def test_circle_physical_trace_winds_around_both_centers(self):
-        from szbov import reconstruct
-
         q = reconstruct(seed_circle(0.0, 2.0, 64), 256)
         rep = winding_report(q.samples)
         assert rep.total == 2
@@ -72,6 +71,14 @@ class TestSeeds:
     def test_ejection_requires_valid_side(self):
         with pytest.raises(ValueError):
             seed_ejection(0)
+
+    @pytest.mark.parametrize("a, b", [(2.0, 1.5), (0.5, 0.3)])
+    def test_ellipse_lift_reconstructs_the_ellipse(self, a, b):
+        loop = make_seed({"kind": "ellipse_lift", "a": a, "b": b}, n=64)
+        assert not loop.twisted
+        t = np.arange(64) / 64
+        ellipse = a * np.cos(2 * np.pi * t) + 1j * b * np.sin(2 * np.pi * t)
+        assert np.max(np.abs(reconstruct(loop, 64).samples - ellipse)) <= 1e-13
 
     def test_make_seed_round_trip_through_file(self, tmp_path):
         loop = seed_circle(0.1 + 0.2j, 2.0, 64)
