@@ -9,12 +9,18 @@ Each of the three mechanisms was switched off in turn on the bench's matrix
 solves and each one pays; their settings are the module constants below, and
 ``SolveOptions`` holds only the grid, the tolerance and the iteration cap.
 
+The anchor measures the distance to the seed in physical time at the
+iterate's own node times, which the time map gives by quadrature, so the
+time map is inverted only outside the iteration: for the seed's physical
+samples and winding, and for the converged record.
+
 Each iteration assembles the Jacobian of that residual densely, once: the
 gradient block is the exact second variation of the discretized functional
 (``action.stacked_second_variation``), applied to the coordinate directions
-a block at a time, so it is symmetric to round-off.  The same matrix gives
-the damped normal equations, the step's right-hand side and that of the
-acceleration, which are solved directly.
+a block at a time, so it is symmetric to round-off; the anchor block is
+diagonal in the nodes.  The same matrix gives the damped normal equations,
+the step's right-hand side and that of the acceleration, which are solved
+directly.
 """
 
 from __future__ import annotations
@@ -27,10 +33,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import action as _action
-from .action import eval_components, gradient, grad_norm, pack, stacked_second_variation, unpack
+from .action import delay_residual, eval_components, gradient, pack, stacked_second_variation, unpack
 from .dynamics import phi_profile
-from .fields import FieldConfig, config_to_dict
-from .geometry import WindingError, WindingReport, birkhoff_map, winding_report
+from .fields import FieldConfig, config_from_dict, config_to_dict
+from .geometry import WindingError, WindingReport, birkhoff_derivative, birkhoff_map, winding_report
 from .loops import (
     EPS_ZHAT,
     DiscreteLoop,
@@ -43,6 +49,8 @@ from .loops import (
     loop_from_dict,
     loop_to_dict,
     reconstruct,
+    time_map,
+    _trig_eval,
 )
 
 log = logging.getLogger(__name__)
@@ -155,8 +163,6 @@ class OrbitRecord:
 
 def record_from_dict(data: dict, cfg: Optional[FieldConfig] = None) -> OrbitRecord:
     """Rebuild an OrbitRecord from its JSON form (recomputing the breakdown)."""
-    from .fields import config_from_dict
-
     z = loop_from_dict(data["z"])
     if cfg is None:
         cfg = config_from_dict(data["fields"])
@@ -293,91 +299,63 @@ def _admissible(x: np.ndarray) -> bool:
     return float(np.mean(conformal_weight(z))) > EPS_ZHAT
 
 
-def _anchor_points(loop: DiscreteLoop, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """tau(t) at the given physical times, through the loop's time map, and
-    the loop z(tau) there."""
-    from .loops import eval_loop, time_map
-
-    tau = time_map(loop).inverse(t)
-    return tau, eval_loop(loop, tau)
-
-
 def _residual_factory(cfg: FieldConfig, twisted: bool, x0: np.ndarray):
     """Residual map of the damped Gauss-Newton iteration.
 
     Two stacked blocks: the exact discrete gradient (the equation being
-    solved), and a proximal anchor sqrt(lam_prox) * (q(t) - q_seed(t)) on the
-    uniform physical time grid.  Critical points can come in families
-    (symmetries of the physical problem make the second variation singular
-    along them); the anchor, driven toward zero as the iteration converges,
-    selects the member of the family nearest the seed in the physical-plane
-    L2 distance instead of leaving that choice to round-off.  For autonomous
-    fields a scalar phase row removes the parameter-shift direction.
+    solved), and a proximal anchor sqrt(lam_prox) times the distance between
+    the iterate's physical loop and the seed's.  Critical points can come in
+    families (symmetries of the physical problem make the second variation
+    singular along them); the anchor, driven toward zero as the iteration
+    converges, selects the member of the family nearest the seed in the
+    physical-plane L2 distance instead of leaving that choice to round-off.
+    For autonomous fields a scalar phase row removes the parameter-shift
+    direction.
 
-    ``residual(x)`` returns the residual and the anchor points
-    ``(tau(t_grid), z(tau))`` of x, which the Jacobian at x reuses instead of
-    inverting the time map again.
+    The anchor compares each node's position B(z_j) with the seed's physical
+    loop q0, trigonometrically interpolated in t, at the node's own time
+    t_j = t(tau_j), and weights it by sqrt(w_j/zhat) = sqrt(dt/dtau), so that
+    its square sum is the L2 distance in physical time.  The node times are
+    the time map's cumulative quadrature (``t_of_tau``), so no residual
+    inverts the time map: q0 is the seed reconstructed at n uniform times,
+    once.  Where the seed has a collision, q0(t) is not smooth there and its
+    interpolant rings, so it misses the seed's own node positions and the
+    anchor could never reach zero; each anchor stage would then end only on
+    patience.  A fixed per-node offset B(z0_j) - q0(t0_j) removes that miss,
+    and the anchor is exactly zero at the seed.
     """
-    n2 = len(x0)
-    n = n2 // 2
+    n = len(x0) // 2
     scale = 1.0 / np.sqrt(n)
+    seed = DiscreteLoop(unpack(x0), twisted=twisted)
 
     if cfg.autonomous:
-        phase_dir = pack(derivative(DiscreteLoop(unpack(x0), twisted=twisted)))
+        phase_dir = pack(derivative(seed))
         phase_dir = phase_dir / max(np.linalg.norm(phase_dir), 1e-300)
     else:
         phase_dir = None
 
-    t_grid = np.arange(n) / n
-    q0 = birkhoff_map(_anchor_points(DiscreteLoop(unpack(x0), twisted=twisted), t_grid)[1])
+    q0 = reconstruct(seed, n).samples
+
+    def miss(loop: DiscreteLoop) -> tuple[np.ndarray, np.ndarray]:
+        """B(z_j) - q0(t_j) at the nodes, and the weights sqrt(w_j/zhat)."""
+        tm = time_map(loop)
+        dq = birkhoff_map(loop.samples) - _trig_eval(q0, tm.t_of_tau[:n])
+        return dq, np.sqrt(tm.weights / tm.zhat)
+
+    offset = miss(seed)[0]
     state = {"lam_prox": _PROX0}
 
-    def residual(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    def residual(x: np.ndarray) -> np.ndarray:
         loop = DiscreteLoop(unpack(x), twisted=twisted)
-        g = gradient(loop, cfg)
-        parts = [pack(g) * scale]
-        lam = state["lam_prox"]
-        anchor = _anchor_points(loop, t_grid)
-        dq = birkhoff_map(anchor[1]) - q0
-        parts.append(np.sqrt(lam) * scale * np.concatenate([dq.real, dq.imag]))
+        parts = [pack(gradient(loop, cfg)) * scale]
+        dq, root_w = miss(loop)
+        dq = root_w * (dq - offset)
+        parts.append(np.sqrt(state["lam_prox"]) * scale * np.concatenate([dq.real, dq.imag]))
         if phase_dir is not None:
             parts.append(np.array([float(phase_dir @ (x - x0))]))
-        return np.concatenate(parts), anchor
+        return np.concatenate(parts)
 
     return residual, phase_dir, state
-
-
-def _interp_kernel(n_samples: int, period: float, x: np.ndarray) -> np.ndarray:
-    """Trigonometric-interpolation weight matrix: row i gives the weights that
-    evaluate the band-limited interpolant of samples on the uniform grid
-    j*period/n at the point x_i (Nyquist mode interpolated as cosine)."""
-    grid = np.arange(n_samples) * (period / n_samples)
-    d = (x[:, None] - grid[None, :]) / period
-    half = n_samples // 2
-    s = np.sin(np.pi * d)
-    # 1 + 2 sum_{m<half} cos(2 pi m d) + cos(2 pi half d), via the Dirichlet kernel
-    near = np.abs(s) < 1e-12
-    safe = np.where(near, 1.0, s)
-    out = np.sin((n_samples - 1) * np.pi * d) / safe + np.cos(np.pi * n_samples * d)
-    out = np.where(near, float(n_samples) * np.cos(np.pi * n_samples * d) ** 2, out)
-    return out / n_samples
-
-
-def _prox_jacobian(loop: DiscreteLoop, tau: np.ndarray, z_tau: np.ndarray) -> np.ndarray:
-    """Complex n x n matrix C with (C v)_i = d q(t_i) under sample variation v,
-    holding the time map (hence tau(t_i)) frozen at the current iterate;
-    z_tau is the loop at tau."""
-    from .geometry import birkhoff_derivative
-
-    z = np.asarray(loop.samples)
-    n = loop.n
-    if loop.twisted:
-        k = _interp_kernel(2 * n, 2.0, tau)
-        a = k[:, :n] - k[:, n:] * (1.0 / z**2)[None, :]
-    else:
-        a = _interp_kernel(n, 1.0, tau).astype(complex)
-    bp = birkhoff_derivative(z_tau)
-    return bp[:, None] * a
 
 
 # Step, relative to the iterate, below which no geodesic acceleration is
@@ -392,7 +370,6 @@ def _dense_jacobian(
     xc: np.ndarray,
     twisted: bool,
     cfg: FieldConfig,
-    cmat: np.ndarray,
     sq: float,
     phase_dir: Optional[np.ndarray],
 ) -> np.ndarray:
@@ -400,23 +377,36 @@ def _dense_jacobian(
 
     Gradient block: column i is the exact second variation of the scaled
     gradient along the coordinate direction e_i, evaluated a block of
-    directions at a time.  Anchor block: sq * C acting on [Re; Im]
-    coordinates, with C from ``_prox_jacobian``.  Phase row: ``phase_dir``.
+    directions at a time.  Anchor block: with the node times and weights
+    frozen at xc, node j of the anchor moves only with z_j, so the block is
+    the diagonal sq * sqrt(w_j/zhat) * B'(z_j) acting on [Re; Im]
+    coordinates.  The offset that makes the anchor vanish at the seed is a
+    constant and does not enter.  Freezing the times leaves out the term
+    -q0'(t_j) dt_j; with it, criterion 10's field steps take 10 iterations
+    instead of 4.  Phase row: ``phase_dir``.
     """
     n2 = len(xc)
-    scale = 1.0 / np.sqrt(n2 // 2)
-    rows = stacked_second_variation(unpack(xc), unpack(np.eye(n2)), twisted, cfg)
-    grad_block = pack(rows).T * scale
-    blocks = [grad_block, sq * np.block([[cmat.real, -cmat.imag], [cmat.imag, cmat.real]])]
+    z = unpack(xc)
+    rows = stacked_second_variation(z, unpack(np.eye(n2)), twisted, cfg)
+    grad_block = pack(rows).T / np.sqrt(n2 // 2)
+    w = conformal_weight(z)
+    d = sq * np.sqrt(w / np.mean(w)) * birkhoff_derivative(z)
+    re, im = np.diag(d.real), np.diag(d.imag)
+    blocks = [grad_block, np.block([[re, -im], [im, re]])]
     if phase_dir is not None:
         blocks.append(phase_dir[None, :])
     return np.vstack(blocks)
 
 
 def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOptions()) -> OrbitRecord:
-    """Levenberg-Marquardt on the gradient residual from the given seed."""
-    twisted = seed.twisted
+    """Levenberg-Marquardt on the gradient residual from the given seed.
+
+    The grid is the seed's: a seed whose n is not ``opts.n`` is rejected.
+    """
     n = seed.n
+    if n != opts.n:
+        raise ValueError(f"seed has n={n} samples, but the solve options ask for n={opts.n}")
+    twisted = seed.twisted
     x = pack(np.asarray(seed.samples))
     x0 = x.copy()
     residual, phase_dir, state = _residual_factory(cfg, twisted, x0)
@@ -425,16 +415,9 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
     def gn_of(r: np.ndarray) -> float:
         return float(np.linalg.norm(r[: 2 * n]))
 
-    r, anchor = residual(x)
+    r = residual(x)
     gn = gn_of(r)
     seed_winding = _safe_winding(reconstruct(seed, opts.m))
-
-    def jacobian(xc, anchor_c):
-        """The frozen Gauss-Newton Jacobian at xc, whose anchor points
-        ``residual(xc)`` returned as anchor_c."""
-        cmat = _prox_jacobian(DiscreteLoop(unpack(xc), twisted=twisted), *anchor_c)
-        sq = np.sqrt(state["lam_prox"]) * scale
-        return _dense_jacobian(xc, twisted, cfg, cmat, sq, phase_dir)
 
     lam = _LAM0
     best_x, best_gn = x.copy(), gn
@@ -458,7 +441,7 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
             break
 
         xc, rc = x, r
-        jmat = jacobian(xc, anchor)
+        jmat = _dense_jacobian(xc, twisted, cfg, np.sqrt(state["lam_prox"]) * scale, phase_dir)
         ata = jmat.T @ jmat
         eye = np.eye(len(xc))
         rhs = -(jmat.T @ rc)
@@ -477,17 +460,15 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
                 and _admissible(x + hg * delta)
                 and _admissible(x - hg * delta)
             ):
-                second = (
-                    residual(x + hg * delta)[0] - 2.0 * rc + residual(x - hg * delta)[0]
-                ) / hg**2
+                second = (residual(x + hg * delta) - 2.0 * rc + residual(x - hg * delta)) / hg**2
                 accel = np.linalg.solve(normal, -(jmat.T @ second))
                 if np.linalg.norm(accel) < 0.75 * np.linalg.norm(delta):
                     delta = delta + 0.5 * accel
             xt = x + delta
             if _admissible(xt):
-                rt, at = residual(xt)
+                rt = residual(xt)
                 if np.linalg.norm(rt) < np.linalg.norm(r):
-                    x, r, anchor = xt, rt, at
+                    x, r = xt, rt
                     lam = max(lam * _LAM_DOWN, 1e-14)
                     accepted = True
                     break
@@ -543,8 +524,6 @@ def _safe_winding(q: PhysicalLoop) -> Optional[WindingReport]:
 
 def _finalize(loop, cfg, opts, gn, iterations, seed_winding) -> OrbitRecord:
     breakdown = eval_components(loop, cfg)
-    from .action import delay_residual
-
     delay = delay_residual(loop, cfg)
     q = reconstruct(loop, opts.m)
     wind = _safe_winding(q)

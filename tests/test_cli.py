@@ -175,6 +175,14 @@ class TestExitCodes:
             assert run(["eval", "--config", cfg, "--seed", seed]) == 2
             assert message in capsys.readouterr().err
 
+    def test_seed_file_grid_must_match_n(self, tmp_path, capsys):
+        # a loop file brings its own grid; a different --n is rejected, not ignored
+        loop_path = tmp_path / "loop64.json"
+        save_loop(seed_circle(0.0, 2.0, 64), loop_path)
+        assert run(["solve", "--seed", loop_path, "--n", 128, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "64" in err and "128" in err
+
     @pytest.mark.parametrize("max_iter", [2.5, -3, 0])
     def test_bad_max_iter_rejected(self, tmp_path, capsys, max_iter):
         # rejected before any iteration, not as a crash or a non-convergence

@@ -10,10 +10,11 @@ from szbov import (
     SolveError,
     SolveOptions,
     continue_family,
+    birkhoff_map,
+    conformal_weight,
     derivative,
     electric_preset,
     eval_action,
-    eval_loop,
     grad_norm,
     gradient,
     involution,
@@ -28,12 +29,12 @@ from szbov import (
     seed_ejection,
     seed_kepler_guess,
     solve,
-    time_map,
     unpack,
     winding_report,
 )
 from szbov.action import stacked_second_variation
-from szbov.solver import _PROX0, _dense_jacobian, _prox_jacobian
+from szbov.loops import TimeMap
+from szbov.solver import _PROX0, _dense_jacobian, _residual_factory
 
 KEPLER = preset("zero", mu=0.0)
 EULER = preset("zero", mu=0.5)
@@ -127,6 +128,37 @@ class TestSolve:
         with pytest.raises(NoConvergenceError):
             solve(seed_circle(0.3 + 0.2j, 2.5, 64), EULER, opts)
 
+    def test_seed_grid_must_match_the_options(self):
+        with pytest.raises(ValueError, match="n=64.*n=128"):
+            solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, SolveOptions(n=128, m=256))
+
+    def test_time_map_is_inverted_outside_the_iteration_only(self, monkeypatch):
+        # the seed's winding, the anchor's seed samples and the record's
+        # reconstruction; no residual inverts the time map
+        seed = seed_kepler_guess(-1, 0.3, 64)
+        calls = []
+        inverse = TimeMap.inverse
+
+        def counted(self, t):
+            calls.append(len(np.atleast_1d(t)))
+            return inverse(self, t)
+
+        monkeypatch.setattr(TimeMap, "inverse", counted)
+        rec = solve(seed, EULER, OPTS)
+        assert rec.iterations > 10
+        assert len(calls) <= 3
+
+    def test_anchor_vanishes_at_a_collisional_seed(self):
+        # the ejection seed's physical loop reaches a center, where its
+        # interpolant in t rings; the offset still zeroes the anchor there
+        seed = seed_ejection(-1, 64)
+        x0 = pack(seed.samples)
+        residual, _, _ = _residual_factory(KEPLER, seed.twisted, x0)
+        n = seed.n
+        assert np.all(residual(x0)[2 * n : 4 * n] == 0.0)
+        moved = residual(x0 + 1e-3 * np.cos(np.arange(2 * n)))[2 * n : 4 * n]
+        assert np.max(np.abs(moved)) > 1e-6
+
     def test_record_serialization_round_trip(self):
         rec = solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, OPTS)
         again = record_from_dict(rec.to_dict())
@@ -174,7 +206,7 @@ class TestDenseJacobian:
     def gradient_block(loop, cfg):
         n = loop.n
         xc = pack(loop.samples)
-        jmat = _dense_jacobian(xc, loop.twisted, cfg, np.zeros((n, n)), 0.0, None)
+        jmat = _dense_jacobian(xc, loop.twisted, cfg, 0.0, None)
         return jmat[: 2 * n]
 
     @staticmethod
@@ -223,19 +255,26 @@ class TestDenseJacobian:
         assert np.max(np.abs(pack(rows) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @staticmethod
-    def column_by_column(xc, twisted, cfg, cmat, sq, phase_dir, h=1e-6):
+    def column_by_column(xc, twisted, cfg, sq, phase_dir, h=1e-6):
         """Reference assembly: one forward product per coordinate direction,
-        its gradient block a central difference of two single-loop gradients
-        at step h * max(1, |xc|)."""
+        each block a central difference at step h * max(1, |xc|): of two
+        single-loop gradients, and of the node positions B(z_j) weighted by
+        sqrt(w_j/zhat) frozen at xc."""
         n = len(xc) // 2
+        w = conformal_weight(unpack(xc))
+        root_w = np.sqrt(w / np.mean(w))
 
         def grad_block(x):
             return pack(gradient(DiscreteLoop(unpack(x), twisted=twisted), cfg)) / np.sqrt(n)
 
+        def anchor_block(x):
+            return sq * pack(root_w * birkhoff_map(unpack(x)))
+
         def forward(v):
             step = h * max(1.0, np.linalg.norm(xc))
             hvp = (grad_block(xc + step * v) - grad_block(xc - step * v)) / (2.0 * step)
-            return np.concatenate([hvp, sq * pack(cmat @ unpack(v)), [phase_dir @ v]])
+            dq = (anchor_block(xc + step * v) - anchor_block(xc - step * v)) / (2.0 * step)
+            return np.concatenate([hvp, dq, [phase_dir @ v]])
 
         eye = np.eye(len(xc))
         return np.column_stack([forward(eye[:, i]) for i in range(len(xc))])
@@ -248,13 +287,11 @@ class TestDenseJacobian:
     def test_matches_column_by_column_assembly(self, seed, cfg):
         n = seed.n
         xc = pack(seed.samples)
-        tau = time_map(seed).inverse(np.arange(n) / n)
-        cmat = _prox_jacobian(seed, tau, eval_loop(seed, tau))
         sq = np.sqrt(_PROX0 / n)
         phase_dir = pack(derivative(seed))
         phase_dir /= np.linalg.norm(phase_dir)
-        jmat = _dense_jacobian(xc, seed.twisted, cfg, cmat, sq, phase_dir)
-        ref = self.column_by_column(xc, seed.twisted, cfg, cmat, sq, phase_dir)
+        jmat = _dense_jacobian(xc, seed.twisted, cfg, sq, phase_dir)
+        ref = self.column_by_column(xc, seed.twisted, cfg, sq, phase_dir)
         assert jmat.shape == (4 * n + 1, 2 * n)
         assert np.max(np.abs(jmat - ref)) <= 1e-8 * np.max(np.abs(ref))
 
