@@ -14,13 +14,15 @@ functional; the continuum differential formulas serve as test oracles.
 
 Gradients use the L2 pairing  dB(z)xi = mean_j Re(conj(g_j) xi_j).
 
-The second variation, the derivative of that gradient along a direction xi,
-is linearized by hand term by term (``stacked_second_variation``).  A
-pointwise term g(z) varies as  g_z xi + g_zbar conj(xi)  with its Wirtinger
-derivatives in closed form; the kinetic, magnetic and electric terms vary
-through the spectral derivative, the gauge and the cumulative time map.  So
-the solver's Jacobian is exact to round-off and symmetric in ``pack``
-coordinates, as the Hessian of the discretized functional.
+The second variation, the derivative of that gradient, is linearized by hand
+term by term and assembled as a matrix (``second_variation_matrix``).  Every
+term varies real-linearly, as  A xi + B conj(xi):  a pointwise term g(z) with
+its Wirtinger derivatives g_z, g_zbar on the diagonals, the kinetic, magnetic
+and electric terms through the spectral derivative matrix D, the gauge's
+second derivatives and the integration matrix of the cumulative time map, and
+the means F and G as rank-one products.  So the solver's Jacobian is exact to
+round-off and symmetric in ``pack`` coordinates, as the Hessian of the
+discretized functional.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .loops import (
     _spectral_derivative,
     _tail_integral,
     derivative,
+    derivative_matrix,
     integration_matrix,
     second_derivative,
 )
@@ -53,7 +56,7 @@ __all__ = [
     "eval_unregularized",
     "gradient",
     "stacked_gradient",
-    "stacked_second_variation",
+    "second_variation_matrix",
     "component_gradients",
     "delay_residual",
     "pack",
@@ -329,12 +332,6 @@ def gradient(loop: DiscreteLoop, cfg: FieldConfig) -> np.ndarray:
     return stacked_gradient(loop.samples, loop.twisted, cfg)
 
 
-def _pairing(u: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """mean_j Re(conj(u_ij) xi_kj) for rows u (m, n) and directions xi (k, n),
-    shaped (k, m)."""
-    return (xi.real @ u.real.T + xi.imag @ u.imag.T) / xi.shape[-1]
-
-
 def _wirtinger_phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """d/dz and d/dzbar of ``_df_integrand``, which is a(z) conj(b(z)) with
     a = (z - 1/z)/2 and b = 1 + 1/z^2."""
@@ -352,73 +349,90 @@ def _wirtinger_centers(z: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray
     return d_z, d_zb
 
 
-def _kinetic_variation(z: np.ndarray, twisted: bool, zc: np.ndarray, zp: np.ndarray, g_cover: np.ndarray):
-    """Derivative of ``_grad_G`` along a stack of directions, through the
-    cover: a direction xi moves the cover by xi, and for twisted loops its
-    second half 1/z by -xi/z^2, whose own variation gives the fold a
-    conj(xi)/conj(z)^3 term.  g_cover is ``_grad_G_cover`` at the base."""
+def _add_diag(m: np.ndarray, d) -> np.ndarray:
+    """Add d to the diagonal of the square matrix m, in place; returns m."""
+    m.flat[:: m.shape[0] + 1] += d
+    return m
+
+
+def _fold_cover(m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Pull an operator m on the double cover, shaped (2n, 2n), back to the
+    samples: 0.5 [I, diag(left)] m [I; diag(right)], by slices."""
+    n = m.shape[-1] // 2
+    top = m[:n, :n] + m[:n, n:] * right
+    bottom = m[n:, :n] + m[n:, n:] * right
+    return 0.5 * (top + left[:, None] * bottom)
+
+
+def _kinetic_hessian(z: np.ndarray, twisted: bool, zc: np.ndarray, zp: np.ndarray, g_cover: np.ndarray):
+    """(A, B) with  d ``_grad_G`` = A xi + B conj(xi).
+
+    On the cover, ``_grad_G_cover`` = -D(r zp) - r^2 |zp|^2 zc, with zp = D zc
+    and r = 1/|zc|^2, varies along zeta as A_c zeta + B_c conj(zeta):
+
+        A_c = diag(r^2 |zp|^2) - D diag(r) D + D diag(u) - diag(conj(u)) D
+        B_c = diag(2 r^3 |zp|^2 zc^2) + D diag(v) - diag(v) D
+
+    with u = r^2 zp conj(zc) and v = r^2 zp zc.  A twisted loop's cover z, 1/z
+    moves by xi, s xi with s = -1/z^2, ``_fold`` pulls its halves back with
+    conj(s), and the fold's own variation adds conj(xi) g_cover[n:]/conj(z)^3.
+    g_cover is ``_grad_G_cover`` at the base."""
     n = z.shape[-1]
-    period = 2.0 if twisted else 1.0
-    # _grad_G_cover is -D(r zp) - r^2 |zp|^2 zc with r = 1/|zc|^2; a cover
-    # variation zeta moves r by -2 r^2 Re(conj(zc) zeta) and |zp|^2 by
-    # 2 Re(conj(zp) zeta')
+    dmat = derivative_matrix(zc.shape[-1], 2.0 if twisted else 1.0)
     r = 1.0 / np.abs(zc) ** 2
     zp2 = np.abs(zp) ** 2
-    zc_bar, zp_bar = np.conj(zc), np.conj(zp)
-    c_s = 2.0 * r**2 * zp
-    c_zeta = r**2 * zp2
-    c_zp2 = 2.0 * r**2 * zc
-    c_s_out = 4.0 * r**3 * zp2 * zc
-    inv_z2 = 1.0 / z**2
-    if twisted:
-        fold_xi = g_cover[n:] / np.conj(z) ** 3
-
-    def vary(xi):
-        zeta = np.concatenate([xi, -xi * inv_z2], axis=-1) if twisted else xi
-        zetap = _spectral_derivative(zeta, period=period)
-        s = np.real(zc_bar * zeta)
-        dgz = (
-            c_s_out * s
-            - _spectral_derivative(r * zetap - c_s * s, period=period)
-            - c_zeta * zeta
-            - c_zp2 * np.real(zp_bar * zetap)
-        )
-        dg = _fold(dgz, z, twisted)
-        if twisted:
-            dg += fold_xi * np.conj(xi)
-        return dg
-
-    return vary
+    u = r**2 * zp * np.conj(zc)
+    v = r**2 * zp * zc
+    a = _add_diag(dmat * u - np.conj(u)[:, None] * dmat - (dmat * r) @ dmat, r**2 * zp2)
+    b = _add_diag(dmat * v - v[:, None] * dmat, 2.0 * r**3 * zp2 * zc**2)
+    if not twisted:
+        return a, b
+    s = -1.0 / z**2
+    a = _fold_cover(a, np.conj(s), s)
+    b = _add_diag(_fold_cover(b, np.conj(s), np.conj(s)), g_cover[n:] / np.conj(z) ** 3)
+    return a, b
 
 
-def _magnetic_variation(z: np.ndarray, cfg: FieldConfig):
-    """Derivative of ``_grad_M`` along a stack of directions, through the
-    gauge's first and second derivatives at q = B(z)."""
+def _magnetic_hessian(z: np.ndarray, cfg: FieldConfig):
+    """(A, B) with  d ``_grad_M`` = A xi + B conj(xi).
+
+    ``_grad_M`` is conj(B'(z)) gq, and gq = zeta - D a, with a the gauge at
+    q = B(z) and zeta = Re(conj(d1) qp) + i Re(conj(d2) qp), varies along a
+    q-plane move eta as A_q eta + B_q conj(eta).  The gauge's derivatives d1,
+    d2 vary as p eta + pb conj(eta), with p and pb their Wirtinger derivatives
+    (from the gauge's Hessian).  Then eta = B'(z) xi, and conj(B'(z)) varies
+    by conj(xi/z^3)."""
     q, qp, d1, d2, gq = _magnetic_base(z, cfg)
     h11, h12, h22 = cfg.magnetic.gauge_hess_at(q)
+    dmat = derivative_matrix(z.shape[-1])
     bp = birkhoff_derivative(z)
-    bpp = 1.0 / z**3
+    qpb = np.conj(qp)
+    p1, p1b = 0.5 * (h11 - 1j * h12), 0.5 * (h11 + 1j * h12)
+    p2, p2b = 0.5 * (h12 - 1j * h22), 0.5 * (h12 + 1j * h22)
+    d_minus, d_plus = 0.5 * (d1 - 1j * d2), 0.5 * (d1 + 1j * d2)
+    a_q = _add_diag(
+        np.conj(d_minus)[:, None] * dmat - dmat * d_minus,
+        0.5 * (qp * np.conj(p1b) + qpb * p1 + 1j * (qp * np.conj(p2b) + qpb * p2)),
+    )
+    b_q = _add_diag(
+        d_plus[:, None] * dmat - dmat * d_plus,
+        0.5 * (qp * np.conj(p1) + qpb * p1b + 1j * (qp * np.conj(p2) + qpb * p2b)),
+    )
+    bpb = np.conj(bp)
+    a = bpb[:, None] * a_q * bp
+    b = _add_diag(bpb[:, None] * b_q * bpb, np.conj(1.0 / z**3) * gq)
+    return a, b
 
-    def vary(xi):
-        eta = bp * xi
-        etap = _spectral_derivative(eta, period=1.0)
-        e1, e2 = eta.real, eta.imag
-        dd1 = h11 * e1 + h12 * e2
-        dd2 = h12 * e1 + h22 * e2
-        dzeta = np.real(np.conj(dd1) * qp + np.conj(d1) * etap) + 1j * np.real(
-            np.conj(dd2) * qp + np.conj(d2) * etap
-        )
-        dgq = dzeta - _spectral_derivative(d1 * e1 + d2 * e2, period=1.0)
-        return np.conj(bpp * xi) * gq + np.conj(bp) * dgq
 
-    return vary
+def _electric_hessian(z: np.ndarray, cfg: FieldConfig, w: np.ndarray, f: float):
+    """(A, B) with  d ``_grad_E`` = A xi + B conj(xi): through the discrete
+    time map t = K w / F, and through the field's second derivatives at the
+    nodes.  Names follow ``_electric_base``: N = F E is the quadrature
+    mean(e w) and grad_n its gradient n c phi + force.
 
-
-def _electric_variation(z: np.ndarray, cfg: FieldConfig, w: np.ndarray, f: float):
-    """Derivative of ``_grad_E`` along a stack of directions: through the
-    discrete time map t = K w / F, and through the field's second
-    derivatives at the nodes.  Names follow ``_grad_E``: N = F E is the
-    quadrature mean(e w) and grad_n its gradient n c phi + force."""
+    A real variation r is kept as the one matrix p with r = p xi + conj(p
+    xi): the weights' dw = Re(conj(phi) xi) is diagonal, dF = mean(dw) one
+    row, and the time map's dt = (K dw - t dF)/F a full matrix."""
     n = z.shape[-1]
     kmat = integration_matrix(n)
     t, e, edot, ge, beta, beta_k, beta_t, c, grad_n, e_val = _electric_base(z, cfg, w, f)
@@ -426,46 +440,55 @@ def _electric_variation(z: np.ndarray, cfg: FieldConfig, w: np.ndarray, f: float
     phi = _df_integrand(z)
     phi_z, phi_zb = _wirtinger_phi(z)
     bp = birkhoff_derivative(z)
-    bpp = 1.0 / z**3
+    bpb = np.conj(bp)
     grad_e = (grad_n - e_val * phi) / f
 
-    def vary(xi):
-        dw = np.real(np.conj(phi) * xi)
-        df = _mean(dw)
-        eta = bp * xi
-        dt = (dw @ kmat.T - t * df) / f
-        de = edot * dt + np.real(np.conj(ge) * eta)
-        dedot = e_tt * dt + np.real(np.conj(ge_t) * eta)
-        dge = ge_t * dt + g1 * eta.real + g2 * eta.imag
-        dbeta = dedot * w + edot * dw
-        dc = de / n + (
-            dbeta @ kmat - beta_k * (df / f) - _mean(dbeta * t + beta * dt) + beta_t * (df / f)
-        ) / (n * f)
-        dphi = phi_z * xi + phi_zb * np.conj(xi)
-        dforce = np.conj(bp) * (dw * ge + w * dge) + w * np.conj(bpp * xi) * ge
-        dgrad_n = n * (dc * phi + c * dphi) + dforce
-        de_val = (_mean(de * w + e * dw) - e_val * df) / f
-        return (dgrad_n - de_val * phi - e_val * dphi - grad_e * df) / f
+    p_w = 0.5 * np.conj(phi)
+    p_f = p_w / n
+    p_t = (kmat * p_w - np.outer(t, p_f)) / f
+    p_e = _add_diag(edot[:, None] * p_t, 0.5 * np.conj(ge) * bp)
+    p_edot = _add_diag(e_tt[:, None] * p_t, 0.5 * np.conj(ge_t) * bp)
+    p_beta = _add_diag(w[:, None] * p_edot, edot * p_w)
+    p_c = p_e / n + (
+        kmat.T @ p_beta - np.outer(beta_k, p_f) / f
+        - np.mean(t[:, None] * p_beta + beta[:, None] * p_t, axis=0) + beta_t * p_f / f
+    ) / (n * f)
+    p_e_val = (np.mean(w[:, None] * p_e, axis=0) + e * p_w / n - e_val * p_f) / f
 
-    return vary
+    # the complex dge = ge_t dt + g1 Re(eta) + g2 Im(eta) with eta = B'(z) xi,
+    # and d grad_n = n (dc phi + c dphi) + conj(B'(z)) (dw ge + w dge)
+    # + w conj(xi/z^3) ge
+    wb = (w * bpb)[:, None]
+    a = _add_diag(
+        n * phi[:, None] * p_c + wb * ge_t[:, None] * p_t,
+        n * c * phi_z + bpb * ge * p_w + w * np.abs(bp) ** 2 * 0.5 * (g1 - 1j * g2),
+    )
+    b = _add_diag(
+        n * phi[:, None] * np.conj(p_c) + wb * ge_t[:, None] * np.conj(p_t),
+        n * c * phi_zb + bpb * ge * np.conj(p_w) + w * bpb**2 * 0.5 * (g1 + 1j * g2)
+        + w * np.conj(1.0 / z**3) * ge,
+    )
+    # E = N/F:  dE_grad = (d grad_n - dE phi - E dphi - grad_E dF)/F
+    a -= np.outer(phi, p_e_val) + np.outer(grad_e, p_f)
+    b -= np.outer(phi, np.conj(p_e_val)) + np.outer(grad_e, np.conj(p_f))
+    _add_diag(a, -e_val * phi_z)
+    _add_diag(b, -e_val * phi_zb)
+    return a / f, b / f
 
 
-# Directions per pass of ``stacked_second_variation``.  Blocks this size
-# already amortize the per-pass overhead; a larger stack at once would grow
-# the temporaries (and the peak resident set) with the grid for no gain.
-_VARIATION_BLOCK = 32
+def second_variation_matrix(z: np.ndarray, twisted: bool, cfg: FieldConfig) -> np.ndarray:
+    """The exact Hessian of the discretized functional at the one loop z
+    (shape (n,)): the (2n, 2n) real Jacobian of pack(stacked_gradient) in
+    pack coordinates, symmetric to round-off.
 
-
-def stacked_second_variation(z: np.ndarray, dz: np.ndarray, twisted: bool, cfg: FieldConfig) -> np.ndarray:
-    """Exact directional derivatives of ``stacked_gradient`` at the one loop z
-    (shape (n,)) along each direction of the stack dz (shape (k, n)): row i
-    is d/ds stacked_gradient(z + s dz_i) at s = 0.
-
-    Every quantity of the base point is computed once; only the terms that
-    depend on the direction are evaluated, ``_VARIATION_BLOCK`` directions
-    at a time, so the temporaries stay O(block n) however many rows dz has."""
+    Every term of the gradient varies real-linearly, as A xi + B conj(xi)
+    with complex (n, n) matrices A and B.  These are assembled directly from
+    the pointwise Wirtinger derivatives (diagonals), the spectral derivative
+    matrix D, the double cover's fold (slices), rank-one products for the
+    means F and G, and the integration matrix K of the electric time map.
+    The real block is then [[Re(A+B), -Im(A-B)], [Im(A+B), Re(A-B)]]."""
     z = np.asarray(z, dtype=complex)
-    dz = np.asarray(dz, dtype=complex)
+    n = z.shape[-1]
     w, f = _prepare(z)
     f = f.item()
     zc, zp = _cover(z, twisted)
@@ -480,29 +503,27 @@ def stacked_second_variation(z: np.ndarray, dz: np.ndarray, twisted: bool, cfg: 
     cen_z, cen_zb = _wirtinger_centers(z, mu)
 
     # the gradient  G phi + F g_kin + g_cen / F - h_mu phi / F^2  varies
-    # pointwise as a_z xi + a_zb conj(xi), plus F times the kinetic
-    # variation, plus the means dF = <phi, xi> and dG - dh_mu / F^2
+    # pointwise, plus F times the kinetic variation, plus the means: dF =
+    # mean Re(conj(phi) xi) along along_df, and dG - dh_mu / F^2 =
+    # mean Re(conj(dm) xi) along phi
     a0 = _kinetic(zc, zp).item() - h_mu / f**2
-    a_z = a0 * phi_z + cen_z / f
-    a_zb = a0 * phi_zb + cen_zb / f
-    along_df = g_kin - g_cen / f**2 + 2.0 * h_mu / f**3 * phi
-    means = np.stack([phi, g_kin - g_cen / f**2])
-    kinetic = _kinetic_variation(z, twisted, zc, zp, g_cover)
-    fields = []
+    dm = g_kin - g_cen / f**2
+    along_df = dm + 2.0 * h_mu / f**3 * phi
+    a, b = _kinetic_hessian(z, twisted, zc, zp, g_cover)
+    a = _add_diag(f * a, a0 * phi_z + cen_z / f)
+    b = _add_diag(f * b, a0 * phi_zb + cen_zb / f)
+    a += (np.outer(along_df, np.conj(phi)) + np.outer(phi, np.conj(dm))) / (2 * n)
+    b += (np.outer(along_df, phi) + np.outer(phi, dm)) / (2 * n)
     if not cfg.magnetic.is_zero:
-        fields.append(_magnetic_variation(z, cfg))
+        a_m, b_m = _magnetic_hessian(z, cfg)
+        a -= a_m
+        b -= b_m
     if not cfg.electric.is_zero:
-        fields.append(_electric_variation(z, cfg, w, f))
-
-    out = np.empty(dz.shape, dtype=complex)
-    for start in range(0, dz.shape[0], _VARIATION_BLOCK):
-        xi = dz[start:start + _VARIATION_BLOCK]
-        df, dm = np.split(_pairing(means, xi), 2, axis=-1)
-        rows = a_z * xi + a_zb * np.conj(xi) + f * kinetic(xi) + df * along_df + dm * phi
-        for vary in fields:
-            rows -= vary(xi)
-        out[start:start + _VARIATION_BLOCK] = rows
-    return out
+        a_e, b_e = _electric_hessian(z, cfg, w, f)
+        a -= a_e
+        b -= b_e
+    p, m = a + b, a - b
+    return np.block([[p.real, -m.imag], [p.imag, m.real]])
 
 
 def pack(g: np.ndarray) -> np.ndarray:

@@ -6,11 +6,12 @@ take a complex position array, the electric evaluators take matching time and
 position arrays.  Custom evaluators must follow the same convention and be
 pure; they are trusted but can be checked with :func:`validate`.
 
-The exact second variation of the action needs second derivatives of the
-gauge and of the electric potential.  Every preset has them in closed form.
-A custom spec takes central differences of its own first-derivative
-evaluators, pointwise, so only that field's terms of the second variation
-carry a truncation error.
+The exact Hessian of the action (``action.second_variation_matrix``) needs
+the second derivatives of the gauge and of the electric potential at the
+nodes, which it places on the diagonals of its field terms.  Every preset
+has them in closed form.  A custom spec takes central differences of its own
+first-derivative evaluators, pointwise, so only that field's terms of the
+Hessian carry a truncation error.
 """
 
 from __future__ import annotations

@@ -242,6 +242,19 @@ def chain_rule_state(loop: DiscreteLoop, tau=None, tm: TimeMap | None = None):
 
 
 @functools.lru_cache(maxsize=8)
+def derivative_matrix(n: int, period: float = 1.0) -> np.ndarray:
+    """Dense real matrix D with D @ f = ``_spectral_derivative(f, period)``.
+
+    With the Nyquist mode zeroed, D is real and antisymmetric; it is made
+    exactly so, and read-only, since the cached array is shared.
+    """
+    d = np.real(_spectral_derivative(np.eye(n), period=period)).T
+    d = 0.5 * (d - d.T)
+    d.flags.writeable = False
+    return d
+
+
+@functools.lru_cache(maxsize=8)
 def integration_matrix(n: int) -> np.ndarray:
     """Dense real matrix K with (K @ f)_j = integral of the trigonometric
     interpolant of f from 0 to j/n.

@@ -1,23 +1,29 @@
 """Critical-point search for the regularized functional.
 
-Critical points are generically saddles, so instead of descending the
-functional we drive its exact discrete gradient to zero with a damped
-Gauss-Newton (Levenberg-Marquardt) iteration with geodesic acceleration.  The
-residual stacks the scaled gradient, a proximal anchor that is weakened in
-stages as the iteration settles, and, for autonomous fields, a phase row.
-Each of the three mechanisms was switched off in turn on the bench's matrix
-solves and each one pays; their settings are the module constants below, and
-``SolveOptions`` holds only the grid, the tolerance and the iteration cap.
+A damped Gauss-Newton (Levenberg-Marquardt) iteration with geodesic
+acceleration drives the exact discrete gradient to zero, rather than
+descending the functional, so it does not rely on the critical point being a
+minimum.  Every orbit measured so far (the six bench archives) is a local
+minimum of the discrete action, with Morse index 0, but its Hessian has null
+and near-null directions: the time shift and, for Kepler, the equal-period
+ellipses.  So the residual stacks the scaled gradient, a proximal anchor that
+is weakened in stages as the iteration settles, and, for autonomous fields, a
+phase row.  Each of the three mechanisms was switched off in turn on the
+bench's matrix solves and each one pays; their settings are the module
+constants below, and ``SolveOptions`` holds only the grid, the tolerance and
+the iteration cap.
 
 The anchor measures the distance to the seed in physical time at the
 iterate's own node times, which the time map gives by quadrature, so the
 time map is inverted only outside the iteration: for the seed's physical
 samples and winding, and for the converged record.
 
-Each iteration assembles the Jacobian of that residual densely, once: the
-gradient block is the exact second variation of the discretized functional
-(``action.stacked_second_variation``), applied to the coordinate directions
-a block at a time, so it is symmetric to round-off; the anchor block is
+Each iteration assembles the Jacobian of that residual densely, once.  The
+gradient block is the exact Hessian of the discretized functional, built as
+structured matrices (``action.second_variation_matrix``): diagonals for the
+pointwise terms, the spectral derivative matrix for the kinetic and magnetic
+terms, rank-one products for the means and the integration matrix for the
+electric time map, so it is symmetric to round-off.  The anchor block is
 diagonal in the nodes.  The same matrix gives the damped normal equations,
 the step's right-hand side and that of the acceleration, which are solved
 directly.
@@ -33,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import action as _action
-from .action import delay_residual, eval_components, gradient, pack, stacked_second_variation, unpack
+from .action import delay_residual, eval_components, gradient, pack, second_variation_matrix, unpack
 from .dynamics import phi_profile
 from .fields import FieldConfig, config_from_dict, config_to_dict
 from .geometry import WindingError, WindingReport, birkhoff_derivative, birkhoff_map, winding_report
@@ -93,8 +99,10 @@ class SolveOptions:
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.g_tol <= 0:
-            raise ValueError("g_tol must be positive")
+        # written so that a NaN tolerance fails it too: the iteration could
+        # never meet it, nor tell that it had not
+        if not 0 < self.g_tol < np.inf:
+            raise ValueError(f"g_tol must be positive and finite, not {self.g_tol!r}")
         for name in ("n", "m", "max_iter"):
             value = getattr(self, name)
             if not isinstance(value, Integral) or value < 1:
@@ -375,20 +383,17 @@ def _dense_jacobian(
 ) -> np.ndarray:
     """The frozen Gauss-Newton Jacobian of the residual at xc, as a dense matrix.
 
-    Gradient block: column i is the exact second variation of the scaled
-    gradient along the coordinate direction e_i, evaluated a block of
-    directions at a time.  Anchor block: with the node times and weights
-    frozen at xc, node j of the anchor moves only with z_j, so the block is
-    the diagonal sq * sqrt(w_j/zhat) * B'(z_j) acting on [Re; Im]
-    coordinates.  The offset that makes the anchor vanish at the seed is a
-    constant and does not enter.  Freezing the times leaves out the term
-    -q0'(t_j) dt_j; with it, criterion 10's field steps take 10 iterations
-    instead of 4.  Phase row: ``phase_dir``.
+    Gradient block: the exact Hessian of the discretized functional in pack
+    coordinates, scaled as the residual's gradient rows.  Anchor block: with
+    the node times and weights frozen at xc, node j of the anchor moves only
+    with z_j, so the block is the diagonal sq * sqrt(w_j/zhat) * B'(z_j)
+    acting on [Re; Im] coordinates.  The offset that makes the anchor vanish
+    at the seed is a constant and does not enter.  Freezing the times leaves
+    out the term -q0'(t_j) dt_j; with it, criterion 10's field steps take 10
+    iterations instead of 4.  Phase row: ``phase_dir``.
     """
-    n2 = len(xc)
     z = unpack(xc)
-    rows = stacked_second_variation(z, unpack(np.eye(n2)), twisted, cfg)
-    grad_block = pack(rows).T / np.sqrt(n2 // 2)
+    grad_block = second_variation_matrix(z, twisted, cfg) / np.sqrt(len(z))
     w = conformal_weight(z)
     d = sq * np.sqrt(w / np.mean(w)) * birkhoff_derivative(z)
     re, im = np.diag(d.real), np.diag(d.imag)

@@ -183,6 +183,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "64" in err and "128" in err
 
+    def test_nan_tolerance_rejected(self, capsys):
+        # a NaN tolerance is never met, yet never reported as missed either
+        seed = '{"kind": "circle", "radius": 2}'
+        assert run(["solve", "--seed", seed, "--n", 32, "--tol", "nan", "--quiet"]) == 2
+        assert "g_tol must be positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("max_iter", [2.5, -3, 0])
     def test_bad_max_iter_rejected(self, tmp_path, capsys, max_iter):
         # rejected before any iteration, not as a crash or a non-convergence

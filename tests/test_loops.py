@@ -23,7 +23,7 @@ from szbov import (
     zhat,
 )
 from conftest import random_smooth_loop
-from szbov.loops import TimeMap, _fourier_sum, _spectral_derivative, _trig_eval
+from szbov.loops import TimeMap, _fourier_sum, _spectral_derivative, _trig_eval, derivative_matrix
 
 TAU64 = np.arange(64) / 64
 
@@ -105,6 +105,17 @@ class TestSpectralCalculus:
         for row, coef in zip(sums, [c, other]):
             error = np.max(np.abs(row - direct_phases(n, x / period) @ coef))
             assert error <= 1e-13 * np.sum(np.abs(coef))
+
+    @pytest.mark.parametrize("period", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_derivative_matrix_applies_the_spectral_derivative(self, n, period):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+        d = derivative_matrix(n, period)
+        assert d.dtype == np.float64
+        assert np.array_equal(d.T, -d)
+        expected = _spectral_derivative(x, period=period)
+        assert np.max(np.abs(x @ d.T - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestTimeMap:

@@ -32,7 +32,6 @@ from szbov import (
     unpack,
     winding_report,
 )
-from szbov.action import stacked_second_variation
 from szbov.loops import TimeMap
 from szbov.solver import _PROX0, _dense_jacobian, _residual_factory
 
@@ -127,6 +126,13 @@ class TestSolve:
         opts = SolveOptions(n=64, m=256, max_iter=2)
         with pytest.raises(NoConvergenceError):
             solve(seed_circle(0.3 + 0.2j, 2.5, 64), EULER, opts)
+
+    @pytest.mark.parametrize("g_tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_tolerance_must_be_positive_and_finite(self, g_tol):
+        # solve compares the gradient norm with g_tol: a NaN one would return
+        # an unconverged iterate as a converged record, an infinite one the seed
+        with pytest.raises(ValueError, match="g_tol must be positive"):
+            SolveOptions(n=64, m=256, g_tol=g_tol)
 
     def test_seed_grid_must_match_the_options(self):
         with pytest.raises(ValueError, match="n=64.*n=128"):
@@ -245,14 +251,27 @@ class TestDenseJacobian:
         assert np.linalg.norm(block - block.T) <= 1e-12 * np.linalg.norm(block)
 
     @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
-    def test_block_applies_the_second_variation(self, rng, twisted):
+    def test_block_is_the_derivative_of_the_gradient_along_random_directions(self, rng, twisted):
+        # an oracle apart from the assembly: the block applied to a complex
+        # direction is the derivative of ``gradient`` along it, which central
+        # differences approach as h^2
         cfg = preset("rotating_charge", mu=0.5, mu_s=0.01, r_s=3.0, k=1)
         loop = random_smooth_loop(rng, 32, twisted=twisted)
-        dz = rng.normal(size=(3, 32)) + 1j * rng.normal(size=(3, 32))
-        rows = stacked_second_variation(loop.samples, dz, twisted, cfg)
         block = self.gradient_block(loop, cfg) * np.sqrt(loop.n)
-        expected = (block @ pack(dz).T).T
-        assert np.max(np.abs(pack(rows) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+        def grad(dz):
+            return pack(gradient(DiscreteLoop(loop.samples + dz, twisted=twisted), cfg))
+
+        h = 1e-4
+        for dz in rng.normal(size=(3, 32)) + 1j * rng.normal(size=(3, 32)):
+            applied = block @ pack(dz)
+            err_h, err_h2 = (
+                np.max(np.abs((grad(step * dz) - grad(-step * dz)) / (2.0 * step) - applied))
+                / np.max(np.abs(applied))
+                for step in (h, h / 2)
+            )
+            assert err_h2 <= 1e-5
+            assert err_h >= 3.0 * err_h2
 
     @staticmethod
     def column_by_column(xc, twisted, cfg, sq, phase_dir, h=1e-6):
