@@ -251,7 +251,7 @@ class TestDenseJacobian:
         assert np.linalg.norm(block - block.T) <= 1e-12 * np.linalg.norm(block)
 
     @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
-    def test_block_is_the_derivative_of_the_gradient_along_random_directions(self, rng, twisted):
+    def test_block_applies_the_second_variation(self, rng, twisted):
         # an oracle apart from the assembly: the block applied to a complex
         # direction is the derivative of ``gradient`` along it, which central
         # differences approach as h^2
