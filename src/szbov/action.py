@@ -12,6 +12,10 @@ time-reparametrized electric term.  The gradient differentiates the
 solver's zero-gradient points are genuine critical points of the computed
 functional; the continuum differential formulas serve as test oracles.
 
+Each public function reads one loop's node quantities from one ``_Nodes``
+object (the weights and F, the cover, H1/H2, q = B(z), the fields at q and at
+the discrete times), which computes each of them on first use, once.
+
 Gradients use the L2 pairing  dB(z)xi = mean_j Re(conj(g_j) xi_j).
 
 The second variation, the derivative of that gradient, is linearized by hand
@@ -28,6 +32,7 @@ discretized functional.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,10 +47,8 @@ from .loops import (
     _periodic_cover,
     _spectral_derivative,
     _tail_integral,
-    derivative,
     derivative_matrix,
     integration_matrix,
-    second_derivative,
 )
 
 __all__ = [
@@ -55,7 +58,6 @@ __all__ = [
     "eval_action",
     "eval_unregularized",
     "gradient",
-    "stacked_gradient",
     "second_variation_matrix",
     "component_gradients",
     "delay_residual",
@@ -108,78 +110,180 @@ class DelayResidual:
         return self.sup_norm / max(self.z_second_scale, 1e-300)
 
 
-def _mean(x: np.ndarray) -> np.ndarray:
-    """Mean over the samples (the last axis), kept as an axis of length one."""
-    return np.mean(x, axis=-1, keepdims=True)
+class _Nodes:
+    """The node quantities of the discretized functional at one loop z: w and
+    F on construction, which rejects a degenerate loop, and each other one on
+    first use.  Values (the gauge at q = B(z), the potential e and its time
+    derivative edot at the node times) are kept apart from derivatives, so a
+    value evaluates no derivative of a field.
 
+    The electric term goes through the time map t = K w / F.  N := F E is
+    mean(e w); its gradient n c phi + force has a dW channel, with
+    coefficients c, and a position channel, force = w conj(B'(z)) grad E.
+    beta = edot w weighs dt in N, as beta K and mean(beta t)."""
 
-def _prepare(z: np.ndarray):
-    """Conformal weights of samples shaped (..., n) and their means F."""
-    w = conformal_weight(z)
-    f = _mean(w)
-    if np.any(f <= EPS_ZHAT):
-        raise DegenerateLoopError("degenerate loop: zhat vanishes")
-    return w, f
+    def __init__(self, z: np.ndarray, twisted: bool, cfg: FieldConfig):
+        self.z, self.twisted, self.cfg = z, twisted, cfg
+        self.n = len(z)
+        self.period = 2.0 if twisted else 1.0
+        self.w = conformal_weight(z)
+        self.f = float(np.mean(self.w))
+        if self.f <= EPS_ZHAT:
+            raise DegenerateLoopError("degenerate loop: zhat vanishes")
 
+    def breakdown(self) -> ActionBreakdown:
+        return ActionBreakdown(self.f, self.g, self.h1, self.h2, self.m, self.e_val, self.e1, self.cfg.mu)
 
-def _cover(z: np.ndarray, twisted: bool):
-    """The genuine periodic loop behind the samples and its spectral
-    derivative: z itself, or for twisted loops the double cover z, 1/z."""
-    zc, period = _periodic_cover(z, twisted)
-    return zc, _spectral_derivative(zc, period=period)
+    @cached_property
+    def zc(self) -> np.ndarray:
+        """The periodic loop behind the samples: z, or the double cover z, 1/z."""
+        return _periodic_cover(self.z, self.twisted)[0]
 
+    @cached_property
+    def zp(self) -> np.ndarray:
+        return _spectral_derivative(self.zc, period=self.period)
 
-def _kinetic(zc: np.ndarray, zp: np.ndarray) -> np.ndarray:
-    """G as a quadrature; for twisted loops averaged over the full double cover
-    so that the discrete gradient differentiates exactly what is evaluated."""
-    return 0.5 * _mean(np.abs(zp) ** 2 / np.abs(zc) ** 2)
+    @cached_property
+    def g(self) -> float:
+        """G, averaged over the whole cover, which its gradient differentiates."""
+        return 0.5 * float(np.mean(np.abs(self.zp) ** 2 / np.abs(self.zc) ** 2))
 
+    @cached_property
+    def g_cover(self) -> np.ndarray:
+        """Gradient of G in the samples of the cover."""
+        zc, zp = self.zc, self.zp
+        return -_spectral_derivative(zp / np.abs(zc) ** 2, period=self.period) - zc * np.abs(zp) ** 2 / np.abs(zc) ** 4
 
-def _centers(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two-center quadratures H1 and H2."""
-    absz = np.abs(z)
-    return 0.5 * _mean(np.abs(z - 1.0) ** 2 / absz), 0.5 * _mean(np.abs(z + 1.0) ** 2 / absz)
+    @cached_property
+    def grad_g(self) -> np.ndarray:
+        """g_cover pulled back to the samples; z, 1/z varies as xi, -xi/z^2."""
+        if not self.twisted:
+            return self.g_cover
+        return 0.5 * (self.g_cover[: self.n] - self.g_cover[self.n :] / np.conj(self.z) ** 2)
 
+    @cached_property
+    def h1(self) -> float:
+        return 0.5 * float(np.mean(np.abs(self.z - 1.0) ** 2 / np.abs(self.z)))
 
-def _gauge_complex(cfg: FieldConfig, q: np.ndarray) -> np.ndarray:
-    return cfg.magnetic.gauge_at(q)
+    @cached_property
+    def h2(self) -> float:
+        return 0.5 * float(np.mean(np.abs(self.z + 1.0) ** 2 / np.abs(self.z)))
 
+    @cached_property
+    def grad_centers(self) -> np.ndarray:
+        """Gradient of the mass-weighted two-center term (1-mu) H1 + mu H2."""
+        return (1 - self.cfg.mu) * _grad_center(self.z, 1.0) + self.cfg.mu * _grad_center(self.z, -1.0)
 
-def _electric_times(w: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
-    """Raw cumulative integral T_j of w and normalized times t_j = T_j/F."""
-    raw = w @ integration_matrix(w.shape[-1]).T
-    return raw, raw / f
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """Pointwise gradient of the conformal weight: dw = Re(conj(phi) xi)."""
+        z = self.z
+        return z * (z**2 - 1.0) * (np.conj(z) ** 2 + 1.0) / (2.0 * np.abs(z) ** 4)
 
+    @cached_property
+    def phi_wirtinger(self) -> tuple[np.ndarray, np.ndarray]:
+        """d/dz and d/dzbar of phi = a conj(b), a = (z - 1/z)/2, b = 1 + 1/z^2."""
+        z = self.z
+        return 0.5 * np.abs(1.0 + 1.0 / z**2) ** 2, -(z - 1.0 / z) / np.conj(z) ** 3
 
-def _df_integrand(z: np.ndarray) -> np.ndarray:
-    """Pointwise gradient of the conformal weight: dw = Re(conj(phi) xi)."""
-    return z * (z**2 - 1.0) * (np.conj(z) ** 2 + 1.0) / (2.0 * np.abs(z) ** 4)
+    @cached_property
+    def q(self) -> np.ndarray:
+        return birkhoff_map(self.z)
+
+    @cached_property
+    def bp(self) -> np.ndarray:
+        return birkhoff_derivative(self.z)
+
+    @cached_property
+    def qp(self) -> np.ndarray:
+        return _spectral_derivative(self.q, period=1.0)
+
+    @cached_property
+    def gauge(self) -> np.ndarray:
+        return self.cfg.magnetic.gauge_at(self.q)
+
+    @cached_property
+    def m(self) -> float:
+        """M, the circulation of the gauge along q."""
+        if self.cfg.magnetic.is_zero:
+            return 0.0
+        return float(np.mean(np.real(np.conj(self.gauge) * self.qp)))
+
+    @cached_property
+    def gauge_jac(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gauge's first derivatives d1, d2 at q."""
+        return self.cfg.magnetic.gauge_jac_at(self.q)
+
+    @cached_property
+    def gq(self) -> np.ndarray:
+        """Gradient of the circulation in the q-plane, zeta - D a."""
+        d1, d2 = self.gauge_jac
+        zeta = np.real(np.conj(d1) * self.qp) + 1j * np.real(np.conj(d2) * self.qp)
+        return zeta - _spectral_derivative(self.gauge, period=1.0)
+
+    @cached_property
+    def raw(self) -> np.ndarray:
+        """Raw cumulative integral T_j = (K w)_j of the weights."""
+        return self.w @ integration_matrix(self.n).T
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        return self.raw / self.f
+
+    @cached_property
+    def e(self) -> np.ndarray:
+        return self.cfg.electric.e(self.t, self.q)
+
+    @cached_property
+    def edot(self) -> np.ndarray:
+        return self.cfg.electric.dot(self.t, self.q)
+
+    @cached_property
+    def e_val(self) -> float:
+        if self.cfg.electric.is_zero:
+            return 0.0
+        return float(np.mean(self.e * self.w)) / self.f
+
+    @cached_property
+    def e1(self) -> float:
+        if self.cfg.electric.is_zero:
+            return 0.0
+        return float(np.mean(self.edot * self.raw * self.w)) / (self.f * self.f)
+
+    @cached_property
+    def ge(self) -> np.ndarray:
+        return self.cfg.electric.grad(self.t, self.q)
+
+    @cached_property
+    def force(self) -> np.ndarray:
+        return self.w * np.conj(self.bp) * self.ge
+
+    @cached_property
+    def beta(self) -> np.ndarray:
+        return self.edot * self.w
+
+    @cached_property
+    def beta_k(self) -> np.ndarray:
+        return self.beta @ integration_matrix(self.n)
+
+    @cached_property
+    def beta_t(self) -> float:
+        return float(np.mean(self.beta * self.t))
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        n, f = self.n, self.f
+        return self.e / n + self.beta_k / (n * f) - self.beta_t / (n * f)
+
+    @cached_property
+    def grad_e(self) -> np.ndarray:
+        """Exact gradient of the discretized electric term, (grad N - E phi)/F."""
+        return (self.n * self.c * self.phi + self.force - self.e_val * self.phi) / self.f
 
 
 def eval_components(loop: DiscreteLoop, cfg: FieldConfig) -> ActionBreakdown:
     """All component quadratures of the regularized functional."""
-    z = loop.samples
-    w, f = _prepare(z)
-    h1, h2 = _centers(z)
-
-    q = birkhoff_map(z)
-    if cfg.magnetic.is_zero:
-        m_val = 0.0
-    else:
-        qp = _spectral_derivative(q, period=1.0)
-        m_val = float(np.mean(np.real(np.conj(_gauge_complex(cfg, q)) * qp)))
-
-    if cfg.electric.is_zero:
-        e_val = 0.0
-        e1 = 0.0
-    else:
-        raw, t = _electric_times(w, f)
-        e_val = (_mean(cfg.electric.e(t, q) * w) / f).item()
-        e1 = (_mean(cfg.electric.dot(t, q) * raw * w) / f**2).item()
-    return ActionBreakdown(
-        F=f.item(), G=_kinetic(*_cover(z, loop.twisted)).item(), H1=h1.item(), H2=h2.item(),
-        M=m_val, E_val=e_val, E1=e1, mu=cfg.mu,
-    )
+    return _Nodes(loop.samples, loop.twisted, cfg).breakdown()
 
 
 def eval_action(loop: DiscreteLoop, cfg: FieldConfig) -> float:
@@ -199,147 +303,49 @@ def eval_unregularized(q: PhysicalLoop, cfg: FieldConfig, eps_col: float = EPS_C
     qdot = _spectral_derivative(qs, period=1.0)
     t = q.times
     kinetic = 0.5 * float(np.mean(np.abs(qdot) ** 2))
-    circulation = float(np.mean(np.real(np.conj(_gauge_complex(cfg, qs)) * qdot)))
+    circulation = float(np.mean(np.real(np.conj(cfg.magnetic.gauge_at(qs)) * qdot)))
     attract = float(np.mean((1 - cfg.mu) / np.abs(qs + 1.0) + cfg.mu / np.abs(qs - 1.0)))
     electric = float(np.mean(cfg.electric.e(t, qs)))
     return kinetic - circulation + attract - electric
 
 
-def _grad_G_cover(zc: np.ndarray, zp: np.ndarray, period: float) -> np.ndarray:
-    """Gradient of the kinetic quadrature in the samples of the cover."""
-    return -_spectral_derivative(zp / np.abs(zc) ** 2, period=period) - zc * np.abs(zp) ** 2 / np.abs(zc) ** 4
-
-
-def _fold(gz: np.ndarray, z: np.ndarray, twisted: bool) -> np.ndarray:
-    """Pull a gradient on the cover back to the samples: for twisted loops
-    the cover is z, 1/z, whose second half varies as -xi/z^2."""
-    if not twisted:
-        return gz
-    n = z.shape[-1]
-    return 0.5 * (gz[..., :n] - gz[..., n:] / np.conj(z) ** 2)
-
-
-def _grad_G(z: np.ndarray, twisted: bool, zc: np.ndarray, zp: np.ndarray) -> np.ndarray:
-    return _fold(_grad_G_cover(zc, zp, 2.0 if twisted else 1.0), z, twisted)
-
-
-def _grad_H1(z: np.ndarray) -> np.ndarray:
-    return z * (z - 1.0) * (np.conj(z) + 1.0) / (2.0 * np.abs(z) ** 3)
-
-
-def _grad_H2(z: np.ndarray) -> np.ndarray:
-    return z * (z + 1.0) * (np.conj(z) - 1.0) / (2.0 * np.abs(z) ** 3)
-
-
-def _grad_centers(z: np.ndarray, mu: float) -> np.ndarray:
-    """Gradient of the mass-weighted two-center term (1-mu) H1 + mu H2."""
-    return (1 - mu) * _grad_H1(z) + mu * _grad_H2(z)
-
-
-def _magnetic_base(z: np.ndarray, cfg: FieldConfig):
-    """The circulation's base point: q = B(z), its spectral derivative qp, the
-    gauge's first derivatives d1, d2 at q, and the gradient gq of the
-    circulation in the q-plane."""
-    q = birkhoff_map(z)
-    qp = _spectral_derivative(q, period=1.0)
-    ac = _gauge_complex(cfg, q)
-    d1, d2 = cfg.magnetic.gauge_jac_at(q)
-    zeta = np.real(np.conj(d1) * qp) + 1j * np.real(np.conj(d2) * qp)
-    gq = zeta - _spectral_derivative(ac, period=1.0)
-    return q, qp, d1, d2, gq
-
-
-def _grad_M(z: np.ndarray, cfg: FieldConfig) -> np.ndarray:
-    return np.conj(birkhoff_derivative(z)) * _magnetic_base(z, cfg)[-1]
-
-
-def _electric_fields(z: np.ndarray, cfg: FieldConfig, w, f):
-    """At the discrete times t_j: t, the potential E, its time derivative and
-    its gradient at q = B(z)."""
-    q = birkhoff_map(z)
-    t = _electric_times(w, f)[1]
-    return t, cfg.electric.e(t, q), cfg.electric.dot(t, q), cfg.electric.grad(t, q)
-
-
-def _electric_base(z: np.ndarray, cfg: FieldConfig, w, f):
-    """The electric term's base point, chain rule through the discrete
-    cumulative time map.  N := F E is the quadrature mean(e w); its gradient
-    grad_n = n c phi + force collects a dW channel, with coefficients c, and
-    a position channel, force = w conj(B'(z)) grad E.  Returns the fields at
-    the nodes (t, e, edot, ge), the weights beta = edot w of dt inside the
-    quadrature with beta K and mean(beta t), c, grad_n and the value E."""
-    n = z.shape[-1]
-    t, e, edot, ge = _electric_fields(z, cfg, w, f)
-    phi = _df_integrand(z)
-    beta = edot * w
-    beta_k = beta @ integration_matrix(n)
-    beta_t = _mean(beta * t)
-    c = e / n + beta_k / (n * f) - beta_t / (n * f)
-    grad_n = n * c * phi + w * np.conj(birkhoff_derivative(z)) * ge
-    e_val = _mean(e * w) / f
-    return t, e, edot, ge, beta, beta_k, beta_t, c, grad_n, e_val
-
-
-def _grad_E(z: np.ndarray, cfg: FieldConfig, w, f) -> tuple[np.ndarray, np.ndarray]:
-    """Value and exact gradient of the discretized electric term."""
-    grad_n, e_val = _electric_base(z, cfg, w, f)[-2:]
-    return e_val, (grad_n - e_val * _df_integrand(z)) / f
+def _grad_center(z: np.ndarray, s: float) -> np.ndarray:
+    """Gradient of the two-center term of the center at s (H1 at 1, H2 at -1)."""
+    return z * (z - s) * (np.conj(z) + s) / (2.0 * np.abs(z) ** 3)
 
 
 def component_gradients(loop: DiscreteLoop, cfg: FieldConfig) -> dict:
     """Per-component (value, gradient) pairs, for isolating each formula."""
-    z = loop.samples
-    w, f = _prepare(z)
-    zc, zp = _cover(z, loop.twisted)
-    h1, h2 = _centers(z)
+    nodes = _Nodes(loop.samples, loop.twisted, cfg)
     out = {
-        "F": (f.item(), _df_integrand(z)),
-        "G": (_kinetic(zc, zp).item(), _grad_G(z, loop.twisted, zc, zp)),
-        "H1": (h1.item(), _grad_H1(z)),
-        "H2": (h2.item(), _grad_H2(z)),
-        "M": (eval_components(loop, cfg).M, _grad_M(z, cfg)),
+        "F": (nodes.f, nodes.phi),
+        "G": (nodes.g, nodes.grad_g),
+        "H1": (nodes.h1, _grad_center(nodes.z, 1.0)),
+        "H2": (nodes.h2, _grad_center(nodes.z, -1.0)),
+        "M": (nodes.m, np.conj(nodes.bp) * nodes.gq),
     }
     if not cfg.electric.is_zero:
-        e_val, grad_e = _grad_E(z, cfg, w, f)
-        out["E"] = (e_val.item(), grad_e)
+        out["E"] = (nodes.e_val, nodes.grad_e)
     return out
-
-
-def stacked_gradient(z: np.ndarray, twisted: bool, cfg: FieldConfig) -> np.ndarray:
-    """Exact gradients of the discretized regularized functional for a stack
-    of loops: z has shape (..., n), one loop's samples along the last axis,
-    and every loop shares the sector ``twisted``.  Raises DegenerateLoopError
-    if any loop in the stack is degenerate."""
-    w, f = _prepare(z)
-    zc, zp = _cover(z, twisted)
-    mu = cfg.mu
-    h1, h2 = _centers(z)
-    h_mu = (1 - mu) * h1 + mu * h2
-    phi = _df_integrand(z)
-
-    grad = _kinetic(zc, zp) * phi + f * _grad_G(z, twisted, zc, zp)
-    grad += _grad_centers(z, mu) / f
-    grad -= h_mu / f**2 * phi
-    if not cfg.magnetic.is_zero:
-        grad -= _grad_M(z, cfg)
-    if not cfg.electric.is_zero:
-        grad -= _grad_E(z, cfg, w, f)[1]
-    return grad
 
 
 def gradient(loop: DiscreteLoop, cfg: FieldConfig) -> np.ndarray:
     """Exact gradient of the discretized regularized functional."""
-    return stacked_gradient(loop.samples, loop.twisted, cfg)
-
-
-def _wirtinger_phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """d/dz and d/dzbar of ``_df_integrand``, which is a(z) conj(b(z)) with
-    a = (z - 1/z)/2 and b = 1 + 1/z^2."""
-    return 0.5 * np.abs(1.0 + 1.0 / z**2) ** 2, -(z - 1.0 / z) / np.conj(z) ** 3
+    nodes = _Nodes(loop.samples, loop.twisted, cfg)
+    f, phi = nodes.f, nodes.phi
+    h_mu = (1 - cfg.mu) * nodes.h1 + cfg.mu * nodes.h2
+    grad = nodes.g * phi + f * nodes.grad_g
+    grad += nodes.grad_centers / f
+    grad -= h_mu / (f * f) * phi
+    if not cfg.magnetic.is_zero:
+        grad -= np.conj(nodes.bp) * nodes.gq
+    if not cfg.electric.is_zero:
+        grad -= nodes.grad_e
+    return grad
 
 
 def _wirtinger_centers(z: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """d/dz and d/dzbar of ``_grad_centers``: the center at s contributes
+    """d/dz and d/dzbar of ``_Nodes.grad_centers``: the center at s contributes
     (z - s)(1 + s/conj(z)) / (2|z|), s = 1 for H1 and s = -1 for H2."""
     absz, zb = np.abs(z), np.conj(z)
     d_z, d_zb = 0.0, 0.0
@@ -364,48 +370,54 @@ def _fold_cover(m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarra
     return 0.5 * (top + left[:, None] * bottom)
 
 
-def _kinetic_hessian(z: np.ndarray, twisted: bool, zc: np.ndarray, zp: np.ndarray, g_cover: np.ndarray):
-    """(A, B) with  d ``_grad_G`` = A xi + B conj(xi).
+def _kinetic_hessian(nodes: _Nodes):
+    """(A, B) with  d grad_g = A xi + B conj(xi).
 
-    On the cover, ``_grad_G_cover`` = -D(r zp) - r^2 |zp|^2 zc, with zp = D zc
+    On the cover, g_cover = -D(r zp) - r^2 |zp|^2 zc, with zp = D zc
     and r = 1/|zc|^2, varies along zeta as A_c zeta + B_c conj(zeta):
 
         A_c = diag(r^2 |zp|^2) - D diag(r) D + D diag(u) - diag(conj(u)) D
         B_c = diag(2 r^3 |zp|^2 zc^2) + D diag(v) - diag(v) D
 
     with u = r^2 zp conj(zc) and v = r^2 zp zc.  A twisted loop's cover z, 1/z
-    moves by xi, s xi with s = -1/z^2, ``_fold`` pulls its halves back with
+    moves by xi, s xi with s = -1/z^2, grad_g pulls its halves back with
     conj(s), and the fold's own variation adds conj(xi) g_cover[n:]/conj(z)^3.
-    g_cover is ``_grad_G_cover`` at the base."""
-    n = z.shape[-1]
-    dmat = derivative_matrix(zc.shape[-1], 2.0 if twisted else 1.0)
+    The (2n, 2n) terms are accumulated in place, to keep few of them alive."""
+    zc, zp = nodes.zc, nodes.zp
+    dmat = derivative_matrix(len(zc), nodes.period)
     r = 1.0 / np.abs(zc) ** 2
     zp2 = np.abs(zp) ** 2
     u = r**2 * zp * np.conj(zc)
     v = r**2 * zp * zc
-    a = _add_diag(dmat * u - np.conj(u)[:, None] * dmat - (dmat * r) @ dmat, r**2 * zp2)
-    b = _add_diag(dmat * v - v[:, None] * dmat, 2.0 * r**3 * zp2 * zc**2)
-    if not twisted:
+    a = dmat * u
+    a -= np.conj(u)[:, None] * dmat
+    a -= (dmat * r) @ dmat
+    _add_diag(a, r**2 * zp2)
+    b = dmat * v
+    b -= v[:, None] * dmat
+    _add_diag(b, 2.0 * r**3 * zp2 * zc**2)
+    if not nodes.twisted:
         return a, b
+    z = nodes.z
     s = -1.0 / z**2
     a = _fold_cover(a, np.conj(s), s)
-    b = _add_diag(_fold_cover(b, np.conj(s), np.conj(s)), g_cover[n:] / np.conj(z) ** 3)
+    b = _add_diag(_fold_cover(b, np.conj(s), np.conj(s)), nodes.g_cover[nodes.n :] / np.conj(z) ** 3)
     return a, b
 
 
-def _magnetic_hessian(z: np.ndarray, cfg: FieldConfig):
-    """(A, B) with  d ``_grad_M`` = A xi + B conj(xi).
+def _magnetic_hessian(nodes: _Nodes):
+    """(A, B) with  d grad_M = A xi + B conj(xi).
 
-    ``_grad_M`` is conj(B'(z)) gq, and gq = zeta - D a, with a the gauge at
+    grad_M is conj(B'(z)) gq, and gq = zeta - D a, with a the gauge at
     q = B(z) and zeta = Re(conj(d1) qp) + i Re(conj(d2) qp), varies along a
     q-plane move eta as A_q eta + B_q conj(eta).  The gauge's derivatives d1,
     d2 vary as p eta + pb conj(eta), with p and pb their Wirtinger derivatives
     (from the gauge's Hessian).  Then eta = B'(z) xi, and conj(B'(z)) varies
     by conj(xi/z^3)."""
-    q, qp, d1, d2, gq = _magnetic_base(z, cfg)
-    h11, h12, h22 = cfg.magnetic.gauge_hess_at(q)
-    dmat = derivative_matrix(z.shape[-1])
-    bp = birkhoff_derivative(z)
+    qp, bp = nodes.qp, nodes.bp
+    d1, d2 = nodes.gauge_jac
+    h11, h12, h22 = nodes.cfg.magnetic.gauge_hess_at(nodes.q)
+    dmat = derivative_matrix(nodes.n)
     qpb = np.conj(qp)
     p1, p1b = 0.5 * (h11 - 1j * h12), 0.5 * (h11 + 1j * h12)
     p2, p2b = 0.5 * (h12 - 1j * h22), 0.5 * (h12 + 1j * h22)
@@ -420,28 +432,27 @@ def _magnetic_hessian(z: np.ndarray, cfg: FieldConfig):
     )
     bpb = np.conj(bp)
     a = bpb[:, None] * a_q * bp
-    b = _add_diag(bpb[:, None] * b_q * bpb, np.conj(1.0 / z**3) * gq)
+    b = _add_diag(bpb[:, None] * b_q * bpb, np.conj(1.0 / nodes.z**3) * nodes.gq)
     return a, b
 
 
-def _electric_hessian(z: np.ndarray, cfg: FieldConfig, w: np.ndarray, f: float):
-    """(A, B) with  d ``_grad_E`` = A xi + B conj(xi): through the discrete
+def _electric_hessian(nodes: _Nodes):
+    """(A, B) with  d grad_e = A xi + B conj(xi): through the discrete
     time map t = K w / F, and through the field's second derivatives at the
-    nodes.  Names follow ``_electric_base``: N = F E is the quadrature
-    mean(e w) and grad_n its gradient n c phi + force.
+    nodes.  Names follow the electric quantities of ``_Nodes``: N = F E is
+    the quadrature mean(e w) and grad_n its gradient n c phi + force.
 
     A real variation r is kept as the one matrix p with r = p xi + conj(p
     xi): the weights' dw = Re(conj(phi) xi) is diagonal, dF = mean(dw) one
     row, and the time map's dt = (K dw - t dF)/F a full matrix."""
-    n = z.shape[-1]
+    n, f, w, t = nodes.n, nodes.f, nodes.w, nodes.t
     kmat = integration_matrix(n)
-    t, e, edot, ge, beta, beta_k, beta_t, c, grad_n, e_val = _electric_base(z, cfg, w, f)
-    e_tt, ge_t, g1, g2 = cfg.electric.hess(t, birkhoff_map(z))
-    phi = _df_integrand(z)
-    phi_z, phi_zb = _wirtinger_phi(z)
-    bp = birkhoff_derivative(z)
+    e, edot, ge, e_val = nodes.e, nodes.edot, nodes.ge, nodes.e_val
+    beta, beta_k, beta_t, c = nodes.beta, nodes.beta_k, nodes.beta_t, nodes.c
+    e_tt, ge_t, g1, g2 = nodes.cfg.electric.hess(t, nodes.q)
+    phi, bp, grad_e = nodes.phi, nodes.bp, nodes.grad_e
+    phi_z, phi_zb = nodes.phi_wirtinger
     bpb = np.conj(bp)
-    grad_e = (grad_n - e_val * phi) / f
 
     p_w = 0.5 * np.conj(phi)
     p_f = p_w / n
@@ -466,7 +477,7 @@ def _electric_hessian(z: np.ndarray, cfg: FieldConfig, w: np.ndarray, f: float):
     b = _add_diag(
         n * phi[:, None] * np.conj(p_c) + wb * ge_t[:, None] * np.conj(p_t),
         n * c * phi_zb + bpb * ge * np.conj(p_w) + w * bpb**2 * 0.5 * (g1 + 1j * g2)
-        + w * np.conj(1.0 / z**3) * ge,
+        + w * np.conj(1.0 / nodes.z**3) * ge,
     )
     # E = N/F:  dE_grad = (d grad_n - dE phi - E dphi - grad_E dF)/F
     a -= np.outer(phi, p_e_val) + np.outer(grad_e, p_f)
@@ -478,8 +489,8 @@ def _electric_hessian(z: np.ndarray, cfg: FieldConfig, w: np.ndarray, f: float):
 
 def second_variation_matrix(z: np.ndarray, twisted: bool, cfg: FieldConfig) -> np.ndarray:
     """The exact Hessian of the discretized functional at the one loop z
-    (shape (n,)): the (2n, 2n) real Jacobian of pack(stacked_gradient) in
-    pack coordinates, symmetric to round-off.
+    (shape (n,)): the (2n, 2n) real Jacobian of pack(gradient) in pack
+    coordinates, symmetric to round-off.
 
     Every term of the gradient varies real-linearly, as A xi + B conj(xi)
     with complex (n, n) matrices A and B.  These are assembled directly from
@@ -487,39 +498,30 @@ def second_variation_matrix(z: np.ndarray, twisted: bool, cfg: FieldConfig) -> n
     matrix D, the double cover's fold (slices), rank-one products for the
     means F and G, and the integration matrix K of the electric time map.
     The real block is then [[Re(A+B), -Im(A-B)], [Im(A+B), Re(A-B)]]."""
-    z = np.asarray(z, dtype=complex)
-    n = z.shape[-1]
-    w, f = _prepare(z)
-    f = f.item()
-    zc, zp = _cover(z, twisted)
-    mu = cfg.mu
-    h1, h2 = _centers(z)
-    h_mu = ((1 - mu) * h1 + mu * h2).item()
-    phi = _df_integrand(z)
-    g_cover = _grad_G_cover(zc, zp, 2.0 if twisted else 1.0)
-    g_kin = _fold(g_cover, z, twisted)
-    g_cen = _grad_centers(z, mu)
-    phi_z, phi_zb = _wirtinger_phi(z)
-    cen_z, cen_zb = _wirtinger_centers(z, mu)
+    nodes = _Nodes(np.asarray(z, dtype=complex), twisted, cfg)
+    n, f, phi = nodes.n, nodes.f, nodes.phi
+    h_mu = (1 - cfg.mu) * nodes.h1 + cfg.mu * nodes.h2
+    phi_z, phi_zb = nodes.phi_wirtinger
+    cen_z, cen_zb = _wirtinger_centers(nodes.z, cfg.mu)
 
     # the gradient  G phi + F g_kin + g_cen / F - h_mu phi / F^2  varies
     # pointwise, plus F times the kinetic variation, plus the means: dF =
     # mean Re(conj(phi) xi) along along_df, and dG - dh_mu / F^2 =
     # mean Re(conj(dm) xi) along phi
-    a0 = _kinetic(zc, zp).item() - h_mu / f**2
-    dm = g_kin - g_cen / f**2
+    a0 = nodes.g - h_mu / f**2
+    dm = nodes.grad_g - nodes.grad_centers / f**2
     along_df = dm + 2.0 * h_mu / f**3 * phi
-    a, b = _kinetic_hessian(z, twisted, zc, zp, g_cover)
+    a, b = _kinetic_hessian(nodes)
     a = _add_diag(f * a, a0 * phi_z + cen_z / f)
     b = _add_diag(f * b, a0 * phi_zb + cen_zb / f)
     a += (np.outer(along_df, np.conj(phi)) + np.outer(phi, np.conj(dm))) / (2 * n)
     b += (np.outer(along_df, phi) + np.outer(phi, dm)) / (2 * n)
     if not cfg.magnetic.is_zero:
-        a_m, b_m = _magnetic_hessian(z, cfg)
+        a_m, b_m = _magnetic_hessian(nodes)
         a -= a_m
         b -= b_m
     if not cfg.electric.is_zero:
-        a_e, b_e = _electric_hessian(z, cfg, w, f)
+        a_e, b_e = _electric_hessian(nodes)
         a -= a_e
         b -= b_e
     p, m = a + b, a - b
@@ -527,14 +529,13 @@ def second_variation_matrix(z: np.ndarray, twisted: bool, cfg: FieldConfig) -> n
 
 
 def pack(g: np.ndarray) -> np.ndarray:
-    """Complex samples to the real coordinate vector [Re; Im] (along the last
-    axis, so a stack of loops packs row by row)."""
-    return np.concatenate([g.real, g.imag], axis=-1)
+    """Complex samples to the real coordinate vector [Re; Im]."""
+    return np.concatenate([g.real, g.imag])
 
 
 def unpack(x: np.ndarray) -> np.ndarray:
-    n = np.shape(x)[-1] // 2
-    return x[..., :n] + 1j * x[..., n:]
+    n = len(x) // 2
+    return x[:n] + 1j * x[n:]
 
 
 def grad_norm(g: np.ndarray) -> float:
@@ -548,28 +549,25 @@ def delay_residual(loop: DiscreteLoop, cfg: FieldConfig) -> DelayResidual:
     Evaluates the right-hand side with spectral derivatives and cumulative
     quadratures and subtracts the spectral z''.
     """
-    z = loop.samples
-    w, f = _prepare(z)
-    f = f.item()
-    c_const = eval_components(loop, cfg).C
-    zp = derivative(loop)
-    zpp = second_derivative(loop)
-    phi = _df_integrand(z)
+    nodes = _Nodes(loop.samples, loop.twisted, cfg)
+    z, w, f, phi = nodes.z, nodes.w, nodes.f, nodes.phi
+    c_const = nodes.breakdown().C
+    zp = nodes.zp[: nodes.n]
+    zpp = _spectral_derivative(nodes.zc, period=nodes.period, order=2)[: nodes.n]
     absz2 = np.abs(z) ** 2
 
     rhs = c_const * phi * absz2 / f**2
     rhs = rhs + np.conj(z) * zp**2 / absz2
-    rhs = rhs + absz2 * _grad_centers(z, cfg.mu) / f**2
+    rhs = rhs + absz2 * nodes.grad_centers / f**2
     # magnetic delay term, same orientation as the Lorentz force B i qdot
-    rhs = rhs + (w / f) * cfg.magnetic.field_at(birkhoff_map(z)) * 1j * zp
+    rhs = rhs + (w / f) * cfg.magnetic.field_at(nodes.q) * 1j * zp
 
     if cfg.electric.is_zero:
-        eps1, eps2, eps3 = np.zeros((3, loop.n), dtype=complex)
+        eps1, eps2, eps3 = np.zeros((3, nodes.n), dtype=complex)
     else:
-        _, e, edot, ge = _electric_fields(z, cfg, w, f)
-        eps2 = w * np.conj(birkhoff_derivative(z)) * ge
-        eps1 = (_tail_integral(edot * w) / f) * phi
-        eps3 = e * phi
+        eps2 = nodes.force
+        eps1 = (_tail_integral(nodes.beta) / f) * phi
+        eps3 = nodes.e * phi
         rhs = rhs - (absz2 / f**2) * (eps1 + eps2 + eps3)
 
     return DelayResidual(

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -538,13 +539,22 @@ def loop_to_dict(loop: DiscreteLoop) -> dict:
     }
 
 
+def _require_bool(value, name: str) -> bool:
+    """A JSON boolean as it is: "false" or 1 is rejected, not cast."""
+    if not isinstance(value, bool):
+        raise LoopError(f"{name} must be true or false, not {value!r}")
+    return value
+
+
 def loop_from_dict(data: dict) -> DiscreteLoop:
     try:
-        n = int(data["n"])
-        twisted = bool(data["twisted"])
+        n, twisted = data["n"], data["twisted"]
         samples = np.array([complex(re, im) for re, im in data["samples"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise LoopError(f"malformed loop object: {exc}") from exc
+    _require_bool(twisted, "loop object: 'twisted'")
+    if not isinstance(n, Integral) or isinstance(n, bool):
+        raise LoopError(f"loop object: 'n' must be an integer, not {n!r}")
     if len(samples) != n:
         raise LoopError("loop object: 'n' does not match number of samples")
     return DiscreteLoop(samples=samples, twisted=twisted)

@@ -56,6 +56,7 @@ from .loops import (
     loop_to_dict,
     reconstruct,
     time_map,
+    _require_bool,
     _trig_eval,
 )
 
@@ -193,7 +194,7 @@ def record_from_dict(data: dict, cfg: Optional[FieldConfig] = None) -> OrbitReco
         delay_sup=float(diag["delay_sup"]),
         phi_sup=float(diag["phi_sup"]),
         winding=wind,
-        twisted=bool(data["twisted"]),
+        twisted=_require_bool(data["twisted"], "record: 'twisted'"),
         cfg=cfg,
         iterations=int(diag.get("iterations", 0)),
     )
@@ -441,10 +442,12 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         gn = gn_of(r)
         stage_start, stage_gn = iterations, gn
 
-    for iterations in range(1, opts.max_iter + 1):
+    # an iteration is counted once its Jacobian is assembled, so a seed
+    # already at tolerance takes none
+    while iterations < opts.max_iter:
         if gn < opts.g_tol:
             break
-
+        iterations += 1
         xc, rc = x, r
         jmat = _dense_jacobian(xc, twisted, cfg, np.sqrt(state["lam_prox"]) * scale, phase_dir)
         ata = jmat.T @ jmat

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,19 +7,22 @@ from conftest import random_smooth_loop
 from szbov import (
     DegenerateLoopError,
     DiscreteLoop,
+    FieldConfig,
     delay_residual,
     eval_action,
     eval_components,
     eval_unregularized,
     component_gradients,
+    electric_preset,
     grad_norm,
     gradient,
+    magnetic_preset,
     pack,
     preset,
     reconstruct,
     unpack,
 )
-from szbov.action import stacked_gradient
+from szbov.action import second_variation_matrix
 
 ZERO = preset("zero", mu=0.5)
 
@@ -109,19 +114,64 @@ class TestGradient:
         with pytest.raises(DegenerateLoopError):
             gradient(DiscreteLoop(samples=samples), ZERO)
 
-    @pytest.mark.parametrize("name,cfg", CONFIGS, ids=[c[0] for c in CONFIGS])
-    @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
-    def test_stack_matches_single_loops(self, rng, name, cfg, twisted):
-        loops = [random_smooth_loop(rng, 64, twisted=twisted) for _ in range(5)]
-        stacked = stacked_gradient(np.array([lp.samples for lp in loops]), twisted, cfg)
-        for row, loop in zip(stacked, loops):
-            g = gradient(loop, cfg)
-            assert np.max(np.abs(row - g)) <= 1e-13 * np.max(np.abs(g))
 
-    def test_stack_with_a_degenerate_row_rejected(self, rng):
-        stack = np.array([random_smooth_loop(rng, 64).samples, np.full(64, 1.0 + 1e-9 + 0j)])
-        with pytest.raises(DegenerateLoopError):
-            stacked_gradient(stack, False, ZERO)
+def counted_custom_config(calls: Counter) -> FieldConfig:
+    """Custom magnetic and electric fields whose callables count their calls
+    in ``calls``.  A custom gauge has no closed-form derivatives, so its
+    Jacobian is a 4-point stencil of the gauge and its Hessian 4 Jacobians;
+    the potential's Hessian is 2 calls of dot and 6 of grad."""
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    c = lambda t: np.cos(2 * np.pi * t)
+    s = lambda t: np.sin(2 * np.pi * t)
+    magnetic = magnetic_preset(
+        "custom",
+        field=counted("field", lambda q: 1.5 * (1.0 + 0.2 * np.abs(q) ** 2)),
+        gauge=counted("gauge", lambda q: 0.75j * q * (1.0 + 0.1 * np.abs(q) ** 2)),
+    )
+    electric = electric_preset(
+        "custom",
+        e=counted("e", lambda t, q: 0.2 * (c(t) * np.abs(q) ** 2 / 2 + s(t) * q.real)),
+        grad=counted("grad", lambda t, q: 0.2 * (c(t) * q + s(t))),
+        dot=counted("dot", lambda t, q: 0.4 * np.pi * (c(t) * q.real - s(t) * np.abs(q) ** 2 / 2)),
+    )
+    return FieldConfig(mu=0.5, magnetic=magnetic, electric=electric)
+
+
+class TestFieldEvaluations:
+    # the most calls of each field callable per call of each function: a
+    # value evaluates no derivative, and no function evaluates the same
+    # callable at the same points twice
+    BOUNDS = {
+        "eval_components": dict(gauge=1, e=1, dot=1, grad=0, field=0),
+        "delay_residual": dict(gauge=1, e=1, dot=1, grad=1, field=1),
+        "component_gradients": dict(gauge=5, e=1, dot=1, grad=1, field=0),
+        "gradient": dict(gauge=5, e=1, dot=1, grad=1, field=0),
+        "second_variation_matrix": dict(gauge=21, e=1, dot=3, grad=7, field=0),
+    }
+    CALLS = {
+        "eval_components": eval_components,
+        "delay_residual": delay_residual,
+        "component_gradients": component_gradients,
+        "gradient": gradient,
+        "second_variation_matrix": lambda loop, cfg: second_variation_matrix(loop.samples, loop.twisted, cfg),
+    }
+
+    @pytest.mark.parametrize("name", list(BOUNDS))
+    @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+    def test_each_field_is_evaluated_at_most_once_per_use(self, rng, name, twisted):
+        calls = Counter()
+        cfg = counted_custom_config(calls)
+        loop = random_smooth_loop(rng, 32, twisted=twisted)
+        self.CALLS[name](loop, cfg)
+        assert calls["e"] == 1
+        for key, bound in self.BOUNDS[name].items():
+            assert calls[key] <= bound, f"{key} called {calls[key]} times, at most {bound}"
 
 
 class TestPacking:

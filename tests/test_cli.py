@@ -183,6 +183,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "64" in err and "128" in err
 
+    @pytest.mark.parametrize("key, value", [("twisted", "false"), ("n", 128.5)])
+    def test_loop_file_with_a_mistyped_field_rejected(self, tmp_path, capsys, key, value):
+        # "false" is not cast to a flag (bool("false") is True), nor 128.5 to 128
+        loop_path = tmp_path / "loop.json"
+        save_loop(seed_circle(0.0, 2.0, 128), loop_path)
+        data = json.loads(loop_path.read_text())
+        data[key] = value
+        loop_path.write_text(json.dumps(data))
+        assert run(["eval", "--config", write_config(tmp_path, EULER), loop_path]) == 2
+        assert f"'{key}' must be" in capsys.readouterr().err
+
     def test_nan_tolerance_rejected(self, capsys):
         # a NaN tolerance is never met, yet never reported as missed either
         seed = '{"kind": "circle", "radius": 2}'

@@ -305,5 +305,17 @@ class TestSerialization:
         np.testing.assert_array_equal(again.samples, loop.samples)
 
     def test_malformed_dict_rejected(self):
-        with pytest.raises(LoopError):
-            loop_from_dict({"n": 4, "twisted": False, "samples": [[1, 0]]})
+        samples = [[2.0 + np.cos(x), np.sin(x)] for x in 2 * np.pi * np.arange(16) / 16]
+        cases = [
+            {"n": 4, "twisted": False, "samples": [[1, 0]]},
+            # a string or a number is not read as a flag: bool("false") is True
+            {"n": 16, "twisted": "false", "samples": samples},
+            {"n": 16, "twisted": 0, "samples": samples},
+            # nor is a fractional or boolean n truncated to the sample count
+            {"n": 16.7, "twisted": False, "samples": samples},
+            {"n": 16.0, "twisted": False, "samples": samples},
+        ]
+        assert loop_from_dict({"n": 16, "twisted": False, "samples": samples}).n == 16
+        for data in cases:
+            with pytest.raises(LoopError):
+                loop_from_dict(data)

@@ -32,6 +32,7 @@ from szbov import (
     unpack,
     winding_report,
 )
+import szbov.solver
 from szbov.loops import TimeMap
 from szbov.solver import _PROX0, _dense_jacobian, _residual_factory
 
@@ -154,6 +155,22 @@ class TestSolve:
         assert rec.iterations > 10
         assert len(calls) <= 3
 
+    def test_iterations_count_jacobian_assemblies(self, monkeypatch):
+        # not the passes of the loop, which end with one more convergence
+        # test; so a seed already at tolerance takes no iteration
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _dense_jacobian(*args)
+
+        monkeypatch.setattr(szbov.solver, "_dense_jacobian", counted)
+        rec = solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, OPTS)
+        assert rec.iterations == len(calls) > 10
+        again = solve(rec.z, KEPLER, OPTS)
+        assert again.iterations == 0 and len(calls) == rec.iterations
+        np.testing.assert_array_equal(again.z.samples, rec.z.samples)
+
     def test_anchor_vanishes_at_a_collisional_seed(self):
         # the ejection seed's physical loop reaches a center, where its
         # interpolant in t rings; the offset still zeroes the anchor there
@@ -173,6 +190,11 @@ class TestSolve:
         assert again.action == pytest.approx(rec.action, rel=1e-12)
         assert again.grad_norm == pytest.approx(rec.grad_norm, rel=1e-6)
         assert again.cfg.mu == rec.cfg.mu
+        # a record's sector is a JSON boolean; the string "false" is not cast
+        data = rec.to_dict()
+        data["twisted"] = "false"
+        with pytest.raises(LoopError, match="'twisted' must be true or false"):
+            record_from_dict(data)
 
 
 def _custom_magnetic(b=1.5):
