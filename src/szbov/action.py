@@ -87,7 +87,12 @@ class ActionBreakdown:
     @property
     def C(self) -> float:
         """The global constant of the delay equation (the orbit energy)."""
-        return self.F * self.G - ((1 - self.mu) * self.H1 + self.mu * self.H2) / self.F + self.E_val + self.E1
+        return _energy_constant(self.F, self.G, self.H1, self.H2, self.E_val, self.E1, self.mu)
+
+
+def _energy_constant(f, g, h1, h2, e_val, e1, mu) -> float:
+    """C = F G - ((1 - mu) H1 + mu H2) / F + E + E1, which has no M term."""
+    return f * g - ((1 - mu) * h1 + mu * h2) / f + e_val + e1
 
 
 @dataclass(frozen=True)
@@ -551,7 +556,7 @@ def delay_residual(loop: DiscreteLoop, cfg: FieldConfig) -> DelayResidual:
     """
     nodes = _Nodes(loop.samples, loop.twisted, cfg)
     z, w, f, phi = nodes.z, nodes.w, nodes.f, nodes.phi
-    c_const = nodes.breakdown().C
+    c_const = _energy_constant(f, nodes.g, nodes.h1, nodes.h2, nodes.e_val, nodes.e1, cfg.mu)
     zp = nodes.zp[: nodes.n]
     zpp = _spectral_derivative(nodes.zc, period=nodes.period, order=2)[: nodes.n]
     absz2 = np.abs(z) ** 2

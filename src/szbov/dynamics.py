@@ -109,16 +109,19 @@ def newtonian_rhs(t, q, v, cfg: FieldConfig):
     """Acceleration of the charged particle at position q with velocity v.
 
     q and v are complex scalars or arrays of one shape, and the result takes
-    the same form; ``integrate`` passes scalars, once per Runge-Kutta stage,
-    and they skip the conversion to arrays.  A field that is zero adds no
-    term.
+    the same form; ``integrate`` passes scalars, once per Runge-Kutta stage.
+    Scalars stay Python numbers: they skip the conversion to arrays, and the
+    Coulomb-center test reads the product of the distances directly, since
+    ``np.all`` on a number costs most of a zero-field call.  A field that is
+    zero adds no term.
     """
-    if not isinstance(q, (complex, float, int)):
+    scalar = isinstance(q, (complex, float, int))
+    if not scalar:
         q = np.asarray(q, dtype=complex)
         v = np.asarray(v, dtype=complex)
     rp = abs(q + 1.0)
     rm = abs(q - 1.0)
-    if not np.all(rp * rm):
+    if not (rp * rm if scalar else np.all(rp * rm)):
         raise SingularityError("position at a Coulomb center")
     acc = -(1 - cfg.mu) * (q + 1.0) / rp**3 - cfg.mu * (q - 1.0) / rm**3
     if not cfg.magnetic.is_zero:

@@ -242,17 +242,35 @@ def chain_rule_state(loop: DiscreteLoop, tau=None, tm: TimeMap | None = None):
     return birkhoff_map(z), qdot
 
 
+def _circulant(col: np.ndarray) -> np.ndarray:
+    """The matrix C[j, l] = col[(j - l) mod n] as a new C-contiguous array.
+
+    Each row is a window of n consecutive entries of col, tiled twice and
+    reversed, so the copy of those windows is the only n x n array made.
+    """
+    n = len(col)
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(col, 2)[::-1], n)
+    return windows[n - 1 :: -1].copy()
+
+
 @functools.lru_cache(maxsize=8)
 def derivative_matrix(n: int, period: float = 1.0) -> np.ndarray:
     """Dense real matrix D with D @ f = ``_spectral_derivative(f, period)``.
 
-    With the Nyquist mode zeroed, D is real and antisymmetric; it is made
-    exactly so, and read-only, since the cached array is shared.
+    The spectral derivative commutes with shifts, so D is the circulant of
+    one column, the derivative d of the unit vector e_0: D[j, l] =
+    d[(j - l) mod n].  With the Nyquist mode zeroed, D is real and
+    antisymmetric; d is made exactly odd, d[-m] = -d[m], so that D.T = -D
+    holds exactly.  Built in O(n^2) as a C-contiguous float64 array, and
+    read-only, since the cached array is shared.
     """
-    d = np.real(_spectral_derivative(np.eye(n), period=period)).T
-    d = 0.5 * (d - d.T)
-    d.flags.writeable = False
-    return d
+    unit = np.zeros(n)
+    unit[0] = 1.0
+    d = _spectral_derivative(unit, period=period).real
+    d = 0.5 * (d - d[-np.arange(n)])  # d[-m] is d[(-m) mod n]
+    out = _circulant(d)
+    out.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -261,19 +279,26 @@ def integration_matrix(n: int) -> np.ndarray:
     interpolant of f from 0 to j/n.
 
     Linear in the samples, which is what the exact discrete gradient of the
-    time-reparametrized electric term differentiates through.
+    time-reparametrized electric term differentiates through.  Mode k of the
+    interpolant integrates to (exp(2 pi i k tau) - 1) / (2 pi i k), the mean
+    to tau, and the Nyquist cosine to a sine that vanishes at the nodes.  So
+    K[j, l] = (j/n + h[(j - l) mod n] - h[(-l) mod n]) / n, with h = n
+    ifft(c) the periodic part, c_k = 1 / (2 pi i k) and the mean and Nyquist
+    modes zeroed: one circulant plus a row and a column, built in O(n^2) as
+    a C-contiguous float64 array, read-only since the cached array is shared.
     """
     k = np.fft.fftfreq(n, d=1.0 / n)
-    tau = np.arange(n) / n
-    dft = np.fft.fft(np.eye(n), axis=0) / n  # c = dft @ f
-    phase = np.exp(2j * np.pi * np.outer(tau, k))
+    modes = k != 0
+    modes[n // 2] = False
     coef = np.zeros(n, dtype=complex)
-    nz = k != 0
-    coef[nz] = 1.0 / (2j * np.pi * k[nz])
-    p = (phase - 1.0) * coef
-    p[:, 0] = tau  # mean term integrates to c0 * tau
-    p[:, n // 2] = 0.0  # Nyquist cosine integrates to sin, zero at the nodes
-    return np.real(p @ dft)
+    coef[modes] = 1.0 / (2j * np.pi * k[modes])
+    h = n * np.fft.ifft(coef).real
+    out = _circulant(h)
+    out += (np.arange(n) / n)[:, None]
+    out -= h[-np.arange(n)]
+    out /= n
+    out.flags.writeable = False
+    return out
 
 
 def _tail_integral(f: np.ndarray) -> np.ndarray:
@@ -546,6 +571,13 @@ def _require_bool(value, name: str) -> bool:
     return value
 
 
+def _require_int(value, name: str) -> int:
+    """A JSON integer as it is: 16.7 or true is rejected, not cast."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise LoopError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 def loop_from_dict(data: dict) -> DiscreteLoop:
     try:
         n, twisted = data["n"], data["twisted"]
@@ -553,9 +585,7 @@ def loop_from_dict(data: dict) -> DiscreteLoop:
     except (KeyError, TypeError, ValueError) as exc:
         raise LoopError(f"malformed loop object: {exc}") from exc
     _require_bool(twisted, "loop object: 'twisted'")
-    if not isinstance(n, Integral) or isinstance(n, bool):
-        raise LoopError(f"loop object: 'n' must be an integer, not {n!r}")
-    if len(samples) != n:
+    if len(samples) != _require_int(n, "loop object: 'n'"):
         raise LoopError("loop object: 'n' does not match number of samples")
     return DiscreteLoop(samples=samples, twisted=twisted)
 

@@ -57,6 +57,7 @@ from .loops import (
     reconstruct,
     time_map,
     _require_bool,
+    _require_int,
     _trig_eval,
 )
 
@@ -184,7 +185,10 @@ def record_from_dict(data: dict, cfg: Optional[FieldConfig] = None) -> OrbitReco
     wind = None
     if diag.get("winding") is not None:
         wd = diag["winding"]
-        wind = WindingReport(around_minus_one=int(wd["minus"]), around_plus_one=int(wd["plus"]))
+        wind = WindingReport(
+            around_minus_one=_require_int(wd["minus"], "record: winding 'minus'"),
+            around_plus_one=_require_int(wd["plus"], "record: winding 'plus'"),
+        )
     return OrbitRecord(
         z=z,
         q=q,
@@ -196,7 +200,7 @@ def record_from_dict(data: dict, cfg: Optional[FieldConfig] = None) -> OrbitReco
         winding=wind,
         twisted=_require_bool(data["twisted"], "record: 'twisted'"),
         cfg=cfg,
-        iterations=int(diag.get("iterations", 0)),
+        iterations=_require_int(diag.get("iterations", 0), "record: 'iterations'"),
     )
 
 

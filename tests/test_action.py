@@ -149,7 +149,7 @@ class TestFieldEvaluations:
     # callable at the same points twice
     BOUNDS = {
         "eval_components": dict(gauge=1, e=1, dot=1, grad=0, field=0),
-        "delay_residual": dict(gauge=1, e=1, dot=1, grad=1, field=1),
+        "delay_residual": dict(gauge=0, e=1, dot=1, grad=1, field=1),
         "component_gradients": dict(gauge=5, e=1, dot=1, grad=1, field=0),
         "gradient": dict(gauge=5, e=1, dot=1, grad=1, field=0),
         "second_variation_matrix": dict(gauge=21, e=1, dot=3, grad=7, field=0),

@@ -194,6 +194,15 @@ class TestExitCodes:
         assert run(["eval", "--config", write_config(tmp_path, EULER), loop_path]) == 2
         assert f"'{key}' must be" in capsys.readouterr().err
 
+    def test_record_with_a_fractional_count_rejected(self, orbit_path, tmp_path, capsys):
+        # 3.7 iterations is not truncated to 3
+        data = json.loads(orbit_path.read_text())
+        data["diagnostics"]["iterations"] = 3.7
+        record_path = tmp_path / "record.json"
+        record_path.write_text(json.dumps(data))
+        assert run(["verify", record_path, "--quiet"]) == 2
+        assert "'iterations' must be an integer" in capsys.readouterr().err
+
     def test_nan_tolerance_rejected(self, capsys):
         # a NaN tolerance is never met, yet never reported as missed either
         seed = '{"kind": "circle", "radius": 2}'

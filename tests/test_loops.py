@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,14 @@ from szbov import (
     zhat,
 )
 from conftest import random_smooth_loop
-from szbov.loops import TimeMap, _fourier_sum, _spectral_derivative, _trig_eval, derivative_matrix
+from szbov.loops import (
+    TimeMap,
+    _fourier_sum,
+    _spectral_derivative,
+    _trig_eval,
+    derivative_matrix,
+    integration_matrix,
+)
 
 TAU64 = np.arange(64) / 64
 
@@ -54,6 +63,26 @@ class TestDiscreteLoop:
         cover = double_cover(loop)
         assert len(cover) == 2 * loop.n
         np.testing.assert_allclose(cover[loop.n :], 1.0 / loop.samples, rtol=1e-14)
+
+
+def assert_shared_operator(mat, n):
+    """A cached operator: n x n float64, C-contiguous, and read-only, since
+    every caller gets the same array."""
+    assert mat.shape == (n, n)
+    assert mat.dtype == np.float64
+    assert mat.flags.c_contiguous
+    assert not mat.flags.writeable
+
+
+def traced_build(cached, *args):
+    """An uncached build of a cached operator, with the memory it keeps and
+    its peak, as traced by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = cached.__wrapped__(*args)
+        return (out, *tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
 
 
 class TestSpectralCalculus:
@@ -112,10 +141,39 @@ class TestSpectralCalculus:
         rng = np.random.default_rng(n)
         x = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
         d = derivative_matrix(n, period)
-        assert d.dtype == np.float64
+        assert_shared_operator(d, n)
         assert np.array_equal(d.T, -d)
         expected = _spectral_derivative(x, period=period)
         assert np.max(np.abs(x @ d.T - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    def test_integration_matrix_integrates_the_interpolant(self, n):
+        # closed-form antiderivatives from 0 to each node: a constant gives
+        # tau, cos(2 pi k tau) gives sin(2 pi k tau) / (2 pi k), sin gives
+        # (1 - cos) / (2 pi k), and the Nyquist cosine gives a sine that
+        # vanishes at every node
+        kmat = integration_matrix(n)
+        assert_shared_operator(kmat, n)
+        tau = np.arange(n) / n
+        k = np.arange(1, n // 2)
+        arg = 2 * np.pi * np.outer(tau, k)
+        atol = 1e-16 * n  # round-off of a sum of n terms
+        np.testing.assert_allclose(kmat @ np.ones(n), tau, rtol=0, atol=atol)
+        np.testing.assert_allclose(kmat @ np.cos(arg), np.sin(arg) / (2 * np.pi * k), rtol=0, atol=atol)
+        np.testing.assert_allclose(kmat @ np.sin(arg), (1 - np.cos(arg)) / (2 * np.pi * k), rtol=0, atol=atol)
+        np.testing.assert_allclose(kmat @ np.cos(np.pi * n * tau), 0.0, rtol=0, atol=atol)
+
+    def test_operators_are_built_in_quadratic_memory(self):
+        # built from one column, not from a transform of the identity: the
+        # peak stays near the result, and only the result is kept (uncached
+        # calls, so the shared arrays stay as they are)
+        result = 1024 * 1024 * 8
+        kmat, kept, peak = traced_build(integration_matrix, 1024)
+        assert kmat.nbytes == result
+        assert peak <= 2.5 * result
+        assert kept <= 1.1 * result
+        _, _, peak = traced_build(derivative_matrix, 256, 2.0)
+        assert peak <= 1.5 * 2**20
 
 
 class TestTimeMap:

@@ -195,6 +195,14 @@ class TestSolve:
         data["twisted"] = "false"
         with pytest.raises(LoopError, match="'twisted' must be true or false"):
             record_from_dict(data)
+        # counts are JSON integers; 3.7 is not truncated to 3, nor true taken as 1
+        assert rec.to_dict()["diagnostics"]["winding"] is not None
+        for key, value in [("iterations", 3.7), ("iterations", True), ("minus", 1.5), ("plus", True)]:
+            data = rec.to_dict()
+            target = data["diagnostics"] if key == "iterations" else data["diagnostics"]["winding"]
+            target[key] = value
+            with pytest.raises(LoopError, match=f"'{key}' must be an integer"):
+                record_from_dict(data)
 
 
 def _custom_magnetic(b=1.5):
