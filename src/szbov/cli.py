@@ -5,7 +5,7 @@ Subcommands
 eval        component breakdown of the regularized functional on a loop
 grad-check  analytic-vs-finite-difference gradient self test
 solve       find one critical point and archive it as an orbit record
-continue    natural-parameter continuation along a list of field configs
+continue    secant-predictor continuation along a list of field configs
 integrate   re-integrate a converged orbit with the adaptive RK oracle (CSV)
 verify      run the generalized-solution checks on an archived orbit
 plot        emit an SVG figure (blown-up curve and physical curve)

@@ -1,32 +1,20 @@
 """Critical-point search for the regularized functional.
 
 A damped Gauss-Newton (Levenberg-Marquardt) iteration with geodesic
-acceleration drives the exact discrete gradient to zero, rather than
-descending the functional, so it does not rely on the critical point being a
-minimum.  Every orbit measured so far (the six bench archives) is a local
-minimum of the discrete action, with Morse index 0, but its Hessian has null
-and near-null directions: the time shift and, for Kepler, the equal-period
-ellipses.  So the residual stacks the scaled gradient, a proximal anchor that
-is weakened in stages as the iteration settles, and, for autonomous fields, a
-phase row.  Each of the three mechanisms was switched off in turn on the
-bench's matrix solves and each one pays; their settings are the module
-constants below, and ``SolveOptions`` holds only the grid, the tolerance and
-the iteration cap.
+acceleration drives the exact discrete gradient to zero, so it does not rely
+on the critical point being a minimum.  The residual is the scaled gradient
+and, for autonomous fields, a phase row against the time shift.  Each
+iteration assembles its Jacobian densely, once: the gradient block is the
+exact Hessian (``action.second_variation_matrix``), symmetric to round-off,
+and gives the damped normal equations and the right-hand sides of the step
+and of the acceleration.  Without the acceleration the bench's `euler` solve
+does not converge in 200 iterations.  The time map is inverted only for the
+seed's winding and for the record.  The settings are module constants;
+``SolveOptions`` holds only the grid, the tolerance and the iteration cap.
 
-The anchor measures the distance to the seed in physical time at the
-iterate's own node times, which the time map gives by quadrature, so the
-time map is inverted only outside the iteration: for the seed's physical
-samples and winding, and for the converged record.
-
-Each iteration assembles the Jacobian of that residual densely, once.  The
-gradient block is the exact Hessian of the discretized functional, built as
-structured matrices (``action.second_variation_matrix``): diagonals for the
-pointwise terms, the spectral derivative matrix for the kinetic and magnetic
-terms, rank-one products for the means and the integration matrix for the
-electric time map, so it is symmetric to round-off.  The anchor block is
-diagonal in the nodes.  The same matrix gives the damped normal equations,
-the step's right-hand side and that of the acceleration, which are solved
-directly.
+The converged loop then goes to ``selection.select_member``, which returns
+the member of its family of critical points that the record holds, with the
+Hessian's spectrum there.
 """
 
 from __future__ import annotations
@@ -42,7 +30,7 @@ from . import action as _action
 from .action import delay_residual, eval_components, gradient, pack, second_variation_matrix, unpack
 from .dynamics import phi_profile
 from .fields import FieldConfig, config_from_dict, config_to_dict
-from .geometry import WindingError, WindingReport, birkhoff_derivative, birkhoff_map, winding_report
+from .geometry import WindingError, WindingReport, winding_report
 from .loops import (
     EPS_ZHAT,
     DiscreteLoop,
@@ -55,11 +43,10 @@ from .loops import (
     loop_from_dict,
     loop_to_dict,
     reconstruct,
-    time_map,
     _require_bool,
     _require_int,
-    _trig_eval,
 )
+from .selection import select_member, spectrum
 
 log = logging.getLogger(__name__)
 
@@ -126,6 +113,10 @@ class OrbitRecord:
     twisted: bool
     cfg: FieldConfig = field(repr=False)
     iterations: int = 0
+    # the Hessian's spectrum at z (``selection.spectrum``); None on older records
+    morse_index: Optional[int] = None
+    nullity: Optional[int] = None
+    gap: Optional[float] = None
 
     @property
     def action(self) -> float:
@@ -162,6 +153,9 @@ class OrbitRecord:
                 "phi_sup": self.phi_sup,
                 "winding": wind,
                 "iterations": self.iterations,
+                "morse_index": self.morse_index,
+                "nullity": self.nullity,
+                "gap": self.gap,
             },
             "q": {
                 "m": self.q.m,
@@ -201,7 +195,16 @@ def record_from_dict(data: dict, cfg: Optional[FieldConfig] = None) -> OrbitReco
         twisted=_require_bool(data["twisted"], "record: 'twisted'"),
         cfg=cfg,
         iterations=_require_int(diag.get("iterations", 0), "record: 'iterations'"),
+        morse_index=_optional(diag, "morse_index", _require_int),
+        nullity=_optional(diag, "nullity", _require_int),
+        gap=_optional(diag, "gap", lambda v, name: float(v)),
     )
+
+
+def _optional(diag: dict, key: str, read):
+    """diag[key] read by ``read``, or None where the key is absent or null."""
+    value = diag.get(key)
+    return None if value is None else read(value, f"record: '{key}'")
 
 
 # ----------------------------------------------------------------- seeding
@@ -282,27 +285,14 @@ def make_seed(spec, n: int = 256) -> DiscreteLoop:
 
 # ------------------------------------------------------------------- solve
 
-# Levenberg-Marquardt damping: its start, restored at every anchor stage,
-# and the factors it grows by on a rejected step and shrinks by on an
-# accepted one.
+# Levenberg-Marquardt damping: its start, and the factors it grows by on a
+# rejected step and shrinks by on an accepted one.
 _LAM0 = 1e-4
 _LAM_UP = 4.0
 _LAM_DOWN = 0.25
 # A trial iterate with a sample this close to 0, the pole of the conformal
 # weight, is refused before its residual is evaluated.
 _MIN_ABS_Z = 1e-6
-# The staged proximal anchor.  Its weight starts at _PROX0, which holds the
-# iterate near the seed's member of a family of critical points, and each
-# stage multiplies it by _PROX_DECAY down to the floor _PROX_MIN, where it
-# stays.  A stage ends once the step falls below _PROX_RELEASE of the iterate
-# (settled at this weight), or after _PROX_PATIENCE iterations that did not
-# halve the gradient norm (stalled at it).  Every faster release tried lands
-# `kepler` on a non-circular member of its family.
-_PROX0 = 1e-2
-_PROX_DECAY = 1e-2
-_PROX_MIN = 1e-12
-_PROX_RELEASE = 1e-8
-_PROX_PATIENCE = 15
 
 
 def _admissible(x: np.ndarray) -> bool:
@@ -315,67 +305,34 @@ def _admissible(x: np.ndarray) -> bool:
 def _residual_factory(cfg: FieldConfig, twisted: bool, x0: np.ndarray):
     """Residual map of the damped Gauss-Newton iteration.
 
-    Two stacked blocks: the exact discrete gradient (the equation being
-    solved), and a proximal anchor sqrt(lam_prox) times the distance between
-    the iterate's physical loop and the seed's.  Critical points can come in
-    families (symmetries of the physical problem make the second variation
-    singular along them); the anchor, driven toward zero as the iteration
-    converges, selects the member of the family nearest the seed in the
-    physical-plane L2 distance instead of leaving that choice to round-off.
-    For autonomous fields a scalar phase row removes the parameter-shift
-    direction.
-
-    The anchor compares each node's position B(z_j) with the seed's physical
-    loop q0, trigonometrically interpolated in t, at the node's own time
-    t_j = t(tau_j), and weights it by sqrt(w_j/zhat) = sqrt(dt/dtau), so that
-    its square sum is the L2 distance in physical time.  The node times are
-    the time map's cumulative quadrature (``t_of_tau``), so no residual
-    inverts the time map: q0 is the seed reconstructed at n uniform times,
-    once.  Where the seed has a collision, q0(t) is not smooth there and its
-    interpolant rings, so it misses the seed's own node positions and the
-    anchor could never reach zero; each anchor stage would then end only on
-    patience.  A fixed per-node offset B(z0_j) - q0(t0_j) removes that miss,
-    and the anchor is exactly zero at the seed.
+    The exact discrete gradient, scaled by 1/sqrt(n), is the equation being
+    solved.  For autonomous fields a scalar phase row, the offset from the
+    seed x0 along the seed's unit tangent ``phase_dir``, removes the
+    time-shift direction, along which every critical point of such a field
+    is degenerate; ``phase_dir`` is None for the other fields.
     """
-    n = len(x0) // 2
-    scale = 1.0 / np.sqrt(n)
-    seed = DiscreteLoop(unpack(x0), twisted=twisted)
-
+    scale = 1.0 / np.sqrt(len(x0) // 2)
     if cfg.autonomous:
-        phase_dir = pack(derivative(seed))
+        phase_dir = pack(derivative(DiscreteLoop(unpack(x0), twisted=twisted)))
         phase_dir = phase_dir / max(np.linalg.norm(phase_dir), 1e-300)
     else:
         phase_dir = None
 
-    q0 = reconstruct(seed, n).samples
-
-    def miss(loop: DiscreteLoop) -> tuple[np.ndarray, np.ndarray]:
-        """B(z_j) - q0(t_j) at the nodes, and the weights sqrt(w_j/zhat)."""
-        tm = time_map(loop)
-        dq = birkhoff_map(loop.samples) - _trig_eval(q0, tm.t_of_tau[:n])
-        return dq, np.sqrt(tm.weights / tm.zhat)
-
-    offset = miss(seed)[0]
-    state = {"lam_prox": _PROX0}
-
     def residual(x: np.ndarray) -> np.ndarray:
-        loop = DiscreteLoop(unpack(x), twisted=twisted)
-        parts = [pack(gradient(loop, cfg)) * scale]
-        dq, root_w = miss(loop)
-        dq = root_w * (dq - offset)
-        parts.append(np.sqrt(state["lam_prox"]) * scale * np.concatenate([dq.real, dq.imag]))
-        if phase_dir is not None:
-            parts.append(np.array([float(phase_dir @ (x - x0))]))
-        return np.concatenate(parts)
+        g = pack(gradient(DiscreteLoop(unpack(x), twisted=twisted), cfg)) * scale
+        if phase_dir is None:
+            return g
+        return np.append(g, phase_dir @ (x - x0))
 
-    return residual, phase_dir, state
+    return residual, phase_dir
 
 
 # Step, relative to the iterate, below which no geodesic acceleration is
 # taken.  Across a tenth of a smaller step the residual's second difference
 # is round-off, and a correction made of it spoils the step: with the gate at
-# 1e-12, criterion 10's continuation steps take 7-12 iterations instead of
-# 4-6.  Every value from 1e-10 to 1e-4 gives the same counts there.
+# 1e-12, criterion 10's continuation steps take 2-3 iterations instead of
+# 1-2.  Gates from 1e-6 to 1e-4 give the same counts there but for one
+# iteration less on the first two mass-ratio solves.
 _ACCEL_MIN_STEP = 1e-8
 
 
@@ -383,33 +340,24 @@ def _dense_jacobian(
     xc: np.ndarray,
     twisted: bool,
     cfg: FieldConfig,
-    sq: float,
     phase_dir: Optional[np.ndarray],
 ) -> np.ndarray:
-    """The frozen Gauss-Newton Jacobian of the residual at xc, as a dense matrix.
+    """The Jacobian of the residual at xc, as a dense matrix.
 
     Gradient block: the exact Hessian of the discretized functional in pack
-    coordinates, scaled as the residual's gradient rows.  Anchor block: with
-    the node times and weights frozen at xc, node j of the anchor moves only
-    with z_j, so the block is the diagonal sq * sqrt(w_j/zhat) * B'(z_j)
-    acting on [Re; Im] coordinates.  The offset that makes the anchor vanish
-    at the seed is a constant and does not enter.  Freezing the times leaves
-    out the term -q0'(t_j) dt_j; with it, criterion 10's field steps take 10
-    iterations instead of 4.  Phase row: ``phase_dir``.
+    coordinates, scaled as the residual's gradient rows.  Phase row:
+    ``phase_dir``.
     """
     z = unpack(xc)
     grad_block = second_variation_matrix(z, twisted, cfg) / np.sqrt(len(z))
-    w = conformal_weight(z)
-    d = sq * np.sqrt(w / np.mean(w)) * birkhoff_derivative(z)
-    re, im = np.diag(d.real), np.diag(d.imag)
-    blocks = [grad_block, np.block([[re, -im], [im, re]])]
-    if phase_dir is not None:
-        blocks.append(phase_dir[None, :])
-    return np.vstack(blocks)
+    if phase_dir is None:
+        return grad_block
+    return np.vstack([grad_block, phase_dir[None, :]])
 
 
 def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOptions()) -> OrbitRecord:
-    """Levenberg-Marquardt on the gradient residual from the given seed.
+    """Levenberg-Marquardt on the gradient residual from the given seed,
+    then the selection of one member of the converged loop's critical set.
 
     The grid is the seed's: a seed whose n is not ``opts.n`` is rejected.
     """
@@ -418,9 +366,7 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         raise ValueError(f"seed has n={n} samples, but the solve options ask for n={opts.n}")
     twisted = seed.twisted
     x = pack(np.asarray(seed.samples))
-    x0 = x.copy()
-    residual, phase_dir, state = _residual_factory(cfg, twisted, x0)
-    scale = 1.0 / np.sqrt(n)
+    residual, phase_dir = _residual_factory(cfg, twisted, x.copy())
 
     def gn_of(r: np.ndarray) -> float:
         return float(np.linalg.norm(r[: 2 * n]))
@@ -432,19 +378,6 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
     lam = _LAM0
     best_x, best_gn = x.copy(), gn
     iterations = 0
-    stage_start, stage_gn = 0, gn
-
-    def decay_anchor():
-        """Weaken the anchor one stage and restart the damping and the stage
-        bookkeeping: lam grown against the stronger anchor would otherwise
-        throttle the steps that the weaker one allows."""
-        nonlocal lam, gn, stage_start, stage_gn
-        new_prox = max(state["lam_prox"] * _PROX_DECAY, _PROX_MIN)
-        r[2 * n : 4 * n] *= np.sqrt(new_prox / state["lam_prox"])
-        state["lam_prox"] = new_prox
-        lam = _LAM0
-        gn = gn_of(r)
-        stage_start, stage_gn = iterations, gn
 
     # an iteration is counted once its Jacobian is assembled, so a seed
     # already at tolerance takes none
@@ -453,7 +386,7 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
             break
         iterations += 1
         xc, rc = x, r
-        jmat = _dense_jacobian(xc, twisted, cfg, np.sqrt(state["lam_prox"]) * scale, phase_dir)
+        jmat = _dense_jacobian(xc, twisted, cfg, phase_dir)
         ata = jmat.T @ jmat
         eye = np.eye(len(xc))
         rhs = -(jmat.T @ rc)
@@ -486,45 +419,34 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
                     break
             lam *= _LAM_UP
         if not accepted:
-            zc2 = unpack(x)
-            if float(np.mean(conformal_weight(zc2))) < 10.0 * EPS_ZHAT:
+            if float(np.mean(conformal_weight(unpack(x)))) < 10.0 * EPS_ZHAT:
                 raise SolveError("degenerated toward excluded locus")
-            if state["lam_prox"] > _PROX_MIN:
-                # anchored phase stalled at its stationary point: weaken the
-                # anchor one stage and continue, so that near-degenerate
-                # directions stay regularized throughout the hand-off
-                decay_anchor()
-                continue
             # stop when damping explodes without producing an acceptable step
             if lam > 1e12:
                 break
             continue
 
         gn = gn_of(r)
-        # weaken the proximal anchor once the anchored iteration has settled:
-        # either steps have gone quadratically small, or the gradient block
-        # has stopped improving at this anchor strength
-        if state["lam_prox"] > _PROX_MIN:
-            if gn < 0.5 * stage_gn:
-                stage_start, stage_gn = iterations, gn
-            settled = np.linalg.norm(delta) < _PROX_RELEASE * max(1.0, np.linalg.norm(x))
-            if settled or iterations - stage_start >= _PROX_PATIENCE:
-                decay_anchor()
         if gn < best_gn:
             best_x, best_gn = x.copy(), gn
-        log.debug(
-            "iter %d: gn=%.3e step=%.3e lam=%.1e prox=%.1e",
-            iterations, gn, float(np.linalg.norm(delta)), lam, state["lam_prox"],
-        )
+        log.debug("iter %d: gn=%.3e step=%.3e lam=%.1e", iterations, gn, float(np.linalg.norm(delta)), lam)
 
-    loop = DiscreteLoop(unpack(best_x), twisted=twisted)
     if best_gn >= opts.g_tol:
         raise NoConvergenceError(
             f"no convergence: gradient norm {best_gn:.3e} after {iterations} iterations",
-            best_loop=loop,
+            best_loop=DiscreteLoop(unpack(best_x), twisted=twisted),
             best_grad_norm=best_gn,
         )
-    return _finalize(loop, cfg, opts, best_gn, iterations, seed_winding)
+    member = select_member(best_x, best_gn, seed, cfg, opts.max_iter - iterations, opts.g_tol)
+    if member is None:
+        raise NoConvergenceError(
+            f"no convergence: the member selection did not settle after {opts.max_iter} iterations",
+            best_loop=DiscreteLoop(unpack(best_x), twisted=twisted),
+            best_grad_norm=best_gn,
+        )
+    x, gn, steps, evals = member
+    loop = DiscreteLoop(unpack(x), twisted=twisted)
+    return _finalize(loop, cfg, opts, gn, iterations + steps, seed_winding, evals)
 
 
 def _safe_winding(q: PhysicalLoop) -> Optional[WindingReport]:
@@ -534,7 +456,7 @@ def _safe_winding(q: PhysicalLoop) -> Optional[WindingReport]:
         return None
 
 
-def _finalize(loop, cfg, opts, gn, iterations, seed_winding) -> OrbitRecord:
+def _finalize(loop, cfg, opts, gn, iterations, seed_winding, evals) -> OrbitRecord:
     breakdown = eval_components(loop, cfg)
     delay = delay_residual(loop, cfg)
     q = reconstruct(loop, opts.m)
@@ -543,6 +465,7 @@ def _finalize(loop, cfg, opts, gn, iterations, seed_winding) -> OrbitRecord:
         log.warning("winding changed during iteration: seed %s -> converged %s", seed_winding, wind)
     prof = phi_profile(q, cfg, C=breakdown.C, z_loop=loop)
     phi_sup = prof.sup_phi_relative
+    morse_index, nullity, gap = spectrum(evals)
     return OrbitRecord(
         z=loop,
         q=q,
@@ -555,6 +478,9 @@ def _finalize(loop, cfg, opts, gn, iterations, seed_winding) -> OrbitRecord:
         twisted=loop.twisted,
         cfg=cfg,
         iterations=iterations,
+        morse_index=morse_index,
+        nullity=nullity,
+        gap=gap,
     )
 
 
@@ -565,15 +491,21 @@ def continue_family(
     path: Sequence[FieldConfig],
     opts: SolveOptions = SolveOptions(),
 ) -> list[OrbitRecord]:
-    """Natural-parameter continuation along a sequence of configurations.
+    """Continuation along a sequence of configurations, with a secant
+    predictor.
 
-    Each converged orbit seeds the next configuration.  A failure on the very
-    first configuration raises; a later failure returns the partial family.
+    The first configuration is seeded with the start orbit, and each later
+    one with the secant 2 z_k - z_(k-1) through the last two converged
+    loops.  A failure on the very first configuration raises; a later
+    failure returns the partial family.
     """
     records = [start]
     for i, cfg in enumerate(path):
+        seed = records[-1].z
+        if i > 0:
+            seed = DiscreteLoop(2.0 * seed.samples - records[-2].z.samples, twisted=seed.twisted)
         try:
-            rec = solve(records[-1].z, cfg, opts)
+            rec = solve(seed, cfg, opts)
         except SolveError as exc:
             if i == 0:
                 raise SolveError(f"continuation failed at the first configuration: {exc}") from exc
@@ -581,4 +513,3 @@ def continue_family(
             break
         records.append(rec)
     return records
-

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,8 +16,6 @@ from szbov import (
     SolveError,
     SolveOptions,
     continue_family,
-    birkhoff_map,
-    conformal_weight,
     derivative,
     electric_preset,
     eval_action,
@@ -34,7 +38,9 @@ from szbov import (
 )
 import szbov.solver
 from szbov.loops import TimeMap
-from szbov.solver import _PROX0, _dense_jacobian, _residual_factory
+from szbov.action import second_variation_matrix
+from szbov.selection import _NULL_REL, anchor_measure
+from szbov.solver import _dense_jacobian
 
 KEPLER = preset("zero", mu=0.0)
 EULER = preset("zero", mu=0.5)
@@ -128,6 +134,13 @@ class TestSolve:
         with pytest.raises(NoConvergenceError):
             solve(seed_circle(0.3 + 0.2j, 2.5, 64), EULER, opts)
 
+    def test_member_selection_shares_the_iteration_cap(self):
+        # kepler converges in 2 iterations, then moves along its family for
+        # 9 more; with a cap of 4 the error carries the unmoved critical point
+        with pytest.raises(NoConvergenceError, match="selection") as err:
+            solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, SolveOptions(n=64, m=256, max_iter=4))
+        assert err.value.best_grad_norm < 1e-9
+
     @pytest.mark.parametrize("g_tol", [0.0, -1e-9, float("nan"), float("inf")])
     def test_tolerance_must_be_positive_and_finite(self, g_tol):
         # solve compares the gradient norm with g_tol: a NaN one would return
@@ -140,8 +153,9 @@ class TestSolve:
             solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, SolveOptions(n=128, m=256))
 
     def test_time_map_is_inverted_outside_the_iteration_only(self, monkeypatch):
-        # the seed's winding, the anchor's seed samples and the record's
-        # reconstruction; no residual inverts the time map
+        # the seed's winding and the record's reconstruction; no residual
+        # inverts the time map, and a solve that moves no member along its
+        # family reconstructs no seed for the anchor measure
         seed = seed_kepler_guess(-1, 0.3, 64)
         calls = []
         inverse = TimeMap.inverse
@@ -153,7 +167,7 @@ class TestSolve:
         monkeypatch.setattr(TimeMap, "inverse", counted)
         rec = solve(seed, EULER, OPTS)
         assert rec.iterations > 10
-        assert len(calls) <= 3
+        assert len(calls) <= 2
 
     def test_iterations_count_jacobian_assemblies(self, monkeypatch):
         # not the passes of the loop, which end with one more convergence
@@ -165,22 +179,80 @@ class TestSolve:
             return _dense_jacobian(*args)
 
         monkeypatch.setattr(szbov.solver, "_dense_jacobian", counted)
-        rec = solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, OPTS)
+        rec = solve(seed_kepler_guess(-1, 0.3, 64), EULER, OPTS)
         assert rec.iterations == len(calls) > 10
-        again = solve(rec.z, KEPLER, OPTS)
+        again = solve(rec.z, EULER, OPTS)
         assert again.iterations == 0 and len(calls) == rec.iterations
         np.testing.assert_array_equal(again.z.samples, rec.z.samples)
 
+    @pytest.mark.parametrize("cfg", [KEPLER, EULER], ids=["kepler", "euler"])
+    def test_record_carries_the_spectrum(self, cfg):
+        # both orbits are local minima of the discrete action; kepler's
+        # critical points form a family of three dimensions (the time shift
+        # and the equal-period ellipses), and an autonomous field's orbit
+        # always has the time shift
+        rec = solve(seed_kepler_guess(-1, 0.3, 64), cfg, OPTS)
+        assert rec.morse_index == 0
+        if cfg is KEPLER:
+            assert rec.nullity == 3
+        assert rec.nullity >= 1
+        assert _NULL_REL <= rec.gap <= 1.0
+
+    def test_selected_member_minimizes_the_anchor_measure_on_its_family(self):
+        seed = seed_kepler_guess(-1, 0.3, 64)
+        rec = solve(seed, KEPLER, OPTS)
+        measure = anchor_measure(seed, KEPLER)
+        x = pack(rec.z.samples)
+        _, grad, _ = measure(rec.z.samples)
+        # the gradient is exact: central differences approach it as h^2
+        d = np.cos(np.arange(len(x)))
+        err_h, err_h2 = (
+            abs((measure(unpack(x + h * d))[0] - measure(unpack(x - h * d))[0]) / (2 * h) - grad @ d)
+            for h in (1e-4, 1e-5)
+        )
+        assert err_h2 <= 1e-6 * abs(grad @ d)
+        assert err_h >= 30.0 * err_h2
+        # and orthogonal to the Hessian's null space, to round-off
+        evals, vecs = np.linalg.eigh(second_variation_matrix(rec.z.samples, rec.twisted, KEPLER))
+        null = vecs[:, np.abs(evals) < _NULL_REL * np.max(np.abs(evals))]
+        assert null.shape[1] == 3
+        assert np.linalg.norm(null.T @ grad) <= 1e-9 * np.linalg.norm(grad)
+
+    def test_spectrum_and_kepler_member_do_not_depend_on_blas_threads(self):
+        code = (
+            "import json, numpy as np; "
+            "from szbov import SolveOptions, preset, seed_kepler_guess, solve; "
+            "rec = solve(seed_kepler_guess(-1, 0.3, 64), preset('zero', mu=0.0), SolveOptions(n=64, m=256)); "
+            "r = (4 * np.pi**2) ** (-1 / 3); "
+            "print(json.dumps([rec.morse_index, rec.nullity, "
+            "float(np.max(np.abs(np.abs(rec.q.samples + 1.0) - r)) / r)]))"
+        )
+        found = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "PYTHONPATH": str(Path(szbov.__file__).resolve().parents[1]),
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+            }
+            out = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            found.append(json.loads(out.stdout))
+        assert found[0][:2] == found[1][:2] == [0, 3]
+        assert max(radius_error for _, _, radius_error in found) < 1e-6
+
     def test_anchor_vanishes_at_a_collisional_seed(self):
         # the ejection seed's physical loop reaches a center, where its
-        # interpolant in t rings; the offset still zeroes the anchor there
+        # interpolant in t rings; the offset still zeroes the anchor measure
+        # there, and its gradient with it
         seed = seed_ejection(-1, 64)
-        x0 = pack(seed.samples)
-        residual, _, _ = _residual_factory(KEPLER, seed.twisted, x0)
-        n = seed.n
-        assert np.all(residual(x0)[2 * n : 4 * n] == 0.0)
-        moved = residual(x0 + 1e-3 * np.cos(np.arange(2 * n)))[2 * n : 4 * n]
-        assert np.max(np.abs(moved)) > 1e-6
+        measure = anchor_measure(seed, KEPLER)
+        value, grad, _ = measure(seed.samples)
+        assert value == 0.0 and np.all(grad == 0.0)
+        moved = seed.samples + 1e-3 * np.exp(1j * np.arange(seed.n))
+        assert measure(moved)[0] > 1e-9
 
     def test_record_serialization_round_trip(self):
         rec = solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, OPTS)
@@ -190,6 +262,13 @@ class TestSolve:
         assert again.action == pytest.approx(rec.action, rel=1e-12)
         assert again.grad_norm == pytest.approx(rec.grad_norm, rel=1e-6)
         assert again.cfg.mu == rec.cfg.mu
+        assert (again.morse_index, again.nullity, again.gap) == (rec.morse_index, rec.nullity, rec.gap)
+        # records archived before the spectrum was stored still load
+        data = rec.to_dict()
+        for key in ("morse_index", "nullity", "gap"):
+            del data["diagnostics"][key]
+        old = record_from_dict(data)
+        assert (old.morse_index, old.nullity, old.gap) == (None, None, None)
         # a record's sector is a JSON boolean; the string "false" is not cast
         data = rec.to_dict()
         data["twisted"] = "false"
@@ -197,9 +276,12 @@ class TestSolve:
             record_from_dict(data)
         # counts are JSON integers; 3.7 is not truncated to 3, nor true taken as 1
         assert rec.to_dict()["diagnostics"]["winding"] is not None
-        for key, value in [("iterations", 3.7), ("iterations", True), ("minus", 1.5), ("plus", True)]:
+        for key, value in [
+            ("iterations", 3.7), ("iterations", True), ("nullity", 1.5), ("morse_index", True),
+            ("minus", 1.5), ("plus", True),
+        ]:
             data = rec.to_dict()
-            target = data["diagnostics"] if key == "iterations" else data["diagnostics"]["winding"]
+            target = data["diagnostics"]["winding"] if key in ("minus", "plus") else data["diagnostics"]
             target[key] = value
             with pytest.raises(LoopError, match=f"'{key}' must be an integer"):
                 record_from_dict(data)
@@ -240,10 +322,8 @@ class TestDenseJacobian:
 
     @staticmethod
     def gradient_block(loop, cfg):
-        n = loop.n
         xc = pack(loop.samples)
-        jmat = _dense_jacobian(xc, loop.twisted, cfg, 0.0, None)
-        return jmat[: 2 * n]
+        return _dense_jacobian(xc, loop.twisted, cfg, None)
 
     @staticmethod
     def central_differences(loop, cfg, h):
@@ -304,26 +384,19 @@ class TestDenseJacobian:
             assert err_h >= 3.0 * err_h2
 
     @staticmethod
-    def column_by_column(xc, twisted, cfg, sq, phase_dir, h=1e-6):
+    def column_by_column(xc, twisted, cfg, phase_dir, h=1e-6):
         """Reference assembly: one forward product per coordinate direction,
-        each block a central difference at step h * max(1, |xc|): of two
-        single-loop gradients, and of the node positions B(z_j) weighted by
-        sqrt(w_j/zhat) frozen at xc."""
+        the gradient block a central difference of two single-loop gradients
+        at step h * max(1, |xc|)."""
         n = len(xc) // 2
-        w = conformal_weight(unpack(xc))
-        root_w = np.sqrt(w / np.mean(w))
 
         def grad_block(x):
             return pack(gradient(DiscreteLoop(unpack(x), twisted=twisted), cfg)) / np.sqrt(n)
 
-        def anchor_block(x):
-            return sq * pack(root_w * birkhoff_map(unpack(x)))
-
         def forward(v):
             step = h * max(1.0, np.linalg.norm(xc))
             hvp = (grad_block(xc + step * v) - grad_block(xc - step * v)) / (2.0 * step)
-            dq = (anchor_block(xc + step * v) - anchor_block(xc - step * v)) / (2.0 * step)
-            return np.concatenate([hvp, dq, [phase_dir @ v]])
+            return np.append(hvp, phase_dir @ v)
 
         eye = np.eye(len(xc))
         return np.column_stack([forward(eye[:, i]) for i in range(len(xc))])
@@ -336,12 +409,11 @@ class TestDenseJacobian:
     def test_matches_column_by_column_assembly(self, seed, cfg):
         n = seed.n
         xc = pack(seed.samples)
-        sq = np.sqrt(_PROX0 / n)
         phase_dir = pack(derivative(seed))
         phase_dir /= np.linalg.norm(phase_dir)
-        jmat = _dense_jacobian(xc, seed.twisted, cfg, sq, phase_dir)
-        ref = self.column_by_column(xc, seed.twisted, cfg, sq, phase_dir)
-        assert jmat.shape == (4 * n + 1, 2 * n)
+        jmat = _dense_jacobian(xc, seed.twisted, cfg, phase_dir)
+        ref = self.column_by_column(xc, seed.twisted, cfg, phase_dir)
+        assert jmat.shape == (2 * n + 1, 2 * n)
         assert np.max(np.abs(jmat - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
@@ -356,6 +428,22 @@ class TestContinuation:
         fam = continue_family(rec, path, OPTS)
         assert len(fam) == 3
         assert all(r.grad_norm < 1e-9 for r in fam)
+
+    def test_later_steps_are_seeded_by_the_secant(self, monkeypatch):
+        seeds = []
+        real = szbov.solver.solve
+
+        def recorded(seed, cfg, opts):
+            seeds.append(seed.samples)
+            return real(seed, cfg, opts)
+
+        monkeypatch.setattr(szbov.solver, "solve", recorded)
+        rec = real(seed_ejection(-1, 64), KEPLER, OPTS)
+        fam = continue_family(rec, [preset("zero", mu=m) for m in (0.01, 0.02, 0.03)], OPTS)
+        assert len(fam) == 4
+        np.testing.assert_array_equal(seeds[0], fam[0].z.samples)
+        for k in (1, 2):
+            np.testing.assert_array_equal(seeds[k], 2.0 * fam[k].z.samples - fam[k - 1].z.samples)
 
     def test_failure_on_first_step_raises(self):
         rec = solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, OPTS)
