@@ -22,7 +22,8 @@ The second variation, the derivative of that gradient, is linearized by hand
 term by term and assembled as a matrix (``second_variation_matrix``).  Every
 term varies real-linearly, as  A xi + B conj(xi):  a pointwise term g(z) with
 its Wirtinger derivatives g_z, g_zbar on the diagonals, the kinetic, magnetic
-and electric terms through the spectral derivative matrix D, the gauge's
+and electric terms through the spectral derivative matrix D (on a twisted
+loop, the double cover's D folded to n x n blocks), the gauge's
 second derivatives and the integration matrix of the cumulative time map, and
 the means F and G as rank-one products.  So the solver's Jacobian is exact to
 round-off and symmetric in ``pack`` coordinates, as the Hessian of the
@@ -366,13 +367,16 @@ def _add_diag(m: np.ndarray, d) -> np.ndarray:
     return m
 
 
-def _fold_cover(m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Pull an operator m on the double cover, shaped (2n, 2n), back to the
-    samples: 0.5 [I, diag(left)] m [I; diag(right)], by slices."""
-    n = m.shape[-1] // 2
-    top = m[:n, :n] + m[:n, n:] * right
-    bottom = m[n:, :n] + m[n:, n:] * right
-    return 0.5 * (top + left[:, None] * bottom)
+def _fold_diag(d: np.ndarray, n: int) -> np.ndarray:
+    """[I, I, ...] diag(d) [I; I; ...] as a vector: the sum of d's n-blocks."""
+    return d.reshape(-1, n).sum(axis=0)
+
+
+def _fold_columns(lmat: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """lmat diag(y) [I; I; ...]: the n-wide column blocks of lmat, shaped
+    (n, h n), each scaled by its n-block of y, summed."""
+    n = lmat.shape[0]
+    return np.einsum("jhk,hk->jk", lmat.reshape(n, -1, n), y.reshape(-1, n))
 
 
 def _kinetic_hessian(nodes: _Nodes):
@@ -384,29 +388,62 @@ def _kinetic_hessian(nodes: _Nodes):
         A_c = diag(r^2 |zp|^2) - D diag(r) D + D diag(u) - diag(conj(u)) D
         B_c = diag(2 r^3 |zp|^2 zc^2) + D diag(v) - diag(v) D
 
-    with u = r^2 zp conj(zc) and v = r^2 zp zc.  A twisted loop's cover z, 1/z
-    moves by xi, s xi with s = -1/z^2, grad_g pulls its halves back with
-    conj(s), and the fold's own variation adds conj(xi) g_cover[n:]/conj(z)^3.
-    The (2n, 2n) terms are accumulated in place, to keep few of them alive."""
-    zc, zp = nodes.zc, nodes.zp
+    with u = r^2 zp conj(zc) and v = r^2 zp zc.  A twisted loop's cover
+    z, 1/z moves by zeta = T xi, T = [I; diag(s)] with s = -1/z^2, and
+    grad_g pulls g_cover back by weight T^H, weight = 1/2.  So
+    A = weight T^H A_c T and B = weight T^H B_c conj(T), and the fold's own
+    variation adds conj(xi) g_cover[n:]/conj(z)^3 to B.  A plain loop is the
+    one-block case: T = I and weight 1.
+
+    No cover operator is formed.  On the period-2 cover D = [[P, Q], [Q, P]]
+    with P and Q real and antisymmetric, so T^H D is the n x 2n row
+    L = [Lp, Lq], Lp = P + diag(conj s) Q and Lq = Q + diag(conj s) P, and
+    D T = -L^H, D conj(T) = -L^T.  With the n x n column scalings
+    X = L diag(u) T = Lp diag(u_0) + Lq diag(u_1 s) and
+    Y = L diag(v) conj(T), each term folds to n x n:
+
+        A = weight (diag(T^H diag(r^2 |zp|^2) T) + L diag(r) L^H + X + X^H)
+        B = weight (diag(T^H diag(2 r^3 |zp|^2 zc^2) conj(T)) + Y + Y^T)
+
+    a diagonal, the column scalings X and Y with their transposes (the
+    row scalings diag(conj u) D and diag(v) D fold to -X^H and -Y^T), and
+    L diag(r) L^H = Lp diag(r_0) Lp^H + Lq diag(r_1) Lq^H, one matmul."""
+    n, zc, zp = nodes.n, nodes.zc, nodes.zp
     dmat = derivative_matrix(len(zc), nodes.period)
+    # t is the diagonal of T
+    if nodes.twisted:
+        s = -1.0 / nodes.z**2
+        t, weight = np.concatenate([np.ones(n), s]), 0.5
+        # L = D[:n] + diag(conj s) D[n:], written in its real and imaginary
+        # parts: a complex product with the real D would buffer a cast of it
+        lmat = np.empty((n, 2 * n), dtype=complex)
+        np.multiply(s.real[:, None], dmat[n:], out=lmat.real)
+        np.multiply(-s.imag[:, None], dmat[n:], out=lmat.imag)
+        lmat.real += dmat[:n]
+    else:
+        t, weight, lmat = np.ones(n), 1.0, dmat
     r = 1.0 / np.abs(zc) ** 2
     zp2 = np.abs(zp) ** 2
     u = r**2 * zp * np.conj(zc)
     v = r**2 * zp * zc
-    a = dmat * u
-    a -= np.conj(u)[:, None] * dmat
-    a -= (dmat * r) @ dmat
-    _add_diag(a, r**2 * zp2)
-    b = dmat * v
-    b -= v[:, None] * dmat
-    _add_diag(b, 2.0 * r**3 * zp2 * zc**2)
-    if not nodes.twisted:
-        return a, b
-    z = nodes.z
-    s = -1.0 / z**2
-    a = _fold_cover(a, np.conj(s), s)
-    b = _add_diag(_fold_cover(b, np.conj(s), np.conj(s)), nodes.g_cover[nodes.n :] / np.conj(z) ** 3)
+
+    # L diag(r) L^H as the conjugate of conj(L) diag(r) L^T, so that the one
+    # scaled copy of L is the only one made; the factor takes L's dtype, so
+    # that no cast is buffered
+    lr = np.conj(lmat)
+    lr *= (weight * r).astype(lr.dtype)
+    a = lr @ lmat.T
+    del lr
+    np.conj(a, out=a)
+    x = _fold_columns(lmat, weight * u * t)
+    a = a + x  # a new array: on a plain loop, a is real
+    a += np.conj(x.T)
+    _add_diag(a, _fold_diag(weight * np.abs(t) ** 2 * r**2 * zp2, n))
+    y = _fold_columns(lmat, weight * v * np.conj(t))
+    b = y + y.T
+    _add_diag(b, _fold_diag(weight * np.conj(t) ** 2 * 2.0 * r**3 * zp2 * zc**2, n))
+    if nodes.twisted:
+        _add_diag(b, nodes.g_cover[n:] / np.conj(nodes.z) ** 3)
     return a, b
 
 
@@ -500,9 +537,10 @@ def second_variation_matrix(z: np.ndarray, twisted: bool, cfg: FieldConfig) -> n
     Every term of the gradient varies real-linearly, as A xi + B conj(xi)
     with complex (n, n) matrices A and B.  These are assembled directly from
     the pointwise Wirtinger derivatives (diagonals), the spectral derivative
-    matrix D, the double cover's fold (slices), rank-one products for the
-    means F and G, and the integration matrix K of the electric time map.
-    The real block is then [[Re(A+B), -Im(A-B)], [Im(A+B), Re(A-B)]]."""
+    matrix D folded to n x n blocks on a twisted loop's double cover,
+    rank-one products for the means F and G, and the integration matrix K
+    of the electric time map.  The real block [[Re(A+B), -Im(A-B)],
+    [Im(A+B), Re(A-B)]] is written into one (2n, 2n) array."""
     nodes = _Nodes(np.asarray(z, dtype=complex), twisted, cfg)
     n, f, phi = nodes.n, nodes.f, nodes.phi
     h_mu = (1 - cfg.mu) * nodes.h1 + cfg.mu * nodes.h2
@@ -517,10 +555,14 @@ def second_variation_matrix(z: np.ndarray, twisted: bool, cfg: FieldConfig) -> n
     dm = nodes.grad_g - nodes.grad_centers / f**2
     along_df = dm + 2.0 * h_mu / f**3 * phi
     a, b = _kinetic_hessian(nodes)
-    a = _add_diag(f * a, a0 * phi_z + cen_z / f)
-    b = _add_diag(f * b, a0 * phi_zb + cen_zb / f)
-    a += (np.outer(along_df, np.conj(phi)) + np.outer(phi, np.conj(dm))) / (2 * n)
-    b += (np.outer(along_df, phi) + np.outer(phi, dm)) / (2 * n)
+    a *= f
+    b *= f
+    _add_diag(a, a0 * phi_z + cen_z / f)
+    _add_diag(b, a0 * phi_zb + cen_zb / f)
+    a += np.outer(along_df / (2 * n), np.conj(phi))
+    a += np.outer(phi / (2 * n), np.conj(dm))
+    b += np.outer(along_df / (2 * n), phi)
+    b += np.outer(phi / (2 * n), dm)
     if not cfg.magnetic.is_zero:
         a_m, b_m = _magnetic_hessian(nodes)
         a -= a_m
@@ -529,8 +571,12 @@ def second_variation_matrix(z: np.ndarray, twisted: bool, cfg: FieldConfig) -> n
         a_e, b_e = _electric_hessian(nodes)
         a -= a_e
         b -= b_e
-    p, m = a + b, a - b
-    return np.block([[p.real, -m.imag], [p.imag, m.real]])
+    out = np.empty((2 * n, 2 * n))
+    np.add(a.real, b.real, out=out[:n, :n])
+    np.subtract(b.imag, a.imag, out=out[:n, n:])
+    np.add(a.imag, b.imag, out=out[n:, :n])
+    np.subtract(a.real, b.real, out=out[n:, n:])
+    return out
 
 
 def pack(g: np.ndarray) -> np.ndarray:

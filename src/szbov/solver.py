@@ -9,7 +9,8 @@ exact Hessian (``action.second_variation_matrix``), symmetric to round-off,
 and gives the damped normal equations and the right-hand sides of the step
 and of the acceleration.  Without the acceleration the bench's `euler` solve
 does not converge in 200 iterations.  The time map is inverted only for the
-seed's winding and for the record.  The settings are module constants;
+record, and by the member selection when it moves; the seed's winding is
+read at the seed's own nodes.  The settings are module constants;
 ``SolveOptions`` holds only the grid, the tolerance and the iteration cap.
 
 The converged loop then goes to ``selection.select_member``, which returns
@@ -30,7 +31,7 @@ from . import action as _action
 from .action import delay_residual, eval_components, gradient, pack, second_variation_matrix, unpack
 from .dynamics import phi_profile
 from .fields import FieldConfig, config_from_dict, config_to_dict
-from .geometry import WindingError, WindingReport, winding_report
+from .geometry import WindingError, WindingReport, birkhoff_map, winding_report
 from .loops import (
     EPS_ZHAT,
     DiscreteLoop,
@@ -349,7 +350,8 @@ def _dense_jacobian(
     ``phase_dir``.
     """
     z = unpack(xc)
-    grad_block = second_variation_matrix(z, twisted, cfg) / np.sqrt(len(z))
+    grad_block = second_variation_matrix(z, twisted, cfg)
+    grad_block /= np.sqrt(len(z))
     if phase_dir is None:
         return grad_block
     return np.vstack([grad_block, phase_dir[None, :]])
@@ -373,7 +375,9 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
 
     r = residual(x)
     gn = gn_of(r)
-    seed_winding = _safe_winding(reconstruct(seed, opts.m))
+    # winding does not depend on the parametrization: the physical loop at
+    # the seed's own nodes needs no time map
+    seed_winding = _safe_winding(birkhoff_map(seed.samples))
 
     lam = _LAM0
     best_x, best_gn = x.copy(), gn
@@ -388,12 +392,11 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         xc, rc = x, r
         jmat = _dense_jacobian(xc, twisted, cfg, phase_dir)
         ata = jmat.T @ jmat
-        eye = np.eye(len(xc))
         rhs = -(jmat.T @ rc)
 
         accepted = False
         for _ in range(10):
-            normal = ata + lam * eye
+            normal = _action._add_diag(ata.copy(), lam)
             delta = np.linalg.solve(normal, rhs)
             # geodesic acceleration: second-order correction along the step,
             # which keeps long narrow valleys from throttling the step size.
@@ -449,9 +452,10 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
     return _finalize(loop, cfg, opts, gn, iterations + steps, seed_winding, evals)
 
 
-def _safe_winding(q: PhysicalLoop) -> Optional[WindingReport]:
+def _safe_winding(q: np.ndarray) -> Optional[WindingReport]:
+    """The winding of the physical samples q, or None where it is undefined."""
     try:
-        return winding_report(q.samples, clearance=1e-6)
+        return winding_report(q, clearance=1e-6)
     except WindingError:
         return None
 
@@ -460,7 +464,7 @@ def _finalize(loop, cfg, opts, gn, iterations, seed_winding, evals) -> OrbitReco
     breakdown = eval_components(loop, cfg)
     delay = delay_residual(loop, cfg)
     q = reconstruct(loop, opts.m)
-    wind = _safe_winding(q)
+    wind = _safe_winding(q.samples)
     if seed_winding is not None and wind is not None and wind != seed_winding:
         log.warning("winding changed during iteration: seed %s -> converged %s", seed_winding, wind)
     prof = phi_profile(q, cfg, C=breakdown.C, z_loop=loop)

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -22,7 +23,8 @@ from szbov import (
     reconstruct,
     unpack,
 )
-from szbov.action import second_variation_matrix
+from szbov.action import _kinetic_hessian, _Nodes, second_variation_matrix
+from szbov.loops import derivative_matrix
 
 ZERO = preset("zero", mu=0.5)
 
@@ -172,6 +174,59 @@ class TestFieldEvaluations:
         assert calls["e"] == 1
         for key, bound in self.BOUNDS[name].items():
             assert calls[key] <= bound, f"{key} called {calls[key]} times, at most {bound}"
+
+
+class TestKineticHessian:
+    @staticmethod
+    def cover_oracle(nodes):
+        """The kinetic (A, B) from the (N, N) cover operators A_c and B_c of
+        the ``_kinetic_hessian`` docstring, built explicitly and, on a twisted
+        loop, folded by slices: 0.5 [I, diag(left)] M [I; diag(right)]."""
+        zc, zp, n = nodes.zc, nodes.zp, nodes.n
+        dmat = derivative_matrix(len(zc), nodes.period)
+        r = 1.0 / np.abs(zc) ** 2
+        zp2 = np.abs(zp) ** 2
+        u = r**2 * zp * np.conj(zc)
+        v = r**2 * zp * zc
+        a_c = np.diag(r**2 * zp2) - dmat @ np.diag(r) @ dmat + dmat @ np.diag(u) - np.diag(np.conj(u)) @ dmat
+        b_c = np.diag(2.0 * r**3 * zp2 * zc**2) + dmat @ np.diag(v) - np.diag(v) @ dmat
+        if not nodes.twisted:
+            return a_c, b_c
+
+        def fold(m, left, right):
+            top = m[:n, :n] + m[:n, n:] * right
+            bottom = m[n:, :n] + m[n:, n:] * right
+            return 0.5 * (top + left[:, None] * bottom)
+
+        z = nodes.z
+        s = -1.0 / z**2
+        b = fold(b_c, np.conj(s), np.conj(s)) + np.diag(nodes.g_cover[n:] / np.conj(z) ** 3)
+        return fold(a_c, np.conj(s), s), b
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+    def test_folded_blocks_match_the_cover_operators(self, rng, n, twisted):
+        nodes = _Nodes(random_smooth_loop(rng, n, twisted=twisted).samples, twisted, ZERO)
+        a, b = _kinetic_hessian(nodes)
+        a_ref, b_ref = self.cover_oracle(nodes)
+        scale = max(np.max(np.abs(a_ref)), np.max(np.abs(b_ref)))
+        assert np.max(np.abs(a - a_ref)) <= 1e-14 * scale
+        assert np.max(np.abs(b - b_ref)) <= 1e-14 * scale
+
+    def test_hessian_is_assembled_in_little_memory(self, rng):
+        # the fold forms no (2n, 2n) complex cover operator, each twice the
+        # size of the (2n, 2n) real result, so the peak stays within four
+        # results (after a first call, which caches the derivative matrix)
+        z = random_smooth_loop(rng, 64, twisted=True).samples
+        second_variation_matrix(z, True, ZERO)
+        tracemalloc.start()
+        try:
+            out = second_variation_matrix(z, True, ZERO)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 128 * 128 * 8
+        assert peak <= 4 * out.nbytes
 
 
 class TestPacking:
