@@ -15,6 +15,8 @@ functional; the continuum differential formulas serve as test oracles.
 Each public function reads one loop's node quantities from one ``_Nodes``
 object (the weights and F, the cover, H1/H2, q = B(z), the fields at q and at
 the discrete times), which computes each of them on first use, once.
+``gradient`` and ``second_variation_matrix`` also take the caller's object,
+so that the solver's gradient and Hessian at one point share it.
 
 Gradients use the L2 pairing  dB(z)xi = mean_j Re(conj(g_j) xi_j).
 
@@ -335,9 +337,14 @@ def component_gradients(loop: DiscreteLoop, cfg: FieldConfig) -> dict:
     return out
 
 
-def gradient(loop: DiscreteLoop, cfg: FieldConfig) -> np.ndarray:
-    """Exact gradient of the discretized regularized functional."""
-    nodes = _Nodes(loop.samples, loop.twisted, cfg)
+def gradient(loop: DiscreteLoop, cfg: FieldConfig, nodes: _Nodes | None = None) -> np.ndarray:
+    """Exact gradient of the discretized regularized functional.
+
+    ``nodes``, where the caller has it, is the node object of this loop and
+    cfg, whose cached quantities are then read instead of computed again.
+    """
+    if nodes is None:
+        nodes = _Nodes(loop.samples, loop.twisted, cfg)
     f, phi = nodes.f, nodes.phi
     h_mu = (1 - cfg.mu) * nodes.h1 + cfg.mu * nodes.h2
     grad = nodes.g * phi + f * nodes.grad_g
@@ -459,7 +466,7 @@ def _magnetic_hessian(nodes: _Nodes):
     qp, bp = nodes.qp, nodes.bp
     d1, d2 = nodes.gauge_jac
     h11, h12, h22 = nodes.cfg.magnetic.gauge_hess_at(nodes.q)
-    dmat = derivative_matrix(nodes.n)
+    dmat = derivative_matrix(nodes.n, 1.0)
     qpb = np.conj(qp)
     p1, p1b = 0.5 * (h11 - 1j * h12), 0.5 * (h11 + 1j * h12)
     p2, p2b = 0.5 * (h12 - 1j * h22), 0.5 * (h12 + 1j * h22)
@@ -496,40 +503,73 @@ def _electric_hessian(nodes: _Nodes):
     phi_z, phi_zb = nodes.phi_wirtinger
     bpb = np.conj(bp)
 
+    # the real K, and the real vectors that scale rows, multiply complex
+    # operands through their real and imaginary parts: a product with the
+    # complex operand itself would cast the real one to complex
     p_w = 0.5 * np.conj(phi)
     p_f = p_w / n
-    p_t = (kmat * p_w - np.outer(t, p_f)) / f
-    p_e = _add_diag(edot[:, None] * p_t, 0.5 * np.conj(ge) * bp)
-    p_edot = _add_diag(e_tt[:, None] * p_t, 0.5 * np.conj(ge_t) * bp)
-    p_beta = _add_diag(w[:, None] * p_edot, edot * p_w)
-    p_c = p_e / n + (
-        kmat.T @ p_beta - np.outer(beta_k, p_f) / f
-        - np.mean(t[:, None] * p_beta + beta[:, None] * p_t, axis=0) + beta_t * p_f / f
-    ) / (n * f)
-    p_e_val = (np.mean(w[:, None] * p_e, axis=0) + e * p_w / n - e_val * p_f) / f
+    p_t = np.empty((n, n), dtype=complex)
+    np.multiply(kmat, p_w.real, out=p_t.real)
+    np.multiply(kmat, p_w.imag, out=p_t.imag)
+    p_t -= np.outer(t, p_f)
+    p_t /= f
+    p_e = _add_diag(_scale_rows(edot, p_t), 0.5 * np.conj(ge) * bp)
+    p_edot = _add_diag(_scale_rows(e_tt, p_t), 0.5 * np.conj(ge_t) * bp)
+    p_beta = _add_diag(_scale_rows(w, p_edot), edot * p_w)
+    del p_edot
+    p_c = _real_matmul(kmat.T, p_beta)
+    p_c -= np.outer(beta_k, p_f) / f
+    p_c -= (_real_matmul(t, p_beta) + _real_matmul(beta, p_t)) / n
+    p_c += beta_t * p_f / f
+    p_c /= n * f
+    p_c += p_e / n
+    p_e_val = (_real_matmul(w, p_e) / n + e * p_w / n - e_val * p_f) / f
+    del p_beta, p_e
 
     # the complex dge = ge_t dt + g1 Re(eta) + g2 Im(eta) with eta = B'(z) xi,
     # and d grad_n = n (dc phi + c dphi) + conj(B'(z)) (dw ge + w dge)
     # + w conj(xi/z^3) ge
-    wb = (w * bpb)[:, None]
-    a = _add_diag(
-        n * phi[:, None] * p_c + wb * ge_t[:, None] * p_t,
-        n * c * phi_z + bpb * ge * p_w + w * np.abs(bp) ** 2 * 0.5 * (g1 - 1j * g2),
-    )
-    b = _add_diag(
-        n * phi[:, None] * np.conj(p_c) + wb * ge_t[:, None] * np.conj(p_t),
+    n_phi, wb_ge_t = (n * phi)[:, None], (w * bpb)[:, None] * ge_t[:, None]
+    a = n_phi * p_c
+    a += wb_ge_t * p_t
+    _add_diag(a, n * c * phi_z + bpb * ge * p_w + w * np.abs(bp) ** 2 * 0.5 * (g1 - 1j * g2))
+    b = np.conj(p_c, out=p_c)
+    b *= n_phi
+    p_t = np.conj(p_t, out=p_t)
+    p_t *= wb_ge_t
+    b += p_t
+    _add_diag(
+        b,
         n * c * phi_zb + bpb * ge * np.conj(p_w) + w * bpb**2 * 0.5 * (g1 + 1j * g2)
         + w * np.conj(1.0 / nodes.z**3) * ge,
     )
     # E = N/F:  dE_grad = (d grad_n - dE phi - E dphi - grad_E dF)/F
-    a -= np.outer(phi, p_e_val) + np.outer(grad_e, p_f)
-    b -= np.outer(phi, np.conj(p_e_val)) + np.outer(grad_e, np.conj(p_f))
+    a -= np.outer(phi, p_e_val)
+    a -= np.outer(grad_e, p_f)
+    b -= np.outer(phi, np.conj(p_e_val))
+    b -= np.outer(grad_e, np.conj(p_f))
     _add_diag(a, -e_val * phi_z)
     _add_diag(b, -e_val * phi_zb)
-    return a / f, b / f
+    a /= f
+    b /= f
+    return a, b
 
 
-def second_variation_matrix(z: np.ndarray, twisted: bool, cfg: FieldConfig) -> np.ndarray:
+def _scale_rows(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """diag(v) m for a real vector v and a C-contiguous complex matrix m, on
+    m's real view, whose rows interleave the real and imaginary parts."""
+    return (v[:, None] * m.view(float)).view(complex)
+
+
+def _real_matmul(r: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """r @ m for a real r (a vector or a matrix) and a C-contiguous complex
+    matrix m, as one real product on m's real view."""
+    return (r @ m.view(float)).view(complex)
+
+
+def second_variation_matrix(
+    z: np.ndarray, twisted: bool, cfg: FieldConfig, nodes: _Nodes | None = None
+) -> np.ndarray:
     """The exact Hessian of the discretized functional at the one loop z
     (shape (n,)): the (2n, 2n) real Jacobian of pack(gradient) in pack
     coordinates, symmetric to round-off.
@@ -540,8 +580,12 @@ def second_variation_matrix(z: np.ndarray, twisted: bool, cfg: FieldConfig) -> n
     matrix D folded to n x n blocks on a twisted loop's double cover,
     rank-one products for the means F and G, and the integration matrix K
     of the electric time map.  The real block [[Re(A+B), -Im(A-B)],
-    [Im(A+B), Re(A-B)]] is written into one (2n, 2n) array."""
-    nodes = _Nodes(np.asarray(z, dtype=complex), twisted, cfg)
+    [Im(A+B), Re(A-B)]] is written into one (2n, 2n) array.
+
+    ``nodes``, where the caller has it, is the node object of this z,
+    twisted and cfg, as for ``gradient``."""
+    if nodes is None:
+        nodes = _Nodes(np.asarray(z, dtype=complex), twisted, cfg)
     n, f, phi = nodes.n, nodes.f, nodes.phi
     h_mu = (1 - cfg.mu) * nodes.h1 + cfg.mu * nodes.h2
     phi_z, phi_zb = nodes.phi_wirtinger

@@ -8,7 +8,11 @@ iteration assembles its Jacobian densely, once: the gradient block is the
 exact Hessian (``action.second_variation_matrix``), symmetric to round-off,
 and gives the damped normal equations and the right-hand sides of the step
 and of the acceleration.  Without the acceleration the bench's `euler` solve
-does not converge in 200 iterations.  The time map is inverted only for the
+does not converge in 200 iterations.  A trial point's residual builds the
+point's node object (``action._Nodes``) once; its gradient reads it, and so
+does the next Jacobian once the point is accepted.  A point with a sample
+within _MIN_ABS_Z of 0, a non-finite sample, or a vanishing mean conformal
+weight gets no residual.  The time map is inverted only for the
 record, and by the member selection when it moves; the seed's winding is
 read at the seed's own nodes.  The settings are module constants;
 ``SolveOptions`` holds only the grid, the tolerance and the iteration cap.
@@ -34,10 +38,10 @@ from .fields import FieldConfig, config_from_dict, config_to_dict
 from .geometry import WindingError, WindingReport, birkhoff_map, winding_report
 from .loops import (
     EPS_ZHAT,
+    DegenerateLoopError,
     DiscreteLoop,
     PhysicalLoop,
     LoopError,
-    conformal_weight,
     derivative,
     lift,
     load_loop,
@@ -291,16 +295,9 @@ def make_seed(spec, n: int = 256) -> DiscreteLoop:
 _LAM0 = 1e-4
 _LAM_UP = 4.0
 _LAM_DOWN = 0.25
-# A trial iterate with a sample this close to 0, the pole of the conformal
+# An iterate with a sample this close to 0, the pole of the conformal
 # weight, is refused before its residual is evaluated.
 _MIN_ABS_Z = 1e-6
-
-
-def _admissible(x: np.ndarray) -> bool:
-    z = unpack(x)
-    if np.any(np.abs(z) < _MIN_ABS_Z):
-        return False
-    return float(np.mean(conformal_weight(z))) > EPS_ZHAT
 
 
 def _residual_factory(cfg: FieldConfig, twisted: bool, x0: np.ndarray):
@@ -311,6 +308,12 @@ def _residual_factory(cfg: FieldConfig, twisted: bool, x0: np.ndarray):
     seed x0 along the seed's unit tangent ``phase_dir``, removes the
     time-shift direction, along which every critical point of such a field
     is degenerate; ``phase_dir`` is None for the other fields.
+
+    The residual at x comes with the node object (``action._Nodes``) of x's
+    loop, which it builds once: the gradient reads it, and so does the
+    Jacobian at x once x is accepted.  An inadmissible x gets no residual:
+    one with a sample within _MIN_ABS_Z of 0 or a non-finite one, or whose
+    mean conformal weight F is at most EPS_ZHAT, raises LoopError.
     """
     scale = 1.0 / np.sqrt(len(x0) // 2)
     if cfg.autonomous:
@@ -319,13 +322,26 @@ def _residual_factory(cfg: FieldConfig, twisted: bool, x0: np.ndarray):
     else:
         phase_dir = None
 
-    def residual(x: np.ndarray) -> np.ndarray:
-        g = pack(gradient(DiscreteLoop(unpack(x), twisted=twisted), cfg)) * scale
-        if phase_dir is None:
-            return g
-        return np.append(g, phase_dir @ (x - x0))
+    def residual(x: np.ndarray) -> tuple[np.ndarray, _action._Nodes]:
+        z = unpack(x)
+        if np.any(np.abs(z) < _MIN_ABS_Z):
+            raise DegenerateLoopError(f"a sample lies within {_MIN_ABS_Z} of 0")
+        loop = DiscreteLoop(z, twisted=twisted)
+        nodes = _action._Nodes(loop.samples, twisted, cfg)
+        g = pack(gradient(loop, cfg, nodes=nodes)) * scale
+        if phase_dir is not None:
+            g = np.append(g, phase_dir @ (x - x0))
+        return g, nodes
 
     return residual, phase_dir
+
+
+def _trial(residual, x: np.ndarray):
+    """residual(x), or None where x is inadmissible."""
+    try:
+        return residual(x)
+    except LoopError:
+        return None
 
 
 # Step, relative to the iterate, below which no geodesic acceleration is
@@ -337,21 +353,16 @@ def _residual_factory(cfg: FieldConfig, twisted: bool, x0: np.ndarray):
 _ACCEL_MIN_STEP = 1e-8
 
 
-def _dense_jacobian(
-    xc: np.ndarray,
-    twisted: bool,
-    cfg: FieldConfig,
-    phase_dir: Optional[np.ndarray],
-) -> np.ndarray:
-    """The Jacobian of the residual at xc, as a dense matrix.
+def _dense_jacobian(nodes: _action._Nodes, phase_dir: Optional[np.ndarray]) -> np.ndarray:
+    """The Jacobian of the residual at the loop of ``nodes``, as a dense
+    matrix.
 
     Gradient block: the exact Hessian of the discretized functional in pack
     coordinates, scaled as the residual's gradient rows.  Phase row:
     ``phase_dir``.
     """
-    z = unpack(xc)
-    grad_block = second_variation_matrix(z, twisted, cfg)
-    grad_block /= np.sqrt(len(z))
+    grad_block = second_variation_matrix(nodes.z, nodes.twisted, nodes.cfg, nodes=nodes)
+    grad_block /= np.sqrt(nodes.n)
     if phase_dir is None:
         return grad_block
     return np.vstack([grad_block, phase_dir[None, :]])
@@ -373,7 +384,7 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
     def gn_of(r: np.ndarray) -> float:
         return float(np.linalg.norm(r[: 2 * n]))
 
-    r = residual(x)
+    r, nodes = residual(x)
     gn = gn_of(r)
     # winding does not depend on the parametrization: the physical loop at
     # the seed's own nodes needs no time map
@@ -389,10 +400,9 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         if gn < opts.g_tol:
             break
         iterations += 1
-        xc, rc = x, r
-        jmat = _dense_jacobian(xc, twisted, cfg, phase_dir)
+        jmat = _dense_jacobian(nodes, phase_dir)
         ata = jmat.T @ jmat
-        rhs = -(jmat.T @ rc)
+        rhs = -(jmat.T @ r)
 
         accepted = False
         for _ in range(10):
@@ -403,26 +413,24 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
             # Below _ACCEL_MIN_STEP the residual's second difference is
             # round-off, and a correction made of it only spoils the step.
             hg = 0.1
-            if (
-                np.linalg.norm(delta) > _ACCEL_MIN_STEP * max(1.0, np.linalg.norm(x))
-                and _admissible(x + hg * delta)
-                and _admissible(x - hg * delta)
-            ):
-                second = (residual(x + hg * delta) - 2.0 * rc + residual(x - hg * delta)) / hg**2
-                accel = np.linalg.solve(normal, -(jmat.T @ second))
-                if np.linalg.norm(accel) < 0.75 * np.linalg.norm(delta):
-                    delta = delta + 0.5 * accel
+            if np.linalg.norm(delta) > _ACCEL_MIN_STEP * max(1.0, np.linalg.norm(x)):
+                plus = _trial(residual, x + hg * delta)
+                minus = None if plus is None else _trial(residual, x - hg * delta)
+                if minus is not None:
+                    second = (plus[0] - 2.0 * r + minus[0]) / hg**2
+                    accel = np.linalg.solve(normal, -(jmat.T @ second))
+                    if np.linalg.norm(accel) < 0.75 * np.linalg.norm(delta):
+                        delta = delta + 0.5 * accel
             xt = x + delta
-            if _admissible(xt):
-                rt = residual(xt)
-                if np.linalg.norm(rt) < np.linalg.norm(r):
-                    x, r = xt, rt
-                    lam = max(lam * _LAM_DOWN, 1e-14)
-                    accepted = True
-                    break
+            trial = _trial(residual, xt)
+            if trial is not None and np.linalg.norm(trial[0]) < np.linalg.norm(r):
+                x, (r, nodes) = xt, trial
+                lam = max(lam * _LAM_DOWN, 1e-14)
+                accepted = True
+                break
             lam *= _LAM_UP
         if not accepted:
-            if float(np.mean(conformal_weight(unpack(x)))) < 10.0 * EPS_ZHAT:
+            if nodes.f < 10.0 * EPS_ZHAT:
                 raise SolveError("degenerated toward excluded locus")
             # stop when damping explodes without producing an acceptable step
             if lam > 1e12:

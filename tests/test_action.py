@@ -116,6 +116,20 @@ class TestGradient:
         with pytest.raises(DegenerateLoopError):
             gradient(DiscreteLoop(samples=samples), ZERO)
 
+    def test_large_loop_forms_no_dense_derivative(self, rng):
+        # a twisted n = 1024 loop is differentiated on its 2048-sample cover,
+        # whose dense derivative matrix would take 32 MiB: above the dense
+        # size, the FFT pair keeps the peak to a few n-vectors
+        loop = random_smooth_loop(rng, 1024, twisted=True)
+        tracemalloc.start()
+        try:
+            gradient(loop, ZERO)
+            eval_action(loop, ZERO)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**21
+
 
 def counted_custom_config(calls: Counter) -> FieldConfig:
     """Custom magnetic and electric fields whose callables count their calls
@@ -216,17 +230,22 @@ class TestKineticHessian:
     def test_hessian_is_assembled_in_little_memory(self, rng):
         # the fold forms no (2n, 2n) complex cover operator, each twice the
         # size of the (2n, 2n) real result, so the peak stays within four
-        # results (after a first call, which caches the derivative matrix)
+        # results (after a first call, which caches the derivative matrix).
+        # The electric term adds n x n complex arrays, each half a result,
+        # and multiplies the real K without casting it to complex: 4.8
+        # results, against 6.8 with the casts
         z = random_smooth_loop(rng, 64, twisted=True).samples
-        second_variation_matrix(z, True, ZERO)
-        tracemalloc.start()
-        try:
-            out = second_variation_matrix(z, True, ZERO)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out.nbytes == 128 * 128 * 8
-        assert peak <= 4 * out.nbytes
+        oscillating = preset("uniform_oscillating", mu=0.5, epsilon=0.1)
+        for cfg, results in ((ZERO, 4), (oscillating, 5)):
+            second_variation_matrix(z, True, cfg)
+            tracemalloc.start()
+            try:
+                out = second_variation_matrix(z, True, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.nbytes == 128 * 128 * 8
+            assert peak <= results * out.nbytes
 
 
 class TestPacking:

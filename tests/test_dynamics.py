@@ -242,3 +242,21 @@ def test_import_leaves_the_integrator_unloaded():
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_solve_leaves_scipy_unloaded():
+    # the solve path needs only numpy: importing scipy.linalg alone takes
+    # ~0.2 s and ~26 MB of peak RSS (2-CPU host, after numpy and szbov),
+    # which a solve's set-up would pay
+    env = {**os.environ, "PYTHONPATH": str(Path(szbov.__file__).resolve().parents[1])}
+    code = (
+        "import sys, szbov; "
+        "szbov.solve(szbov.seed_kepler_guess(-1, 0.3, 32), szbov.preset('zero', mu=0.5), "
+        "szbov.SolveOptions(n=32, m=64)); "
+        "print([m for m in ('scipy.linalg', 'scipy.integrate') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

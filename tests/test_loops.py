@@ -26,6 +26,7 @@ from szbov import (
 )
 from conftest import random_smooth_loop
 from szbov.loops import (
+    _DENSE_DERIVATIVE_MAX_N,
     TimeMap,
     _fourier_sum,
     _spectral_derivative,
@@ -63,6 +64,15 @@ class TestDiscreteLoop:
         cover = double_cover(loop)
         assert len(cover) == 2 * loop.n
         np.testing.assert_allclose(cover[loop.n :], 1.0 / loop.samples, rtol=1e-14)
+
+
+def fft_derivative(x, period, order=1):
+    """The spectral derivative of the samples x along their last axis by the
+    FFT formula, with the Nyquist mode zeroed."""
+    n = x.shape[-1]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    k[n // 2] = 0.0
+    return np.fft.ifft(np.fft.fft(x) * (2j * np.pi * k / period) ** order)
 
 
 def assert_shared_operator(mat, n):
@@ -143,8 +153,23 @@ class TestSpectralCalculus:
         d = derivative_matrix(n, period)
         assert_shared_operator(d, n)
         assert np.array_equal(d.T, -d)
-        expected = _spectral_derivative(x, period=period)
+        expected = fft_derivative(x, period)
         assert np.max(np.abs(x @ d.T - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("period", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    def test_spectral_derivative_on_both_sides_of_the_dense_size(self, n, period, order):
+        # at most _DENSE_DERIVATIVE_MAX_N samples take the dense D, more take
+        # the FFT pair; both must be the FFT formula's derivative
+        assert 64 <= _DENSE_DERIVATIVE_MAX_N < 512
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+        for samples in (x, x[0]):
+            expected = fft_derivative(samples, period, order)
+            got = _spectral_derivative(samples, period=period, order=order)
+            assert got.shape == samples.shape
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("n", [16, 64, 1024])
     def test_integration_matrix_integrates_the_interpolant(self, n):

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import random_smooth_loop
 from szbov import (
+    DegenerateLoopError,
     DiscreteLoop,
     FieldConfig,
     LoopError,
@@ -38,7 +39,7 @@ from szbov import (
 )
 import szbov.solver
 from szbov.loops import TimeMap
-from szbov.action import second_variation_matrix
+from szbov.action import _Nodes, second_variation_matrix
 from szbov.selection import _NULL_REL, anchor_measure
 from szbov.solver import _dense_jacobian
 
@@ -133,6 +134,15 @@ class TestSolve:
         opts = SolveOptions(n=64, m=256, max_iter=2)
         with pytest.raises(NoConvergenceError):
             solve(seed_circle(0.3 + 0.2j, 2.5, 64), EULER, opts)
+
+    def test_inadmissible_seed_is_refused(self):
+        # no residual at a seed collapsed onto a branch point, where F
+        # vanishes, nor at one with a sample at the pole of the weight
+        near_pole = seed_circle(3.0, 1.0, 64).samples.copy()
+        near_pole[5] = 1e-8
+        for samples in (np.full(64, 1.0 + 1e-9 + 0j), near_pole):
+            with pytest.raises(DegenerateLoopError):
+                solve(DiscreteLoop(samples), EULER, OPTS)
 
     def test_member_selection_shares_the_iteration_cap(self):
         # kepler converges in 2 iterations, then moves along its family for
@@ -323,8 +333,7 @@ class TestDenseJacobian:
 
     @staticmethod
     def gradient_block(loop, cfg):
-        xc = pack(loop.samples)
-        return _dense_jacobian(xc, loop.twisted, cfg, None)
+        return _dense_jacobian(_Nodes(loop.samples, loop.twisted, cfg), None)
 
     @staticmethod
     def central_differences(loop, cfg, h):
@@ -360,6 +369,20 @@ class TestDenseJacobian:
             assert err_h >= 3.0 * err_h2
         # the Hessian of the discretized action is symmetric in pack coordinates
         assert np.linalg.norm(block - block.T) <= 1e-12 * np.linalg.norm(block)
+
+    @pytest.mark.parametrize("name,cfg", FIELDS, ids=[f[0] for f in FIELDS])
+    @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+    def test_shared_nodes_change_nothing(self, rng, name, cfg, twisted):
+        # the solver reads one node object for a point's gradient and its
+        # Hessian: neither may write into the arrays that object caches
+        loop = random_smooth_loop(rng, 32, twisted=twisted)
+        nodes = _Nodes(loop.samples, twisted, cfg)
+        first = gradient(loop, cfg, nodes=nodes)
+        hess = second_variation_matrix(loop.samples, twisted, cfg, nodes=nodes)
+        again = gradient(loop, cfg, nodes=nodes)
+        np.testing.assert_array_equal(hess, second_variation_matrix(loop.samples, twisted, cfg))
+        for g in (first, again):
+            np.testing.assert_array_equal(g, gradient(loop, cfg))
 
     @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
     def test_block_applies_the_second_variation(self, rng, twisted):
@@ -412,7 +435,7 @@ class TestDenseJacobian:
         xc = pack(seed.samples)
         phase_dir = pack(derivative(seed))
         phase_dir /= np.linalg.norm(phase_dir)
-        jmat = _dense_jacobian(xc, seed.twisted, cfg, phase_dir)
+        jmat = _dense_jacobian(_Nodes(seed.samples, seed.twisted, cfg), phase_dir)
         ref = self.column_by_column(xc, seed.twisted, cfg, phase_dir)
         assert jmat.shape == (2 * n + 1, 2 * n)
         assert np.max(np.abs(jmat - ref)) <= 1e-8 * np.max(np.abs(ref))
