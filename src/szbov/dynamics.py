@@ -3,16 +3,22 @@ the first-integral profile, and the generalized-solution verifier.
 
 The integrator is the independent oracle for reconstructed orbits: it knows
 nothing about the blown-up loop space and simply integrates the second-order
-equation with the adaptive Dormand-Prince 8(5,3) Runge-Kutta scheme.
+equation with the adaptive Dormand-Prince 8(5,3) Runge-Kutta scheme.  It is
+Hairer's DOP853 (coefficients in ``_dop853``) with the step control of
+SciPy's ``solve_ivp``, stepped here on the complex scalars (q, v): a step
+costs its 12 right-hand sides and a few hundred scalar operations, and the
+package needs only numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ._dop853 import A, B, C, D, E3, E5, N_STAGES
 from .fields import FieldConfig
 from .geometry import birkhoff_map
 from .loops import (
@@ -20,7 +26,7 @@ from .loops import (
     DiscreteLoop,
     PhysicalLoop,
     TimeMap,
-    _spectral_derivative,
+    _fft_derivative,
     _tail_integral,
     chain_rule_state,
     eval_loop,
@@ -112,8 +118,10 @@ def newtonian_rhs(t, q, v, cfg: FieldConfig):
     the same form; ``integrate`` passes scalars, once per Runge-Kutta stage.
     Scalars stay Python numbers: they skip the conversion to arrays, and the
     Coulomb-center test reads the product of the distances directly, since
-    ``np.all`` on a number costs most of a zero-field call.  A field that is
-    zero adds no term.
+    ``np.all`` on a number costs most of a zero-field call.  The field
+    evaluators return 0-d arrays for a scalar, which are converted back, so
+    the result is a Python complex for every field and the stages that use
+    it run on Python numbers.  A field that is zero adds no term.
     """
     scalar = isinstance(q, (complex, float, int))
     if not scalar:
@@ -128,10 +136,133 @@ def newtonian_rhs(t, q, v, cfg: FieldConfig):
         # Lorentz force B i qdot: sign fixed by consistency with the loop
         # functional, whose magnetic circulation term satisfies
         # d/ds \oint (q+s xi)^*A = <-B i qdot, xi>
-        acc = acc + cfg.magnetic.field_at(q) * 1j * v
+        b = cfg.magnetic.field_at(q)
+        acc = acc + (float(b) if scalar else b) * 1j * v
     if not cfg.electric.is_zero:
-        acc = acc - cfg.electric.grad(t, q)
+        g = cfg.electric.grad(t, q)
+        acc = acc - (complex(g) if scalar else g)
     return acc
+
+
+# Step-size control of Hairer's DOP853, as SciPy's solve_ivp has it.  The
+# error estimate is of order 7, so the step scales as the error to the
+# power -1/8.
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1.0 / 8.0
+_MAX_STEP = 0.25
+
+
+def _scales(tol, q, v, q_new, v_new):
+    """Per real component of (q, v): tol (1 + |y|), with |y| the larger of
+    its old and new value."""
+    return (
+        tol + max(abs(q.real), abs(q_new.real)) * tol,
+        tol + max(abs(q.imag), abs(q_new.imag)) * tol,
+        tol + max(abs(v.real), abs(v_new.real)) * tol,
+        tol + max(abs(v.imag), abs(v_new.imag)) * tol,
+    )
+
+
+def _scaled_square(s, dq, dv):
+    """Sum of squares of the four real components of (dq, dv), each divided
+    by its scale."""
+    return (dq.real / s[0]) ** 2 + (dq.imag / s[1]) ** 2 + (dv.real / s[2]) ** 2 + (dv.imag / s[3]) ** 2
+
+
+def _initial_step(cfg, t0, q, v, a, t1, direction, tol):
+    """Hairer's starting step (Solving ODEs I, Sec. II.4), as SciPy's
+    ``select_initial_step`` takes it: one explicit Euler probe of the
+    derivative's change."""
+    interval = abs(t1 - t0)
+    if interval == 0.0:
+        return 0.0
+    s = _scales(tol, q, v, q, v)
+    d0 = math.sqrt(_scaled_square(s, q, v) / 4)
+    d1 = math.sqrt(_scaled_square(s, v, a) / 4)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    q1 = q + h0 * direction * v
+    v1 = v + h0 * direction * a
+    a1 = newtonian_rhs(t0 + h0 * direction, q1, v1, cfg)
+    d2 = math.sqrt(_scaled_square(s, v1 - v, a1 - a) / 4) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100 * h0, h1, interval, _MAX_STEP)
+
+
+def _error_norm(h, s, kq, ka):
+    """Hairer's blended error norm: the 5th-order estimate, damped where the
+    3rd-order one is large, over the four real components."""
+    e5q = e5v = e3q = e3v = 0j
+    for j, e in E5:
+        e5q += e * kq[j]
+        e5v += e * ka[j]
+    for j, e in E3:
+        e3q += e * kq[j]
+        e3v += e * ka[j]
+    n5 = _scaled_square(s, e5q, e5v)
+    n3 = _scaled_square(s, e3q, e3v)
+    if n5 == 0.0 and n3 == 0.0:
+        return 0.0
+    return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * 4)
+
+
+def _dense_coefficients(cfg, t_old, h, q_old, v_old, q_new, v_new, kq, ka):
+    """The 7 coefficients of DOP853's interpolant on each of a stack of steps,
+    for the q part and the v part.
+
+    The arguments are arrays over the steps; kq and ka are shaped (steps, 13),
+    the step's stages (velocities and accelerations).  The three extra
+    stages are evaluated here, for all the steps at once.
+    """
+    kq = list(kq.T)
+    ka = list(ka.T)
+    for s in range(N_STAGES + 1, len(C)):
+        dq = sum(a * kq[j] for j, a in A[s])
+        dv = sum(a * ka[j] for j, a in A[s])
+        v_s = v_old + dv * h
+        kq.append(v_s)
+        ka.append(newtonian_rhs(t_old + C[s] * h, q_old + dq * h, v_s, cfg))
+    out = []
+    for y_old, y_new, k in ((q_old, q_new, kq), (v_old, v_new, ka)):
+        dy = y_new - y_old
+        f = [dy, h * k[0] - dy, 2 * dy - h * (k[N_STAGES] + k[0])]
+        f += [h * sum(a * k[j] for j, a in row) for row in D]
+        out.append(f)
+    return out
+
+
+def _interpolate(f, y_old, x):
+    """DOP853's interpolant at the fraction x of its step."""
+    y = 0.0
+    for i, c in enumerate(reversed(f)):
+        y = (y + c) * (x if i % 2 == 0 else 1 - x)
+    return y + y_old
+
+
+def _crossing(cfg, step, gap):
+    """(t, q, v) where gap(q) falls through 0 inside an accepted step, bisected
+    on the step's interpolant down to adjacent floats."""
+    t_old, h, q_old, v_old = step[:4]
+    fq, fv = _dense_coefficients(cfg, *(np.array([x]) for x in step))
+    fq = [complex(c[0]) for c in fq]
+    fv = [complex(c[0]) for c in fv]
+    lo, hi = t_old, t_old + h
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if gap(_interpolate(fq, q_old, (mid - t_old) / h)) > 0:
+            lo = mid
+        else:
+            hi = mid
+    x = (hi - t_old) / h
+    return hi, _interpolate(fq, q_old, x), _interpolate(fv, v_old, x)
+
+
+# the stages 1-11 of a step, as (c_i, row i of A)
+_STAGES = tuple(zip(C[1:N_STAGES], A[1:N_STAGES]))
 
 
 def integrate(
@@ -146,63 +277,115 @@ def integrate(
 ) -> Trajectory:
     """Adaptive Dormand-Prince 8(5,3) integration of the Newtonian equation.
 
-    Aborts with ``collision_proximity`` when the particle comes within
-    ``eps_col`` of a center; dense output is evaluated at ``sample_times``
-    when given, otherwise the accepted steps are returned.
+    Hairer's DOP853 as SciPy's ``solve_ivp(method="DOP853")`` runs it, with
+    rtol = atol = ``tol`` and steps of at most 0.25, on the complex scalars
+    (q, v): the same starting step, blended error norm and step control.
+    Aborts with ``collision_proximity`` when the distance to the nearer
+    center falls to ``eps_col`` at a step end; the crossing is located on
+    that step's interpolant.  When ``sample_times`` are given, the
+    interpolant is evaluated there, in one pass over the steps that hold
+    them, otherwise the accepted step ends are returned.  ``step_failure``
+    means the step fell below 10 ulp of the time.
     """
     q0 = complex(q0)
     v0 = complex(v0)
     if min(abs(q0 - 1.0), abs(q0 + 1.0)) < eps_col:
         raise SingularityError("initial position at a Coulomb center")
 
-    def rhs(t, y):
-        a = newtonian_rhs(t, complex(y[0], y[1]), complex(y[2], y[3]), cfg)
-        return [y[2], y[3], a.real, a.imag]
-
-    def near_collision(t, y):
-        q = complex(y[0], y[1])
+    def gap(q):
         return min(abs(q - 1.0), abs(q + 1.0)) - eps_col
 
-    near_collision.terminal = True
-    near_collision.direction = -1
+    direction = 1.0 if t1 >= t0 else -1.0
+    t, q, v = float(t0), q0, v0
+    a = newtonian_rhs(t, q, v, cfg)
+    h_abs = _initial_step(cfg, t, q, v, a, t1, direction, tol)
+    times, qs, vs, steps = [t], [q], [v], []
+    terminated = COMPLETED
+    while direction * (t - t1) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = min(max(h_abs, min_step), _MAX_STEP)
+        rejected = False
+        while h_abs >= min_step:
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            kq, ka = [v], [a]
+            for c, row in _STAGES:
+                dq = dv = 0j
+                for j, coef in row:
+                    dq += coef * kq[j]
+                    dv += coef * ka[j]
+                v_s = v + dv * h
+                kq.append(v_s)
+                ka.append(newtonian_rhs(t + c * h, q + dq * h, v_s, cfg))
+            dq = dv = 0j
+            for j, b in B:
+                dq += b * kq[j]
+                dv += b * ka[j]
+            q_new = q + h * dq
+            v_new = v + h * dv
+            a_new = newtonian_rhs(t + h, q_new, v_new, cfg)
+            kq.append(v_new)
+            ka.append(a_new)
+            err = _error_norm(h, _scales(tol, q, v, q_new, v_new), kq, ka)
+            if err < 1.0:
+                factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
+            rejected = True
+        else:
+            terminated = STEP_FAILURE
+            break
+        step = (t, h, q, v, q_new, v_new, kq, ka)
+        t, q, v, a = t_new, q_new, v_new, a_new
+        # the start lies at least eps_col from both centers, and the run
+        # ends at the first step end that does not
+        if gap(q) <= 0:
+            t, q, v = _crossing(cfg, step, gap)
+            terminated = COLLISION_PROXIMITY
+        times.append(t)
+        qs.append(q)
+        vs.append(v)
+        steps.append(step)
+        if terminated == COLLISION_PROXIMITY:
+            break
 
-    # imported here, not at module level: it is most of the import time of
-    # the package, and only this function needs it
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        [q0.real, q0.imag, v0.real, v0.imag],
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-        dense_output=sample_times is not None,
-        events=near_collision,
-        max_step=0.25,
-    )
-    if sol.status == -1:
-        terminated = STEP_FAILURE
-    elif sol.status == 1:
-        terminated = COLLISION_PROXIMITY
-    else:
-        terminated = COMPLETED
-
-    if sample_times is not None and sol.status == 0:
+    if sample_times is not None and terminated == COMPLETED:
         ts = np.asarray(sample_times, dtype=float)
-        y = sol.sol(ts)
+        if steps:
+            positions, velocities = _sample(cfg, steps, np.array(times), ts, direction)
+        else:  # an empty span: the solution is the initial state
+            positions, velocities = np.full(ts.shape, q0), np.full(ts.shape, v0)
     else:
-        ts = sol.t
-        y = sol.y
+        ts = np.array(times)
+        positions = np.array(qs)
+        velocities = np.array(vs)
     if len(ts) > 1 and ts[-1] < ts[0]:  # backward integration
-        ts = ts[::-1]
-        y = y[:, ::-1]
-    return Trajectory(
-        times=ts,
-        positions=y[0] + 1j * y[1],
-        velocities=y[2] + 1j * y[3],
-        terminated=terminated,
-    )
+        ts, positions, velocities = ts[::-1], positions[::-1], velocities[::-1]
+    return Trajectory(times=ts, positions=positions, velocities=velocities, terminated=terminated)
+
+
+def _sample(cfg, steps, ends, ts, direction):
+    """(q, v) at the times ts, each on the interpolant of the step that holds
+    it; a time on a step end takes the step that ends there, as SciPy's
+    ``OdeSolution`` does, and times outside the span take the nearer end's
+    step."""
+    n = len(steps)
+    if direction > 0:
+        seg = np.searchsorted(ends, ts, side="left") - 1
+    else:
+        seg = n - 1 - (np.searchsorted(ends[::-1], ts, side="right") - 1)
+    seg = np.clip(seg, 0, n - 1)
+    used, which = np.unique(seg, return_inverse=True)
+    t_old, h, q_old, v_old, q_new, v_new, kq, ka = (np.array(x) for x in zip(*(steps[i] for i in used)))
+    fq, fv = _dense_coefficients(cfg, t_old, h, q_old, v_old, q_new, v_new, kq, ka)
+    x = (ts - t_old[which]) / h[which]
+    positions = _interpolate([c[which] for c in fq], q_old[which], x)
+    velocities = _interpolate([c[which] for c in fv], v_old[which], x)
+    return positions, velocities
 
 
 def _potential(q, mu):
@@ -235,7 +418,9 @@ def phi_profile(
     """
     qs, t = _closed_grid(q)
     m = q.m
-    qdot = _spectral_derivative(q.samples, period=1.0)
+    # by an FFT pair: at the record's m (256 in a solve at n = 64) the dense
+    # D would take 512 KiB, built and cached for this one call per solve
+    qdot = _fft_derivative(q.samples, 1.0)
     qdot = np.concatenate([qdot, qdot[:1]])
     kin = 0.5 * np.abs(qdot) ** 2
     with np.errstate(divide="ignore"):  # infinite on a node at a center, which mask drops

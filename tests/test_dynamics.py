@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import szbov
+import test_solver
 
 from conftest import random_smooth_loop
 from szbov import (
@@ -27,6 +28,7 @@ from szbov import (
     solve,
     verify_generalized,
 )
+from szbov.loops import derivative_matrix
 
 ZERO = preset("zero", mu=0.5)
 KEPLER = preset("zero", mu=0.0)
@@ -72,6 +74,8 @@ SCALAR_CASES = {
     "uniform_oscillating": preset("uniform_oscillating", mu=0.5, epsilon=0.05, d=0.6 + 0.8j),
     "rotating_charge": preset("rotating_charge", mu=0.4, mu_s=0.2, r_s=3.0),
     "custom": _custom_field(),
+    # and the fields the exact Hessian is checked on
+    **{f"jacobian-{name}": cfg for name, cfg in test_solver.TestDenseJacobian.FIELDS},
 }
 
 
@@ -102,6 +106,9 @@ class TestNewtonianRhs:
         for t, q, v in points:
             a = newtonian_rhs(t, q, v, cfg)
             ref = newtonian_rhs(t, np.array([q]), np.array([v]), cfg)[0]
+            # a Python complex, so that the stages of integrate() that use it
+            # run on Python numbers
+            assert type(a) is complex
             assert abs(a - ref) <= 1e-15 * abs(ref)
 
     @pytest.mark.parametrize("q", [1.0 + 0j, -1.0 + 0j])
@@ -146,6 +153,62 @@ class TestIntegrate:
         with pytest.raises(SingularityError):
             integrate(1.0 + 0j, 1j, 0.0, 1.0, ZERO)
 
+    def test_empty_span_returns_the_initial_state(self):
+        for samples in (None, [1.0]):
+            traj = integrate(0.3 + 0.5j, 0.1j, 1.0, 1.0, ZERO, sample_times=samples)
+            assert traj.terminated == "completed"
+            assert list(traj.times) == [1.0]
+            assert list(traj.positions) == [0.3 + 0.5j]
+            assert list(traj.velocities) == [0.1j]
+
+
+class TestIntegrateAgainstScipy:
+    """The in-house DOP853 against SciPy's solve_ivp(method="DOP853") with the
+    same tolerances and maximum step: the same algorithm, so the same
+    accepted steps, and the same interpolant up to round-off."""
+
+    CASES = {
+        "zero": ZERO,
+        "constant": preset("constant", mu=0.3, b=0.7),
+        "uniform_oscillating": preset("uniform_oscillating", mu=0.5, epsilon=0.05, d=0.6 + 0.8j),
+        "kepler": KEPLER,
+    }
+
+    @staticmethod
+    def reference(q0, v0, t0, t1, cfg, tol, sample_times):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+
+        def rhs(t, y):
+            a = newtonian_rhs(t, complex(y[0], y[1]), complex(y[2], y[3]), cfg)
+            return [y[2], y[3], a.real, a.imag]
+
+        sol = solve_ivp(
+            rhs, (t0, t1), [q0.real, q0.imag, v0.real, v0.imag],
+            method="DOP853", rtol=tol, atol=tol, dense_output=True, max_step=0.25,
+        )
+        y = sol.sol(sample_times)
+        return len(sol.t) - 1, y[0] + 1j * y[1]
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("t0, t1", [(0.0, 2.5), (2.5, 0.0)], ids=["forward", "backward"])
+    def test_same_steps_and_samples(self, name, t0, t1):
+        cfg = self.CASES[name]
+        q0, v0 = 0.3 + 1.2j, 0.8 - 0.2j
+        ts = np.linspace(0.0, 2.5, 101)
+        steps, ref = self.reference(q0, v0, t0, t1, cfg, 1e-13, ts)
+        assert len(integrate(q0, v0, t0, t1, cfg, tol=1e-13).times) - 1 == steps
+        traj = integrate(q0, v0, t0, t1, cfg, tol=1e-13, sample_times=ts)
+        assert traj.terminated == "completed"
+        assert np.max(np.abs(traj.positions - ref)) <= 1e-12
+
+    def test_collision_end_point_lies_on_the_event_circle(self):
+        # radial free fall onto the center at -1: the run ends where the
+        # distance to the center crosses eps_col, located on the interpolant
+        eps_col = 1e-3
+        traj = integrate(-0.7 + 0j, 0j, 0.0, 10.0, KEPLER, eps_col=eps_col)
+        assert traj.terminated == "collision_proximity"
+        assert abs(abs(traj.positions[-1] + 1.0) - eps_col) <= 1e-9
+
 
 class TestTrajectoryValidation:
     def test_mismatched_lengths_rejected(self):
@@ -189,6 +252,14 @@ class TestPhiProfile:
         shifted = phi_profile(q, ZERO, C=1.0)
         np.testing.assert_allclose(shifted.phi - base.phi, 1.0, atol=1e-12)
 
+    def test_builds_no_dense_derivative_matrix(self):
+        # the physical loop is differentiated by an FFT pair: at m = 256 the
+        # dense D would take 512 KiB, kept in the cache for one call per solve
+        times, q, period, omega = circular_kepler(1.0, m=256)
+        derivative_matrix.cache_clear()
+        phi_profile(PhysicalLoop(samples=q), KEPLER)
+        assert derivative_matrix.cache_info().currsize == 0
+
     def test_mean_is_undefined_when_mask_drops_a_node(self):
         # the unit-circle collision orbit has reconstructed samples on the
         # centers, where the defect is infinite and mask drops the node
@@ -230,8 +301,8 @@ class TestVerifyGeneralized:
 
 
 def test_import_leaves_the_integrator_unloaded():
-    # scipy.integrate is most of the package's import time, and only
-    # integrate() needs it; nothing needs scipy.sparse
+    # importing scipy.integrate takes 0.5-0.7 s and ~50 MB of peak RSS; the
+    # package imports no scipy module at all (see the next two tests)
     env = {**os.environ, "PYTHONPATH": str(Path(szbov.__file__).resolve().parents[1])}
     code = (
         "import sys, szbov; "
@@ -254,6 +325,25 @@ def test_solve_leaves_scipy_unloaded():
         "szbov.solve(szbov.seed_kepler_guess(-1, 0.3, 32), szbov.preset('zero', mu=0.5), "
         "szbov.SolveOptions(n=32, m=64)); "
         "print([m for m in ('scipy.linalg', 'scipy.integrate') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_no_scipy_module_loads():
+    # the runtime depends on numpy alone: importing, solving, verifying
+    # (which re-integrates) and integrating load no scipy module
+    env = {**os.environ, "PYTHONPATH": str(Path(szbov.__file__).resolve().parents[1])}
+    code = (
+        "import sys, szbov; "
+        "cfg = szbov.preset('zero', mu=0.0); "
+        "rec = szbov.solve(szbov.seed_kepler_guess(-1, 0.3, 32), cfg, szbov.SolveOptions(n=32, m=64)); "
+        "szbov.verify_generalized(rec, cfg); "
+        "szbov.integrate(-0.7 + 0j, 0j, 0.0, 10.0, cfg, eps_col=1e-3); "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
