@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import FieldConfig
-from .geometry import birkhoff_derivative, birkhoff_map, conformal_weight
+from .geometry import birkhoff_derivative, birkhoff_map, center_distance, conformal_weight
 from .loops import (
     EPS_COLLISION,
     EPS_ZHAT,
@@ -306,7 +306,7 @@ def eval_unregularized(q: PhysicalLoop, cfg: FieldConfig, eps_col: float = EPS_C
     rule directly on the uniform time grid.
     """
     qs = q.samples
-    if np.min(np.minimum(np.abs(qs - 1.0), np.abs(qs + 1.0))) < eps_col:
+    if np.min(center_distance(qs)) < eps_col:
         raise ValueError("unregularized action singular near collision")
     qdot = _spectral_derivative(qs, period=1.0)
     t = q.times

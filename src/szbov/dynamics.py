@@ -20,7 +20,7 @@ import numpy as np
 
 from ._dop853 import A, B, C, D, E3, E5, N_STAGES
 from .fields import FieldConfig
-from .geometry import birkhoff_map
+from .geometry import birkhoff_map, center_distance
 from .loops import (
     EPS_COLLISION,
     DiscreteLoop,
@@ -434,7 +434,7 @@ def phi_profile(
     if C is None:
         C = float(np.trapezoid(energy, dx=1.0 / m))
     phi = C - energy
-    mask = np.minimum(np.abs(qs - 1.0), np.abs(qs + 1.0)) > 10.0 * eps_col
+    mask = center_distance(qs) > 10.0 * eps_col
 
     if z_loop is None:
         return PhiProfile(C=float(C), phi=phi, mask=mask)
@@ -488,7 +488,7 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5, eps_col: floa
     tm = time_map(z_loop)
     m = q_loop.m
     qs = q_loop.samples
-    dist = np.minimum(np.abs(qs - 1.0), np.abs(qs + 1.0))
+    dist = center_distance(qs)
 
     checks = []
 
@@ -549,7 +549,7 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5, eps_col: floa
     prof = phi_profile(q_loop, cfg, C=c_const, z_loop=z_loop, eps_col=eps_col, tm=tm)
     energy_z = c_const - prof.phi_source
     qz = birkhoff_map(z_loop.samples)
-    dist_z = np.minimum(np.abs(qz - 1.0), np.abs(qz + 1.0))
+    dist_z = center_distance(qz)
     tz = tm.t(z_loop.tau) % 1.0
     usable = prof.psi_mask & (dist_z > 10.0 * eps_col)
     jump = 0.0

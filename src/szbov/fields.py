@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -159,10 +160,6 @@ class FieldConfig:
         if not 0.0 <= self.mu <= 1.0:
             raise FieldConfigError("mu must lie in [0, 1]")
 
-    @property
-    def autonomous(self) -> bool:
-        return self.electric.is_zero
-
 
 def _zero_gauge_hess(q):
     """The gauge of the zero and the constant field is linear in q."""
@@ -245,7 +242,11 @@ def electric_preset(kind: str, **params) -> ElectricSpec:
     if kind == "rotating_charge":
         mu_s = float(_require(params, "mu_s", kind))
         r_s = float(_require(params, "r_s", kind))
-        k = int(params.pop("k", 1))
+        k = params.pop("k", 1)
+        # read as given: k = 1.5 would not make the potential 1-periodic
+        if isinstance(k, bool) or not isinstance(k, Integral):
+            raise FieldConfigError(f"rotating_charge k must be an integer, not {k!r}")
+        k = int(k)
         theta0 = float(params.pop("theta0", 0.0))
         if params:
             raise FieldConfigError(f"unknown rotating-charge parameters: {sorted(params)}")

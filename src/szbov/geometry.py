@@ -18,6 +18,7 @@ __all__ = [
     "WindingReport",
     "birkhoff_map",
     "birkhoff_derivative",
+    "center_distance",
     "conformal_weight",
     "involution",
     "winding",
@@ -67,6 +68,12 @@ def conformal_weight(z):
     z = _as_complex(z)
     _check_nonzero(z, "conformal weight undefined at origin")
     return (np.abs(z - 1.0) ** 2) * (np.abs(z + 1.0) ** 2) / (4.0 * np.abs(z) ** 2)
+
+
+def center_distance(q):
+    """min(|q - 1|, |q + 1|): the distance of physical points q from the
+    nearer center."""
+    return np.minimum(np.abs(q - 1.0), np.abs(q + 1.0))
 
 
 def involution(z):

@@ -34,7 +34,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .geometry import birkhoff_derivative, birkhoff_map, conformal_weight
+from .geometry import birkhoff_derivative, birkhoff_map, center_distance, conformal_weight
 
 __all__ = [
     "LoopError",
@@ -532,7 +532,7 @@ def reconstruct(loop: DiscreteLoop, m: int, eps_col: float = EPS_COLLISION) -> P
     t = np.arange(m) / m
     tau = tm.inverse(t)
     q = birkhoff_map(eval_loop(loop, tau))
-    near = np.minimum(np.abs(q - 1.0), np.abs(q + 1.0)) < eps_col
+    near = center_distance(q) < eps_col
     return PhysicalLoop(samples=q, collision_times=tuple(t[near]))
 
 
@@ -542,7 +542,7 @@ def _track_branch(q: np.ndarray, eps_col: float) -> tuple[np.ndarray, bool]:
     Returns the tracked branch and whether one traversal returns to the
     inversion of the start (odd total winding, i.e. a twisted lift).
     """
-    if np.min(np.minimum(np.abs(q - 1.0), np.abs(q + 1.0))) <= eps_col:
+    if np.min(center_distance(q)) <= eps_col:
         raise LiftError("cannot lift through branch point")
     root = np.sqrt(q * q - 1.0)
     z = np.empty_like(q)

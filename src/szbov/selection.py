@@ -97,11 +97,12 @@ def select_member(
     the move has not settled after ``budget`` steps.
 
     Where the nullity k is at most one, x itself.  One null direction is the
-    time shift: a symmetry of autonomous fields, fixed by the solve's phase
-    row, and near one on the bench's `electric` orbit (2.3e-13 of the
-    largest eigenvalue), where it is the flat direction of an isolated
-    critical point: a move along it raised the gradient norm from 8e-10 to
-    1e-4 in three steps.  Where k is larger, x moves along the
+    time shift.  For an autonomous field it is a symmetry, and the time
+    shift is the one at which the iteration reached the critical set.  On
+    the bench's `electric` orbit it is near null (2.3e-13 of the largest
+    eigenvalue), the flat direction of an isolated critical point: a move
+    along it raised the gradient norm from 8e-10 to 1e-4 in three steps.
+    Where k is larger, x moves along the
     k-dimensional family to the member with the smallest anchor measure,
     whose gradient is there orthogonal to the Hessian's null space.
 

@@ -2,20 +2,21 @@
 
 A damped Gauss-Newton (Levenberg-Marquardt) iteration with geodesic
 acceleration drives the exact discrete gradient to zero, so it does not rely
-on the critical point being a minimum.  The residual is the scaled gradient
-and, for autonomous fields, a phase row against the time shift.  Each
-iteration assembles its Jacobian densely, once: the gradient block is the
-exact Hessian (``action.second_variation_matrix``), symmetric to round-off,
-and gives the damped normal equations and the right-hand sides of the step
-and of the acceleration.  Without the acceleration the bench's `euler` solve
-does not converge in 200 iterations.  A trial point's residual builds the
-point's node object (``action._Nodes``) once; its gradient reads it, and so
-does the next Jacobian once the point is accepted.  A point with a sample
-within _MIN_ABS_Z of 0, a non-finite sample, or a vanishing mean conformal
-weight gets no residual.  The time map is inverted only for the
-record, and by the member selection when it moves; the seed's winding is
-read at the seed's own nodes.  The settings are module constants;
-``SolveOptions`` holds only the grid, the tolerance and the iteration cap.
+on the critical point being a minimum.  The residual is the gradient alone,
+scaled by 1/sqrt(n), so its norm is the gradient norm and every accepted
+iterate is the best so far.  Each iteration assembles its Jacobian densely,
+once: the scaled exact Hessian (``action.second_variation_matrix``),
+symmetric to round-off, which gives the damped normal equations and the
+right-hand sides of the step and of the acceleration.  Without the
+acceleration the bench's `euler` solve does not converge in 200 iterations.
+A trial point's residual builds the point's node object (``action._Nodes``)
+once; its gradient reads it, and so does the next Jacobian once the point is
+accepted.  A point with a sample within _MIN_ABS_Z of 0, a non-finite
+sample, or a vanishing mean conformal weight gets no residual.  The time map
+is inverted only for the record, and by the member selection when it moves;
+the seed's winding is read at the seed's own nodes.  The settings are module
+constants; ``SolveOptions`` holds only the grid, the tolerance and the
+iteration cap.
 
 The converged loop then goes to ``selection.select_member``, which returns
 the member of its family of critical points that the record holds, with the
@@ -42,7 +43,6 @@ from .loops import (
     DiscreteLoop,
     PhysicalLoop,
     LoopError,
-    derivative,
     lift,
     load_loop,
     loop_from_dict,
@@ -94,12 +94,13 @@ class SolveOptions:
 
     def __post_init__(self):
         # written so that a NaN tolerance fails it too: the iteration could
-        # never meet it, nor tell that it had not
-        if not 0 < self.g_tol < np.inf:
+        # never meet it, nor tell that it had not.  A bool is no number here:
+        # True would pass as a tolerance of 1 or a cap of one iteration.
+        if isinstance(self.g_tol, bool) or not 0 < self.g_tol < np.inf:
             raise ValueError(f"g_tol must be positive and finite, not {self.g_tol!r}")
         for name in ("n", "m", "max_iter"):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, not {value!r}")
 
 
@@ -279,10 +280,12 @@ def make_seed(spec, n: int = 256) -> DiscreteLoop:
         return seed_circle(center, float(spec["radius"]), n)
     if kind == "ellipse_lift":
         return seed_ellipse_lift(float(spec["a"]), float(spec["b"]), n)
+    # read as given: a side of 0.5 or true is rejected, not cast
     if kind == "kepler_guess":
-        return seed_kepler_guess(int(spec.get("side", -1)), float(spec["radius"]), n)
+        side = _require_int(spec.get("side", -1), "seed: 'side'")
+        return seed_kepler_guess(side, float(spec["radius"]), n)
     if kind == "ejection":
-        return seed_ejection(int(spec.get("side", -1)), n)
+        return seed_ejection(_require_int(spec.get("side", -1), "seed: 'side'"), n)
     if kind == "file":
         return seed_from_file(spec["path"])
     raise LoopError(f"unknown seed kind {kind!r}")
@@ -300,14 +303,9 @@ _LAM_DOWN = 0.25
 _MIN_ABS_Z = 1e-6
 
 
-def _residual_factory(cfg: FieldConfig, twisted: bool, x0: np.ndarray):
-    """Residual map of the damped Gauss-Newton iteration.
-
-    The exact discrete gradient, scaled by 1/sqrt(n), is the equation being
-    solved.  For autonomous fields a scalar phase row, the offset from the
-    seed x0 along the seed's unit tangent ``phase_dir``, removes the
-    time-shift direction, along which every critical point of such a field
-    is degenerate; ``phase_dir`` is None for the other fields.
+def _residual_factory(cfg: FieldConfig, twisted: bool, n: int):
+    """Residual map of the damped Gauss-Newton iteration: the exact discrete
+    gradient, scaled by 1/sqrt(n), so that its norm is the gradient norm.
 
     The residual at x comes with the node object (``action._Nodes``) of x's
     loop, which it builds once: the gradient reads it, and so does the
@@ -315,12 +313,7 @@ def _residual_factory(cfg: FieldConfig, twisted: bool, x0: np.ndarray):
     one with a sample within _MIN_ABS_Z of 0 or a non-finite one, or whose
     mean conformal weight F is at most EPS_ZHAT, raises LoopError.
     """
-    scale = 1.0 / np.sqrt(len(x0) // 2)
-    if cfg.autonomous:
-        phase_dir = pack(derivative(DiscreteLoop(unpack(x0), twisted=twisted)))
-        phase_dir = phase_dir / max(np.linalg.norm(phase_dir), 1e-300)
-    else:
-        phase_dir = None
+    scale = 1.0 / np.sqrt(n)
 
     def residual(x: np.ndarray) -> tuple[np.ndarray, _action._Nodes]:
         z = unpack(x)
@@ -328,12 +321,9 @@ def _residual_factory(cfg: FieldConfig, twisted: bool, x0: np.ndarray):
             raise DegenerateLoopError(f"a sample lies within {_MIN_ABS_Z} of 0")
         loop = DiscreteLoop(z, twisted=twisted)
         nodes = _action._Nodes(loop.samples, twisted, cfg)
-        g = pack(gradient(loop, cfg, nodes=nodes)) * scale
-        if phase_dir is not None:
-            g = np.append(g, phase_dir @ (x - x0))
-        return g, nodes
+        return pack(gradient(loop, cfg, nodes=nodes)) * scale, nodes
 
-    return residual, phase_dir
+    return residual
 
 
 def _trial(residual, x: np.ndarray):
@@ -353,21 +343,6 @@ def _trial(residual, x: np.ndarray):
 _ACCEL_MIN_STEP = 1e-8
 
 
-def _dense_jacobian(nodes: _action._Nodes, phase_dir: Optional[np.ndarray]) -> np.ndarray:
-    """The Jacobian of the residual at the loop of ``nodes``, as a dense
-    matrix.
-
-    Gradient block: the exact Hessian of the discretized functional in pack
-    coordinates, scaled as the residual's gradient rows.  Phase row:
-    ``phase_dir``.
-    """
-    grad_block = second_variation_matrix(nodes.z, nodes.twisted, nodes.cfg, nodes=nodes)
-    grad_block /= np.sqrt(nodes.n)
-    if phase_dir is None:
-        return grad_block
-    return np.vstack([grad_block, phase_dir[None, :]])
-
-
 def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOptions()) -> OrbitRecord:
     """Levenberg-Marquardt on the gradient residual from the given seed,
     then the selection of one member of the converged loop's critical set.
@@ -379,19 +354,14 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         raise ValueError(f"seed has n={n} samples, but the solve options ask for n={opts.n}")
     twisted = seed.twisted
     x = pack(np.asarray(seed.samples))
-    residual, phase_dir = _residual_factory(cfg, twisted, x.copy())
-
-    def gn_of(r: np.ndarray) -> float:
-        return float(np.linalg.norm(r[: 2 * n]))
-
+    residual = _residual_factory(cfg, twisted, n)
     r, nodes = residual(x)
-    gn = gn_of(r)
+    gn = float(np.linalg.norm(r))
     # winding does not depend on the parametrization: the physical loop at
     # the seed's own nodes needs no time map
     seed_winding = _safe_winding(birkhoff_map(seed.samples))
 
     lam = _LAM0
-    best_x, best_gn = x.copy(), gn
     iterations = 0
 
     # an iteration is counted once its Jacobian is assembled, so a seed
@@ -400,7 +370,9 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         if gn < opts.g_tol:
             break
         iterations += 1
-        jmat = _dense_jacobian(nodes, phase_dir)
+        # the scaled Hessian, symmetric: the Jacobian of the residual
+        jmat = second_variation_matrix(nodes.z, twisted, cfg, nodes=nodes)
+        jmat /= np.sqrt(n)
         ata = jmat.T @ jmat
         rhs = -(jmat.T @ r)
 
@@ -423,8 +395,10 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
                         delta = delta + 0.5 * accel
             xt = x + delta
             trial = _trial(residual, xt)
-            if trial is not None and np.linalg.norm(trial[0]) < np.linalg.norm(r):
+            # the residual is the gradient: an accepted point is the best so far
+            if trial is not None and np.linalg.norm(trial[0]) < gn:
                 x, (r, nodes) = xt, trial
+                gn = float(np.linalg.norm(r))
                 lam = max(lam * _LAM_DOWN, 1e-14)
                 accepted = True
                 break
@@ -436,24 +410,20 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
             if lam > 1e12:
                 break
             continue
-
-        gn = gn_of(r)
-        if gn < best_gn:
-            best_x, best_gn = x.copy(), gn
         log.debug("iter %d: gn=%.3e step=%.3e lam=%.1e", iterations, gn, float(np.linalg.norm(delta)), lam)
 
-    if best_gn >= opts.g_tol:
+    if gn >= opts.g_tol:
         raise NoConvergenceError(
-            f"no convergence: gradient norm {best_gn:.3e} after {iterations} iterations",
-            best_loop=DiscreteLoop(unpack(best_x), twisted=twisted),
-            best_grad_norm=best_gn,
+            f"no convergence: gradient norm {gn:.3e} after {iterations} iterations",
+            best_loop=DiscreteLoop(unpack(x), twisted=twisted),
+            best_grad_norm=gn,
         )
-    member = select_member(best_x, best_gn, seed, cfg, opts.max_iter - iterations, opts.g_tol)
+    member = select_member(x, gn, seed, cfg, opts.max_iter - iterations, opts.g_tol)
     if member is None:
         raise NoConvergenceError(
             f"no convergence: the member selection did not settle after {opts.max_iter} iterations",
-            best_loop=DiscreteLoop(unpack(best_x), twisted=twisted),
-            best_grad_norm=best_gn,
+            best_loop=DiscreteLoop(unpack(x), twisted=twisted),
+            best_grad_norm=gn,
         )
     x, gn, steps, evals = member
     loop = DiscreteLoop(unpack(x), twisted=twisted)

@@ -217,6 +217,14 @@ class TestExitCodes:
         assert run(["solve", "--config", cfg, "--seed", seed, "--n", 32, "--quiet"]) == 2
         assert "max_iter must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["max_iter", "g_tol"])
+    def test_bool_solver_option_rejected(self, tmp_path, capsys, key):
+        # true would run as a tolerance of 1 or a cap of one iteration
+        cfg = write_config(tmp_path, {"fields": {"mu": 0.5}, "solver": {key: True}})
+        seed = '{"kind": "circle", "radius": 2}'
+        assert run(["solve", "--config", cfg, "--seed", seed, "--n", 32, "--quiet"]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["n", "m"])
     @pytest.mark.parametrize("value", [40.9, 0, -8])
     def test_bad_grid_rejected(self, tmp_path, capsys, key, value):

@@ -19,7 +19,7 @@ class TestPresets:
     def test_zero_preset_is_autonomous(self):
         cfg = preset("zero", mu=0.3)
         assert cfg.mu == 0.3
-        assert cfg.autonomous
+        assert cfg.electric.is_zero
 
     def test_constant_magnetic_field_value(self):
         cfg = preset("constant", mu=0.5, b=2.0)
@@ -28,7 +28,7 @@ class TestPresets:
 
     def test_oscillating_field_breaks_autonomy(self):
         cfg = preset("uniform_oscillating", mu=0.5, epsilon=0.1)
-        assert not cfg.autonomous
+        assert not cfg.electric.is_zero
 
     def test_oscillating_field_is_time_periodic(self):
         ele = electric_preset("uniform_oscillating", epsilon=0.1)
@@ -83,6 +83,15 @@ class TestPresets:
             electric_preset("uniform_oscillating", eps=0.1)
         with pytest.raises(FieldConfigError):
             preset("nonsense")
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, True])
+    def test_rotating_charge_frequency_read_as_given(self, k):
+        # not truncated: k = 1.5 would run as k = 1, whose potential is
+        # 1-periodic where the one asked for is not
+        with pytest.raises(FieldConfigError, match="k must be an integer"):
+            electric_preset("rotating_charge", mu_s=0.01, r_s=3.0, k=k)
+        with pytest.raises(FieldConfigError, match="k must be an integer"):
+            config_from_dict({"mu": 0.5, "electric": {"kind": "rotating_charge", "mu_s": 0.01, "r_s": 3.0, "k": k}})
 
     def test_mass_ratio_bounds(self):
         with pytest.raises((FieldConfigError, ValueError)):

@@ -17,7 +17,6 @@ from szbov import (
     SolveError,
     SolveOptions,
     continue_family,
-    derivative,
     electric_preset,
     eval_action,
     grad_norm,
@@ -41,7 +40,6 @@ import szbov.solver
 from szbov.loops import TimeMap
 from szbov.action import _Nodes, second_variation_matrix
 from szbov.selection import _NULL_REL, anchor_measure
-from szbov.solver import _dense_jacobian
 
 KEPLER = preset("zero", mu=0.0)
 EULER = preset("zero", mu=0.5)
@@ -95,6 +93,13 @@ class TestSeeds:
         again = make_seed({"kind": "file", "path": str(path)})
         np.testing.assert_array_equal(again.samples, loop.samples)
 
+    @pytest.mark.parametrize("kind", ["kepler_guess", "ejection"])
+    @pytest.mark.parametrize("side", [-0.5, True, "-1"])
+    def test_make_seed_reads_side_as_given(self, kind, side):
+        # not truncated: int(-0.5) would seed about the wrong center
+        with pytest.raises(LoopError, match="'side' must be an integer"):
+            make_seed({"kind": kind, "side": side, "radius": 0.3}, n=64)
+
     def test_make_seed_rejects_unknown_keys(self):
         with pytest.raises(LoopError):
             make_seed({"kind": "circle", "radius": 2.0, "bogus": 1})
@@ -135,6 +140,16 @@ class TestSolve:
         with pytest.raises(NoConvergenceError):
             solve(seed_circle(0.3 + 0.2j, 2.5, 64), EULER, opts)
 
+    def test_no_convergence_carries_the_best_iterate(self):
+        # the residual is the scaled gradient, and a step is accepted only
+        # where it lowers its norm: the last iterate is the best one
+        seed = seed_circle(0.3 + 0.2j, 2.5, 64)
+        with pytest.raises(NoConvergenceError) as err:
+            solve(seed, EULER, SolveOptions(n=64, m=256, max_iter=3))
+        best = err.value.best_loop
+        assert err.value.best_grad_norm == pytest.approx(grad_norm(gradient(best, EULER)), rel=1e-12)
+        assert err.value.best_grad_norm < grad_norm(gradient(seed, EULER))
+
     def test_inadmissible_seed_is_refused(self):
         # no residual at a seed collapsed onto a branch point, where F
         # vanishes, nor at one with a sample at the pole of the weight
@@ -157,6 +172,13 @@ class TestSolve:
         # an unconverged iterate as a converged record, an infinite one the seed
         with pytest.raises(ValueError, match="g_tol must be positive"):
             SolveOptions(n=64, m=256, g_tol=g_tol)
+
+    @pytest.mark.parametrize("name", ["n", "m", "max_iter", "g_tol"])
+    def test_a_bool_option_is_rejected(self, name):
+        # bool is an Integral, and True passes 0 < g_tol < inf: without the
+        # check g_tol=True solves at tolerance 1 and max_iter=True runs once
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            SolveOptions(**{"n": 64, "m": 256, name: True})
 
     def test_seed_grid_must_match_the_options(self):
         with pytest.raises(ValueError, match="n=64.*n=128"):
@@ -185,11 +207,11 @@ class TestSolve:
         # test; so a seed already at tolerance takes no iteration
         calls = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return _dense_jacobian(*args)
+            return second_variation_matrix(*args, **kwargs)
 
-        monkeypatch.setattr(szbov.solver, "_dense_jacobian", counted)
+        monkeypatch.setattr(szbov.solver, "second_variation_matrix", counted)
         rec = solve(seed_kepler_guess(-1, 0.3, 64), EULER, OPTS)
         assert rec.iterations == len(calls) > 10
         again = solve(rec.z, EULER, OPTS)
@@ -333,7 +355,7 @@ class TestDenseJacobian:
 
     @staticmethod
     def gradient_block(loop, cfg):
-        return _dense_jacobian(_Nodes(loop.samples, loop.twisted, cfg), None)
+        return second_variation_matrix(loop.samples, loop.twisted, cfg) / np.sqrt(loop.n)
 
     @staticmethod
     def central_differences(loop, cfg, h):
@@ -408,10 +430,10 @@ class TestDenseJacobian:
             assert err_h >= 3.0 * err_h2
 
     @staticmethod
-    def column_by_column(xc, twisted, cfg, phase_dir, h=1e-6):
+    def column_by_column(xc, twisted, cfg, h=1e-6):
         """Reference assembly: one forward product per coordinate direction,
-        the gradient block a central difference of two single-loop gradients
-        at step h * max(1, |xc|)."""
+        a central difference of two single-loop gradients at step
+        h * max(1, |xc|)."""
         n = len(xc) // 2
 
         def grad_block(x):
@@ -419,8 +441,7 @@ class TestDenseJacobian:
 
         def forward(v):
             step = h * max(1.0, np.linalg.norm(xc))
-            hvp = (grad_block(xc + step * v) - grad_block(xc - step * v)) / (2.0 * step)
-            return np.append(hvp, phase_dir @ v)
+            return (grad_block(xc + step * v) - grad_block(xc - step * v)) / (2.0 * step)
 
         eye = np.eye(len(xc))
         return np.column_stack([forward(eye[:, i]) for i in range(len(xc))])
@@ -432,12 +453,9 @@ class TestDenseJacobian:
     )
     def test_matches_column_by_column_assembly(self, seed, cfg):
         n = seed.n
-        xc = pack(seed.samples)
-        phase_dir = pack(derivative(seed))
-        phase_dir /= np.linalg.norm(phase_dir)
-        jmat = _dense_jacobian(_Nodes(seed.samples, seed.twisted, cfg), phase_dir)
-        ref = self.column_by_column(xc, seed.twisted, cfg, phase_dir)
-        assert jmat.shape == (2 * n + 1, 2 * n)
+        jmat = self.gradient_block(seed, cfg)
+        ref = self.column_by_column(pack(seed.samples), seed.twisted, cfg)
+        assert jmat.shape == (2 * n, 2 * n)
         assert np.max(np.abs(jmat - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
