@@ -40,9 +40,8 @@ from functools import cached_property
 import numpy as np
 
 from .fields import FieldConfig
-from .geometry import birkhoff_derivative, birkhoff_map, center_distance, conformal_weight
+from .geometry import birkhoff_derivative, birkhoff_map, conformal_weight
 from .loops import (
-    EPS_COLLISION,
     EPS_ZHAT,
     DegenerateLoopError,
     DiscreteLoop,
@@ -299,14 +298,14 @@ def eval_action(loop: DiscreteLoop, cfg: FieldConfig) -> float:
     return eval_components(loop, cfg).total
 
 
-def eval_unregularized(q: PhysicalLoop, cfg: FieldConfig, eps_col: float = EPS_COLLISION) -> float:
+def eval_unregularized(q: PhysicalLoop, cfg: FieldConfig) -> float:
     """The classical action of a collision-free physical loop.
 
     Independent of the blown-up quadratures: spectral derivative and trapezoid
-    rule directly on the uniform time grid.
+    rule directly on the uniform time grid; refused if q.collision_times.
     """
     qs = q.samples
-    if np.min(center_distance(qs)) < eps_col:
+    if q.collision_times:
         raise ValueError("unregularized action singular near collision")
     qdot = _spectral_derivative(qs, period=1.0)
     t = q.times

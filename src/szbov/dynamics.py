@@ -25,7 +25,6 @@ from .loops import (
     EPS_COLLISION,
     DiscreteLoop,
     PhysicalLoop,
-    TimeMap,
     _fft_derivative,
     _tail_integral,
     chain_rule_state,
@@ -47,6 +46,8 @@ __all__ = [
 COMPLETED = "completed"
 COLLISION_PROXIMITY = "collision_proximity"
 STEP_FAILURE = "step_failure"
+# nodes this close to a center are left out of the energy profiles' checks
+_NEAR_CENTER = 10.0 * EPS_COLLISION
 
 
 class SingularityError(ValueError):
@@ -272,7 +273,6 @@ def integrate(
     t1: float,
     cfg: FieldConfig,
     tol: float = 1e-10,
-    eps_col: float = EPS_COLLISION,
     sample_times=None,
 ) -> Trajectory:
     """Adaptive Dormand-Prince 8(5,3) integration of the Newtonian equation.
@@ -281,19 +281,19 @@ def integrate(
     rtol = atol = ``tol`` and steps of at most 0.25, on the complex scalars
     (q, v): the same starting step, blended error norm and step control.
     Aborts with ``collision_proximity`` when the distance to the nearer
-    center falls to ``eps_col`` at a step end; the crossing is located on
-    that step's interpolant.  When ``sample_times`` are given, the
+    center falls to ``EPS_COLLISION`` at a step end; the crossing is located
+    on that step's interpolant.  When ``sample_times`` are given, the
     interpolant is evaluated there, in one pass over the steps that hold
     them, otherwise the accepted step ends are returned.  ``step_failure``
     means the step fell below 10 ulp of the time.
     """
     q0 = complex(q0)
     v0 = complex(v0)
-    if min(abs(q0 - 1.0), abs(q0 + 1.0)) < eps_col:
+    if min(abs(q0 - 1.0), abs(q0 + 1.0)) < EPS_COLLISION:
         raise SingularityError("initial position at a Coulomb center")
 
     def gap(q):
-        return min(abs(q - 1.0), abs(q + 1.0)) - eps_col
+        return min(abs(q - 1.0), abs(q + 1.0)) - EPS_COLLISION
 
     direction = 1.0 if t1 >= t0 else -1.0
     t, q, v = float(t0), q0, v0
@@ -341,7 +341,7 @@ def integrate(
             break
         step = (t, h, q, v, q_new, v_new, kq, ka)
         t, q, v, a = t_new, q_new, v_new, a_new
-        # the start lies at least eps_col from both centers, and the run
+        # the start lies at least EPS_COLLISION from both centers, and the run
         # ends at the first step end that does not
         if gap(q) <= 0:
             t, q, v = _crossing(cfg, step, gap)
@@ -404,17 +404,15 @@ def phi_profile(
     cfg: FieldConfig,
     C: Optional[float] = None,
     z_loop: Optional[DiscreteLoop] = None,
-    eps_col: float = EPS_COLLISION,
-    tm: Optional[TimeMap] = None,
 ) -> PhiProfile:
     """Energy defect Phi(t) = C - |qdot|^2/2 - U(q) - tail(t) - E_t(q).
 
     When C is not supplied it is assembled from the loop by the defining
     quadratures, which makes the trapezoid mean of Phi vanish identically for
-    every loop, critical or not.  When a source loop z is supplied, the
-    defect is also evaluated on its tau grid from the chain-rule velocity,
-    which stays accurate between collisions; ``tm`` is that loop's time map,
-    built here when not given.
+    every loop, critical or not.  ``mask`` drops the nodes within _NEAR_CENTER
+    of a center.  When a source loop z is supplied, the defect is also
+    evaluated on its tau grid from the chain-rule velocity, which stays
+    accurate between collisions.
     """
     qs, t = _closed_grid(q)
     m = q.m
@@ -434,13 +432,12 @@ def phi_profile(
     if C is None:
         C = float(np.trapezoid(energy, dx=1.0 / m))
     phi = C - energy
-    mask = center_distance(qs) > 10.0 * eps_col
+    mask = center_distance(qs) > _NEAR_CENTER
 
     if z_loop is None:
         return PhiProfile(C=float(C), phi=phi, mask=mask)
-    if tm is None:
-        tm = time_map(z_loop)
-    qz, qdot_z = chain_rule_state(z_loop, tm=tm)
+    tm = time_map(z_loop)
+    qz, qdot_z = chain_rule_state(z_loop)
     safe = np.isfinite(qdot_z)
     tz = tm.t(z_loop.tau) % 1.0
     ez = cfg.electric.e(tz, qz)
@@ -474,13 +471,14 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5, eps_col: float = EPS_COLLISION) -> VerificationReport:
+def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5) -> VerificationReport:
     """Check the generalized-solution conditions for a computed orbit.
 
     orbit must expose ``z`` (DiscreteLoop), ``q`` (PhysicalLoop), and ``C``.
-    Conditions: finitely many collisions; the Newtonian equation holds on each
-    collision-free arc (via re-integration with the RK oracle); the energy
-    extension is continuous across collisions; the loop closes up.
+    Conditions: finitely many collisions (``q.collision_times``); the
+    Newtonian equation holds on each collision-free arc (via re-integration
+    with the RK oracle); the energy extension is continuous across
+    collisions; the loop closes up.
     """
     z_loop: DiscreteLoop = orbit.z
     q_loop: PhysicalLoop = orbit.q
@@ -488,46 +486,24 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5, eps_col: floa
     tm = time_map(z_loop)
     m = q_loop.m
     qs = q_loop.samples
-    dist = center_distance(qs)
 
     checks = []
 
-    # (1) finite collision set: isolated groups of near-collision nodes; each
-    # group's closest-approach node is treated as a collision event below
-    near = dist < 10.0 * eps_col
-    groups = 0
-    collisions = []
-    if np.all(near):
-        groups = m
-    elif np.any(near):
-        starts = np.where(near & ~np.roll(near, 1))[0]
-        groups = len(starts)
-        for s in starts:
-            idx = [int(s)]
-            j = (int(s) + 1) % m
-            while near[j] and j != int(s):
-                idx.append(j)
-                j = (j + 1) % m
-            sub = np.asarray(idx)
-            collisions.append(float(sub[np.argmin(dist[sub])] / m))
-    collisions = sorted(set(collisions) | set(float(t) for t in q_loop.collision_times))
-    checks.append(("finite collision set", float(groups), float(m // 4), groups < m // 4))
+    # (1) finite collision set
+    collisions = list(q_loop.collision_times)
+    checks.append(("finite collision set", float(len(collisions)), float(m // 4), len(collisions) < m // 4))
 
     # arcs between collisions (whole circle if none)
-    if collisions:
-        bounds = collisions + [collisions[0] + 1.0]
-        arcs = [(bounds[i], bounds[i + 1]) for i in range(len(collisions))]
-    else:
-        arcs = [(0.0, 1.0)]
+    arcs = list(zip(collisions, collisions[1:] + [collisions[0] + 1.0])) if collisions else [(0.0, 1.0)]
 
     # (2) Newtonian defect via re-integration from each arc midpoint
-    margin = max(5.0 / m, 20.0 * eps_col)
+    margin = 5.0 / m
     worst = 0.0
     for (ta, tb) in arcs:
         if tb - ta < 4 * margin:
             continue
         tmid = 0.5 * (ta + tb)
-        q0, v0 = chain_rule_state(z_loop, tm.inverse([tmid]), tm)
+        q0, v0 = chain_rule_state(z_loop, tm.inverse([tmid]))
         for lo, hi in ((tmid, tb - margin), (tmid, ta + margin)):
             # compare at the uniform grid times inside the integration window
             ka, kb = sorted((lo, hi))
@@ -535,7 +511,7 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5, eps_col: floa
             if len(kk) < 2:
                 continue
             ts = kk / m
-            traj = integrate(q0[0], v0[0], lo, hi, cfg, tol=1e-13, eps_col=0.5 * eps_col, sample_times=ts)
+            traj = integrate(q0[0], v0[0], lo, hi, cfg, tol=1e-13, sample_times=ts)
             if traj.terminated != COMPLETED:
                 worst = max(worst, np.inf)
                 continue
@@ -546,12 +522,10 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5, eps_col: floa
     # (3) continuity of the energy extension across collisions, evaluated on
     # the source-loop grid where chain-rule velocities stay accurate near a
     # collision, and compared between the closest usable nodes on either side
-    prof = phi_profile(q_loop, cfg, C=c_const, z_loop=z_loop, eps_col=eps_col, tm=tm)
+    prof = phi_profile(q_loop, cfg, C=c_const, z_loop=z_loop)
     energy_z = c_const - prof.phi_source
-    qz = birkhoff_map(z_loop.samples)
-    dist_z = center_distance(qz)
     tz = tm.t(z_loop.tau) % 1.0
-    usable = prof.psi_mask & (dist_z > 10.0 * eps_col)
+    usable = prof.psi_mask & (center_distance(birkhoff_map(z_loop.samples)) > _NEAR_CENTER)
     jump = 0.0
     if np.any(usable):
         ut = tz[usable]

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
+
+from .loops import _require_int, _require_real
 
 __all__ = [
     "FieldConfigError",
@@ -167,8 +168,23 @@ def _zero_gauge_hess(q):
     return zero, zero, zero
 
 
+def _require(params: dict, name: str, kind: str, default: Optional[float] = None) -> float:
+    """A preset's real parameter, read as given; required without a default."""
+    value = params.pop(name, default)
+    if value is None:
+        raise FieldConfigError(f"{kind!r} preset requires parameter {name!r}")
+    return _require_real(value, f"{kind} {name}", FieldConfigError)
+
+
+def _reject_rest(params: dict, kind: str) -> None:
+    """A preset takes only its own parameters: what is left is an error."""
+    if params:
+        raise FieldConfigError(f"unknown {kind!r} parameters: {sorted(params)}")
+
+
 def magnetic_preset(kind: str, **params) -> MagneticSpec:
     if kind == "zero":
+        _reject_rest(params, kind)
         return MagneticSpec(
             kind="zero",
             field_fn=lambda q: np.zeros_like(q, dtype=float),
@@ -177,9 +193,8 @@ def magnetic_preset(kind: str, **params) -> MagneticSpec:
             gauge_hess_fn=_zero_gauge_hess,
         )
     if kind == "constant":
-        b = float(params.pop("b"))
-        if params:
-            raise FieldConfigError(f"unknown constant-field parameters: {sorted(params)}")
+        b = _require(params, "b", kind)
+        _reject_rest(params, kind)
         # symmetric gauge A = (-b q2/2, b q1/2), i.e. Ac = (i b / 2) q
         return MagneticSpec(
             kind="constant",
@@ -204,15 +219,9 @@ def magnetic_preset(kind: str, **params) -> MagneticSpec:
     raise FieldConfigError(f"unknown magnetic preset {kind!r}")
 
 
-def _require(params: dict, name: str, kind: str):
-    try:
-        return params.pop(name)
-    except KeyError:
-        raise FieldConfigError(f"{kind!r} preset requires parameter {name!r}") from None
-
-
 def electric_preset(kind: str, **params) -> ElectricSpec:
     if kind == "zero":
+        _reject_rest(params, kind)
         return ElectricSpec(
             kind="zero",
             e_fn=lambda t, q: np.zeros(np.broadcast(t, q).shape),
@@ -220,10 +229,12 @@ def electric_preset(kind: str, **params) -> ElectricSpec:
             dot_fn=lambda t, q: np.zeros(np.broadcast(t, q).shape),
         )
     if kind == "uniform_oscillating":
-        eps = float(_require(params, "epsilon", kind))
-        d = complex(params.pop("d", 1.0))
-        if params:
-            raise FieldConfigError(f"unknown oscillating-field parameters: {sorted(params)}")
+        eps = _require(params, "epsilon", kind)
+        d = params.pop("d", 1.0)
+        if isinstance(d, (list, tuple)):  # the JSON form [re, im]
+            d = complex(*(_require_real(x, f"{kind} d", FieldConfigError) for x in d[:2]))
+        d = complex(d)
+        _reject_rest(params, kind)
         # E(t, q) = eps cos(2 pi t) <d, q>
         proj = lambda q: np.real(np.conj(d) * q)
         return ElectricSpec(
@@ -240,16 +251,12 @@ def electric_preset(kind: str, **params) -> ElectricSpec:
             params={"epsilon": eps, "d": d},
         )
     if kind == "rotating_charge":
-        mu_s = float(_require(params, "mu_s", kind))
-        r_s = float(_require(params, "r_s", kind))
-        k = params.pop("k", 1)
+        mu_s = _require(params, "mu_s", kind)
+        r_s = _require(params, "r_s", kind)
         # read as given: k = 1.5 would not make the potential 1-periodic
-        if isinstance(k, bool) or not isinstance(k, Integral):
-            raise FieldConfigError(f"rotating_charge k must be an integer, not {k!r}")
-        k = int(k)
-        theta0 = float(params.pop("theta0", 0.0))
-        if params:
-            raise FieldConfigError(f"unknown rotating-charge parameters: {sorted(params)}")
+        k = _require_int(params.pop("k", 1), "rotating_charge k", FieldConfigError)
+        theta0 = _require(params, "theta0", kind, default=0.0)
+        _reject_rest(params, kind)
         if r_s <= 1.0:
             warnings.warn("third center may intersect orbit region", stacklevel=2)
         omega = 2 * np.pi * k  # quantized so the potential is genuinely 1-periodic
@@ -305,7 +312,7 @@ def electric_preset(kind: str, **params) -> ElectricSpec:
 def preset(name: str, mu: float = 0.5, **params) -> FieldConfig:
     """Convenience constructor for the built-in field configurations."""
     if name == "zero":
-        return FieldConfig(mu=mu, magnetic=magnetic_preset("zero"), electric=electric_preset("zero"))
+        return FieldConfig(mu=mu, magnetic=magnetic_preset("zero", **params), electric=electric_preset("zero"))
     if name == "constant":
         return FieldConfig(mu=mu, magnetic=magnetic_preset("constant", **params), electric=electric_preset("zero"))
     if name in ("uniform_oscillating", "rotating_charge"):
@@ -313,39 +320,21 @@ def preset(name: str, mu: float = 0.5, **params) -> FieldConfig:
     raise FieldConfigError(f"unknown preset {name!r}")
 
 
-_MAGNETIC_KEYS = {"zero": set(), "constant": {"b"}}
-_ELECTRIC_KEYS = {
-    "zero": set(),
-    "uniform_oscillating": {"epsilon", "d"},
-    "rotating_charge": {"mu_s", "r_s", "k", "theta0"},
-}
-
-
 def config_from_dict(data: dict) -> FieldConfig:
-    """Build a FieldConfig from its JSON block; unknown keys are rejected."""
+    """Build a FieldConfig from its JSON block; each preset rejects the keys it does not take."""
     if not isinstance(data, dict):
         raise FieldConfigError("fields block must be an object")
     unknown = set(data) - {"mu", "magnetic", "electric"}
     if unknown:
         raise FieldConfigError(f"unknown fields keys: {sorted(unknown)}")
-    mu = float(data.get("mu", 0.5))
+    mu = _require_real(data.get("mu", 0.5), "fields: 'mu'", FieldConfigError)
     mag_block = dict(data.get("magnetic", {"kind": "zero"}))
     ele_block = dict(data.get("electric", {"kind": "zero"}))
     mag_kind = mag_block.pop("kind", None)
-    if mag_kind not in _MAGNETIC_KEYS:
-        raise FieldConfigError(f"unknown magnetic kind {mag_kind!r}")
-    extra = set(mag_block) - _MAGNETIC_KEYS[mag_kind]
-    if extra:
-        raise FieldConfigError(f"unknown magnetic keys: {sorted(extra)}")
     ele_kind = ele_block.pop("kind", None)
-    if ele_kind not in _ELECTRIC_KEYS:
-        raise FieldConfigError(f"unknown electric kind {ele_kind!r}")
-    extra = set(ele_block) - _ELECTRIC_KEYS[ele_kind]
-    if extra:
-        raise FieldConfigError(f"unknown electric keys: {sorted(extra)}")
-    if "d" in ele_block:
-        d = ele_block["d"]
-        ele_block["d"] = complex(d[0], d[1]) if isinstance(d, (list, tuple)) else complex(d)
+    # a custom spec is made of functions, which no JSON block holds
+    if "custom" in (mag_kind, ele_kind):
+        raise FieldConfigError("a custom field spec cannot be read from JSON")
     return FieldConfig(
         mu=mu,
         magnetic=magnetic_preset(mag_kind, **mag_block),

@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 EPS_ZHAT = 1e-10
+# the one collision radius (PhysicalLoop.collision_times): no lift, winding or
+# unregularized action is taken through it, and integrate stops at it
 EPS_COLLISION = 1e-6
 # conformal weight below which chain_rule_state leaves the velocity undefined
 _EPS_WEIGHT = 1e-12
@@ -247,17 +249,16 @@ def eval_loop(loop: DiscreteLoop, tau) -> np.ndarray:
     return _trig_eval(zc, tau, period=period)
 
 
-def chain_rule_state(loop: DiscreteLoop, tau=None, tm: TimeMap | None = None):
+def chain_rule_state(loop: DiscreteLoop, tau=None):
     """Physical position q = B(z) and velocity of a blown-up loop, at the
     nodes (``tau`` None) or at the loop parameters ``tau``.
 
     Since dt/dtau = w(z)/zhat, the chain rule gives
     qdot = B'(z) z' zhat / w(z), with z' the spectral derivative (interpolated
     off the nodes).  At a collision the weight vanishes and the speed is
-    unbounded; the velocity is NaN there.  ``tm``, the loop's time map, is
-    only read for zhat; pass it when the caller has one.
+    unbounded; the velocity is NaN there.
     """
-    zh = zhat(loop) if tm is None else tm.zhat
+    zh = zhat(loop)
     if tau is None:
         z, zp = loop.samples, derivative(loop)
     else:
@@ -472,7 +473,6 @@ class PhysicalLoop:
     """Closed physical loop sampled at uniform times t_j = j/M."""
 
     samples: np.ndarray
-    collision_times: tuple = ()
 
     def __post_init__(self):
         q = np.asarray(self.samples, dtype=complex)
@@ -483,7 +483,6 @@ class PhysicalLoop:
         q = q.copy()
         q.flags.writeable = False
         object.__setattr__(self, "samples", q)
-        object.__setattr__(self, "collision_times", tuple(float(t) for t in self.collision_times))
 
     @property
     def m(self) -> int:
@@ -492,6 +491,11 @@ class PhysicalLoop:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.m) / self.m
+
+    @property
+    def collision_times(self) -> tuple:
+        """The times t_j of the samples within EPS_COLLISION of a center."""
+        return tuple(float(t) for t in self.times[center_distance(self.samples) < EPS_COLLISION])
 
 
 def zhat(loop: DiscreteLoop) -> float:
@@ -522,27 +526,23 @@ def time_map(loop: DiscreteLoop) -> TimeMap:
     return _time_map_from_weights(w)
 
 
-def reconstruct(loop: DiscreteLoop, m: int, eps_col: float = EPS_COLLISION) -> PhysicalLoop:
+def reconstruct(loop: DiscreteLoop, m: int) -> PhysicalLoop:
     """Physical loop q(t_j) = B(z(tau(t_j))) on M uniform times.
 
     Closed in both sectors: for twisted z the cover map folds the twisted
     periodicity back to genuine 1-periodicity of q.
     """
-    tm = time_map(loop)
-    t = np.arange(m) / m
-    tau = tm.inverse(t)
-    q = birkhoff_map(eval_loop(loop, tau))
-    near = center_distance(q) < eps_col
-    return PhysicalLoop(samples=q, collision_times=tuple(t[near]))
+    tau = time_map(loop).inverse(np.arange(m) / m)
+    return PhysicalLoop(samples=birkhoff_map(eval_loop(loop, tau)))
 
 
-def _track_branch(q: np.ndarray, eps_col: float) -> tuple[np.ndarray, bool]:
+def _track_branch(q: np.ndarray) -> tuple[np.ndarray, bool]:
     """Continuously track z = q + sqrt(q^2 - 1) along the samples.
 
     Returns the tracked branch and whether one traversal returns to the
     inversion of the start (odd total winding, i.e. a twisted lift).
     """
-    if np.min(center_distance(q)) <= eps_col:
+    if np.min(center_distance(q)) <= EPS_COLLISION:
         raise LiftError("cannot lift through branch point")
     root = np.sqrt(q * q - 1.0)
     z = np.empty_like(q)
@@ -568,16 +568,17 @@ def _track_branch(q: np.ndarray, eps_col: float) -> tuple[np.ndarray, bool]:
     return z, twisted
 
 
-def lift(q: PhysicalLoop, eps_col: float = EPS_COLLISION) -> DiscreteLoop:
+def lift(q: PhysicalLoop) -> DiscreteLoop:
     """Lift a physical loop through the double cover to a blown-up loop.
 
     The branch is tracked sample by sample; odd total winding returns the
     inversion of the starting point after one traversal and yields a twisted
     loop.  The tracked curve (parametrized by physical time) is resampled to
     uniform loop parameter so that ``reconstruct(lift(q))`` reproduces ``q``.
+    A sample within EPS_COLLISION of a center raises LiftError.
     """
     qs = q.samples
-    zt, twisted = _track_branch(qs, eps_col)
+    zt, twisted = _track_branch(qs)
     m = len(zt)
     # reparametrize: dtau/dt proportional to 1/w(z(t)); normalize tau(1) = 1
     aux = _time_map_from_weights(1.0 / conformal_weight(zt))
@@ -601,11 +602,18 @@ def _require_bool(value, name: str) -> bool:
     return value
 
 
-def _require_int(value, name: str) -> int:
+def _require_int(value, name: str, error: type = LoopError) -> int:
     """A JSON integer as it is: 16.7 or true is rejected, not cast."""
     if not isinstance(value, Integral) or isinstance(value, bool):
-        raise LoopError(f"{name} must be an integer, not {value!r}")
+        raise error(f"{name} must be an integer, not {value!r}")
     return int(value)
+
+
+def _require_real(value, name: str, error: type = LoopError) -> float:
+    """A JSON number as it is: true or "2" is rejected, not cast."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise error(f"{name} must be a number, not {value!r}")
+    return float(value)
 
 
 def loop_from_dict(data: dict) -> DiscreteLoop:

@@ -38,6 +38,7 @@ from .dynamics import phi_profile
 from .fields import FieldConfig, config_from_dict, config_to_dict
 from .geometry import WindingError, WindingReport, birkhoff_map, winding_report
 from .loops import (
+    EPS_COLLISION,
     EPS_ZHAT,
     DegenerateLoopError,
     DiscreteLoop,
@@ -50,6 +51,7 @@ from .loops import (
     reconstruct,
     _require_bool,
     _require_int,
+    _require_real,
 )
 from .selection import select_member, spectrum
 
@@ -177,11 +179,7 @@ def record_from_dict(data: dict, cfg: Optional[FieldConfig] = None) -> OrbitReco
     if cfg is None:
         cfg = config_from_dict(data["fields"])
     diag = data["diagnostics"]
-    qd = data["q"]
-    q = PhysicalLoop(
-        samples=np.array([complex(re, im) for re, im in qd["samples"]]),
-        collision_times=tuple(qd.get("collision_times", ())),
-    )
+    q = PhysicalLoop(samples=np.array([complex(re, im) for re, im in data["q"]["samples"]]))
     wind = None
     if diag.get("winding") is not None:
         wd = diag["winding"]
@@ -237,8 +235,8 @@ def seed_ejection(side: int, n: int = 256) -> DiscreteLoop:
     the branch point, which is exactly where the regularized functional stays
     smooth.  Nodes are offset half a cell so none lands on the collision.
     """
-    if side not in (-1, 1):
-        raise ValueError("side must be -1 or +1")
+    if isinstance(side, bool) or side not in (-1, 1):  # True == 1, yet is no side
+        raise ValueError(f"side must be -1 or +1, not {side!r}")
     a = (4.0 * np.pi**2) ** (-1.0 / 3.0)
     ecc_anom = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     q = side * (1.0 + a * (1.0 - np.cos(ecc_anom)))
@@ -248,8 +246,8 @@ def seed_ejection(side: int, n: int = 256) -> DiscreteLoop:
 
 def seed_kepler_guess(side: int, radius: float, n: int = 256) -> DiscreteLoop:
     """Lift of a circle about one of the centers (twisted when winding is odd)."""
-    if side not in (-1, 1):
-        raise ValueError("side must be -1 or +1")
+    if isinstance(side, bool) or side not in (-1, 1):
+        raise ValueError(f"side must be -1 or +1, not {side!r}")
     t = np.arange(n) / n
     q = PhysicalLoop(samples=side + radius * np.exp(2j * np.pi * t))
     return lift(q)
@@ -257,6 +255,11 @@ def seed_kepler_guess(side: int, radius: float, n: int = 256) -> DiscreteLoop:
 
 def seed_from_file(path) -> DiscreteLoop:
     return load_loop(path)
+
+
+def _number(spec: dict, key: str) -> float:
+    """spec[key] read as given: a missing key or true is no radius."""
+    return _require_real(spec.get(key), f"seed: {key!r}")
 
 
 def make_seed(spec, n: int = 256) -> DiscreteLoop:
@@ -276,14 +279,15 @@ def make_seed(spec, n: int = 256) -> DiscreteLoop:
         raise LoopError(f"unknown seed keys: {sorted(extra)}")
     if kind == "circle":
         c = spec.get("center", [0.0, 0.0])
-        center = complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-        return seed_circle(center, float(spec["radius"]), n)
+        if isinstance(c, (list, tuple)):
+            c = complex(*(_require_real(x, "seed: 'center'") for x in c[:2]))
+        return seed_circle(complex(c), _number(spec, "radius"), n)
     if kind == "ellipse_lift":
-        return seed_ellipse_lift(float(spec["a"]), float(spec["b"]), n)
+        return seed_ellipse_lift(_number(spec, "a"), _number(spec, "b"), n)
     # read as given: a side of 0.5 or true is rejected, not cast
     if kind == "kepler_guess":
         side = _require_int(spec.get("side", -1), "seed: 'side'")
-        return seed_kepler_guess(side, float(spec["radius"]), n)
+        return seed_kepler_guess(side, _number(spec, "radius"), n)
     if kind == "ejection":
         return seed_ejection(_require_int(spec.get("side", -1), "seed: 'side'"), n)
     if kind == "file":
@@ -433,7 +437,7 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
 def _safe_winding(q: np.ndarray) -> Optional[WindingReport]:
     """The winding of the physical samples q, or None where it is undefined."""
     try:
-        return winding_report(q, clearance=1e-6)
+        return winding_report(q, clearance=EPS_COLLISION)
     except WindingError:
         return None
 

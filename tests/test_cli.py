@@ -225,6 +225,16 @@ class TestExitCodes:
         assert run(["solve", "--config", cfg, "--seed", seed, "--n", 32, "--quiet"]) == 2
         assert f"{key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields, seed, message", [
+        ({"mu": True}, '{"kind": "circle", "radius": 2}', "'mu' must be a number"),
+        ({"mu": 0.5}, '{"kind": "circle", "radius": true}', "'radius' must be a number"),
+    ], ids=["mu", "radius"])
+    def test_bool_number_rejected(self, tmp_path, capsys, fields, seed, message):
+        # true would run as mu = 1 or seed a circle of radius 1
+        cfg = write_config(tmp_path, {"fields": fields})
+        assert run(["eval", "--config", cfg, "--seed", seed, "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["n", "m"])
     @pytest.mark.parametrize("value", [40.9, 0, -8])
     def test_bad_grid_rejected(self, tmp_path, capsys, key, value):

@@ -28,7 +28,7 @@ from szbov import (
     solve,
     verify_generalized,
 )
-from szbov.loops import derivative_matrix
+from szbov.loops import EPS_COLLISION, derivative_matrix
 
 ZERO = preset("zero", mu=0.5)
 KEPLER = preset("zero", mu=0.0)
@@ -141,9 +141,9 @@ class TestIntegrate:
 
     def test_collision_proximity_termination(self):
         # radial free fall onto the center at -1
-        traj = integrate(-0.7 + 0j, 0j, 0.0, 10.0, KEPLER, eps_col=1e-3)
+        traj = integrate(-0.7 + 0j, 0j, 0.0, 10.0, KEPLER)
         assert traj.terminated == "collision_proximity"
-        assert abs(traj.positions[-1] + 1.0) < 2e-3
+        assert abs(traj.positions[-1] + 1.0) < 2 * EPS_COLLISION
 
     def test_backward_integration_returns_increasing_times(self):
         traj = integrate(-1.0 + 0.7j, 0.7 ** (-0.5) + 0j, 1.0, 0.0, KEPLER)
@@ -203,11 +203,10 @@ class TestIntegrateAgainstScipy:
 
     def test_collision_end_point_lies_on_the_event_circle(self):
         # radial free fall onto the center at -1: the run ends where the
-        # distance to the center crosses eps_col, located on the interpolant
-        eps_col = 1e-3
-        traj = integrate(-0.7 + 0j, 0j, 0.0, 10.0, KEPLER, eps_col=eps_col)
+        # distance to the center crosses EPS_COLLISION, located on the interpolant
+        traj = integrate(-0.7 + 0j, 0j, 0.0, 10.0, KEPLER)
         assert traj.terminated == "collision_proximity"
-        assert abs(abs(traj.positions[-1] + 1.0) - eps_col) <= 1e-9
+        assert abs(abs(traj.positions[-1] + 1.0) - EPS_COLLISION) <= 1e-9
 
 
 class TestTrajectoryValidation:
@@ -277,6 +276,19 @@ class TestVerifyGeneralized:
         report = verify_generalized(rec, KEPLER, tol=1e-5)
         assert report.ok, str(report.checks)
 
+    def test_counts_the_unit_circle_collisions(self):
+        # the collision set is q.collision_times: the unit-circle orbit's
+        # samples hit both centers, at t = 0 and 1/2, and the energy
+        # extension is compared across each of them
+        rec = solve(seed_circle(0.0, 1.0, 64), ZERO, SolveOptions(n=64, m=256))
+        report = verify_generalized(rec, ZERO)
+        assert report.ok, str(report)
+        assert rec.q.collision_times == (0.0, 0.5)
+        assert report.collision_count == 2
+        values = {name: value for name, value, _, _ in report.checks}
+        assert values["finite collision set"] == 2.0
+        assert values["energy continuity across collisions"] > 0.0
+
     def test_rejects_an_arbitrary_loop(self, rng):
         opts = SolveOptions(n=64, m=256)
         rec = solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, opts)
@@ -342,7 +354,7 @@ def test_no_scipy_module_loads():
         "cfg = szbov.preset('zero', mu=0.0); "
         "rec = szbov.solve(szbov.seed_kepler_guess(-1, 0.3, 32), cfg, szbov.SolveOptions(n=32, m=64)); "
         "szbov.verify_generalized(rec, cfg); "
-        "szbov.integrate(-0.7 + 0j, 0j, 0.0, 10.0, cfg, eps_col=1e-3); "
+        "szbov.integrate(-0.7 + 0j, 0j, 0.0, 10.0, cfg); "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     out = subprocess.run(

@@ -93,6 +93,17 @@ class TestPresets:
         with pytest.raises(FieldConfigError, match="k must be an integer"):
             config_from_dict({"mu": 0.5, "electric": {"kind": "rotating_charge", "mu_s": 0.01, "r_s": 3.0, "k": k}})
 
+    def test_zero_presets_reject_parameters(self):
+        # like every other preset: a parameter is not dropped without a word
+        with pytest.raises(FieldConfigError, match="unknown 'zero' parameters"):
+            preset("zero", mu=0.5, epsilon=0.1)
+        with pytest.raises(FieldConfigError, match="unknown 'zero' parameters"):
+            magnetic_preset("zero", b=3.0)
+        with pytest.raises(FieldConfigError, match="unknown 'zero' parameters"):
+            electric_preset("zero", epsilon=0.1)
+        with pytest.raises(FieldConfigError, match="unknown 'zero' parameters"):
+            config_from_dict({"mu": 0.5, "magnetic": {"kind": "zero", "b": 1.0}})
+
     def test_mass_ratio_bounds(self):
         with pytest.raises((FieldConfigError, ValueError)):
             FieldConfig(
@@ -127,6 +138,25 @@ class TestSerialization:
         q = np.array([0.4 - 0.3j])
         t = np.array([0.37])
         np.testing.assert_allclose(again.electric.e(t, q), cfg.electric.e(t, q))
+
+    @pytest.mark.parametrize("block", [
+        {"mu": True},
+        {"magnetic": {"kind": "constant", "b": True}},
+        {"electric": {"kind": "uniform_oscillating", "epsilon": True}},
+        {"electric": {"kind": "uniform_oscillating", "epsilon": 0.1, "d": [True, 0.0]}},
+        {"electric": {"kind": "rotating_charge", "mu_s": 0.01, "r_s": True}},
+        {"electric": {"kind": "rotating_charge", "mu_s": 0.01, "r_s": 3.0, "theta0": True}},
+    ], ids=["mu", "b", "epsilon", "d", "r_s", "theta0"])
+    def test_numbers_read_as_given(self, block):
+        # not cast: true would run as 1
+        with pytest.raises(FieldConfigError, match="must be a number"):
+            config_from_dict(block)
+
+    def test_custom_kind_is_not_read(self):
+        # a custom spec is made of functions, which JSON does not hold
+        for block in ({"magnetic": {"kind": "custom"}}, {"electric": {"kind": "custom"}}):
+            with pytest.raises(FieldConfigError, match="custom"):
+                config_from_dict(block)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(FieldConfigError):

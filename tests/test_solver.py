@@ -37,6 +37,7 @@ from szbov import (
     winding_report,
 )
 import szbov.solver
+from szbov.cli import dumps_canonical
 from szbov.loops import TimeMap
 from szbov.action import _Nodes, second_variation_matrix
 from szbov.selection import _NULL_REL, anchor_measure
@@ -99,6 +100,27 @@ class TestSeeds:
         # not truncated: int(-0.5) would seed about the wrong center
         with pytest.raises(LoopError, match="'side' must be an integer"):
             make_seed({"kind": kind, "side": side, "radius": 0.3}, n=64)
+
+    @pytest.mark.parametrize("make", [
+        lambda side: seed_kepler_guess(side, 0.3, 64),
+        lambda side: seed_ejection(side, 64),
+    ], ids=["kepler_guess", "ejection"])
+    def test_library_seeds_reject_a_bool_side(self, make):
+        # True == 1, so a test of membership in (-1, 1) would seed side +1
+        with pytest.raises(ValueError, match="side must be -1 or \\+1"):
+            make(True)
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "circle", "radius": True},
+        {"kind": "circle", "center": [True, 0.0], "radius": 2.0},
+        {"kind": "circle"},
+        {"kind": "ellipse_lift", "a": 2.0, "b": True},
+        {"kind": "kepler_guess", "side": -1, "radius": True},
+    ], ids=["radius", "center", "no_radius", "ellipse_b", "kepler_radius"])
+    def test_make_seed_reads_numbers_as_given(self, spec):
+        # not cast: true would seed a circle of radius 1
+        with pytest.raises(LoopError, match="must be a number"):
+            make_seed(spec, n=64)
 
     def test_make_seed_rejects_unknown_keys(self):
         with pytest.raises(LoopError):
@@ -318,6 +340,20 @@ class TestSolve:
             target[key] = value
             with pytest.raises(LoopError, match=f"'{key}' must be an integer"):
                 record_from_dict(data)
+
+
+ARCHIVES = Path(__file__).resolve().parents[1] / "perfbench" / "archives"
+
+
+@pytest.mark.parametrize("path", sorted(ARCHIVES.glob("*.json")), ids=lambda p: p.stem)
+def test_archived_q_block_survives_a_round_trip(path):
+    # the record derives collision_times from the samples and writes them
+    # back: the archive's q block, samples and collision times, is unchanged
+    text = path.read_text()
+    rec = record_from_dict(json.loads(text))
+    block = f'"q": {dumps_canonical(rec.to_dict()["q"], 2)}'
+    assert block in text
+    assert '"collision_times"' in block
 
 
 def _custom_magnetic(b=1.5):
