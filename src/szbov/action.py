@@ -48,7 +48,6 @@ from .loops import (
     PhysicalLoop,
     _periodic_cover,
     _spectral_derivative,
-    _tail_integral,
     derivative_matrix,
     integration_matrix,
 )
@@ -127,7 +126,8 @@ class _Nodes:
     The electric term goes through the time map t = K w / F.  N := F E is
     mean(e w); its gradient n c phi + force has a dW channel, with
     coefficients c, and a position channel, force = w conj(B'(z)) grad E.
-    beta = edot w weighs dt in N, as beta K and mean(beta t)."""
+    beta = edot w weighs dt in N, as beta K and mean(beta t), and gives the
+    tail, the integral of edot dt from each node time to 1."""
 
     def __init__(self, z: np.ndarray, twisted: bool, cfg: FieldConfig):
         self.z, self.twisted, self.cfg = z, twisted, cfg
@@ -268,6 +268,12 @@ class _Nodes:
     @cached_property
     def beta(self) -> np.ndarray:
         return self.edot * self.w
+
+    @cached_property
+    def tail(self) -> np.ndarray:
+        """tail_j, the integral of edot dt from t_j to 1: the interpolant of
+        beta = edot w integrated from node j to the end, over F."""
+        return (float(np.mean(self.beta)) - integration_matrix(self.n) @ self.beta) / self.f
 
     @cached_property
     def beta_k(self) -> np.ndarray:
@@ -660,7 +666,7 @@ def delay_residual(loop: DiscreteLoop, cfg: FieldConfig) -> DelayResidual:
         eps1, eps2, eps3 = np.zeros((3, nodes.n), dtype=complex)
     else:
         eps2 = nodes.force
-        eps1 = (_tail_integral(nodes.beta) / f) * phi
+        eps1 = nodes.tail * phi
         eps3 = nodes.e * phi
         rhs = rhs - (absz2 / f**2) * (eps1 + eps2 + eps3)
 

@@ -19,18 +19,10 @@ from typing import Optional
 import numpy as np
 
 from ._dop853 import A, B, C, D, E3, E5, N_STAGES
+from .action import _Nodes
 from .fields import FieldConfig
 from .geometry import birkhoff_map, center_distance
-from .loops import (
-    EPS_COLLISION,
-    DiscreteLoop,
-    PhysicalLoop,
-    _fft_derivative,
-    _tail_integral,
-    chain_rule_state,
-    eval_loop,
-    time_map,
-)
+from .loops import EPS_COLLISION, DiscreteLoop, PhysicalLoop, _fft_derivative, chain_rule_state, eval_loop
 
 __all__ = [
     "SingularityError",
@@ -71,21 +63,48 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
+class _NodeStates:
+    """A blown-up loop's physical states at its own nodes (``_node_states``)."""
+
+    t: np.ndarray  # (K w)_j / F, as ``action._Nodes.t``
+    q: np.ndarray  # B(z_j)
+    qdot: np.ndarray  # from the chain rule, NaN at a collision
+    safe: np.ndarray  # True where qdot is defined
+    phi: np.ndarray  # the energy defect against C, 0 where qdot is not defined
+    # sup |phi| over the safe nodes, over the energy scale max |C| + |qdot|^2/2 + |U|
+    sup_relative: float
+
+
+def _node_states(z_loop: DiscreteLoop, cfg: FieldConfig, C: float) -> _NodeStates:
+    """The states of z_loop at its nodes, with the defect phi_j = C -
+    |qdot_j|^2/2 - U(q_j) - tail_j - e(t_j, q_j).  The tail is the one the
+    delay residual reads, ``_Nodes.tail``."""
+    nodes = _Nodes(z_loop.samples, z_loop.twisted, cfg)
+    q, qdot = chain_rule_state(z_loop)
+    safe = np.isfinite(qdot)
+    # the potential is singular where a node sits on a collision; those
+    # nodes are left out and read 0
+    u = _potential(q[safe], cfg.mu)
+    kin = 0.5 * np.abs(qdot[safe]) ** 2
+    phi = np.zeros(len(q))
+    phi[safe] = C - kin - u - nodes.tail[safe] - nodes.e[safe]
+    sup_relative = float(np.max(np.abs(phi[safe])) / np.max(np.abs(C) + kin + np.abs(u)))
+    return _NodeStates(t=nodes.t, q=q, qdot=qdot, safe=safe, phi=phi, sup_relative=sup_relative)
+
+
+@dataclass(frozen=True)
 class PhiProfile:
     """Energy-defect profile of a physical loop.
 
     phi lives on the closed uniform time grid (M+1 nodes).  When a source
-    loop in the blown-up plane is supplied, phi_source is the same defect on
-    its tau grid, from the chain-rule velocity, and psi_mask marks the nodes
-    where that velocity is defined (off collisions).
+    loop in the blown-up plane is supplied, ``source`` holds the same defect
+    at its own nodes, from the chain-rule velocity.
     """
 
     C: float
     phi: np.ndarray
     mask: np.ndarray  # True where the node is usable (off collisions)
-    psi_mask: Optional[np.ndarray] = None
-    phi_source: Optional[np.ndarray] = None  # chain-rule profile on the tau grid
-    energy_scale: Optional[float] = None
+    source: Optional[_NodeStates] = None
 
     @property
     def mean_phi(self) -> float:
@@ -101,15 +120,12 @@ class PhiProfile:
 
     @property
     def sup_phi_relative(self) -> float:
-        """sup of the chain-rule profile, relative to the energy scale.
-
-        Computed on the source-loop tau grid, where velocities follow from the
-        regularized loop and stay accurate arbitrarily close to collisions."""
-        if self.phi_source is None or self.energy_scale is None:
+        """sup of the source loop's defect at its nodes, where velocities
+        stay accurate arbitrarily close to collisions, relative to the energy
+        scale."""
+        if self.source is None:
             raise ValueError("no source loop was supplied to phi_profile")
-        if not np.any(self.psi_mask):
-            return float("nan")
-        return float(np.max(np.abs(self.phi_source[self.psi_mask])) / self.energy_scale)
+        return self.source.sup_relative
 
 
 def newtonian_rhs(t, q, v, cfg: FieldConfig):
@@ -392,13 +408,6 @@ def _potential(q, mu):
     return -(1 - mu) / np.abs(q + 1.0) - mu / np.abs(q - 1.0)
 
 
-def _closed_grid(q: PhysicalLoop):
-    """Samples and times on the closed grid t_0..t_M with the wrap value."""
-    qs = np.concatenate([q.samples, q.samples[:1]])
-    t = np.arange(len(qs)) / q.m
-    return qs, t
-
-
 def phi_profile(
     q: PhysicalLoop,
     cfg: FieldConfig,
@@ -411,11 +420,13 @@ def phi_profile(
     quadratures, which makes the trapezoid mean of Phi vanish identically for
     every loop, critical or not.  ``mask`` drops the nodes within _NEAR_CENTER
     of a center.  When a source loop z is supplied, the defect is also
-    evaluated on its tau grid from the chain-rule velocity, which stays
+    evaluated at its own nodes from the chain-rule velocity, which stays
     accurate between collisions.
     """
-    qs, t = _closed_grid(q)
+    # the closed grid t_0..t_M, with the wrap value
     m = q.m
+    qs = np.concatenate([q.samples, q.samples[:1]])
+    t = np.arange(m + 1) / m
     # by an FFT pair: at the record's m (256 in a solve at n = 64) the dense
     # D would take 512 KiB, built and cached for this one call per solve
     qdot = _fft_derivative(q.samples, 1.0)
@@ -434,23 +445,8 @@ def phi_profile(
     phi = C - energy
     mask = center_distance(qs) > _NEAR_CENTER
 
-    if z_loop is None:
-        return PhiProfile(C=float(C), phi=phi, mask=mask)
-    tm = time_map(z_loop)
-    qz, qdot_z = chain_rule_state(z_loop)
-    safe = np.isfinite(qdot_z)
-    tz = tm.t(z_loop.tau) % 1.0
-    ez = cfg.electric.e(tz, qz)
-    tail_z = _tail_integral(cfg.electric.dot(tz, qz) * tm.weights) / tm.zhat
-    # the potential is singular where a node sits on a collision; those
-    # nodes are left out (psi_mask) and read 0
-    u_z = _potential(qz[safe], cfg.mu)
-    phi_z = np.zeros(len(qz))
-    phi_z[safe] = C - 0.5 * np.abs(qdot_z[safe]) ** 2 - u_z - tail_z[safe] - ez[safe]
-    energy_scale = float(np.max(np.abs(C) + 0.5 * np.abs(qdot_z[safe]) ** 2 + np.abs(u_z)))
-    return PhiProfile(
-        C=float(C), phi=phi, mask=mask, psi_mask=safe, phi_source=phi_z, energy_scale=energy_scale,
-    )
+    source = None if z_loop is None else _node_states(z_loop, cfg, C)
+    return PhiProfile(C=float(C), phi=phi, mask=mask, source=source)
 
 
 @dataclass(frozen=True)
@@ -478,14 +474,16 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5) -> Verificati
     Conditions: finitely many collisions (``q.collision_times``); the
     Newtonian equation holds on each collision-free arc (via re-integration
     with the RK oracle); the energy extension is continuous across
-    collisions; the loop closes up.
+    collisions; the loop closes up.  The states it starts from and compares
+    are the ones at z's own nodes (``_node_states``).
     """
     z_loop: DiscreteLoop = orbit.z
     q_loop: PhysicalLoop = orbit.q
     c_const = float(orbit.C)
-    tm = time_map(z_loop)
     m = q_loop.m
     qs = q_loop.samples
+    states = _node_states(z_loop, cfg, c_const)
+    usable = states.safe & (center_distance(states.q) > _NEAR_CENTER)
 
     checks = []
 
@@ -496,22 +494,26 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5) -> Verificati
     # arcs between collisions (whole circle if none)
     arcs = list(zip(collisions, collisions[1:] + [collisions[0] + 1.0])) if collisions else [(0.0, 1.0)]
 
-    # (2) Newtonian defect via re-integration from each arc midpoint
+    # (2) Newtonian defect via re-integration, forward and backward from the
+    # usable node nearest each arc's midpoint, inside the margins
     margin = 5.0 / m
     worst = 0.0
     for (ta, tb) in arcs:
         if tb - ta < 4 * margin:
             continue
-        tmid = 0.5 * (ta + tb)
-        q0, v0 = chain_rule_state(z_loop, tm.inverse([tmid]))
-        for lo, hi in ((tmid, tb - margin), (tmid, ta + margin)):
+        t_arc = ta + (states.t - ta) % 1.0  # the node times, in the arc's period
+        inside = np.flatnonzero(usable & (t_arc >= ta + margin) & (t_arc <= tb - margin))
+        if len(inside) == 0:
+            continue
+        j = inside[np.argmin(np.abs(t_arc[inside] - 0.5 * (ta + tb)))]
+        for lo, hi in ((t_arc[j], tb - margin), (t_arc[j], ta + margin)):
             # compare at the uniform grid times inside the integration window
             ka, kb = sorted((lo, hi))
             kk = np.arange(int(np.ceil(ka * m)), int(np.floor(kb * m)) + 1)
             if len(kk) < 2:
                 continue
             ts = kk / m
-            traj = integrate(q0[0], v0[0], lo, hi, cfg, tol=1e-13, sample_times=ts)
+            traj = integrate(states.q[j], states.qdot[j], lo, hi, cfg, tol=1e-13, sample_times=ts)
             if traj.terminated != COMPLETED:
                 worst = max(worst, np.inf)
                 continue
@@ -519,32 +521,19 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5) -> Verificati
             worst = max(worst, float(np.max(np.abs(traj.positions - qs[idx]))))
     checks.append(("newtonian defect (re-integration)", worst, tol, worst <= tol))
 
-    # (3) continuity of the energy extension across collisions, evaluated on
-    # the source-loop grid where chain-rule velocities stay accurate near a
-    # collision, and compared between the closest usable nodes on either side
-    prof = phi_profile(q_loop, cfg, C=c_const, z_loop=z_loop)
-    energy_z = c_const - prof.phi_source
-    tz = tm.t(z_loop.tau) % 1.0
-    usable = prof.psi_mask & (center_distance(birkhoff_map(z_loop.samples)) > _NEAR_CENTER)
+    # (3) continuity of the energy extension across collisions, evaluated at
+    # the source loop's nodes where chain-rule velocities stay accurate near
+    # a collision, and compared between the closest usable nodes on either side
+    ut, ue = states.t[usable], c_const - states.phi[usable]
     jump = 0.0
-    if np.any(usable):
-        ut = tz[usable]
-        ue = energy_z[usable]
-        for tc in collisions:
-            gap = (ut - tc) % 1.0
-            ja = int(np.argmin(gap))
-            jb = int(np.argmax(gap))
-            jump = max(jump, abs(ue[ja] - ue[jb]))
-        scale = max(abs(c_const), float(np.max(np.abs(ue))), 1.0)
-    else:
-        scale = 1.0
-    rel_jump = jump / scale
+    for tc in collisions if len(ut) else ():
+        gap = (ut - tc) % 1.0
+        jump = max(jump, abs(ue[np.argmin(gap)] - ue[np.argmax(gap)]))
+    rel_jump = jump / max(abs(c_const), float(np.max(np.abs(ue), initial=0.0)), 1.0)
     checks.append(("energy continuity across collisions", rel_jump, 10 * tol, rel_jump <= 10 * tol))
 
-    # (4) closure
-    z_end = eval_loop(z_loop, tm.inverse([1.0]))
-    q_end = 0.5 * (z_end + 1.0 / z_end)
-    closure = float(abs(q_end[0] - qs[0]))
+    # (4) closure: z at tau = 1, which is t = 1
+    closure = float(abs(birkhoff_map(eval_loop(z_loop, [1.0]))[0] - qs[0]))
     checks.append(("loop closure", closure, tol, closure <= tol))
 
     return VerificationReport(collision_count=len(collisions), checks=tuple(checks))

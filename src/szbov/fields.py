@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .loops import _require_int, _require_real
+from .loops import _require_int, _require_point, _require_real
 
 __all__ = [
     "FieldConfigError",
@@ -230,10 +230,7 @@ def electric_preset(kind: str, **params) -> ElectricSpec:
         )
     if kind == "uniform_oscillating":
         eps = _require(params, "epsilon", kind)
-        d = params.pop("d", 1.0)
-        if isinstance(d, (list, tuple)):  # the JSON form [re, im]
-            d = complex(*(_require_real(x, f"{kind} d", FieldConfigError) for x in d[:2]))
-        d = complex(d)
+        d = _require_point(params.pop("d", 1.0), f"{kind} d", FieldConfigError)
         _reject_rest(params, kind)
         # E(t, q) = eps cos(2 pi t) <d, q>
         proj = lambda q: np.real(np.conj(d) * q)
@@ -328,8 +325,11 @@ def config_from_dict(data: dict) -> FieldConfig:
     if unknown:
         raise FieldConfigError(f"unknown fields keys: {sorted(unknown)}")
     mu = _require_real(data.get("mu", 0.5), "fields: 'mu'", FieldConfigError)
-    mag_block = dict(data.get("magnetic", {"kind": "zero"}))
-    ele_block = dict(data.get("electric", {"kind": "zero"}))
+    blocks = {key: data.get(key, {"kind": "zero"}) for key in ("magnetic", "electric")}
+    for key, block in blocks.items():
+        if not isinstance(block, dict):
+            raise FieldConfigError(f"fields: {key!r} must be an object, not {block!r}")
+    mag_block, ele_block = (dict(block) for block in blocks.values())
     mag_kind = mag_block.pop("kind", None)
     ele_kind = ele_block.pop("kind", None)
     # a custom spec is made of functions, which no JSON block holds
@@ -347,9 +347,8 @@ def config_to_dict(cfg: FieldConfig) -> dict:
         raise FieldConfigError("custom field specs are not serializable")
     mag = {"kind": cfg.magnetic.kind, **cfg.magnetic.params}
     ele = {"kind": cfg.electric.kind, **cfg.electric.params}
-    if "d" in ele:
-        d = complex(ele["d"])
-        ele["d"] = [d.real, d.imag]
+    if "d" in ele:  # complex, as uniform_oscillating reads it
+        ele["d"] = [ele["d"].real, ele["d"].imag]
     return {"mu": cfg.mu, "magnetic": mag, "electric": ele}
 
 

@@ -115,10 +115,6 @@ class DiscreteLoop:
     def n(self) -> int:
         return len(self.samples)
 
-    @property
-    def tau(self) -> np.ndarray:
-        return np.arange(self.n) / self.n
-
 
 def double_cover(loop: DiscreteLoop) -> np.ndarray:
     """2N samples of the genuine loop induced on [0, 2): z followed by 1/z."""
@@ -249,22 +245,17 @@ def eval_loop(loop: DiscreteLoop, tau) -> np.ndarray:
     return _trig_eval(zc, tau, period=period)
 
 
-def chain_rule_state(loop: DiscreteLoop, tau=None):
-    """Physical position q = B(z) and velocity of a blown-up loop, at the
-    nodes (``tau`` None) or at the loop parameters ``tau``.
+def chain_rule_state(loop: DiscreteLoop):
+    """Physical position q = B(z) and velocity of a blown-up loop at its
+    nodes.
 
     Since dt/dtau = w(z)/zhat, the chain rule gives
-    qdot = B'(z) z' zhat / w(z), with z' the spectral derivative (interpolated
-    off the nodes).  At a collision the weight vanishes and the speed is
-    unbounded; the velocity is NaN there.
+    qdot = B'(z) z' zhat / w(z), with z' the spectral derivative.  At a
+    collision the weight vanishes and the speed is unbounded; the velocity
+    is NaN there.
     """
     zh = zhat(loop)
-    if tau is None:
-        z, zp = loop.samples, derivative(loop)
-    else:
-        zc, period = _periodic_cover(loop.samples, loop.twisted)
-        z = _trig_eval(zc, tau, period=period)
-        zp = _trig_eval(_spectral_derivative(zc, period=period), tau, period=period)
+    z, zp = loop.samples, derivative(loop)
     w = conformal_weight(z)
     safe = w > _EPS_WEIGHT
     qdot = np.full(z.shape, np.nan, dtype=complex)
@@ -330,11 +321,6 @@ def integration_matrix(n: int) -> np.ndarray:
     out /= n
     out.flags.writeable = False
     return out
-
-
-def _tail_integral(f: np.ndarray) -> np.ndarray:
-    """Integral of the trigonometric interpolant of f from each node to 1."""
-    return float(np.mean(f)) - integration_matrix(len(f)) @ f
 
 
 @dataclass(frozen=True)
@@ -614,6 +600,16 @@ def _require_real(value, name: str, error: type = LoopError) -> float:
     if not isinstance(value, Real) or isinstance(value, bool):
         raise error(f"{name} must be a number, not {value!r}")
     return float(value)
+
+
+def _require_point(value, name: str, error: type = LoopError) -> complex:
+    """A point of the plane as given: a JSON [re, im] pair or number, or a
+    complex number from the library; true or "1" is rejected, not cast."""
+    if isinstance(value, (list, tuple)):
+        return complex(*(_require_real(x, name, error) for x in value[:2]))
+    if isinstance(value, complex):
+        return complex(value)
+    return complex(_require_real(value, name, error))
 
 
 def loop_from_dict(data: dict) -> DiscreteLoop:

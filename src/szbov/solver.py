@@ -34,7 +34,7 @@ import numpy as np
 
 from . import action as _action
 from .action import delay_residual, eval_components, gradient, pack, second_variation_matrix, unpack
-from .dynamics import phi_profile
+from .dynamics import _node_states
 from .fields import FieldConfig, config_from_dict, config_to_dict
 from .geometry import WindingError, WindingReport, birkhoff_map, winding_report
 from .loops import (
@@ -51,6 +51,7 @@ from .loops import (
     reconstruct,
     _require_bool,
     _require_int,
+    _require_point,
     _require_real,
 )
 from .selection import select_member, spectrum
@@ -118,7 +119,6 @@ class OrbitRecord:
     delay_sup: float
     phi_sup: float
     winding: Optional[WindingReport]
-    twisted: bool
     cfg: FieldConfig = field(repr=False)
     iterations: int = 0
     # the Hessian's spectrum at z (``selection.spectrum``); None on older records
@@ -129,6 +129,11 @@ class OrbitRecord:
     @property
     def action(self) -> float:
         return self.breakdown.total
+
+    @property
+    def twisted(self) -> bool:
+        """The sector of z, which the record's "twisted" restates."""
+        return self.z.twisted
 
     def to_dict(self) -> dict:
         b = self.breakdown
@@ -176,6 +181,9 @@ class OrbitRecord:
 def record_from_dict(data: dict, cfg: Optional[FieldConfig] = None) -> OrbitRecord:
     """Rebuild an OrbitRecord from its JSON form (recomputing the breakdown)."""
     z = loop_from_dict(data["z"])
+    twisted = _require_bool(data["twisted"], "record: 'twisted'")
+    if twisted != z.twisted:
+        raise LoopError(f"record: 'twisted' is {twisted}, but its loop object's is {z.twisted}")
     if cfg is None:
         cfg = config_from_dict(data["fields"])
     diag = data["diagnostics"]
@@ -196,7 +204,6 @@ def record_from_dict(data: dict, cfg: Optional[FieldConfig] = None) -> OrbitReco
         delay_sup=float(diag["delay_sup"]),
         phi_sup=float(diag["phi_sup"]),
         winding=wind,
-        twisted=_require_bool(data["twisted"], "record: 'twisted'"),
         cfg=cfg,
         iterations=_require_int(diag.get("iterations", 0), "record: 'iterations'"),
         morse_index=_optional(diag, "morse_index", _require_int),
@@ -278,10 +285,8 @@ def make_seed(spec, n: int = 256) -> DiscreteLoop:
     if extra:
         raise LoopError(f"unknown seed keys: {sorted(extra)}")
     if kind == "circle":
-        c = spec.get("center", [0.0, 0.0])
-        if isinstance(c, (list, tuple)):
-            c = complex(*(_require_real(x, "seed: 'center'") for x in c[:2]))
-        return seed_circle(complex(c), _number(spec, "radius"), n)
+        center = _require_point(spec.get("center", [0.0, 0.0]), "seed: 'center'")
+        return seed_circle(center, _number(spec, "radius"), n)
     if kind == "ellipse_lift":
         return seed_ellipse_lift(_number(spec, "a"), _number(spec, "b"), n)
     # read as given: a side of 0.5 or true is rejected, not cast
@@ -449,8 +454,6 @@ def _finalize(loop, cfg, opts, gn, iterations, seed_winding, evals) -> OrbitReco
     wind = _safe_winding(q.samples)
     if seed_winding is not None and wind is not None and wind != seed_winding:
         log.warning("winding changed during iteration: seed %s -> converged %s", seed_winding, wind)
-    prof = phi_profile(q, cfg, C=breakdown.C, z_loop=loop)
-    phi_sup = prof.sup_phi_relative
     morse_index, nullity, gap = spectrum(evals)
     return OrbitRecord(
         z=loop,
@@ -459,9 +462,8 @@ def _finalize(loop, cfg, opts, gn, iterations, seed_winding, evals) -> OrbitReco
         C=breakdown.C,
         grad_norm=gn,
         delay_sup=delay.sup_relative,
-        phi_sup=phi_sup,
+        phi_sup=_node_states(loop, cfg, breakdown.C).sup_relative,
         winding=wind,
-        twisted=loop.twisted,
         cfg=cfg,
         iterations=iterations,
         morse_index=morse_index,

@@ -142,6 +142,13 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"fields": {"mu": 0.5, "charge": 3}})
         assert run(["eval", "--config", cfg, "--seed", '{"kind": "circle", "radius": 2}']) == 2
 
+    @pytest.mark.parametrize("key", ["magnetic", "electric"])
+    def test_field_block_that_is_no_object(self, tmp_path, capsys, key):
+        # rejected as a validation error, not a TypeError from dict(3)
+        cfg = write_config(tmp_path, {"fields": {"mu": 0.5, key: 3}})
+        assert run(["eval", "--config", cfg, "--seed", '{"kind": "circle", "radius": 2}']) == 2
+        assert f"'{key}' must be an object" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert run(["eval", "--config", tmp_path / "nope.json"]) == 4
         assert run(["verify", tmp_path / "nope.json"]) == 4
@@ -202,6 +209,15 @@ class TestExitCodes:
         record_path.write_text(json.dumps(data))
         assert run(["verify", record_path, "--quiet"]) == 2
         assert "'iterations' must be an integer" in capsys.readouterr().err
+
+    def test_record_with_a_contradicting_sector_rejected(self, orbit_path, tmp_path, capsys):
+        # the top-level "twisted" must restate the z block's
+        data = json.loads(orbit_path.read_text())
+        data["twisted"] = not data["z"]["twisted"]
+        record_path = tmp_path / "record.json"
+        record_path.write_text(json.dumps(data))
+        assert run(["verify", record_path, "--quiet"]) == 2
+        assert "'twisted' is" in capsys.readouterr().err
 
     def test_nan_tolerance_rejected(self, capsys):
         # a NaN tolerance is never met, yet never reported as missed either

@@ -28,7 +28,7 @@ from szbov import (
     solve,
     verify_generalized,
 )
-from szbov.loops import EPS_COLLISION, derivative_matrix
+from szbov.loops import EPS_COLLISION, TimeMap, derivative_matrix
 
 ZERO = preset("zero", mu=0.5)
 KEPLER = preset("zero", mu=0.0)
@@ -289,6 +289,35 @@ class TestVerifyGeneralized:
         assert values["finite collision set"] == 2.0
         assert values["energy continuity across collisions"] > 0.0
 
+    @pytest.mark.parametrize("seed, cfg", [
+        (seed_circle(0.0, 1.0, 64), ZERO),
+        (seed_kepler_guess(-1, 0.3, 64), preset("uniform_oscillating", mu=0.5, epsilon=0.01)),
+    ], ids=["unit_circle", "electric"])
+    def test_reads_the_loop_at_its_own_nodes(self, monkeypatch, seed, cfg):
+        # verify and the source half of phi_profile take the node times,
+        # positions and velocities of z itself: no time map is built,
+        # evaluated or inverted
+        rec = solve(seed, cfg, SolveOptions(n=64, m=256))
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for module in (szbov.loops, szbov.dynamics):
+                if hasattr(module, "time_map"):
+                    patch.setattr(module, "time_map", counted("time_map", module.time_map))
+            for name in ("t", "inverse"):
+                patch.setattr(TimeMap, name, counted(name, getattr(TimeMap, name)))
+            report = verify_generalized(rec, cfg)
+            prof = phi_profile(rec.q, cfg, C=rec.C, z_loop=rec.z)
+        assert calls == []
+        assert report.ok, str(report)
+        assert prof.sup_phi_relative == rec.phi_sup
+
     def test_rejects_an_arbitrary_loop(self, rng):
         opts = SolveOptions(n=64, m=256)
         rec = solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, opts)
@@ -305,7 +334,6 @@ class TestVerifyGeneralized:
             delay_sup=rec.delay_sup,
             phi_sup=rec.phi_sup,
             winding=rec.winding,
-            twisted=rec.twisted,
             cfg=KEPLER,
         )
         report = verify_generalized(bad, KEPLER, tol=1e-5)

@@ -144,13 +144,25 @@ class TestSerialization:
         {"magnetic": {"kind": "constant", "b": True}},
         {"electric": {"kind": "uniform_oscillating", "epsilon": True}},
         {"electric": {"kind": "uniform_oscillating", "epsilon": 0.1, "d": [True, 0.0]}},
+        {"electric": {"kind": "uniform_oscillating", "epsilon": 0.1, "d": True}},
+        {"electric": {"kind": "uniform_oscillating", "epsilon": 0.1, "d": "1"}},
         {"electric": {"kind": "rotating_charge", "mu_s": 0.01, "r_s": True}},
         {"electric": {"kind": "rotating_charge", "mu_s": 0.01, "r_s": 3.0, "theta0": True}},
-    ], ids=["mu", "b", "epsilon", "d", "r_s", "theta0"])
+    ], ids=["mu", "b", "epsilon", "d", "d_bool", "d_string", "r_s", "theta0"])
     def test_numbers_read_as_given(self, block):
         # not cast: true would run as 1
         with pytest.raises(FieldConfigError, match="must be a number"):
             config_from_dict(block)
+
+    @pytest.mark.parametrize("key", ["magnetic", "electric"])
+    @pytest.mark.parametrize("block", [3, ["constant"], "zero"], ids=["number", "list", "string"])
+    def test_field_block_must_be_an_object(self, key, block):
+        with pytest.raises(FieldConfigError, match=f"'{key}' must be an object"):
+            config_from_dict({"mu": 0.5, key: block})
+
+    def test_scalar_d_is_read(self):
+        cfg = config_from_dict({"electric": {"kind": "uniform_oscillating", "epsilon": 0.1, "d": 2}})
+        assert cfg.electric.params["d"] == 2.0 + 0.0j
 
     def test_custom_kind_is_not_read(self):
         # a custom spec is made of functions, which JSON does not hold

@@ -18,6 +18,7 @@ from szbov import (
     load_loop,
     loop_from_dict,
     loop_to_dict,
+    preset,
     reconstruct,
     save_loop,
     second_derivative,
@@ -25,6 +26,7 @@ from szbov import (
     zhat,
 )
 from conftest import random_smooth_loop
+from szbov.action import _Nodes
 from szbov.loops import (
     _DENSE_DERIVATIVE_MAX_N,
     TimeMap,
@@ -319,12 +321,14 @@ def collision_free_loops(rng, n=64):
 
 class TestChainRuleState:
     def test_velocity_matches_the_reconstructed_loop(self, rng):
+        # at each node, against the reconstructed loop's spectral derivative
+        # interpolated at the node's own time t_j = (K w)_j / F
         for loop in collision_free_loops(rng):
             q = reconstruct(loop, 1024)
-            tm = time_map(loop)
-            pos, vel = chain_rule_state(loop, tm.inverse(q.times))
-            reference = _spectral_derivative(q.samples)
-            np.testing.assert_array_equal(pos, q.samples)
+            t = _Nodes(loop.samples, loop.twisted, preset("zero")).t
+            pos, vel = chain_rule_state(loop)
+            reference = _trig_eval(_spectral_derivative(q.samples), t)
+            np.testing.assert_allclose(pos, _trig_eval(q.samples, t), rtol=0, atol=1e-12)
             assert np.max(np.abs(vel - reference)) < 1e-8 * np.max(np.abs(reference))
 
     def test_node_values_are_the_phi_profile_formula(self, rng):

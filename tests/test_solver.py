@@ -113,14 +113,20 @@ class TestSeeds:
     @pytest.mark.parametrize("spec", [
         {"kind": "circle", "radius": True},
         {"kind": "circle", "center": [True, 0.0], "radius": 2.0},
+        {"kind": "circle", "center": True, "radius": 2.0},
+        {"kind": "circle", "center": "1", "radius": 2.0},
         {"kind": "circle"},
         {"kind": "ellipse_lift", "a": 2.0, "b": True},
         {"kind": "kepler_guess", "side": -1, "radius": True},
-    ], ids=["radius", "center", "no_radius", "ellipse_b", "kepler_radius"])
+    ], ids=["radius", "center", "center_bool", "center_string", "no_radius", "ellipse_b", "kepler_radius"])
     def test_make_seed_reads_numbers_as_given(self, spec):
-        # not cast: true would seed a circle of radius 1
+        # not cast: true would seed a circle of radius 1, or about 1
         with pytest.raises(LoopError, match="must be a number"):
             make_seed(spec, n=64)
+
+    def test_make_seed_takes_a_scalar_center(self):
+        seed = make_seed({"kind": "circle", "center": 1.5, "radius": 2.0}, n=64)
+        assert seed.samples[0] == 3.5
 
     def test_make_seed_rejects_unknown_keys(self):
         with pytest.raises(LoopError):
@@ -343,6 +349,18 @@ class TestSolve:
 
 
 ARCHIVES = Path(__file__).resolve().parents[1] / "perfbench" / "archives"
+
+
+def test_record_sector_is_its_loops():
+    # the record's "twisted" restates its z block's: it is written as z's,
+    # and a file where the two disagree is rejected
+    data = json.loads((ARCHIVES / "euler.json").read_text())
+    rec = record_from_dict(data)
+    assert rec.twisted == rec.z.twisted == data["twisted"]
+    assert rec.to_dict()["twisted"] == data["twisted"]
+    data["twisted"] = not data["twisted"]
+    with pytest.raises(LoopError, match="'twisted' is"):
+        record_from_dict(data)
 
 
 @pytest.mark.parametrize("path", sorted(ARCHIVES.glob("*.json")), ids=lambda p: p.stem)
