@@ -649,7 +649,12 @@ def delay_residual(loop: DiscreteLoop, cfg: FieldConfig) -> DelayResidual:
     Evaluates the right-hand side with spectral derivatives and cumulative
     quadratures and subtracts the spectral z''.
     """
-    nodes = _Nodes(loop.samples, loop.twisted, cfg)
+    return _delay_residual(_Nodes(loop.samples, loop.twisted, cfg))
+
+
+def _delay_residual(nodes: _Nodes) -> DelayResidual:
+    """``delay_residual`` read from the loop's node object."""
+    cfg = nodes.cfg
     z, w, f, phi = nodes.z, nodes.w, nodes.f, nodes.phi
     c_const = _energy_constant(f, nodes.g, nodes.h1, nodes.h2, nodes.e_val, nodes.e1, cfg.mu)
     zp = nodes.zp[: nodes.n]

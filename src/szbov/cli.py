@@ -11,6 +11,11 @@ verify      run the generalized-solution checks on an archived orbit
 plot        emit an SVG figure (blown-up curve and physical curve)
 export      extract the blown-up loop of an archive so it can reseed a run
 
+Each command takes only the flags it reads (``build_parser``); any other is
+a usage error.  Only eval, solve and continue read a run configuration; the
+orbit commands take the fields from the record.  --tol is g_tol for solve
+and continue, and the command's own tolerance elsewhere.
+
 Exit codes: 0 success, 2 validation failure, 3 no convergence, 4 I/O failure.
 All floating-point output is serialized with 17 significant digits so that
 identical inputs produce byte-identical archives, for a fixed BLAS thread
@@ -29,7 +34,7 @@ import numpy as np
 
 from .action import eval_components
 from .dynamics import SingularityError, integrate, verify_generalized
-from .fields import FieldConfig, FieldConfigError, config_from_dict, config_to_dict, preset
+from .fields import FieldConfig, FieldConfigError, config_from_dict, preset
 from .loops import (
     DiscreteLoop,
     LoopError,
@@ -139,9 +144,11 @@ def _load_json(path):
 
 
 def load_run_config(args) -> RunConfig:
-    """Merge the config file (if any) with command-line overrides."""
+    """Merge the config file (if any) with the command's flags: ``eval``
+    reads --config, --seed, --n and --out; ``solve`` and ``continue`` also
+    --m and --tol."""
     data = {}
-    if getattr(args, "config", None):
+    if args.config:
         data = _load_json(args.config)
         if not isinstance(data, dict):
             raise FieldConfigError("config must be a JSON object")
@@ -156,8 +163,8 @@ def load_run_config(args) -> RunConfig:
     if unknown:
         raise FieldConfigError(f"unknown grid keys: {sorted(unknown)}")
     # read as given: SolveOptions rejects a value that is not a positive integer
-    n = grid.get("n", 256)
-    m = grid.get("m", 512)
+    n = grid.get("n", SolveOptions.n)
+    m = grid.get("m", SolveOptions.m)
 
     solver_block = dict(data.get("solver", {}))
     # n and m are SolveOptions fields too, but they are set from the grid
@@ -172,15 +179,15 @@ def load_run_config(args) -> RunConfig:
     path = [config_from_dict(block) for block in data.get("path", [])]
 
     # a flag given as 0 is rejected by SolveOptions below, not ignored
-    if getattr(args, "n", None) is not None:
+    if args.n is not None:
         n = args.n
     if getattr(args, "m", None) is not None:
         m = args.m
     if getattr(args, "tol", None) is not None:
         solver_block["g_tol"] = args.tol
-    if getattr(args, "seed", None):
+    if args.seed:
         seed_spec = _parse_seed_flag(args.seed)
-    if getattr(args, "out", None):
+    if args.out:
         out = args.out
 
     try:
@@ -200,21 +207,15 @@ def _parse_seed_flag(text: str) -> dict:
     return {"kind": "file", "path": text}
 
 
-def _build_seed(run: RunConfig, args) -> DiscreteLoop:
-    loop = make_seed(run.seed_spec, n=run.opts.n)
-    twisted = getattr(args, "twisted", None)
-    if twisted is not None and twisted != loop.twisted:
-        loop = DiscreteLoop(samples=loop.samples, twisted=twisted)
-    return loop
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
+def _positive(args, flag: str, default):
+    """The value of --flag, or default where it is not given.  A value given
+    must be positive and finite: a 0 is rejected, not taken as absent."""
+    value = getattr(args, flag)
+    if value is None:
+        return default
+    if not 0 < value < np.inf:
+        raise ValueError(f"--{flag} must be positive and finite, not {value!r}")
+    return value
 
 
 # ----------------------------------------------------------------- commands
@@ -223,9 +224,12 @@ def _parse_bool(text: str) -> bool:
 def cmd_eval(args) -> int:
     run = load_run_config(args)
     if args.loop:
+        # the file brings its own loop: a seed flag would be dropped unread
+        if args.seed or args.n is not None:
+            raise ValueError("eval takes a loop file or --seed and --n, not both")
         loop = load_loop(args.loop)
     else:
-        loop = _build_seed(run, args)
+        loop = make_seed(run.seed_spec, n=run.opts.n)
     b = eval_components(loop, run.cfg)
     lines = [
         f"F  = {b.F:.12g}",
@@ -275,9 +279,8 @@ def _random_smooth_loop(rng, n: int, twisted: bool) -> DiscreteLoop:
 
 
 def cmd_grad_check(args) -> int:
-    run = load_run_config(args)
-    n = args.n or 64
-    tol = args.tol or 1e-6
+    n = _positive(args, "n", 64)
+    tol = _positive(args, "tol", 1e-6)
     rng = np.random.default_rng(7)
     configs = [
         preset("zero", mu=0.3),
@@ -316,7 +319,7 @@ def cmd_grad_check(args) -> int:
 
 def cmd_solve(args) -> int:
     run = load_run_config(args)
-    seed = _build_seed(run, args)
+    seed = make_seed(run.seed_spec, n=run.opts.n)
     record = solve(seed, run.cfg, run.opts)
     text = dumps_canonical(record.to_dict())
     _write_text(run.out, text, quiet=run.out is None and args.quiet)
@@ -334,7 +337,7 @@ def cmd_continue(args) -> int:
     run = load_run_config(args)
     if not run.path:
         raise FieldConfigError("continue requires a 'path' list in the config")
-    seed = _build_seed(run, args)
+    seed = make_seed(run.seed_spec, n=run.opts.n)
     start = solve(seed, run.cfg, run.opts)
     family = continue_family(start, run.path, run.opts)
     payload = {"family": [rec.to_dict() for rec in family]}
@@ -346,30 +349,26 @@ def cmd_continue(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    run = load_run_config(args)
-    data = _load_json(args.orbit)
-    record = record_from_dict(data)
+    m = _positive(args, "m", SolveOptions.m)
+    tol = _positive(args, "tol", 1e-10)
+    record = record_from_dict(_load_json(args.orbit))
     q0, v0 = chain_rule_state(record.z)
-    m = run.opts.m
     times = np.arange(m + 1) / m
-    tol = args.tol or 1e-10
     traj = integrate(q0[0], v0[0], 0.0, 1.0, record.cfg, tol=tol, sample_times=times)
     rows = ["t,q_re,q_im,v_re,v_im"]
     for t, q, v in zip(traj.times, traj.positions, traj.velocities):
         rows.append(
             f"{t:.17g},{q.real:.17g},{q.imag:.17g},{v.real:.17g},{v.imag:.17g}"
         )
-    _write_text(run.out, "\n".join(rows), args.quiet)
+    _write_text(args.out, "\n".join(rows), args.quiet)
     if not args.quiet and traj.terminated != "completed":
         print(f"integration terminated early: {traj.terminated}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    run = load_run_config(args)
-    data = _load_json(args.orbit)
-    record = record_from_dict(data)
-    tol = args.tol or 1e-5
+    tol = _positive(args, "tol", 1e-5)
+    record = record_from_dict(_load_json(args.orbit))
     report = verify_generalized(record, record.cfg, tol=tol)
     if not args.quiet:
         print(report)
@@ -387,9 +386,7 @@ def _svg_path(points, scale: float, offset_x: float, offset_y: float) -> str:
 
 
 def cmd_plot(args) -> int:
-    run = load_run_config(args)
-    data = _load_json(args.orbit)
-    record = record_from_dict(data)
+    record = record_from_dict(_load_json(args.orbit))
     zc = double_cover(record.z)
     qc = record.q.samples
     size, half = 420.0, 210.0
@@ -415,25 +412,36 @@ def cmd_plot(args) -> int:
         'stroke="steelblue"/>',
         "</svg>",
     ]
-    _write_text(run.out or "orbit.svg", "\n".join(parts), args.quiet)
+    _write_text(args.out or "orbit.svg", "\n".join(parts), args.quiet)
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
-    run = load_run_config(args)
     data = _load_json(args.orbit)
     if "z" in data and isinstance(data["z"], dict):
         loop = loop_from_dict(data["z"])
     else:
         loop = loop_from_dict(data)
-    if run.out:
-        save_loop(loop, run.out)
+    if args.out:
+        save_loop(loop, args.out)
     else:
         _write_text(None, dumps_canonical(loop_to_dict(loop)), args.quiet)
     return EXIT_OK
 
 
 # --------------------------------------------------------------- entry point
+
+
+# The flags: each command takes --quiet and those of the others it reads
+_FLAGS = {
+    "config": dict(help="run configuration JSON"),
+    "seed": dict(help="seed spec (JSON object or loop file path)"),
+    "n": dict(type=int, help="loop grid size"),
+    "m": dict(type=int, help="physical grid size"),
+    "tol": dict(type=float, help="tolerance"),
+    "out": dict(help="output path (stdout when omitted)"),
+    "quiet": dict(action="store_true"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,53 +451,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="run configuration JSON")
-        p.add_argument("--seed", help="seed spec (JSON object or loop file path)")
-        p.add_argument("--out", help="output path (stdout when omitted)")
-        p.add_argument("--n", type=int, help="loop grid size")
-        p.add_argument("--m", type=int, help="physical reconstruction grid size")
-        p.add_argument("--tol", type=float, help="tolerance override")
-        p.add_argument("--twisted", type=_parse_bool, help="force seed sector")
-        p.add_argument("--quiet", action="store_true")
+    def add(name, handler, text, *flags):
+        p = sub.add_parser(name, help=text)
+        for flag in (*flags, "quiet"):
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("eval", help="component breakdown of the functional")
+    p = add("eval", cmd_eval, "component breakdown of the functional", "config", "seed", "n", "out")
     p.add_argument("loop", nargs="?", help="loop JSON file (defaults to the seed)")
-    common(p)
-    p.set_defaults(handler=cmd_eval)
-
-    p = sub.add_parser("grad-check", help="gradient self test")
-    common(p)
-    p.set_defaults(handler=cmd_grad_check)
-
-    p = sub.add_parser("solve", help="find one critical point")
-    common(p)
-    p.set_defaults(handler=cmd_solve)
-
-    p = sub.add_parser("continue", help="parameter continuation")
-    common(p)
-    p.set_defaults(handler=cmd_continue)
-
-    p = sub.add_parser("integrate", help="RK re-integration of an orbit (CSV)")
+    add("grad-check", cmd_grad_check, "gradient self test", "n", "tol")
+    add("solve", cmd_solve, "find one critical point", "config", "seed", "n", "m", "tol", "out")
+    add("continue", cmd_continue, "parameter continuation", "config", "seed", "n", "m", "tol", "out")
+    p = add("integrate", cmd_integrate, "RK re-integration of an orbit (CSV)", "m", "tol", "out")
     p.add_argument("orbit", help="orbit record JSON")
-    common(p)
-    p.set_defaults(handler=cmd_integrate)
-
-    p = sub.add_parser("verify", help="generalized-solution checks")
+    p = add("verify", cmd_verify, "generalized-solution checks", "tol")
     p.add_argument("orbit", help="orbit record JSON")
-    common(p)
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("plot", help="SVG figure of an orbit")
+    p = add("plot", cmd_plot, "SVG figure of an orbit", "out")
     p.add_argument("orbit", help="orbit record JSON")
-    common(p)
-    p.set_defaults(handler=cmd_plot)
-
-    p = sub.add_parser("export", help="extract the blown-up loop of an archive")
+    p = add("export", cmd_export, "extract the blown-up loop of an archive", "out")
     p.add_argument("orbit", help="orbit record or loop JSON")
-    common(p)
-    p.set_defaults(handler=cmd_export)
-
     return parser
 
 

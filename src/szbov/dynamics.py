@@ -75,16 +75,15 @@ class _NodeStates:
     sup_relative: float
 
 
-def _node_states(z_loop: DiscreteLoop, cfg: FieldConfig, C: float) -> _NodeStates:
-    """The states of z_loop at its nodes, with the defect phi_j = C -
-    |qdot_j|^2/2 - U(q_j) - tail_j - e(t_j, q_j).  The tail is the one the
-    delay residual reads, ``_Nodes.tail``."""
-    nodes = _Nodes(z_loop.samples, z_loop.twisted, cfg)
-    q, qdot = chain_rule_state(z_loop)
+def _node_states(nodes: _Nodes, C: float) -> _NodeStates:
+    """The states of the loop of ``nodes`` at its nodes, with the defect
+    phi_j = C - |qdot_j|^2/2 - U(q_j) - tail_j - e(t_j, q_j).  The tail is
+    the one the delay residual reads, ``_Nodes.tail``."""
+    q, qdot = chain_rule_state(DiscreteLoop(nodes.z, twisted=nodes.twisted))
     safe = np.isfinite(qdot)
     # the potential is singular where a node sits on a collision; those
     # nodes are left out and read 0
-    u = _potential(q[safe], cfg.mu)
+    u = _potential(q[safe], nodes.cfg.mu)
     kin = 0.5 * np.abs(qdot[safe]) ** 2
     phi = np.zeros(len(q))
     phi[safe] = C - kin - u - nodes.tail[safe] - nodes.e[safe]
@@ -445,7 +444,7 @@ def phi_profile(
     phi = C - energy
     mask = center_distance(qs) > _NEAR_CENTER
 
-    source = None if z_loop is None else _node_states(z_loop, cfg, C)
+    source = None if z_loop is None else _node_states(_Nodes(z_loop.samples, z_loop.twisted, cfg), C)
     return PhiProfile(C=float(C), phi=phi, mask=mask, source=source)
 
 
@@ -482,7 +481,7 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5) -> Verificati
     c_const = float(orbit.C)
     m = q_loop.m
     qs = q_loop.samples
-    states = _node_states(z_loop, cfg, c_const)
+    states = _node_states(_Nodes(z_loop.samples, z_loop.twisted, cfg), c_const)
     usable = states.safe & (center_distance(states.q) > _NEAR_CENTER)
 
     checks = []

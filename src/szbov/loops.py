@@ -604,9 +604,12 @@ def _require_real(value, name: str, error: type = LoopError) -> float:
 
 def _require_point(value, name: str, error: type = LoopError) -> complex:
     """A point of the plane as given: a JSON [re, im] pair or number, or a
-    complex number from the library; true or "1" is rejected, not cast."""
+    complex number from the library; true or "1" is rejected, not cast, and
+    so is a list of any other length than two."""
     if isinstance(value, (list, tuple)):
-        return complex(*(_require_real(x, name, error) for x in value[:2]))
+        if len(value) != 2:
+            raise error(f"{name} must be a number or an [re, im] pair, not {value!r}")
+        return complex(*(_require_real(x, name, error) for x in value))
     if isinstance(value, complex):
         return complex(value)
     return complex(_require_real(value, name, error))

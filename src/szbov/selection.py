@@ -89,12 +89,14 @@ def anchor_measure(seed: DiscreteLoop, cfg: FieldConfig):
 
 
 def select_member(
-    x: np.ndarray, gn: float, seed: DiscreteLoop, cfg: FieldConfig, budget: int, g_tol: float
-) -> Optional[tuple[np.ndarray, float, int, np.ndarray]]:
-    """The member of the critical set through the critical point x (pack
-    coordinates, gradient norm gn) that the solve returns, with its gradient
-    norm, the steps taken and the Hessian's eigenvalues there; None where
-    the move has not settled after ``budget`` steps.
+    nodes: _action._Nodes, gn: float, seed: DiscreteLoop, budget: int, g_tol: float
+) -> Optional[tuple[_action._Nodes, float, int, np.ndarray]]:
+    """The member of the critical set through the critical point x of the
+    node object ``nodes`` (gradient norm gn) that the solve returns: the
+    member's node object, its gradient norm, the steps taken and the
+    Hessian's eigenvalues there; None where the move has not settled after
+    ``budget`` steps.  The first Hessian reads ``nodes``, and so does the
+    record once it is returned.
 
     Where the nullity k is at most one, x itself.  One null direction is the
     time shift.  For an autonomous field it is a symmetry, and the time
@@ -115,26 +117,26 @@ def select_member(
     curvature.  It stops once the next step is below _MOVE_TOL of x with the
     gradient norm below g_tol, so a member already selected stops at once.
     """
-    n = len(x) // 2
-    twisted = seed.twisted
-    hess = second_variation_matrix(unpack(x), twisted, cfg)
+    n, twisted, cfg = nodes.n, nodes.twisted, nodes.cfg
+    x = pack(nodes.z)
+    hess = second_variation_matrix(nodes.z, twisted, cfg, nodes=nodes)
     evals = np.linalg.eigvalsh(hess)
     k = spectrum(evals)[1]
     if k <= 1:
-        return x, gn, 0, evals
-    evals, vecs = np.linalg.eigh(hess)
-    frame = vecs[:, np.argsort(np.abs(evals))[:k]]
+        return nodes, gn, 0, evals
+    vals, vecs = np.linalg.eigh(hess)
+    frame = vecs[:, np.argsort(np.abs(vals))[:k]]
     measure = anchor_measure(seed, cfg)
     model = None
     steps = 0
     while True:
-        g = pack(gradient(DiscreteLoop(unpack(x), twisted=twisted), cfg))
+        g = pack(gradient(DiscreteLoop(nodes.z, twisted=twisted), cfg, nodes=nodes))
         gn = float(np.linalg.norm(g)) / np.sqrt(n)
         border = np.block([[hess, frame], [frame.T, np.zeros((k, k))]])
         rhs = np.block([[-g[:, None], np.zeros((2 * n, k))], [np.zeros((k, 1)), np.eye(k)]])
         sol = np.linalg.solve(border, rhs)[: 2 * n]
         newton, tmap = sol[:, 0], sol[:, 1:]
-        grad, curv = measure(unpack(x))[1:]
+        grad, curv = measure(nodes.z)[1:]
         reduced = tmap.T @ grad
         if model is None:
             model = tmap.T @ (curv[:, None] * tmap)
@@ -143,10 +145,12 @@ def select_member(
         move = tmap @ np.linalg.solve(model, -reduced)
         log.debug("select %d: gn=%.3e move=%.3e", steps, gn, float(np.linalg.norm(move)))
         if gn < g_tol and np.linalg.norm(move) <= _MOVE_TOL * max(1.0, np.linalg.norm(x)):
-            return x, gn, steps, np.linalg.eigvalsh(hess)
+            # unmoved, x's eigenvalues are the ones already computed
+            return nodes, gn, steps, evals if steps == 0 else np.linalg.eigvalsh(hess)
         if steps == budget:
             return None
         ds, prev = frame.T @ (move + newton), reduced
         x = x + move + newton
         steps += 1
-        hess = second_variation_matrix(unpack(x), twisted, cfg)
+        nodes = _action._Nodes(unpack(x), twisted, cfg)
+        hess = second_variation_matrix(nodes.z, twisted, cfg, nodes=nodes)

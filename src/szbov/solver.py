@@ -11,7 +11,8 @@ right-hand sides of the step and of the acceleration.  Without the
 acceleration the bench's `euler` solve does not converge in 200 iterations.
 A trial point's residual builds the point's node object (``action._Nodes``)
 once; its gradient reads it, and so does the next Jacobian once the point is
-accepted.  A point with a sample within _MIN_ABS_Z of 0, a non-finite
+accepted.  The last accepted point's object goes on to the member
+selection's first Hessian and, where no member moves, to the record.  A point with a sample within _MIN_ABS_Z of 0, a non-finite
 sample, or a vanishing mean conformal weight gets no residual.  The time map
 is inverted only for the record, and by the member selection when it moves;
 the seed's winding is read at the seed's own nodes.  The settings are module
@@ -33,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import action as _action
-from .action import delay_residual, eval_components, gradient, pack, second_variation_matrix, unpack
+from .action import eval_components, gradient, pack, second_variation_matrix, unpack
 from .dynamics import _node_states
 from .fields import FieldConfig, config_from_dict, config_to_dict
 from .geometry import WindingError, WindingReport, birkhoff_map, winding_report
@@ -178,14 +179,13 @@ class OrbitRecord:
         }
 
 
-def record_from_dict(data: dict, cfg: Optional[FieldConfig] = None) -> OrbitRecord:
+def record_from_dict(data: dict) -> OrbitRecord:
     """Rebuild an OrbitRecord from its JSON form (recomputing the breakdown)."""
     z = loop_from_dict(data["z"])
     twisted = _require_bool(data["twisted"], "record: 'twisted'")
     if twisted != z.twisted:
         raise LoopError(f"record: 'twisted' is {twisted}, but its loop object's is {z.twisted}")
-    if cfg is None:
-        cfg = config_from_dict(data["fields"])
+    cfg = config_from_dict(data["fields"])
     diag = data["diagnostics"]
     q = PhysicalLoop(samples=np.array([complex(re, im) for re, im in data["q"]["samples"]]))
     wind = None
@@ -427,16 +427,15 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
             best_loop=DiscreteLoop(unpack(x), twisted=twisted),
             best_grad_norm=gn,
         )
-    member = select_member(x, gn, seed, cfg, opts.max_iter - iterations, opts.g_tol)
+    member = select_member(nodes, gn, seed, opts.max_iter - iterations, opts.g_tol)
     if member is None:
         raise NoConvergenceError(
             f"no convergence: the member selection did not settle after {opts.max_iter} iterations",
             best_loop=DiscreteLoop(unpack(x), twisted=twisted),
             best_grad_norm=gn,
         )
-    x, gn, steps, evals = member
-    loop = DiscreteLoop(unpack(x), twisted=twisted)
-    return _finalize(loop, cfg, opts, gn, iterations + steps, seed_winding, evals)
+    nodes, gn, steps, evals = member
+    return _finalize(nodes, opts, gn, iterations + steps, seed_winding, evals)
 
 
 def _safe_winding(q: np.ndarray) -> Optional[WindingReport]:
@@ -447,9 +446,11 @@ def _safe_winding(q: np.ndarray) -> Optional[WindingReport]:
         return None
 
 
-def _finalize(loop, cfg, opts, gn, iterations, seed_winding, evals) -> OrbitRecord:
-    breakdown = eval_components(loop, cfg)
-    delay = delay_residual(loop, cfg)
+def _finalize(nodes, opts, gn, iterations, seed_winding, evals) -> OrbitRecord:
+    """The record of the selected member, read from its node object."""
+    loop = DiscreteLoop(nodes.z, twisted=nodes.twisted)
+    breakdown = nodes.breakdown()
+    delay = _action._delay_residual(nodes)
     q = reconstruct(loop, opts.m)
     wind = _safe_winding(q.samples)
     if seed_winding is not None and wind is not None and wind != seed_winding:
@@ -462,9 +463,9 @@ def _finalize(loop, cfg, opts, gn, iterations, seed_winding, evals) -> OrbitReco
         C=breakdown.C,
         grad_norm=gn,
         delay_sup=delay.sup_relative,
-        phi_sup=_node_states(loop, cfg, breakdown.C).sup_relative,
+        phi_sup=_node_states(nodes, breakdown.C).sup_relative,
         winding=wind,
-        cfg=cfg,
+        cfg=nodes.cfg,
         iterations=iterations,
         morse_index=morse_index,
         nullity=nullity,

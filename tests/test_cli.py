@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,14 @@ class TestEval:
         cfg = write_config(tmp_path, EULER)
         assert run(["eval", "--config", cfg, loop_path]) == 0
         assert "F  = 1.0625" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [("--n", 64), ("--seed", '{"kind": "circle", "radius": 3}')])
+    def test_seed_flag_with_a_loop_file_rejected(self, tmp_path, capsys, flag, value):
+        # the loop file is evaluated as it is; the flag is not dropped unread
+        loop_path = tmp_path / "loop.json"
+        save_loop(seed_circle(0.0, 2.0, 128), loop_path)
+        assert run(["eval", loop_path, flag, value]) == 2
+        assert "a loop file or --seed and --n, not both" in capsys.readouterr().err
 
 
 class TestGradCheck:
@@ -244,9 +253,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("fields, seed, message", [
         ({"mu": True}, '{"kind": "circle", "radius": 2}', "'mu' must be a number"),
         ({"mu": 0.5}, '{"kind": "circle", "radius": true}', "'radius' must be a number"),
-    ], ids=["mu", "radius"])
+        ({"mu": 0.5}, '{"kind": "circle", "center": [1, 2, 3], "radius": 2}', "an [re, im] pair"),
+        ({"mu": 0.5}, '{"kind": "circle", "center": [], "radius": 2}', "an [re, im] pair"),
+        ({"mu": 0.5, "electric": {"kind": "uniform_oscillating", "epsilon": 0.1, "d": [0.5, 0.2, 9]}},
+         '{"kind": "circle", "radius": 2}', "an [re, im] pair"),
+    ], ids=["mu", "radius", "center_three", "center_empty", "d_three"])
     def test_bool_number_rejected(self, tmp_path, capsys, fields, seed, message):
-        # true would run as mu = 1 or seed a circle of radius 1
+        # true would run as mu = 1 or seed a circle of radius 1; a point is
+        # not cut to its first two entries
         cfg = write_config(tmp_path, {"fields": fields})
         assert run(["eval", "--config", cfg, "--seed", seed, "--quiet"]) == 2
         assert message in capsys.readouterr().err
@@ -260,13 +274,68 @@ class TestExitCodes:
         assert run(["eval", "--config", cfg, "--seed", seed, "--quiet"]) == 2
         assert f"{key} must be a positive integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--n", 0, "n must be a positive integer"),
-        ("--m", -8, "m must be a positive integer"),
-        ("--tol", 0, "g_tol must be positive"),
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("eval", "--n", 0, "n must be a positive integer"),
+        ("solve", "--m", -8, "m must be a positive integer"),
+        ("solve", "--tol", 0, "g_tol must be positive"),
     ], ids=["n", "m", "tol"])
-    def test_bad_flag_rejected(self, capsys, flag, value, message):
+    def test_bad_flag_rejected(self, capsys, command, flag, value, message):
         # a flag given as 0 is rejected, not taken as absent
         seed = '{"kind": "circle", "radius": 2}'
-        assert run(["eval", "--seed", seed, flag, value, "--quiet"]) == 2
+        assert run([command, "--seed", seed, flag, value, "--quiet"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("verify", "--tol", 0),
+        ("integrate", "--tol", "nan"),
+        ("integrate", "--m", 0),
+        ("grad-check", "--n", 0),
+        ("grad-check", "--tol", 0),
+    ])
+    def test_own_flag_must_be_positive(self, orbit_path, capsys, command, flag, value):
+        # checked as the command's own value, not as g_tol, and a 0 does not
+        # fall through to the default
+        argv = [command, flag, value, "--quiet"]
+        if command != "grad-check":
+            argv.insert(1, orbit_path)
+        assert run(argv) == 2
+        assert f"{flag} must be positive and finite" in capsys.readouterr().err
+
+
+# The flags each command reads; any other is a usage error.
+FLAGS = {
+    "eval": {"--config", "--seed", "--n", "--out", "--quiet"},
+    "grad-check": {"--n", "--tol", "--quiet"},
+    "solve": {"--config", "--seed", "--n", "--m", "--tol", "--out", "--quiet"},
+    "continue": {"--config", "--seed", "--n", "--m", "--tol", "--out", "--quiet"},
+    "integrate": {"--m", "--tol", "--out", "--quiet"},
+    "verify": {"--tol", "--quiet"},
+    "plot": {"--out", "--quiet"},
+    "export": {"--out", "--quiet"},
+}
+VALUES = {
+    "--config": "run.json", "--seed": "loop.json", "--n": "7", "--m": "3",
+    "--tol": "5", "--out": "out.json", "--twisted": "true",
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in FLAGS for flag in VALUES if flag not in FLAGS[command]
+])
+def test_flag_a_command_does_not_read_is_a_usage_error(command, flag, capsys):
+    argv = [command, flag, VALUES[flag]]
+    if command not in ("eval", "grad-check", "solve", "continue"):
+        argv.insert(1, "orbit.json")
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", FLAGS)
+def test_help_lists_exactly_the_flags_read(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == FLAGS[command] | {"--help"}

@@ -146,11 +146,13 @@ class TestSerialization:
         {"electric": {"kind": "uniform_oscillating", "epsilon": 0.1, "d": [True, 0.0]}},
         {"electric": {"kind": "uniform_oscillating", "epsilon": 0.1, "d": True}},
         {"electric": {"kind": "uniform_oscillating", "epsilon": 0.1, "d": "1"}},
+        {"electric": {"kind": "uniform_oscillating", "epsilon": 0.1, "d": [0.5, 0.2, 9.0]}},
+        {"electric": {"kind": "uniform_oscillating", "epsilon": 0.1, "d": []}},
         {"electric": {"kind": "rotating_charge", "mu_s": 0.01, "r_s": True}},
         {"electric": {"kind": "rotating_charge", "mu_s": 0.01, "r_s": 3.0, "theta0": True}},
-    ], ids=["mu", "b", "epsilon", "d", "d_bool", "d_string", "r_s", "theta0"])
+    ], ids=["mu", "b", "epsilon", "d", "d_bool", "d_string", "d_three", "d_empty", "r_s", "theta0"])
     def test_numbers_read_as_given(self, block):
-        # not cast: true would run as 1
+        # not cast: true would run as 1, nor cut: [0.5, 0.2, 9] as d = 0.5+0.2j
         with pytest.raises(FieldConfigError, match="must be a number"):
             config_from_dict(block)
 

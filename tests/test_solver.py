@@ -115,12 +115,17 @@ class TestSeeds:
         {"kind": "circle", "center": [True, 0.0], "radius": 2.0},
         {"kind": "circle", "center": True, "radius": 2.0},
         {"kind": "circle", "center": "1", "radius": 2.0},
+        {"kind": "circle", "center": [1.0, 2.0, 3.0], "radius": 2.0},
+        {"kind": "circle", "center": [1.0], "radius": 2.0},
+        {"kind": "circle", "center": [], "radius": 2.0},
         {"kind": "circle"},
         {"kind": "ellipse_lift", "a": 2.0, "b": True},
         {"kind": "kepler_guess", "side": -1, "radius": True},
-    ], ids=["radius", "center", "center_bool", "center_string", "no_radius", "ellipse_b", "kepler_radius"])
+    ], ids=["radius", "center", "center_bool", "center_string", "center_three", "center_one",
+            "center_empty", "no_radius", "ellipse_b", "kepler_radius"])
     def test_make_seed_reads_numbers_as_given(self, spec):
-        # not cast: true would seed a circle of radius 1, or about 1
+        # not cast: true would seed a circle of radius 1, or about 1; nor
+        # cut: [1, 2, 3] would seed about 1+2j, and [] about 0
         with pytest.raises(LoopError, match="must be a number"):
             make_seed(spec, n=64)
 
@@ -245,6 +250,31 @@ class TestSolve:
         again = solve(rec.z, EULER, OPTS)
         assert again.iterations == 0 and len(calls) == rec.iterations
         np.testing.assert_array_equal(again.z.samples, rec.z.samples)
+
+    def test_record_reads_the_last_node_object(self, monkeypatch):
+        # the selection's first Hessian, and the record's breakdown, delay
+        # residual and node states, read the node object of the last
+        # accepted point: where no member moves, neither builds one
+        built = [0]
+        init = _Nodes.__init__
+
+        def counted(self, *args):
+            built[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(_Nodes, "__init__", counted)
+        inside = {}
+        for name in ("select_member", "_finalize"):
+            def wrapped(*args, _call=getattr(szbov.solver, name), _name=name):
+                before = built[0]
+                out = _call(*args)
+                inside[_name] = built[0] - before
+                return out
+
+            monkeypatch.setattr(szbov.solver, name, wrapped)
+        rec = solve(seed_kepler_guess(-1, 0.3, 64), EULER, OPTS)
+        assert rec.nullity == 1
+        assert inside == {"select_member": 0, "_finalize": 0}
 
     @pytest.mark.parametrize("cfg", [KEPLER, EULER], ids=["kepler", "euler"])
     def test_record_carries_the_spectrum(self, cfg):
