@@ -46,6 +46,7 @@ from .loops import (
     DegenerateLoopError,
     DiscreteLoop,
     PhysicalLoop,
+    _chain_rule_velocity,
     _periodic_cover,
     _spectral_derivative,
     derivative_matrix,
@@ -94,6 +95,19 @@ class ActionBreakdown:
 def _energy_constant(f, g, h1, h2, e_val, e1, mu) -> float:
     """C = F G - ((1 - mu) H1 + mu H2) / F + E + E1, which has no M term."""
     return f * g - ((1 - mu) * h1 + mu * h2) / f + e_val + e1
+
+
+# The JSON form of a breakdown's components, each key with its field ("E"
+# is E_val); mu is the field configuration's, so it is no component.
+_COMPONENT_KEYS = {"F": "F", "G": "G", "H1": "H1", "H2": "H2", "M": "M", "E": "E_val", "E1": "E1"}
+
+
+def _components_to_dict(b: ActionBreakdown) -> dict:
+    return {key: getattr(b, name) for key, name in _COMPONENT_KEYS.items()}
+
+
+def _components_from_dict(block: dict, mu: float) -> ActionBreakdown:
+    return ActionBreakdown(mu=mu, **{name: float(block[key]) for key, name in _COMPONENT_KEYS.items()})
 
 
 @dataclass(frozen=True)
@@ -200,6 +214,11 @@ class _Nodes:
     @cached_property
     def bp(self) -> np.ndarray:
         return birkhoff_derivative(self.z)
+
+    @cached_property
+    def qdot(self) -> np.ndarray:
+        """The chain-rule velocity at the nodes (``loops.chain_rule_state``)."""
+        return _chain_rule_velocity(self.w, self.f, self.zp[: self.n], self.bp)
 
     @cached_property
     def qp(self) -> np.ndarray:

@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from .action import eval_components
+from .action import _components_to_dict, eval_action, eval_components, gradient, pack
 from .dynamics import SingularityError, integrate, verify_generalized
 from .fields import FieldConfig, FieldConfigError, config_from_dict, preset
 from .loops import (
@@ -45,7 +45,6 @@ from .loops import (
     loop_to_dict,
     save_loop,
 )
-from .action import eval_action, gradient, pack
 from .solver import (
     NoConvergenceError,
     SolveError,
@@ -231,33 +230,13 @@ def cmd_eval(args) -> int:
     else:
         loop = make_seed(run.seed_spec, n=run.opts.n)
     b = eval_components(loop, run.cfg)
-    lines = [
-        f"F  = {b.F:.12g}",
-        f"G  = {b.G:.12g}",
-        f"H1 = {b.H1:.12g}",
-        f"H2 = {b.H2:.12g}",
-        f"M  = {b.M:.12g}",
-        f"E  = {b.E_val:.12g}",
-        f"E1 = {b.E1:.12g}",
-        f"total = {b.total:.12g}",
-        f"C  = {b.C:.12g}",
-    ]
+    components = _components_to_dict(b)
+    lines = [f"{key:<2} = {value:.12g}" for key, value in components.items()]
+    lines += [f"total = {b.total:.12g}", f"C  = {b.C:.12g}"]
     if not args.quiet:
         print("\n".join(lines))
     if run.out:
-        payload = {
-            "components": {
-                "F": b.F,
-                "G": b.G,
-                "H1": b.H1,
-                "H2": b.H2,
-                "M": b.M,
-                "E": b.E_val,
-                "E1": b.E1,
-            },
-            "total": b.total,
-            "C": b.C,
-        }
+        payload = {"components": components, "total": b.total, "C": b.C}
         _write_text(run.out, dumps_canonical(payload), args.quiet)
     return EXIT_OK
 

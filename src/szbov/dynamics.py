@@ -22,7 +22,7 @@ from ._dop853 import A, B, C, D, E3, E5, N_STAGES
 from .action import _Nodes
 from .fields import FieldConfig
 from .geometry import birkhoff_map, center_distance
-from .loops import EPS_COLLISION, DiscreteLoop, PhysicalLoop, _fft_derivative, chain_rule_state, eval_loop
+from .loops import EPS_COLLISION, DiscreteLoop, PhysicalLoop, _fft_derivative, eval_loop
 
 __all__ = [
     "SingularityError",
@@ -79,7 +79,7 @@ def _node_states(nodes: _Nodes, C: float) -> _NodeStates:
     """The states of the loop of ``nodes`` at its nodes, with the defect
     phi_j = C - |qdot_j|^2/2 - U(q_j) - tail_j - e(t_j, q_j).  The tail is
     the one the delay residual reads, ``_Nodes.tail``."""
-    q, qdot = chain_rule_state(DiscreteLoop(nodes.z, twisted=nodes.twisted))
+    q, qdot = nodes.q, nodes.qdot
     safe = np.isfinite(qdot)
     # the potential is singular where a node sits on a collision; those
     # nodes are left out and read 0

@@ -254,13 +254,18 @@ def chain_rule_state(loop: DiscreteLoop):
     collision the weight vanishes and the speed is unbounded; the velocity
     is NaN there.
     """
-    zh = zhat(loop)
-    z, zp = loop.samples, derivative(loop)
-    w = conformal_weight(z)
-    safe = w > _EPS_WEIGHT
-    qdot = np.full(z.shape, np.nan, dtype=complex)
-    qdot[safe] = birkhoff_derivative(z[safe]) * (zh / w[safe]) * zp[safe]
+    z = loop.samples
+    qdot = _chain_rule_velocity(conformal_weight(z), zhat(loop), derivative(loop), birkhoff_derivative(z))
     return birkhoff_map(z), qdot
+
+
+def _chain_rule_velocity(w: np.ndarray, zh: float, zp: np.ndarray, bp: np.ndarray) -> np.ndarray:
+    """qdot = B'(z) z' zhat / w at the nodes, from the weights w, their mean
+    zhat, the derivative z' and B'(z); NaN where w is at most _EPS_WEIGHT."""
+    safe = w > _EPS_WEIGHT
+    qdot = np.full(w.shape, np.nan, dtype=complex)
+    qdot[safe] = bp[safe] * (zh / w[safe]) * zp[safe]
+    return qdot
 
 
 def _circulant(col: np.ndarray) -> np.ndarray:

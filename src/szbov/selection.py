@@ -45,9 +45,10 @@ def spectrum(evals: np.ndarray) -> tuple[int, int, float]:
 
 
 def anchor_measure(seed: DiscreteLoop, cfg: FieldConfig):
-    """The map z -> (value, gradient, curv) of the anchor measure: half the
-    squared L2 distance in physical time from the seed, mean_j rho_j |d_j|^2
-    / 2, with rho_j = w_j/zhat = dt/dtau and d_j = B(z_j) - q0(t_j) - o_j.
+    """The map nodes -> (value, gradient, curv) of the anchor measure at the
+    loop of the node object ``nodes``, in the seed's sector and field: half
+    the squared L2 distance in physical time from the seed, mean_j rho_j
+    |d_j|^2 / 2, with rho_j = w_j/zhat = dt/dtau and d_j = B(z_j) - q0(t_j) - o_j.
 
     q0 is the seed reconstructed at n uniform times and interpolated in t,
     and t_j = (K w)_j / zhat are the loop's node times, so no time map is
@@ -71,8 +72,7 @@ def anchor_measure(seed: DiscreteLoop, cfg: FieldConfig):
 
     offset = miss(_action._Nodes(seed.samples, twisted, cfg))[0]
 
-    def measure(z: np.ndarray):
-        nodes = _action._Nodes(z, twisted, cfg)
+    def measure(nodes: _action._Nodes):
         dq, slope = miss(nodes)
         d = dq - offset
         f, t = nodes.f, nodes.t
@@ -136,7 +136,7 @@ def select_member(
         rhs = np.block([[-g[:, None], np.zeros((2 * n, k))], [np.zeros((k, 1)), np.eye(k)]])
         sol = np.linalg.solve(border, rhs)[: 2 * n]
         newton, tmap = sol[:, 0], sol[:, 1:]
-        grad, curv = measure(nodes.z)[1:]
+        grad, curv = measure(nodes)[1:]
         reduced = tmap.T @ grad
         if model is None:
             model = tmap.T @ (curv[:, None] * tmap)

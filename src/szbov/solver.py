@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import action as _action
-from .action import eval_components, gradient, pack, second_variation_matrix, unpack
+from .action import _components_from_dict, _components_to_dict, gradient, pack, second_variation_matrix, unpack
 from .dynamics import _node_states
 from .fields import FieldConfig, config_from_dict, config_to_dict
 from .geometry import WindingError, WindingReport, birkhoff_map, winding_report
@@ -110,16 +111,16 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class OrbitRecord:
-    """A converged critical point with its reconstruction and diagnostics."""
+    """A converged critical point with its reconstruction and diagnostics,
+    as the solve measured them.  C is derived from the breakdown, and the
+    winding (None where it is undefined) from q, once per record."""
 
     z: DiscreteLoop
     q: PhysicalLoop
     breakdown: "_action.ActionBreakdown"
-    C: float
     grad_norm: float
     delay_sup: float
     phi_sup: float
-    winding: Optional[WindingReport]
     cfg: FieldConfig = field(repr=False)
     iterations: int = 0
     # the Hessian's spectrum at z (``selection.spectrum``); None on older records
@@ -132,12 +133,19 @@ class OrbitRecord:
         return self.breakdown.total
 
     @property
+    def C(self) -> float:
+        return self.breakdown.C
+
+    @cached_property
+    def winding(self) -> Optional[WindingReport]:
+        return _safe_winding(self.q.samples)
+
+    @property
     def twisted(self) -> bool:
         """The sector of z, which the record's "twisted" restates."""
         return self.z.twisted
 
     def to_dict(self) -> dict:
-        b = self.breakdown
         wind = None
         if self.winding is not None:
             wind = {
@@ -151,16 +159,8 @@ class OrbitRecord:
             "mu": self.cfg.mu,
             "fields": config_to_dict(self.cfg),
             "diagnostics": {
-                "action": b.total,
-                "components": {
-                    "F": b.F,
-                    "G": b.G,
-                    "H1": b.H1,
-                    "H2": b.H2,
-                    "M": b.M,
-                    "E": b.E_val,
-                    "E1": b.E1,
-                },
+                "action": self.action,
+                "components": _components_to_dict(self.breakdown),
                 "C": self.C,
                 "grad_norm": self.grad_norm,
                 "delay_sup": self.delay_sup,
@@ -180,36 +180,36 @@ class OrbitRecord:
 
 
 def record_from_dict(data: dict) -> OrbitRecord:
-    """Rebuild an OrbitRecord from its JSON form (recomputing the breakdown)."""
-    z = loop_from_dict(data["z"])
-    twisted = _require_bool(data["twisted"], "record: 'twisted'")
-    if twisted != z.twisted:
-        raise LoopError(f"record: 'twisted' is {twisted}, but its loop object's is {z.twisted}")
-    cfg = config_from_dict(data["fields"])
-    diag = data["diagnostics"]
-    q = PhysicalLoop(samples=np.array([complex(re, im) for re, im in data["q"]["samples"]]))
-    wind = None
-    if diag.get("winding") is not None:
-        wd = diag["winding"]
-        wind = WindingReport(
-            around_minus_one=_require_int(wd["minus"], "record: winding 'minus'"),
-            around_plus_one=_require_int(wd["plus"], "record: winding 'plus'"),
+    """The OrbitRecord as it was written: the breakdown is the components
+    block's, not recomputed.  The keys that restate another value (twisted,
+    mu, action, C, winding, collision_times) are not read back, but a
+    contradicting twisted is rejected.  A malformed record raises LoopError."""
+    if not isinstance(data, dict):
+        raise LoopError(f"malformed record: a JSON object is needed, not {type(data).__name__}")
+    try:
+        z = loop_from_dict(data["z"])
+        twisted = _require_bool(data["twisted"], "record: 'twisted'")
+        if twisted != z.twisted:
+            raise LoopError(f"record: 'twisted' is {twisted}, but its loop object's is {z.twisted}")
+        cfg = config_from_dict(data["fields"])
+        diag = data["diagnostics"]
+        return OrbitRecord(
+            z=z,
+            q=PhysicalLoop(samples=np.array([complex(re, im) for re, im in data["q"]["samples"]])),
+            breakdown=_components_from_dict(diag["components"], cfg.mu),
+            grad_norm=float(diag["grad_norm"]),
+            delay_sup=float(diag["delay_sup"]),
+            phi_sup=float(diag["phi_sup"]),
+            cfg=cfg,
+            iterations=_require_int(diag.get("iterations", 0), "record: 'iterations'"),
+            morse_index=_optional(diag, "morse_index", _require_int),
+            nullity=_optional(diag, "nullity", _require_int),
+            gap=_optional(diag, "gap", lambda v, name: float(v)),
         )
-    return OrbitRecord(
-        z=z,
-        q=q,
-        breakdown=eval_components(z, cfg),
-        C=float(diag["C"]),
-        grad_norm=float(diag["grad_norm"]),
-        delay_sup=float(diag["delay_sup"]),
-        phi_sup=float(diag["phi_sup"]),
-        winding=wind,
-        cfg=cfg,
-        iterations=_require_int(diag.get("iterations", 0), "record: 'iterations'"),
-        morse_index=_optional(diag, "morse_index", _require_int),
-        nullity=_optional(diag, "nullity", _require_int),
-        gap=_optional(diag, "gap", lambda v, name: float(v)),
-    )
+    except KeyError as exc:
+        raise LoopError(f"malformed record: no {exc} key") from exc
+    except TypeError as exc:
+        raise LoopError(f"malformed record: {exc}") from exc
 
 
 def _optional(diag: dict, key: str, read):
@@ -450,27 +450,23 @@ def _finalize(nodes, opts, gn, iterations, seed_winding, evals) -> OrbitRecord:
     """The record of the selected member, read from its node object."""
     loop = DiscreteLoop(nodes.z, twisted=nodes.twisted)
     breakdown = nodes.breakdown()
-    delay = _action._delay_residual(nodes)
-    q = reconstruct(loop, opts.m)
-    wind = _safe_winding(q.samples)
-    if seed_winding is not None and wind is not None and wind != seed_winding:
-        log.warning("winding changed during iteration: seed %s -> converged %s", seed_winding, wind)
     morse_index, nullity, gap = spectrum(evals)
-    return OrbitRecord(
+    rec = OrbitRecord(
         z=loop,
-        q=q,
+        q=reconstruct(loop, opts.m),
         breakdown=breakdown,
-        C=breakdown.C,
         grad_norm=gn,
-        delay_sup=delay.sup_relative,
+        delay_sup=_action._delay_residual(nodes).sup_relative,
         phi_sup=_node_states(nodes, breakdown.C).sup_relative,
-        winding=wind,
         cfg=nodes.cfg,
         iterations=iterations,
         morse_index=morse_index,
         nullity=nullity,
         gap=gap,
     )
+    if seed_winding is not None and rec.winding is not None and rec.winding != seed_winding:
+        log.warning("winding changed during iteration: seed %s -> converged %s", seed_winding, rec.winding)
+    return rec
 
 
 # ------------------------------------------------------------ continuation

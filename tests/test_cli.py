@@ -228,6 +228,30 @@ class TestExitCodes:
         assert run(["verify", record_path, "--quiet"]) == 2
         assert "'twisted' is" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "plot", "integrate"])
+    def test_loop_file_given_as_a_record_rejected(self, orbit_path, tmp_path, capsys, command):
+        # the loop file that export writes is no record: a message, not a traceback
+        loop_path = tmp_path / "loop.json"
+        assert run(["export", orbit_path, "--out", loop_path]) == 0
+        out = [] if command == "verify" else ["--out", tmp_path / "out"]
+        assert run([command, loop_path, *out, "--quiet"]) == 2
+        assert "malformed record: no 'z' key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["diagnostics"].pop("grad_norm") and d, "no 'grad_norm' key"),
+            (lambda d: [d], "a JSON object is needed, not list"),
+            (lambda d: {**d, "diagnostics": [1.0]}, "malformed record: list indices"),
+        ],
+        ids=["no_grad_norm", "not_an_object", "diagnostics_not_an_object"],
+    )
+    def test_malformed_record_rejected(self, orbit_path, tmp_path, capsys, edit, message):
+        record_path = tmp_path / "record.json"
+        record_path.write_text(json.dumps(edit(json.loads(orbit_path.read_text()))))
+        assert run(["verify", record_path, "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_nan_tolerance_rejected(self, capsys):
         # a NaN tolerance is never met, yet never reported as missed either
         seed = '{"kind": "circle", "radius": 2}'

@@ -329,11 +329,9 @@ class TestVerifyGeneralized:
             z=z,
             q=reconstruct(z, 256),
             breakdown=rec.breakdown,
-            C=rec.C,
             grad_norm=grad_norm(gradient(z, KEPLER)),
             delay_sup=rec.delay_sup,
             phi_sup=rec.phi_sup,
-            winding=rec.winding,
             cfg=KEPLER,
         )
         report = verify_generalized(bad, KEPLER, tol=1e-5)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,19 @@ from szbov.selection import _NULL_REL, anchor_measure
 KEPLER = preset("zero", mu=0.0)
 EULER = preset("zero", mu=0.5)
 OPTS = SolveOptions(n=64, m=256)
+
+
+def _count_node_builds(monkeypatch) -> list:
+    """A one-item list that counts the node objects (``_Nodes``) built."""
+    built = [0]
+    init = _Nodes.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(_Nodes, "__init__", counted)
+    return built
 
 
 class TestSeeds:
@@ -255,14 +269,7 @@ class TestSolve:
         # the selection's first Hessian, and the record's breakdown, delay
         # residual and node states, read the node object of the last
         # accepted point: where no member moves, neither builds one
-        built = [0]
-        init = _Nodes.__init__
-
-        def counted(self, *args):
-            built[0] += 1
-            init(self, *args)
-
-        monkeypatch.setattr(_Nodes, "__init__", counted)
+        built = _count_node_builds(monkeypatch)
         inside = {}
         for name in ("select_member", "_finalize"):
             def wrapped(*args, _call=getattr(szbov.solver, name), _name=name):
@@ -275,6 +282,25 @@ class TestSolve:
         rec = solve(seed_kepler_guess(-1, 0.3, 64), EULER, OPTS)
         assert rec.nullity == 1
         assert inside == {"select_member": 0, "_finalize": 0}
+
+    def test_anchor_measure_reads_the_step_node_object(self, monkeypatch):
+        # each step of the move along kepler's family builds one node object,
+        # which its Hessian, gradient and anchor measure share; the anchor
+        # builds one more, the seed's
+        built = _count_node_builds(monkeypatch)
+        select = szbov.solver.select_member
+        inside = []
+
+        def wrapped(*args):
+            before = built[0]
+            out = select(*args)
+            inside.append((built[0] - before, out[2]))
+            return out
+
+        monkeypatch.setattr(szbov.solver, "select_member", wrapped)
+        rec = solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, OPTS)
+        assert rec.nullity == 3
+        assert inside == [(10, 9)]
 
     @pytest.mark.parametrize("cfg", [KEPLER, EULER], ids=["kepler", "euler"])
     def test_record_carries_the_spectrum(self, cfg):
@@ -294,12 +320,12 @@ class TestSolve:
         rec = solve(seed, KEPLER, OPTS)
         measure = anchor_measure(seed, KEPLER)
         x = pack(rec.z.samples)
-        _, grad, _ = measure(rec.z.samples)
+        _, grad, _ = measure(_Nodes(rec.z.samples, True, KEPLER))
         # the gradient is exact: central differences approach it as h^2
         d = np.cos(np.arange(len(x)))
+        value = lambda x: measure(_Nodes(unpack(x), True, KEPLER))[0]
         err_h, err_h2 = (
-            abs((measure(unpack(x + h * d))[0] - measure(unpack(x - h * d))[0]) / (2 * h) - grad @ d)
-            for h in (1e-4, 1e-5)
+            abs((value(x + h * d) - value(x - h * d)) / (2 * h) - grad @ d) for h in (1e-4, 1e-5)
         )
         assert err_h2 <= 1e-6 * abs(grad @ d)
         assert err_h >= 30.0 * err_h2
@@ -340,14 +366,15 @@ class TestSolve:
         # there, and its gradient with it
         seed = seed_ejection(-1, 64)
         measure = anchor_measure(seed, KEPLER)
-        value, grad, _ = measure(seed.samples)
+        value, grad, _ = measure(_Nodes(seed.samples, True, KEPLER))
         assert value == 0.0 and np.all(grad == 0.0)
         moved = seed.samples + 1e-3 * np.exp(1j * np.arange(seed.n))
-        assert measure(moved)[0] > 1e-9
+        assert measure(_Nodes(moved, True, KEPLER))[0] > 1e-9
 
     def test_record_serialization_round_trip(self):
         rec = solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, OPTS)
         again = record_from_dict(rec.to_dict())
+        assert dumps_canonical(again.to_dict()) == dumps_canonical(rec.to_dict())
         np.testing.assert_allclose(again.z.samples, rec.z.samples, atol=1e-15)
         assert again.twisted == rec.twisted
         assert again.action == pytest.approx(rec.action, rel=1e-12)
@@ -366,14 +393,9 @@ class TestSolve:
         with pytest.raises(LoopError, match="'twisted' must be true or false"):
             record_from_dict(data)
         # counts are JSON integers; 3.7 is not truncated to 3, nor true taken as 1
-        assert rec.to_dict()["diagnostics"]["winding"] is not None
-        for key, value in [
-            ("iterations", 3.7), ("iterations", True), ("nullity", 1.5), ("morse_index", True),
-            ("minus", 1.5), ("plus", True),
-        ]:
+        for key, value in [("iterations", 3.7), ("iterations", True), ("nullity", 1.5), ("morse_index", True)]:
             data = rec.to_dict()
-            target = data["diagnostics"]["winding"] if key in ("minus", "plus") else data["diagnostics"]
-            target[key] = value
+            data["diagnostics"][key] = value
             with pytest.raises(LoopError, match=f"'{key}' must be an integer"):
                 record_from_dict(data)
 
@@ -402,6 +424,36 @@ def test_archived_q_block_survives_a_round_trip(path):
     block = f'"q": {dumps_canonical(rec.to_dict()["q"], 2)}'
     assert block in text
     assert '"collision_times"' in block
+
+
+@pytest.mark.parametrize("path", sorted(ARCHIVES.glob("*.json")), ids=lambda p: p.stem)
+def test_archive_reads_back_as_it_was_written(path, monkeypatch):
+    # the record holds what the file holds, and loading it evaluates nothing:
+    # it writes the file's text back, but for the null spectrum keys of an
+    # archive older than the spectrum
+    built = _count_node_builds(monkeypatch)
+    text = path.read_text()
+    written = json.loads(text)
+    data = record_from_dict(written).to_dict()
+    assert built == [0]
+    for key in ("morse_index", "nullity", "gap"):
+        if key not in written["diagnostics"]:
+            assert data["diagnostics"].pop(key) is None
+    assert dumps_canonical(data) + "\n" == text
+
+
+def test_loaded_record_derives_its_C_and_winding():
+    # C is the breakdown's and the winding is q's, so a record given a new q
+    # has the new q's winding
+    kepler, circle = (
+        record_from_dict(json.loads((ARCHIVES / f"{name}.json").read_text())) for name in ("kepler", "unit_circle")
+    )
+    assert kepler.C == kepler.breakdown.C
+    fine = replace(kepler, q=reconstruct(kepler.z, 1024))
+    assert fine.winding == winding_report(fine.q.samples) == kepler.winding
+    # unit_circle's samples hit the centers, where the winding is undefined
+    assert circle.winding is None
+    assert replace(circle, q=kepler.q).winding == kepler.winding
 
 
 def _custom_magnetic(b=1.5):
