@@ -48,6 +48,7 @@ from .loops import (
     PhysicalLoop,
     _chain_rule_velocity,
     _periodic_cover,
+    _require_diagnostic,
     _spectral_derivative,
     derivative_matrix,
     integration_matrix,
@@ -107,27 +108,24 @@ def _components_to_dict(b: ActionBreakdown) -> dict:
 
 
 def _components_from_dict(block: dict, mu: float) -> ActionBreakdown:
-    return ActionBreakdown(mu=mu, **{name: float(block[key]) for key, name in _COMPONENT_KEYS.items()})
+    return ActionBreakdown(
+        mu=mu, **{name: _require_diagnostic(block[key], f"record: {key!r}") for key, name in _COMPONENT_KEYS.items()}
+    )
 
 
 @dataclass(frozen=True)
 class DelayResidual:
-    """Pointwise defect of the second-order delay equation at the nodes."""
+    """Pointwise defect of the second-order delay equation at the nodes,
+    with the global constant C it was evaluated at and the scale max |z''|
+    that ``sup_relative`` divides its sup by."""
 
     C: float
     residual: np.ndarray
-    eps1: np.ndarray
-    eps2: np.ndarray
-    eps3: np.ndarray
     z_second_scale: float
 
     @property
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.residual)))
-
-    @property
     def sup_relative(self) -> float:
-        return self.sup_norm / max(self.z_second_scale, 1e-300)
+        return float(np.max(np.abs(self.residual))) / max(self.z_second_scale, 1e-300)
 
 
 class _Nodes:
@@ -686,19 +684,7 @@ def _delay_residual(nodes: _Nodes) -> DelayResidual:
     # magnetic delay term, same orientation as the Lorentz force B i qdot
     rhs = rhs + (w / f) * cfg.magnetic.field_at(nodes.q) * 1j * zp
 
-    if cfg.electric.is_zero:
-        eps1, eps2, eps3 = np.zeros((3, nodes.n), dtype=complex)
-    else:
-        eps2 = nodes.force
-        eps1 = nodes.tail * phi
-        eps3 = nodes.e * phi
-        rhs = rhs - (absz2 / f**2) * (eps1 + eps2 + eps3)
+    if not cfg.electric.is_zero:
+        rhs = rhs - (absz2 / f**2) * (nodes.tail * phi + nodes.force + nodes.e * phi)
 
-    return DelayResidual(
-        C=c_const,
-        residual=rhs - zpp,
-        eps1=eps1,
-        eps2=eps2,
-        eps3=eps3,
-        z_second_scale=float(np.max(np.abs(zpp))),
-    )
+    return DelayResidual(C=c_const, residual=rhs - zpp, z_second_scale=float(np.max(np.abs(zpp))))

@@ -28,6 +28,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 
 import numpy as np
@@ -44,6 +45,7 @@ from .loops import (
     loop_from_dict,
     loop_to_dict,
     save_loop,
+    _NONFINITE_TEXT,
 )
 from .solver import (
     NoConvergenceError,
@@ -70,11 +72,12 @@ _DEFAULT_SEED = {"kind": "kepler_guess", "side": -1, "radius": 0.3}
 
 
 def _fmt_float(x: float) -> str:
-    if x != x:
-        return '"NaN"'
-    if x in (float("inf"), float("-inf")):
-        return '"Infinity"' if x > 0 else '"-Infinity"'
-    return format(float(x), ".17g")
+    x = float(x)
+    if not math.isfinite(x):
+        return f'"{_NONFINITE_TEXT[repr(x)]}"'
+    text = format(x, ".17g")
+    # "-0" would read back as the integer 0, which has no sign
+    return "-0.0" if text == "-0" else text
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:
@@ -82,6 +85,8 @@ def dumps_canonical(obj, indent: int = 0) -> str:
 
     Plain ``json.dumps`` formats floats by shortest round trip, which is also
     deterministic but version-sensitive; the fixed format pins the bytes.
+    A NaN or an infinity is written as its text in ``loops._NONFINITE_TEXT``,
+    which ``record_from_dict`` reads back.
     """
     pad = " " * indent
     if isinstance(obj, dict):

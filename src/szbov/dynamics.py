@@ -62,33 +62,18 @@ class Trajectory:
             raise ValueError("trajectory times must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class _NodeStates:
-    """A blown-up loop's physical states at its own nodes (``_node_states``)."""
-
-    t: np.ndarray  # (K w)_j / F, as ``action._Nodes.t``
-    q: np.ndarray  # B(z_j)
-    qdot: np.ndarray  # from the chain rule, NaN at a collision
-    safe: np.ndarray  # True where qdot is defined
-    phi: np.ndarray  # the energy defect against C, 0 where qdot is not defined
-    # sup |phi| over the safe nodes, over the energy scale max |C| + |qdot|^2/2 + |U|
-    sup_relative: float
-
-
-def _node_states(nodes: _Nodes, C: float) -> _NodeStates:
-    """The states of the loop of ``nodes`` at its nodes, with the defect
-    phi_j = C - |qdot_j|^2/2 - U(q_j) - tail_j - e(t_j, q_j).  The tail is
-    the one the delay residual reads, ``_Nodes.tail``."""
+def _node_defect(nodes: _Nodes, C: float) -> tuple[np.ndarray, float]:
+    """The defect phi_j = C - |qdot_j|^2/2 - U(q_j) - tail_j - e(t_j, q_j) at
+    the nodes of ``nodes`` (the tail is the delay residual's, ``_Nodes.tail``),
+    and its sup over the energy scale max |C| + |qdot|^2/2 + |U|.  A node on
+    a collision, where qdot is not defined, reads 0 and is left out of the sup."""
     q, qdot = nodes.q, nodes.qdot
     safe = np.isfinite(qdot)
-    # the potential is singular where a node sits on a collision; those
-    # nodes are left out and read 0
     u = _potential(q[safe], nodes.cfg.mu)
     kin = 0.5 * np.abs(qdot[safe]) ** 2
     phi = np.zeros(len(q))
     phi[safe] = C - kin - u - nodes.tail[safe] - nodes.e[safe]
-    sup_relative = float(np.max(np.abs(phi[safe])) / np.max(np.abs(C) + kin + np.abs(u)))
-    return _NodeStates(t=nodes.t, q=q, qdot=qdot, safe=safe, phi=phi, sup_relative=sup_relative)
+    return phi, float(np.max(np.abs(phi[safe])) / np.max(np.abs(C) + kin + np.abs(u)))
 
 
 @dataclass(frozen=True)
@@ -96,14 +81,15 @@ class PhiProfile:
     """Energy-defect profile of a physical loop.
 
     phi lives on the closed uniform time grid (M+1 nodes).  When a source
-    loop in the blown-up plane is supplied, ``source`` holds the same defect
-    at its own nodes, from the chain-rule velocity.
+    loop in the blown-up plane is supplied, ``source_sup`` is the relative
+    sup of the same defect at its own nodes, from the chain-rule velocity
+    (``_node_defect``).
     """
 
     C: float
     phi: np.ndarray
     mask: np.ndarray  # True where the node is usable (off collisions)
-    source: Optional[_NodeStates] = None
+    source_sup: Optional[float] = None
 
     @property
     def mean_phi(self) -> float:
@@ -122,9 +108,9 @@ class PhiProfile:
         """sup of the source loop's defect at its nodes, where velocities
         stay accurate arbitrarily close to collisions, relative to the energy
         scale."""
-        if self.source is None:
+        if self.source_sup is None:
             raise ValueError("no source loop was supplied to phi_profile")
-        return self.source.sup_relative
+        return self.source_sup
 
 
 def newtonian_rhs(t, q, v, cfg: FieldConfig):
@@ -444,8 +430,8 @@ def phi_profile(
     phi = C - energy
     mask = center_distance(qs) > _NEAR_CENTER
 
-    source = None if z_loop is None else _node_states(_Nodes(z_loop.samples, z_loop.twisted, cfg), C)
-    return PhiProfile(C=float(C), phi=phi, mask=mask, source=source)
+    source_sup = None if z_loop is None else _node_defect(_Nodes(z_loop.samples, z_loop.twisted, cfg), C)[1]
+    return PhiProfile(C=float(C), phi=phi, mask=mask, source_sup=source_sup)
 
 
 @dataclass(frozen=True)
@@ -466,23 +452,55 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _arc_defect(nodes: _Nodes, usable: np.ndarray, qs: np.ndarray, ta: float, tb: float) -> float:
+    """The Newtonian defect on the collision-free arc [ta, tb]: the largest
+    miss |q(t_k) - q_k| of the RK re-integrations forward and backward from
+    the usable node nearest its midpoint to margins of 5 grid steps, at the
+    grid times t_k = k/m.  inf where a run stops early, and where the arc
+    has no window to integrate: an arc that is not checked does not pass."""
+    m = len(qs)
+    margin = 5.0 / m
+    if tb - ta < 4 * margin:
+        return np.inf
+    t_arc = ta + (nodes.t - ta) % 1.0  # the node times, in the arc's period
+    inside = np.flatnonzero(usable & (t_arc >= ta + margin) & (t_arc <= tb - margin))
+    if len(inside) == 0:
+        return np.inf
+    j = inside[np.argmin(np.abs(t_arc[inside] - 0.5 * (ta + tb)))]
+    misses = []
+    for lo, hi in ((t_arc[j], tb - margin), (t_arc[j], ta + margin)):
+        ka, kb = sorted((lo, hi))
+        kk = np.arange(int(np.ceil(ka * m)), int(np.floor(kb * m)) + 1)
+        if len(kk) < 2:
+            continue
+        traj = integrate(nodes.q[j], nodes.qdot[j], lo, hi, nodes.cfg, tol=1e-13, sample_times=kk / m)
+        if traj.terminated != COMPLETED:
+            misses.append(np.inf)
+            continue
+        idx = np.round((traj.times % 1.0) * m).astype(int) % m
+        misses.append(float(np.max(np.abs(traj.positions - qs[idx]))))
+    return max(misses, default=np.inf)
+
+
 def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5) -> VerificationReport:
     """Check the generalized-solution conditions for a computed orbit.
 
     orbit must expose ``z`` (DiscreteLoop), ``q`` (PhysicalLoop), and ``C``.
     Conditions: finitely many collisions (``q.collision_times``); the
-    Newtonian equation holds on each collision-free arc (via re-integration
-    with the RK oracle); the energy extension is continuous across
-    collisions; the loop closes up.  The states it starts from and compares
-    are the ones at z's own nodes (``_node_states``).
+    Newtonian equation holds on each collision-free arc (``_arc_defect``);
+    the energy extension is continuous across collisions; the loop closes up.
+    The states it starts from and compares are z's own node times, positions
+    and velocities (``action._Nodes``), with the defect there (``_node_defect``).
     """
     z_loop: DiscreteLoop = orbit.z
     q_loop: PhysicalLoop = orbit.q
     c_const = float(orbit.C)
     m = q_loop.m
     qs = q_loop.samples
-    states = _node_states(_Nodes(z_loop.samples, z_loop.twisted, cfg), c_const)
-    usable = states.safe & (center_distance(states.q) > _NEAR_CENTER)
+    nodes = _Nodes(z_loop.samples, z_loop.twisted, cfg)
+    phi = _node_defect(nodes, c_const)[0]
+    # w = |q - 1| |q + 1| > _EPS_WEIGHT here, so qdot is defined
+    usable = center_distance(nodes.q) > _NEAR_CENTER
 
     checks = []
 
@@ -490,40 +508,16 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5) -> Verificati
     collisions = list(q_loop.collision_times)
     checks.append(("finite collision set", float(len(collisions)), float(m // 4), len(collisions) < m // 4))
 
-    # arcs between collisions (whole circle if none)
+    # (2) Newtonian defect on each arc between collisions (the whole circle
+    # if none)
     arcs = list(zip(collisions, collisions[1:] + [collisions[0] + 1.0])) if collisions else [(0.0, 1.0)]
-
-    # (2) Newtonian defect via re-integration, forward and backward from the
-    # usable node nearest each arc's midpoint, inside the margins
-    margin = 5.0 / m
-    worst = 0.0
-    for (ta, tb) in arcs:
-        if tb - ta < 4 * margin:
-            continue
-        t_arc = ta + (states.t - ta) % 1.0  # the node times, in the arc's period
-        inside = np.flatnonzero(usable & (t_arc >= ta + margin) & (t_arc <= tb - margin))
-        if len(inside) == 0:
-            continue
-        j = inside[np.argmin(np.abs(t_arc[inside] - 0.5 * (ta + tb)))]
-        for lo, hi in ((t_arc[j], tb - margin), (t_arc[j], ta + margin)):
-            # compare at the uniform grid times inside the integration window
-            ka, kb = sorted((lo, hi))
-            kk = np.arange(int(np.ceil(ka * m)), int(np.floor(kb * m)) + 1)
-            if len(kk) < 2:
-                continue
-            ts = kk / m
-            traj = integrate(states.q[j], states.qdot[j], lo, hi, cfg, tol=1e-13, sample_times=ts)
-            if traj.terminated != COMPLETED:
-                worst = max(worst, np.inf)
-                continue
-            idx = np.round((traj.times % 1.0) * m).astype(int) % m
-            worst = max(worst, float(np.max(np.abs(traj.positions - qs[idx]))))
+    worst = max(_arc_defect(nodes, usable, qs, ta, tb) for ta, tb in arcs)
     checks.append(("newtonian defect (re-integration)", worst, tol, worst <= tol))
 
     # (3) continuity of the energy extension across collisions, evaluated at
     # the source loop's nodes where chain-rule velocities stay accurate near
     # a collision, and compared between the closest usable nodes on either side
-    ut, ue = states.t[usable], c_const - states.phi[usable]
+    ut, ue = nodes.t[usable], c_const - phi[usable]
     jump = 0.0
     for tc in collisions if len(ut) else ():
         gap = (ut - tc) % 1.0

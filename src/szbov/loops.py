@@ -614,17 +614,30 @@ def _require_point(value, name: str, error: type = LoopError) -> complex:
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
             raise error(f"{name} must be a number or an [re, im] pair, not {value!r}")
-        return complex(*(_require_real(x, name, error) for x in value))
+        re, im = value
+        return complex(_require_real(re, name, error), _require_real(im, name, error))
     if isinstance(value, complex):
         return complex(value)
     return complex(_require_real(value, name, error))
 
 
+# JSON has no number for a NaN or an infinity: a record holds its text, keyed
+# here by the float's repr, as cli.dumps_canonical writes it.
+_NONFINITE_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _require_diagnostic(value, name: str) -> float:
+    """A JSON number as it is, or the text of a NaN or an infinity."""
+    if isinstance(value, str) and value in _NONFINITE_TEXT.values():
+        return float(value)
+    return _require_real(value, name)
+
+
 def loop_from_dict(data: dict) -> DiscreteLoop:
     try:
         n, twisted = data["n"], data["twisted"]
-        samples = np.array([complex(re, im) for re, im in data["samples"]])
-    except (KeyError, TypeError, ValueError) as exc:
+        samples = np.array([_require_point(p, "loop object: a sample") for p in data["samples"]])
+    except (KeyError, TypeError) as exc:
         raise LoopError(f"malformed loop object: {exc}") from exc
     _require_bool(twisted, "loop object: 'twisted'")
     if len(samples) != _require_int(n, "loop object: 'n'"):

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import action as _action
 from .action import _components_from_dict, _components_to_dict, gradient, pack, second_variation_matrix, unpack
-from .dynamics import _node_states
+from .dynamics import _node_defect
 from .fields import FieldConfig, config_from_dict, config_to_dict
 from .geometry import WindingError, WindingReport, birkhoff_map, winding_report
 from .loops import (
@@ -52,6 +52,7 @@ from .loops import (
     loop_to_dict,
     reconstruct,
     _require_bool,
+    _require_diagnostic,
     _require_int,
     _require_point,
     _require_real,
@@ -195,16 +196,16 @@ def record_from_dict(data: dict) -> OrbitRecord:
         diag = data["diagnostics"]
         return OrbitRecord(
             z=z,
-            q=PhysicalLoop(samples=np.array([complex(re, im) for re, im in data["q"]["samples"]])),
+            q=PhysicalLoop(samples=np.array([_require_point(p, "record: a q sample") for p in data["q"]["samples"]])),
             breakdown=_components_from_dict(diag["components"], cfg.mu),
-            grad_norm=float(diag["grad_norm"]),
-            delay_sup=float(diag["delay_sup"]),
-            phi_sup=float(diag["phi_sup"]),
+            grad_norm=_require_diagnostic(diag["grad_norm"], "record: 'grad_norm'"),
+            delay_sup=_require_diagnostic(diag["delay_sup"], "record: 'delay_sup'"),
+            phi_sup=_require_diagnostic(diag["phi_sup"], "record: 'phi_sup'"),
             cfg=cfg,
             iterations=_require_int(diag.get("iterations", 0), "record: 'iterations'"),
             morse_index=_optional(diag, "morse_index", _require_int),
             nullity=_optional(diag, "nullity", _require_int),
-            gap=_optional(diag, "gap", lambda v, name: float(v)),
+            gap=_optional(diag, "gap", _require_diagnostic),
         )
     except KeyError as exc:
         raise LoopError(f"malformed record: no {exc} key") from exc
@@ -302,11 +303,13 @@ def make_seed(spec, n: int = 256) -> DiscreteLoop:
 
 # ------------------------------------------------------------------- solve
 
-# Levenberg-Marquardt damping: its start, and the factors it grows by on a
-# rejected step and shrinks by on an accepted one.
+# Levenberg-Marquardt damping: its start, the factors it grows by on a
+# rejected step and shrinks by on an accepted one, and the cap past which a
+# ladder of rejected steps ends the solve.
 _LAM0 = 1e-4
 _LAM_UP = 4.0
 _LAM_DOWN = 0.25
+_LAM_MAX = 1e12
 # An iterate with a sample this close to 0, the pole of the conformal
 # weight, is refused before its residual is evaluated.
 _MIN_ABS_Z = 1e-6
@@ -385,8 +388,8 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         ata = jmat.T @ jmat
         rhs = -(jmat.T @ r)
 
-        accepted = False
-        for _ in range(10):
+        # one damping ladder, until a trial is accepted or lam passes _LAM_MAX
+        while lam <= _LAM_MAX:
             normal = _action._add_diag(ata.copy(), lam)
             delta = np.linalg.solve(normal, rhs)
             # geodesic acceleration: second-order correction along the step,
@@ -406,19 +409,15 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
             trial = _trial(residual, xt)
             # the residual is the gradient: an accepted point is the best so far
             if trial is not None and np.linalg.norm(trial[0]) < gn:
-                x, (r, nodes) = xt, trial
-                gn = float(np.linalg.norm(r))
-                lam = max(lam * _LAM_DOWN, 1e-14)
-                accepted = True
                 break
             lam *= _LAM_UP
-        if not accepted:
+        else:  # lam passed _LAM_MAX with no trial accepted
             if nodes.f < 10.0 * EPS_ZHAT:
                 raise SolveError("degenerated toward excluded locus")
-            # stop when damping explodes without producing an acceptable step
-            if lam > 1e12:
-                break
-            continue
+            break
+        x, (r, nodes) = xt, trial
+        gn = float(np.linalg.norm(r))
+        lam = max(lam * _LAM_DOWN, 1e-14)
         log.debug("iter %d: gn=%.3e step=%.3e lam=%.1e", iterations, gn, float(np.linalg.norm(delta)), lam)
 
     if gn >= opts.g_tol:
@@ -447,7 +446,9 @@ def _safe_winding(q: np.ndarray) -> Optional[WindingReport]:
 
 
 def _finalize(nodes, opts, gn, iterations, seed_winding, evals) -> OrbitRecord:
-    """The record of the selected member, read from its node object."""
+    """The record of the selected member, read from its node object: the
+    breakdown, the delay residual's sup (``action._delay_residual``) and the
+    energy defect's (``dynamics._node_defect``)."""
     loop = DiscreteLoop(nodes.z, twisted=nodes.twisted)
     breakdown = nodes.breakdown()
     morse_index, nullity, gap = spectrum(evals)
@@ -457,7 +458,7 @@ def _finalize(nodes, opts, gn, iterations, seed_winding, evals) -> OrbitRecord:
         breakdown=breakdown,
         grad_norm=gn,
         delay_sup=_action._delay_residual(nodes).sup_relative,
-        phi_sup=_node_states(nodes, breakdown.C).sup_relative,
+        phi_sup=_node_defect(nodes, breakdown.C)[1],
         cfg=nodes.cfg,
         iterations=iterations,
         morse_index=morse_index,

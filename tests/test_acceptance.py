@@ -36,6 +36,8 @@ from szbov import (
     verify_generalized,
     winding_report,
 )
+from szbov.action import _Nodes
+from szbov.dynamics import _node_defect
 
 OPTS = SolveOptions(n=128, m=512)
 
@@ -244,6 +246,22 @@ def test_criterion_07_energy_defect_mean_zero(rng, capsys):
     assert worst < 1e-10, f"worst |mean| {worst:.3e}"
     report(capsys, 7, 5, time.perf_counter() - t0,
            f"100 loops, worst |mean defect| {worst:.1e} < 1e-10")
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+@pytest.mark.parametrize("cfg", [preset("zero", mu=0.3), preset("constant", mu=0.5, b=2.0)], ids=["zero", "constant"])
+def test_node_defect_mean_vanishes_at_the_breakdowns_C(rng, cfg, twisted):
+    # criterion 7 takes the mean-removing C; with C from the breakdown, the
+    # weighted node mean of the defect, mean_j (w_j/F) phi_j, is 0 for any
+    # loop where the field has no time dependence
+    worst = 0.0
+    for _ in range(30):
+        loop = random_smooth_loop(rng, 64, twisted=twisted)
+        nodes = _Nodes(loop.samples, loop.twisted, cfg)
+        c_const = nodes.breakdown().C
+        phi = _node_defect(nodes, c_const)[0]
+        worst = max(worst, abs(float(np.mean(nodes.w / nodes.f * phi))) / abs(c_const))
+    assert worst < 1e-12, f"worst relative mean {worst:.3e}"
 
 
 def test_criterion_08_collision_regularity(capsys):

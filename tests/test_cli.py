@@ -4,7 +4,17 @@ import re
 import numpy as np
 import pytest
 
-from szbov import cli, record_from_dict, save_loop, seed_circle
+from szbov import (
+    SolveOptions,
+    cli,
+    config_from_dict,
+    continue_family,
+    make_seed,
+    record_from_dict,
+    save_loop,
+    seed_circle,
+    solve,
+)
 from szbov.loops import double_cover
 
 
@@ -133,12 +143,53 @@ class TestPipeline:
         assert record.delay_sup == float("inf")
         assert record.phi_sup == float("-inf")
 
+    def test_negative_zero_reads_back(self, orbit_path):
+        # "-0" would read back as the integer 0 and lose the sign
+        assert cli.dumps_canonical([-0.0, 0.0, 1.0]) == "[-0.0, 0, 1]"
+        data = json.loads(orbit_path.read_text())
+        data["q"]["samples"][5][1] = -0.0
+        data["z"]["samples"][7][0] = -0.0
+        data["diagnostics"]["components"]["E1"] = -0.0
+        text = cli.dumps_canonical(data)
+        record = record_from_dict(json.loads(text))
+        assert np.signbit(record.q.samples[5].imag)
+        assert np.signbit(record.z.samples[7].real)
+        assert np.signbit(record.breakdown.E1)
+        assert cli.dumps_canonical(record.to_dict()) == text
+
     def test_solve_is_deterministic(self, orbit_path, tmp_path):
         cfg = write_config(tmp_path, {"fields": {"mu": 0.0}, "grid": {"n": 64, "m": 256}})
         out2 = tmp_path / "orbit2.json"
         seed = '{"kind": "kepler_guess", "side": -1, "radius": 0.3}'
         assert run(["solve", "--config", cfg, "--seed", seed, "--out", out2, "--quiet"]) == 0
         assert out2.read_bytes() == orbit_path.read_bytes()
+
+
+class TestContinue:
+    CASE = {
+        "fields": {"mu": 0.0},
+        "seed": {"kind": "ejection", "side": -1},
+        "grid": {"n": 64, "m": 256},
+    }
+    PATH = [{"mu": 0.01}, {"mu": 0.02}]
+
+    def test_family_is_continue_familys(self, tmp_path):
+        # the command writes the family that continue_family returns from
+        # the solved start, in the bytes of dumps_canonical
+        cfg = write_config(tmp_path, {**self.CASE, "path": self.PATH})
+        out = tmp_path / "family.json"
+        assert run(["continue", "--config", cfg, "--out", out, "--quiet"]) == 0
+        opts = SolveOptions(n=64, m=256)
+        start = solve(make_seed(self.CASE["seed"], n=64), config_from_dict(self.CASE["fields"]), opts)
+        family = continue_family(start, [config_from_dict(block) for block in self.PATH], opts)
+        assert len(family) == 3
+        expected = cli.dumps_canonical({"family": [rec.to_dict() for rec in family]})
+        assert out.read_text() == expected + "\n"
+
+    def test_config_without_a_path_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.CASE)
+        assert run(["continue", "--config", cfg, "--quiet"]) == 2
+        assert "'path' list" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -218,6 +269,33 @@ class TestExitCodes:
         record_path.write_text(json.dumps(data))
         assert run(["verify", record_path, "--quiet"]) == 2
         assert "'iterations' must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["diagnostics"].update(grad_norm=True), "'grad_norm' must be a number"),
+            (lambda d: d["diagnostics"].update(phi_sup="3e-11"), "'phi_sup' must be a number"),
+            (lambda d: d["diagnostics"].update(delay_sup=None), "'delay_sup' must be a number"),
+            (lambda d: d["diagnostics"].update(gap="Inf"), "'gap' must be a number"),
+            (lambda d: d["diagnostics"]["components"].update(H1=False), "'H1' must be a number"),
+            (lambda d: d["diagnostics"]["components"].update(E="0"), "'E' must be a number"),
+            (lambda d: d["q"]["samples"][3].__setitem__(0, True), "a q sample must be a number"),
+            (lambda d: d["q"]["samples"].__setitem__(3, [1.0, 0.0, 0.0]), "an [re, im] pair"),
+            (lambda d: d["z"]["samples"][0].__setitem__(1, True), "a sample must be a number"),
+            (lambda d: d["z"]["samples"][0].__setitem__(1, "0.5"), "a sample must be a number"),
+        ],
+        ids=["bool_grad_norm", "text_phi_sup", "null_delay_sup", "misspelt_infinity", "bool_component",
+             "text_component", "bool_q_sample", "q_triple", "bool_z_sample", "text_z_sample"],
+    )
+    def test_record_number_read_as_given(self, orbit_path, tmp_path, capsys, edit, message):
+        # true is not read as 1, nor "3e-11" as a number: only the NaN and
+        # infinity texts that dumps_canonical writes stand for numbers
+        data = json.loads(orbit_path.read_text())
+        edit(data)
+        record_path = tmp_path / "record.json"
+        record_path.write_text(json.dumps(data))
+        assert run(["verify", record_path, "--quiet"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_record_with_a_contradicting_sector_rejected(self, orbit_path, tmp_path, capsys):
         # the top-level "twisted" must restate the z block's

@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from szbov import (
     phi_profile,
     preset,
     reconstruct,
+    record_from_dict,
     seed_circle,
     seed_kepler_guess,
     solve,
@@ -317,6 +320,21 @@ class TestVerifyGeneralized:
         assert calls == []
         assert report.ok, str(report)
         assert prof.sup_phi_relative == rec.phi_sup
+
+    def test_an_arc_with_nothing_to_integrate_fails(self):
+        # 32 of the kepler archive's 256 samples moved onto a center leave
+        # arcs shorter than the integration margins: the Newtonian check,
+        # which integrates nothing there, reads inf instead of passing at 0
+        rec = record_from_dict(json.loads((test_solver.ARCHIVES / "kepler.json").read_text()))
+        q = rec.q.samples.copy()
+        q[4::8] = -1.0
+        bad = replace(rec, q=PhysicalLoop(samples=q))
+        report = verify_generalized(bad, rec.cfg, tol=1e-5)
+        values = {name: value for name, value, _, _ in report.checks}
+        assert report.collision_count == 32
+        assert values["newtonian defect (re-integration)"] == np.inf
+        assert not report.ok
+        assert verify_generalized(rec, rec.cfg, tol=1e-5).ok
 
     def test_rejects_an_arbitrary_loop(self, rng):
         opts = SolveOptions(n=64, m=256)

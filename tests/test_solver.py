@@ -197,6 +197,24 @@ class TestSolve:
         assert err.value.best_grad_norm == pytest.approx(grad_norm(gradient(best, EULER)), rel=1e-12)
         assert err.value.best_grad_norm < grad_norm(gradient(seed, EULER))
 
+    def test_one_damping_ladder_per_jacobian(self, monkeypatch):
+        # re-solved at an unreachable tolerance, a converged loop ends once
+        # one ladder raises lam past its cap with no step accepted: no
+        # Hessian is assembled twice at the same point
+        rec = solve(seed_kepler_guess(-1, 0.3, 64), EULER, OPTS)
+        points = []
+        assemble = szbov.solver.second_variation_matrix
+
+        def recorded(z, *args, **kwargs):
+            points.append(np.array(z))
+            return assemble(z, *args, **kwargs)
+
+        monkeypatch.setattr(szbov.solver, "second_variation_matrix", recorded)
+        with pytest.raises(NoConvergenceError):
+            solve(rec.z, EULER, replace(OPTS, g_tol=1e-30))
+        assert len(points) > 1
+        assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+
     def test_inadmissible_seed_is_refused(self):
         # no residual at a seed collapsed onto a branch point, where F
         # vanishes, nor at one with a sample at the pole of the weight
