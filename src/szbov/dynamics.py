@@ -121,9 +121,9 @@ def newtonian_rhs(t, q, v, cfg: FieldConfig):
     Scalars stay Python numbers: they skip the conversion to arrays, and the
     Coulomb-center test reads the product of the distances directly, since
     ``np.all`` on a number costs most of a zero-field call.  The field
-    evaluators return 0-d arrays for a scalar, which are converted back, so
-    the result is a Python complex for every field and the stages that use
-    it run on Python numbers.  A field that is zero adds no term.
+    evaluators take and return Python numbers for a scalar, so the result is
+    a Python complex for every field and the stages that use it run on
+    Python numbers.  A field that is zero adds no term.
     """
     scalar = isinstance(q, (complex, float, int))
     if not scalar:
@@ -138,11 +138,9 @@ def newtonian_rhs(t, q, v, cfg: FieldConfig):
         # Lorentz force B i qdot: sign fixed by consistency with the loop
         # functional, whose magnetic circulation term satisfies
         # d/ds \oint (q+s xi)^*A = <-B i qdot, xi>
-        b = cfg.magnetic.field_at(q)
-        acc = acc + (float(b) if scalar else b) * 1j * v
+        acc = acc + cfg.magnetic.field_at(q) * 1j * v
     if not cfg.electric.is_zero:
-        g = cfg.electric.grad(t, q)
-        acc = acc - (complex(g) if scalar else g)
+        acc = acc - cfg.electric.grad(t, q)
     return acc
 
 

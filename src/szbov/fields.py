@@ -3,8 +3,13 @@
 
 All evaluators are vectorized over numpy arrays: the magnetic field and gauge
 take a complex position array, the electric evaluators take matching time and
-position arrays.  Custom evaluators must follow the same convention and be
-pure; they are trusted but can be checked with :func:`validate`.
+position arrays.  The integrator evaluates the field strength and the
+electric gradient at one point at a time: ``field_at`` and ``grad`` hand such
+a point to the evaluator as Python numbers and return a Python number, and
+the ``constant`` and ``uniform_oscillating`` presets compute it on numbers.
+Custom evaluators must follow the same convention (numpy's ufuncs take
+numbers as they take arrays) and be pure; they are trusted but can be
+checked with :func:`validate`.
 
 The exact Hessian of the action (``action.second_variation_matrix``) needs
 the second derivatives of the gauge and of the electric potential at the
@@ -67,6 +72,8 @@ class MagneticSpec:
         return self.kind == "zero"
 
     def field_at(self, q):
+        if isinstance(q, _NUMBER):
+            return float(self.field_fn(complex(q)))
         return np.asarray(self.field_fn(np.asarray(q, dtype=complex)), dtype=float)
 
     def gauge_at(self, q):
@@ -118,6 +125,8 @@ class ElectricSpec:
         return np.asarray(self.e_fn(np.asarray(t, dtype=float), np.asarray(q, dtype=complex)), dtype=float)
 
     def grad(self, t, q):
+        if isinstance(q, _NUMBER) and isinstance(t, _NUMBER):
+            return complex(self.grad_fn(float(t), complex(q)))
         return np.asarray(self.grad_fn(np.asarray(t, dtype=float), np.asarray(q, dtype=complex)), dtype=complex)
 
     def dot(self, t, q):
@@ -162,6 +171,16 @@ class FieldConfig:
             raise FieldConfigError("mu must lie in [0, 1]")
 
 
+# A Python number, as the integrator passes one point at a time.
+_NUMBER = (complex, float, int)
+
+
+def _ones(q):
+    """1 at each point of q: an array of ones shaped like q, or the number
+    1.0 at a Python number, so that a preset keeps a number a number."""
+    return 1.0 if isinstance(q, _NUMBER) else np.ones(np.shape(q))
+
+
 def _zero_gauge_hess(q):
     """The gauge of the zero and the constant field is linear in q."""
     zero = np.zeros(np.shape(q), dtype=complex)
@@ -198,7 +217,7 @@ def magnetic_preset(kind: str, **params) -> MagneticSpec:
         # symmetric gauge A = (-b q2/2, b q1/2), i.e. Ac = (i b / 2) q
         return MagneticSpec(
             kind="constant",
-            field_fn=lambda q: np.full(np.shape(q), b, dtype=float),
+            field_fn=lambda q: b * _ones(q),
             gauge_fn=lambda q: 0.5j * b * q,
             gauge_jac_fn=lambda q: (
                 np.full(np.shape(q), 0.5j * b, dtype=complex),
@@ -232,12 +251,14 @@ def electric_preset(kind: str, **params) -> ElectricSpec:
         eps = _require(params, "epsilon", kind)
         d = _require_point(params.pop("d", 1.0), f"{kind} d", FieldConfigError)
         _reject_rest(params, kind)
-        # E(t, q) = eps cos(2 pi t) <d, q>
+        # E(t, q) = eps cos(2 pi t) <d, q>.  The gradient puts d first: at a
+        # Python number t, d times numpy's float64 is a Python complex, while
+        # the other order makes a numpy complex, some 20x slower
         proj = lambda q: np.real(np.conj(d) * q)
         return ElectricSpec(
             kind="uniform_oscillating",
             e_fn=lambda t, q: eps * np.cos(2 * np.pi * t) * proj(q),
-            grad_fn=lambda t, q: eps * np.cos(2 * np.pi * t) * d * np.ones(np.shape(q)),
+            grad_fn=lambda t, q: d * (eps * np.cos(2 * np.pi * t)) * _ones(q),
             dot_fn=lambda t, q: -2 * np.pi * eps * np.sin(2 * np.pi * t) * proj(q),
             hess_fn=lambda t, q: (
                 -4 * np.pi**2 * eps * np.cos(2 * np.pi * t) * proj(q),

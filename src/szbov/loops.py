@@ -28,6 +28,7 @@ keep that cubic monotone; most points then converge in one Newton step.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -621,6 +622,18 @@ def _require_point(value, name: str, error: type = LoopError) -> complex:
     return complex(_require_real(value, name, error))
 
 
+def _require_points(values, name: str, error: type = LoopError) -> np.ndarray:
+    """A list of points, each read as ``_require_point`` reads it, into a
+    complex array.  A list of [re, im] pairs of JSON numbers, as a loop
+    object's and a record's samples are written, has its element types
+    checked in bulk; any other list is read point by point, so that a bad
+    point is rejected and named as before."""
+    if set(map(type, values)) == {list} and set(map(len, values)) == {2}:
+        if set(map(type, itertools.chain.from_iterable(values))) <= {float, int}:
+            return np.array(values, dtype=float).view(complex)[:, 0]
+    return np.array([_require_point(p, name, error) for p in values])
+
+
 # JSON has no number for a NaN or an infinity: a record holds its text, keyed
 # here by the float's repr, as cli.dumps_canonical writes it.
 _NONFINITE_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -636,7 +649,7 @@ def _require_diagnostic(value, name: str) -> float:
 def loop_from_dict(data: dict) -> DiscreteLoop:
     try:
         n, twisted = data["n"], data["twisted"]
-        samples = np.array([_require_point(p, "loop object: a sample") for p in data["samples"]])
+        samples = _require_points(data["samples"], "loop object: a sample")
     except (KeyError, TypeError) as exc:
         raise LoopError(f"malformed loop object: {exc}") from exc
     _require_bool(twisted, "loop object: 'twisted'")

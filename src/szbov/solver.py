@@ -12,12 +12,13 @@ acceleration the bench's `euler` solve does not converge in 200 iterations.
 A trial point's residual builds the point's node object (``action._Nodes``)
 once; its gradient reads it, and so does the next Jacobian once the point is
 accepted.  The last accepted point's object goes on to the member
-selection's first Hessian and, where no member moves, to the record.  A point with a sample within _MIN_ABS_Z of 0, a non-finite
-sample, or a vanishing mean conformal weight gets no residual.  The time map
-is inverted only for the record, and by the member selection when it moves;
-the seed's winding is read at the seed's own nodes.  The settings are module
-constants; ``SolveOptions`` holds only the grid, the tolerance and the
-iteration cap.
+selection's first Hessian and, where no member moves, to the record.  A
+point with a sample within _MIN_ABS_Z of 0, a non-finite sample, or a
+vanishing mean conformal weight gets no residual.  A solve inverts no time
+map unless the member selection moves: the record's q is built when it is
+first read, and the windings of the seed and of the record are read at their
+loops' own nodes.  The settings are module constants; ``SolveOptions`` holds
+only the grid, the tolerance and the iteration cap.
 
 The converged loop then goes to ``selection.select_member``, which returns
 the member of its family of critical points that the record holds, with the
@@ -55,6 +56,7 @@ from .loops import (
     _require_diagnostic,
     _require_int,
     _require_point,
+    _require_points,
     _require_real,
 )
 from .selection import select_member, spectrum
@@ -108,16 +110,41 @@ class SolveOptions:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, not {value!r}")
+        # a record builds its q only when it is read, so a grid too small for
+        # a PhysicalLoop is refused here, not at that read
+        if self.m < 16:
+            raise ValueError(f"m must be at least 16, not {self.m!r}")
+
+
+class _Reconstruction:
+    """The record's q: the physical loop it was given, or else
+    ``reconstruct(z, m)``, built on the first read and kept.  As the field's
+    default it reads None, which stands for "not given"."""
+
+    def __get__(self, rec, owner=None):
+        if rec is None:
+            return None
+        q = rec.__dict__["q"]
+        if q is None:
+            q = rec.__dict__["q"] = reconstruct(rec.z, rec.m)
+        return q
+
+    def __set__(self, rec, q):
+        rec.__dict__["q"] = q
 
 
 @dataclass(frozen=True)
 class OrbitRecord:
-    """A converged critical point with its reconstruction and diagnostics,
-    as the solve measured them.  C is derived from the breakdown, and the
-    winding (None where it is undefined) from q, once per record."""
+    """A converged critical point with its diagnostics, as the solve
+    measured them.  C is derived from the breakdown, and the winding (None
+    where it is undefined) from B(z) at z's own nodes, once per record.
+
+    q, the physical loop at m uniform times, is a view of z: a record given
+    no q builds ``reconstruct(z, m)`` the first time q is read, so a solve
+    whose q nobody reads inverts no time map.  A record given its q (as one
+    read from a file is) keeps it, and takes its m from it."""
 
     z: DiscreteLoop
-    q: PhysicalLoop
     breakdown: "_action.ActionBreakdown"
     grad_norm: float
     delay_sup: float
@@ -128,6 +155,15 @@ class OrbitRecord:
     morse_index: Optional[int] = None
     nullity: Optional[int] = None
     gap: Optional[float] = None
+    q: PhysicalLoop = _Reconstruction()
+    m: Optional[int] = None
+
+    def __post_init__(self):
+        q = self.__dict__["q"]
+        if q is not None:
+            object.__setattr__(self, "m", q.m)
+        elif self.m is None:
+            raise ValueError("a record needs its q, or the m to reconstruct it at")
 
     @property
     def action(self) -> float:
@@ -139,7 +175,7 @@ class OrbitRecord:
 
     @cached_property
     def winding(self) -> Optional[WindingReport]:
-        return _safe_winding(self.q.samples)
+        return _safe_winding(self.z.samples)
 
     @property
     def twisted(self) -> bool:
@@ -182,7 +218,8 @@ class OrbitRecord:
 
 def record_from_dict(data: dict) -> OrbitRecord:
     """The OrbitRecord as it was written: the breakdown is the components
-    block's, not recomputed.  The keys that restate another value (twisted,
+    block's, not recomputed, and q is the stored samples, not rebuilt from z
+    (``reconstruct`` would differ from them in the last bits).  The keys that restate another value (twisted,
     mu, action, C, winding, collision_times) are not read back, but a
     contradicting twisted is rejected.  A malformed record raises LoopError."""
     if not isinstance(data, dict):
@@ -196,7 +233,7 @@ def record_from_dict(data: dict) -> OrbitRecord:
         diag = data["diagnostics"]
         return OrbitRecord(
             z=z,
-            q=PhysicalLoop(samples=np.array([_require_point(p, "record: a q sample") for p in data["q"]["samples"]])),
+            q=PhysicalLoop(samples=_require_points(data["q"]["samples"], "record: a q sample")),
             breakdown=_components_from_dict(diag["components"], cfg.mu),
             grad_norm=_require_diagnostic(diag["grad_norm"], "record: 'grad_norm'"),
             delay_sup=_require_diagnostic(diag["delay_sup"], "record: 'delay_sup'"),
@@ -369,9 +406,7 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
     residual = _residual_factory(cfg, twisted, n)
     r, nodes = residual(x)
     gn = float(np.linalg.norm(r))
-    # winding does not depend on the parametrization: the physical loop at
-    # the seed's own nodes needs no time map
-    seed_winding = _safe_winding(birkhoff_map(seed.samples))
+    seed_winding = _safe_winding(seed.samples)
 
     lam = _LAM0
     iterations = 0
@@ -437,10 +472,12 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
     return _finalize(nodes, opts, gn, iterations + steps, seed_winding, evals)
 
 
-def _safe_winding(q: np.ndarray) -> Optional[WindingReport]:
-    """The winding of the physical samples q, or None where it is undefined."""
+def _safe_winding(z: np.ndarray) -> Optional[WindingReport]:
+    """The winding of the physical loop through B(z) at the samples z, or
+    None where it is undefined.  The winding does not depend on the
+    parametrization, so z's own nodes need no time map."""
     try:
-        return winding_report(q, clearance=EPS_COLLISION)
+        return winding_report(birkhoff_map(z), clearance=EPS_COLLISION)
     except WindingError:
         return None
 
@@ -448,13 +485,14 @@ def _safe_winding(q: np.ndarray) -> Optional[WindingReport]:
 def _finalize(nodes, opts, gn, iterations, seed_winding, evals) -> OrbitRecord:
     """The record of the selected member, read from its node object: the
     breakdown, the delay residual's sup (``action._delay_residual``) and the
-    energy defect's (``dynamics._node_defect``)."""
-    loop = DiscreteLoop(nodes.z, twisted=nodes.twisted)
+    energy defect's (``dynamics._node_defect``).  Its q is built at
+    ``opts.m`` only when first read, and its winding, compared here with the
+    seed's, is read at z's nodes: nothing here inverts a time map."""
     breakdown = nodes.breakdown()
     morse_index, nullity, gap = spectrum(evals)
     rec = OrbitRecord(
-        z=loop,
-        q=reconstruct(loop, opts.m),
+        z=DiscreteLoop(nodes.z, twisted=nodes.twisted),
+        m=opts.m,
         breakdown=breakdown,
         grad_norm=gn,
         delay_sup=_action._delay_residual(nodes).sup_relative,

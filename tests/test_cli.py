@@ -280,12 +280,13 @@ class TestExitCodes:
             (lambda d: d["diagnostics"]["components"].update(H1=False), "'H1' must be a number"),
             (lambda d: d["diagnostics"]["components"].update(E="0"), "'E' must be a number"),
             (lambda d: d["q"]["samples"][3].__setitem__(0, True), "a q sample must be a number"),
+            (lambda d: d["q"]["samples"][200].__setitem__(1, True), "a q sample must be a number"),
             (lambda d: d["q"]["samples"].__setitem__(3, [1.0, 0.0, 0.0]), "an [re, im] pair"),
             (lambda d: d["z"]["samples"][0].__setitem__(1, True), "a sample must be a number"),
             (lambda d: d["z"]["samples"][0].__setitem__(1, "0.5"), "a sample must be a number"),
         ],
         ids=["bool_grad_norm", "text_phi_sup", "null_delay_sup", "misspelt_infinity", "bool_component",
-             "text_component", "bool_q_sample", "q_triple", "bool_z_sample", "text_z_sample"],
+             "text_component", "bool_q_sample", "bool_deep_q_sample", "q_triple", "bool_z_sample", "text_z_sample"],
     )
     def test_record_number_read_as_given(self, orbit_path, tmp_path, capsys, edit, message):
         # true is not read as 1, nor "3e-11" as a number: only the NaN and

@@ -299,8 +299,10 @@ class TestVerifyGeneralized:
     def test_reads_the_loop_at_its_own_nodes(self, monkeypatch, seed, cfg):
         # verify and the source half of phi_profile take the node times,
         # positions and velocities of z itself: no time map is built,
-        # evaluated or inverted
+        # evaluated or inverted.  The record's q is built on its first read,
+        # which is made before the count starts
         rec = solve(seed, cfg, SolveOptions(n=64, m=256))
+        assert rec.q.m == 256
         calls = []
 
         def counted(name, fn):

@@ -26,6 +26,21 @@ class TestPresets:
         q = np.array([0.3 + 0.1j, -1.5 + 0j])
         np.testing.assert_allclose(cfg.magnetic.field_at(q), 2.0)
 
+    @pytest.mark.parametrize("cfg", [
+        preset("constant", mu=0.5, b=0.7),
+        preset("uniform_oscillating", mu=0.5, epsilon=0.05, d=0.6 + 0.8j),
+        preset("rotating_charge", mu=0.4, mu_s=0.2, r_s=3.0),
+    ], ids=["constant", "uniform_oscillating", "rotating_charge"])
+    def test_a_point_stays_a_python_number(self, cfg):
+        # the integrator's one-point evaluations return Python numbers, the
+        # same bits as the arrays give
+        for t, q in ((0.0, 0.3 + 0.7j), (0.37, -1.6 - 0.2j), (0.81, 2.5 + 1.1j)):
+            b = cfg.magnetic.field_at(q)
+            g = cfg.electric.grad(t, q)
+            assert type(b) is float and type(g) is complex
+            assert b == cfg.magnetic.field_at(np.array([q]))[0]
+            assert g == cfg.electric.grad(np.array([t]), np.array([q]))[0]
+
     def test_oscillating_field_breaks_autonomy(self):
         cfg = preset("uniform_oscillating", mu=0.5, epsilon=0.1)
         assert not cfg.electric.is_zero

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import random_smooth_loop
 from szbov import (
+    EPS_COLLISION,
     DegenerateLoopError,
     DiscreteLoop,
     FieldConfig,
@@ -36,6 +37,7 @@ from szbov import (
     solve,
     unpack,
     winding_report,
+    WindingError,
 )
 import szbov.solver
 from szbov.cli import dumps_canonical
@@ -244,6 +246,12 @@ class TestSolve:
         # check g_tol=True solves at tolerance 1 and max_iter=True runs once
         with pytest.raises(ValueError, match=f"{name} must be"):
             SolveOptions(**{"n": 64, "m": 256, name: True})
+
+    def test_a_physical_grid_too_small_for_q_is_rejected(self):
+        # q is built only when read: a record it could never be built for is
+        # refused with the options
+        with pytest.raises(ValueError, match="m must be at least 16"):
+            SolveOptions(n=64, m=8)
 
     def test_seed_grid_must_match_the_options(self):
         with pytest.raises(ValueError, match="n=64.*n=128"):
@@ -461,8 +469,8 @@ def test_archive_reads_back_as_it_was_written(path, monkeypatch):
 
 
 def test_loaded_record_derives_its_C_and_winding():
-    # C is the breakdown's and the winding is q's, so a record given a new q
-    # has the new q's winding
+    # C is the breakdown's and the winding is z's, read at z's nodes, so a
+    # record given a new q keeps its own winding
     kepler, circle = (
         record_from_dict(json.loads((ARCHIVES / f"{name}.json").read_text())) for name in ("kepler", "unit_circle")
     )
@@ -471,7 +479,21 @@ def test_loaded_record_derives_its_C_and_winding():
     assert fine.winding == winding_report(fine.q.samples) == kepler.winding
     # unit_circle's samples hit the centers, where the winding is undefined
     assert circle.winding is None
-    assert replace(circle, q=kepler.q).winding == kepler.winding
+    assert replace(circle, q=kepler.q).winding is None
+
+
+@pytest.mark.parametrize("path", sorted(ARCHIVES.glob("*.json")), ids=lambda p: p.stem)
+def test_archive_winding_at_the_nodes_is_its_qs(path):
+    # the winding is read from B(z) at z's nodes; on every archive it is the
+    # winding of the stored q samples, undefined on unit_circle's, which hit
+    # the centers
+    rec = record_from_dict(json.loads(path.read_text()))
+    try:
+        expected = winding_report(rec.q.samples, clearance=EPS_COLLISION)
+    except WindingError:
+        expected = None
+    assert rec.winding == expected
+    assert (expected is None) == (path.stem == "unit_circle")
 
 
 def _custom_magnetic(b=1.5):
@@ -640,6 +662,39 @@ class TestContinuation:
         np.testing.assert_array_equal(seeds[0], fam[0].z.samples)
         for k in (1, 2):
             np.testing.assert_array_equal(seeds[k], 2.0 * fam[k].z.samples - fam[k - 1].z.samples)
+
+    def test_members_invert_no_time_map(self, monkeypatch):
+        # a member's q is built only when it is read, and its winding is read
+        # at its nodes: a family whose q nobody reads builds, evaluates and
+        # inverts no time map
+        rec = solve(seed_ejection(-1, 64), KEPLER, OPTS)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(szbov.loops, "time_map", counted("time_map", szbov.loops.time_map))
+        for name in ("t", "inverse"):
+            monkeypatch.setattr(TimeMap, name, counted(name, getattr(TimeMap, name)))
+        fam = continue_family(rec, [preset("zero", mu=m) for m in (0.01, 0.02)], OPTS)
+        assert len(fam) == 3
+        assert calls == []
+
+    def test_q_is_built_on_its_first_read(self):
+        # bit-equal to the reconstruction at the options' m, and kept
+        rec = solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, OPTS)
+        assert rec.m == OPTS.m
+        q = rec.q
+        assert q.samples.tobytes() == reconstruct(rec.z, OPTS.m).samples.tobytes()
+        assert rec.q is q
+        # a record given its q keeps it and takes its m from it
+        fine = replace(rec, q=reconstruct(rec.z, 1024))
+        assert fine.m == fine.q.m == 1024
+        with pytest.raises(ValueError, match="needs its q"):
+            replace(rec, q=None, m=None)
 
     def test_failure_on_first_step_raises(self):
         rec = solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, OPTS)
