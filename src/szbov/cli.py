@@ -100,6 +100,8 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if all(isinstance(v, float) for v in obj):
+            return "[" + ", ".join(map(_fmt_float, obj)) + "]"
         flat = all(isinstance(v, (int, float, bool)) or v is None for v in obj)
         if flat:
             return "[" + ", ".join(dumps_canonical(v) for v in obj) + "]"

@@ -104,25 +104,31 @@ def winding(samples, center, clearance: float = 1e-8) -> int:
     stay below pi, otherwise the winding number is not determined by the
     samples.
     """
-    rel = _as_complex(samples) - complex(center)
-    if rel.ndim != 1 or len(rel) < 3:
-        raise WindingError("need at least 3 loop samples")
-    if np.min(np.abs(rel)) <= clearance:
-        raise WindingError("winding undefined: loop touches center")
-    ratio = np.roll(rel, -1) / rel
-    inc = np.angle(ratio)
-    if np.max(np.abs(inc)) >= np.pi * (1.0 - 1e-12):
-        raise WindingError("undersampled loop")
-    total = np.sum(inc) / (2.0 * np.pi)
-    n = int(round(total))
-    if abs(total - n) > 1e-6:
-        raise WindingError("angle increments do not close up to a full turn")
-    return n
+    return int(_windings(samples, [complex(center)], clearance)[0])
 
 
 def winding_report(samples, clearance: float = 1e-8) -> WindingReport:
-    """Winding numbers about both centers -1 and +1."""
-    return WindingReport(
-        around_minus_one=winding(samples, -1.0, clearance),
-        around_plus_one=winding(samples, +1.0, clearance),
-    )
+    """Winding numbers about both centers -1 and +1, in one pass over the
+    samples; raises WindingError where either is undefined."""
+    minus, plus = _windings(samples, [-1.0, 1.0], clearance)
+    return WindingReport(around_minus_one=int(minus), around_plus_one=int(plus))
+
+
+def _windings(samples, centers, clearance: float) -> np.ndarray:
+    """``winding`` about each of the centers, as one (centers, samples)
+    array: WindingError if the rule fails about any of them."""
+    z = _as_complex(samples)
+    if z.ndim != 1 or len(z) < 3:
+        raise WindingError("need at least 3 loop samples")
+    rel = z - np.array(centers)[:, None]
+    if np.min(np.abs(rel)) <= clearance:
+        raise WindingError("winding undefined: loop touches center")
+    ahead = np.concatenate([rel[:, 1:], rel[:, :1]], axis=1)  # the next sample, wrapping
+    inc = np.angle(ahead / rel)
+    if np.max(np.abs(inc)) >= np.pi * (1.0 - 1e-12):
+        raise WindingError("undersampled loop")
+    total = np.sum(inc, axis=1) / (2.0 * np.pi)
+    n = np.round(total)
+    if np.max(np.abs(total - n)) > 1e-6:
+        raise WindingError("angle increments do not close up to a full turn")
+    return n

@@ -157,6 +157,15 @@ class TestPipeline:
         assert np.signbit(record.breakdown.E1)
         assert cli.dumps_canonical(record.to_dict()) == text
 
+    def test_a_list_of_floats_is_written_as_its_items(self):
+        # a list of floats alone is formatted without the per-item dispatch:
+        # its text is its items' own, as in a list that mixes in an int
+        items = [0.1, -0.0, 1e300, float("nan"), float("-inf"), np.float64(2.5)]
+        text = cli.dumps_canonical(items)
+        assert text == "[" + ", ".join(cli.dumps_canonical(v) for v in items) + "]"
+        assert text == '[0.10000000000000001, -0.0, 1.0000000000000001e+300, "NaN", "-Infinity", 2.5]'
+        assert cli.dumps_canonical([*items, 3]) == text[:-1] + ", 3]"
+
     def test_solve_is_deterministic(self, orbit_path, tmp_path):
         cfg = write_config(tmp_path, {"fields": {"mu": 0.0}, "grid": {"n": 64, "m": 256}})
         out2 = tmp_path / "orbit2.json"

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +12,13 @@ from szbov import (
     birkhoff_map,
     conformal_weight,
     involution,
+    loop_from_dict,
     winding,
     winding_report,
 )
+from szbov.loops import EPS_COLLISION
+
+ARCHIVES = Path(__file__).resolve().parents[1] / "perfbench" / "archives"
 
 
 def circle(center, radius, n=256):
@@ -90,6 +97,59 @@ class TestWinding:
     def test_center_on_curve_rejected(self):
         with pytest.raises(WindingError):
             winding(circle(0.0, 1.0), 1.0, clearance=1e-2)
+
+
+def assert_report_is_per_center(q, clearance):
+    """winding_report against the two one-center windings, about -1 and +1;
+    returns those, or None where either raises."""
+    try:
+        expected = winding(q, -1.0, clearance), winding(q, 1.0, clearance)
+    except WindingError:
+        expected = None
+    if expected is None:
+        with pytest.raises(WindingError):
+            winding_report(q, clearance)
+    else:
+        rep = winding_report(q, clearance)
+        assert (rep.around_minus_one, rep.around_plus_one) == expected
+    return expected
+
+
+class TestWindingReport:
+    # both centers in one pass: the same numbers as the two one-center
+    # calls wherever both are defined, and WindingError wherever either is not
+
+    @pytest.mark.parametrize("path", sorted(ARCHIVES.glob("*.json")), ids=lambda p: p.stem)
+    def test_archive_equals_the_per_center_windings(self, path):
+        z = loop_from_dict(json.loads(path.read_text())["z"])
+        assert_report_is_per_center(birkhoff_map(z.samples), EPS_COLLISION)
+
+    def test_random_loops_equal_the_per_center_windings(self):
+        rng = np.random.default_rng(7)
+        outcomes = set()
+        for _ in range(300):
+            n = int(rng.integers(3, 48))
+            tau = np.arange(n) / n
+            k = np.arange(-3, 4)
+            coef = rng.uniform(0.2, 1.5) * (rng.normal(size=7) + 1j * rng.normal(size=7)) / 3
+            q = rng.uniform(-1.5, 1.5) + np.exp(2j * np.pi * np.outer(tau, k)) @ coef
+            # a clearance of 0.1: loops that pass near a center are undefined
+            expected = assert_report_is_per_center(q, 0.1)
+            outcomes.add(None if expected is None else expected != (0, 0))
+        # defined with and without winding, and undefined, all occur
+        assert outcomes == {None, True, False}
+
+    @pytest.mark.parametrize("touched", [-1.0, 1.0])
+    def test_touching_one_center_raises(self, touched):
+        # a circle through one center, clear of the other, whose winding
+        # about the other is defined
+        q = touched * (1.5 - circle(0.0, 0.5))
+        assert q[0] == touched
+        assert winding(q, -touched) == 0
+        with pytest.raises(WindingError):
+            winding(q, touched)
+        with pytest.raises(WindingError):
+            winding_report(q)
 
 
 class TestInvolution:

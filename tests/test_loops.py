@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from szbov.loops import (
     _DENSE_DERIVATIVE_MAX_N,
     TimeMap,
     _fourier_sum,
+    _phases,
     _spectral_derivative,
     _trig_eval,
     derivative_matrix,
@@ -128,7 +130,7 @@ class TestSpectralCalculus:
         np.testing.assert_allclose(eval_loop(loop, probe), expected, rtol=1e-12)
 
     @pytest.mark.parametrize("period", [1.0, 2.0])
-    @pytest.mark.parametrize("n", [16, 48, 100, 1024])
+    @pytest.mark.parametrize("n", [16, 48, 100, 1024, 2048])
     def test_trig_eval_matches_direct_sum(self, n, period):
         rng = np.random.default_rng(n)
         samples = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -146,6 +148,43 @@ class TestSpectralCalculus:
         for row, coef in zip(sums, [c, other]):
             error = np.max(np.abs(row - direct_phases(n, x / period) @ coef))
             assert error <= 1e-13 * np.sum(np.abs(coef))
+
+    @pytest.mark.parametrize(
+        "scale, start, count",
+        [
+            (1, 0, 1),
+            (1, -1, 2),
+            (1, -3, 7),
+            (1, 3, 7),
+            (1, -40, 7),
+            (1, -8, 16),
+            (1, -16, 33),
+            (1, -29, 33),
+            (1, 5, 33),
+            (1, -100, 33),
+            # the giant steps at n = 2048, k = 64 a for |a| <= 16
+            (64, -16, 33),
+        ],
+    )
+    def test_phases_match_an_exactly_reduced_phase(self, scale, start, count):
+        # row j is exp(2 pi i k x) with k = scale (start + j), on x scaled
+        # exactly (scale is a power of two); the reference reduces k x to
+        # [-1/2, 1/2) in rational arithmetic before its cos and sin, so its
+        # own error is a few eps, and the table's error must stay at the level
+        # of the rounding of its argument 2 pi k x
+        rng = np.random.default_rng(count)
+        x = np.concatenate([[-0.5, 0.0, 0.5], rng.uniform(-0.5, 0.5, 40), rng.uniform(-1e-3, 1e-3, 8)])
+        table = _phases(scale * x, start, count)
+        assert table.shape == (count, len(x))
+        assert _phases(np.empty(0), start, count).shape == (count, 0)
+        eps = np.finfo(float).eps
+        half = Fraction(1, 2)
+        for j, row in enumerate(table):
+            k = scale * (start + j)
+            turns = np.array([float((Fraction(v) * k + half) % 1 - half) for v in x])
+            ref = np.cos(2 * np.pi * turns) + 1j * np.sin(2 * np.pi * turns)
+            bound = 8 * eps * (1 + 2 * np.pi * np.abs(k * x))
+            assert np.all(np.abs(row - ref) <= bound), k
 
     @pytest.mark.parametrize("period", [1.0, 2.0])
     @pytest.mark.parametrize("n", [16, 64])

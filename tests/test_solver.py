@@ -258,10 +258,11 @@ class TestSolve:
             solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, SolveOptions(n=128, m=256))
 
     def test_time_map_is_inverted_outside_the_iteration_only(self, monkeypatch):
-        # the record's reconstruction only: the seed's winding is read at its
-        # own nodes, no residual inverts the time map, and a solve that moves
-        # no member along its family reconstructs no seed for the anchor
-        # measure
+        # the solve inverts no time map: the seed's and the record's windings
+        # are read at their own nodes, no residual inverts the time map, a
+        # solve that moves no member along its family reconstructs no seed for
+        # the anchor measure, and the record's q is left to its first read,
+        # which reconstructs it once
         seed = seed_kepler_guess(-1, 0.3, 64)
         calls = []
         inverse = TimeMap.inverse
@@ -273,7 +274,9 @@ class TestSolve:
         monkeypatch.setattr(TimeMap, "inverse", counted)
         rec = solve(seed, EULER, OPTS)
         assert rec.iterations > 10
-        assert len(calls) <= 1
+        assert calls == []
+        assert rec.q.m == OPTS.m
+        assert calls == [OPTS.m]
 
     def test_iterations_count_jacobian_assemblies(self, monkeypatch):
         # not the passes of the loop, which end with one more convergence
