@@ -12,13 +12,18 @@ cover) which is what gets differentiated and interpolated.
 
 Off the nodes, every Fourier sum (the interpolant in ``eval_loop`` and
 ``lift``, the time map t(tau) and its derivative) is evaluated by one
-baby-step/giant-step routine, ``_fourier_sum``: two small tables of phases,
-of about sqrt(N) rows each, and one matrix product, instead of an M x N
-phase matrix.  Each table takes cos and sin of its power-of-two step rows
-alone and fills the others by complex products (``_phases``), so that M
-points cost about log2(N) M cos/sin pairs and 2 sqrt(N) M products.
-Several coefficient rows at the same points share the tables: the time map
-sums t and its slope t' in one pass.
+baby-step/giant-step routine, ``_fourier_sum``, over the modes k >= 0 only:
+two small tables of phases, of about sqrt(N) and sqrt(N)/2 rows, and one
+matrix product, instead of an M x N phase matrix.  A complex row's negative
+modes are the conjugate of a second k > 0 row; a real row, such as t and
+t', needs no second row.  Each table takes cos and sin of its power-of-two
+step rows alone and fills the others by complex products (``_phases``), so
+that M points cost about log2(N) M cos/sin pairs and 1.5 sqrt(N) M
+products.  Several coefficient rows at the same points share the tables:
+the time map sums t and its slope t' in one pass.  The time map's node
+values come from the same coefficients by one inverse FFT, so the dense
+``integration_matrix`` is left to the action's node object and Hessian and
+to the solver's anchor measure.
 
 The inverse time map tau(t), which every physical loop q(t) = B(z(tau(t)))
 needs, is a safeguarded Newton iteration that costs one such pass per step.
@@ -164,87 +169,91 @@ def _fft_derivative(samples: np.ndarray, period: float, order: int = 1) -> np.nd
     return np.fft.ifft(np.fft.fft(samples) * sym)
 
 
-def _fourier_sum(c: np.ndarray, x) -> np.ndarray:
+def _fourier_sum(c: np.ndarray, x, real: bool = False) -> np.ndarray:
     """sum_k c_k exp(2 pi i k x) over the modes of ``np.fft.fftfreq(n, 1/n)``,
     for coefficients c in that order, with the Nyquist mode k = -n/2 taken as
     cos(pi n x) (the symmetric convention).
 
     c is one row of n coefficients or a stack of p rows shaped (p, n), and the
     result is shaped (m,) or (p, m) to match: the phase tables depend on x
-    alone, so every row is summed from the same two tables.
+    alone, so every row is summed from the same two tables.  With ``real``,
+    each row is the spectrum of real samples, c_-k = conj(c_k), given as
+    ``np.fft.rfft`` gives it, the n/2 + 1 coefficients c_0 ... c_n/2, and
+    the result is the real sum.
 
-    Baby-step/giant-step: with B a power of two near sqrt(n), each mode but
-    the Nyquist one is k = a*B + b with -B/2 <= b < B/2.  The coefficients,
+    Every row is summed over the modes k >= 0 only.  A complex row is the
+    k >= 0 sum of c_k plus the conjugate of the k > 0 sum of conj(c_-k), the
+    two summed as two stacked rows.  A real row is 2 Re of the k >= 0 sum
+    with c_0 halved: one row, so half the matmul and the giant-step
+    products of a complex row.
+
+    Baby-step/giant-step: with B a power of two near sqrt(n), each mode
+    0 <= k < n/2 is k = a*B + b with 0 <= b < B.  The coefficients,
     zero-padded into a table with one row per a and one column per b, are
     multiplied by the B x m baby-step phases exp(2 pi i b x) in one matmul;
     the product, times the giant-step phases exp(2 pi i a B x) entry by
     entry, is summed over a.  Both tables come from ``_phases``, which takes
-    cos and sin of about log2(B) + 1 rows per table and fills the rest by
-    complex products: with the Nyquist cosine, each point costs about
-    log2(n) + 3 cos/sin pairs and 2 sqrt(n) products (13 and 65 at n = 1024)
-    instead of 2 sqrt(n) pairs.  The steps are centred on k = 0, and each
-    table is built outward from it, so that the low modes, which carry the
-    largest coefficients of a smooth loop, keep phase errors of size |k|
-    and with them the round-off of a direct sum; x is shifted by an integer
-    to |x| <= 1/2 for the same reason (the shift is exact, and so is the
-    giant steps' scaling B x, B a power of two).
+    cos and sin of about log2 of its row count and fills the rest by complex
+    products: with the Nyquist cosine, each point costs about log2(n)
+    cos/sin pairs and 1.5 sqrt(n) table products (10 and 48 at n = 1024).
+    Each table is built outward from k = 0, so that the low modes, which
+    carry the largest coefficients of a smooth loop, keep phase errors of
+    size |k| and with them the round-off of a direct sum; x is shifted by an
+    integer to |x| <= 1/2 for the same reason (the shift is exact, and so is
+    the giant steps' scaling B x, B a power of two).
     """
     c = np.asarray(c)
     stack = np.atleast_2d(c)
-    p, n = stack.shape
+    p, width = stack.shape
+    n = 2 * (width - 1) if real else width
     half = n // 2
     baby = 1 << (n.bit_length() // 2)
-    first = (baby // 2 - half) // baby
-    rows = (half - 1 + baby // 2) // baby - first + 1
-    zero = baby // 2 - first * baby  # table slot of k = 0
-    table = np.zeros((p, rows * baby), dtype=complex)
-    table[:, zero : zero + half] = stack[:, :half]
-    table[:, zero - half + 1 : zero] = stack[:, half + 1 :]
+    rows = -(-half // baby)
+    if real:
+        table = np.zeros((p, rows * baby), dtype=complex)
+        table[:, :half] = 2.0 * stack[:, :half]
+        table[:, 0] = stack[:, 0]
+    else:
+        table = np.zeros((2 * p, rows * baby), dtype=complex)
+        table[:p, :half] = stack[:, :half]
+        np.conjugate(stack[:, :half:-1], out=table[p:, 1:half])
     x = np.atleast_1d(np.asarray(x, dtype=float))
     x = x - np.round(x)
-    baby_phase = _phases(x, -(baby // 2), baby)
-    partial = (table.reshape(p * rows, baby) @ baby_phase).reshape(p, rows, len(x))
-    partial *= _phases(baby * x, first, rows)
-    out = partial.sum(axis=1)
-    out += np.multiply.outer(stack[:, half], np.cos(np.pi * n * x))
+    partial = (table.reshape(-1, baby) @ _phases(x, baby)).reshape(len(table), rows, len(x))
+    partial *= _phases(baby * x, rows)
+    sums = partial.sum(axis=1)
+    nyquist = np.multiply.outer(stack[:, half], np.cos(np.pi * n * x))
+    if real:
+        out = sums.real + nyquist.real
+    else:
+        out = sums[:p] + np.conjugate(sums[p:]) + nyquist
     return out if c.ndim == 2 else out[0]
 
 
-def _phases(x: np.ndarray, start: int, count: int) -> np.ndarray:
-    """The rows exp(2 pi i k x), k = start + j for j < count, as a
-    count x len(x) table.
+def _phases(x: np.ndarray, count: int) -> np.ndarray:
+    """The rows exp(2 pi i k x), k < count, as a count x len(x) table.
 
-    A table from start >= 0 takes cos and sin of its start row and of the
-    power-of-two step rows exp(2 pi i f x), f < count, in one call each
-    (the cos and sin of the real argument: the same values as complex exp,
-    computed faster), and fills the other rows by doubling: rows [f, 2f)
-    are rows [0, f) times the step-f row.  So it costs about log2(count) + 2
-    cos/sin rows and count complex products per point, against count
-    cos/sin pairs.  A table that reaches below k = 0 is built from k = 0
-    up, and its rows below 0 are the conjugates of their mirror images
-    k -> -k.  So each entry is a product of at most
-    log2(max(count, |start|)) + 2 rounded factors whose arguments add up to
-    2 pi k x, and its error stays at eps (1 + 2 pi |k x|), the level of the
-    argument's own rounding.
+    Row 0 is 1; the table takes cos and sin of the power-of-two step rows
+    exp(2 pi i f x), f < count, in one call each (the cos and sin of the
+    real argument: the same values as complex exp, computed faster), and
+    fills the other rows by doubling: rows [f, 2f) are rows [0, f) times the
+    step-f row.  So it costs about log2(count) cos/sin rows and count complex
+    products per point, against count cos/sin pairs.  Each entry is a
+    product of at most log2(count) + 1 rounded factors whose arguments add
+    up to 2 pi k x, and its error stays at eps (1 + 2 pi |k x|), the level
+    of the argument's own rounding.
     """
-    below = max(-start, 0)
-    lo = start + below
-    # the rows from lo to the table's last and to k = below, which the
-    # mirror reads
-    out = np.empty((below + max(start + count, below + 1) - lo, len(x)), dtype=complex)
-    rows = out[below:]  # rows[j] = exp(2 pi i (lo + j) x)
-    steps = [1 << i for i in range((len(rows) - 1).bit_length())]
-    arg = np.array([lo, *steps], dtype=float)[:, None] * (2.0 * np.pi * x)
+    out = np.empty((count, len(x)), dtype=complex)
+    out[0] = 1.0
+    steps = [1 << i for i in range((count - 1).bit_length())]
+    arg = np.array(steps, dtype=float)[:, None] * (2.0 * np.pi * x)
     trig = np.empty(arg.shape, dtype=complex)
     np.cos(arg, out=trig.real)
     np.sin(arg, out=trig.imag)
-    rows[0] = trig[0]
-    for f, step in zip(steps, trig[1:]):
-        end = min(2 * f, len(rows))
-        np.multiply(rows[: end - f], step, out=rows[f:end])
-    if below:
-        np.conjugate(out[2 * below : below : -1], out=out[:below])
-    return out[:count]
+    for f, step in zip(steps, trig):
+        end = min(2 * f, count)
+        np.multiply(out[: end - f], step, out=out[f:end])
+    return out
 
 
 def _trig_eval(samples: np.ndarray, x, period: float = 1.0) -> np.ndarray:
@@ -341,7 +350,10 @@ def integration_matrix(n: int) -> np.ndarray:
     interpolant of f from 0 to j/n.
 
     Linear in the samples, which is what the exact discrete gradient of the
-    time-reparametrized electric term differentiates through.  Mode k of the
+    time-reparametrized electric term differentiates through: the node
+    object ``action._Nodes`` (its times and the electric tail), the electric
+    Hessian and ``selection.anchor_measure`` apply it.  The time map takes
+    the same node values from an FFT of the weights instead.  Mode k of the
     interpolant integrates to (exp(2 pi i k tau) - 1) / (2 pi i k), the mean
     to tau, and the Nyquist cosine to a sine that vanishes at the nodes.  So
     K[j, l] = (j/n + h[(j - l) mod n] - h[(-l) mod n]) / n, with h = n
@@ -369,9 +381,11 @@ class TimeMap:
 
     t(tau) is the normalized antiderivative of the conformal weight along the
     loop.  The Fourier coefficients of the weights and of their antiderivative
-    are computed once per map and kept as one two-row stack (``_spectral``);
-    ``t`` sums the antiderivative row at any tau with ``_fourier_sum`` and,
-    asked for the slope as well, sums both rows from the same phase tables.
+    are computed once per map, by one real FFT, and kept as one two-row stack
+    of the modes k >= 0 (``_spectral``), from which the node values
+    ``t_of_tau`` are taken as well; ``t`` sums the antiderivative row at any
+    tau with ``_fourier_sum`` as a real row and, asked for the slope as well,
+    sums both rows from the same phase tables.
     The continuous inverse is realized by a safeguarded Newton iteration
     inside the node brackets of ``t_of_tau``, one such pass per step, started
     from the cubic Hermite interpolant of tau(t) on each node cell and
@@ -389,17 +403,17 @@ class TimeMap:
 
     @functools.cached_property
     def _spectral(self):
-        """The stack of two coefficient rows: the antiderivative's,
-        c_k / (2 pi i k) with the mean and Nyquist modes zeroed, above the
-        weights' own c_k; and that antiderivative's value at tau = 0."""
+        """The stack of two rows of coefficients of the modes 0 <= k <= n/2,
+        in the order of ``np.fft.rfft``: the antiderivative's, c_k / (2 pi i k)
+        with the mean and Nyquist modes zeroed, above the weights' own c_k;
+        and that antiderivative's value at tau = 0."""
         n = self.n
-        c = np.fft.fft(self.weights) / n
-        k = np.fft.fftfreq(n, d=1.0 / n)
-        coef = np.zeros(n, dtype=complex)
-        nz = k != 0
-        coef[nz] = c[nz] / (2j * np.pi * k[nz])
-        coef[n // 2] = 0.0  # Nyquist handled as a cosine below
-        return np.stack([coef, c]), np.real(np.sum(coef))
+        half = n // 2
+        stack = np.zeros((2, half + 1), dtype=complex)
+        stack[1] = np.fft.rfft(self.weights) / n
+        # the Nyquist mode is handled as a cosine below
+        stack[0, 1:half] = stack[1, 1:half] / (2j * np.pi * np.arange(1, half))
+        return stack, 2.0 * np.sum(stack[0].real)
 
     def t(self, tau, with_slope: bool = False):
         """Continuous evaluation of t(tau); extends by t(tau+1) = t(tau)+1.
@@ -414,7 +428,7 @@ class TimeMap:
         stack, at_zero = self._spectral
         c = stack[1]
         m = self.n // 2
-        sums = np.real(_fourier_sum(stack[: 2 if with_slope else 1], frac))
+        sums = _fourier_sum(stack[: 2 if with_slope else 1], frac, real=True)
         osc = sums[0] - at_zero
         # Nyquist mode interpolated as cos: antiderivative sin(2 pi m tau)/(2 pi m)
         osc += np.real(c[m]) * np.sin(2.0 * np.pi * m * frac) / (2.0 * np.pi * m)
@@ -534,14 +548,25 @@ def zhat(loop: DiscreteLoop) -> float:
 
 def _time_map_from_weights(w: np.ndarray) -> TimeMap:
     """The map whose t(tau) is the normalized antiderivative of the weights
-    w, with its node values made monotone against round-off."""
+    w, with its node values made monotone against round-off.
+
+    The node values come from the map's own coefficients, the ones ``t``
+    sums: at tau = j/n the antiderivative is c_0 j/n + (n ifft(coef))_j -
+    sum(coef), over all modes k of the antiderivative's coefficients coef,
+    since the Nyquist mode's sine vanishes there; ``np.fft.irfft`` takes
+    that sum from the k >= 0 half.  So one FFT of the weights serves the
+    nodes and every later ``t``, and no n x n matrix is formed.
+    """
     n = len(w)
     total = float(np.mean(w))
-    nodes = np.empty(n + 1)
-    nodes[:n] = np.maximum.accumulate(np.clip(integration_matrix(n) @ w / total, 0.0, 1.0))
+    out = TimeMap(zhat=total, t_of_tau=np.empty(n + 1), weights=w)
+    (coef, c), at_zero = out._spectral
+    raw = (c[0].real / n) * np.arange(n) + (n * np.fft.irfft(coef, n) - at_zero)
+    nodes = out.t_of_tau
+    nodes[:n] = np.maximum.accumulate(np.clip(raw / total, 0.0, 1.0))
     nodes[0] = 0.0
     nodes[n] = 1.0
-    return TimeMap(zhat=total, t_of_tau=nodes, weights=w)
+    return out
 
 
 def time_map(loop: DiscreteLoop) -> TimeMap:

@@ -27,6 +27,7 @@ from szbov import (
     zhat,
 )
 from conftest import random_smooth_loop
+from szbov import loops as loops_module
 from szbov.action import _Nodes
 from szbov.loops import (
     _DENSE_DERIVATIVE_MAX_N,
@@ -149,6 +150,33 @@ class TestSpectralCalculus:
             error = np.max(np.abs(row - direct_phases(n, x / period) @ coef))
             assert error <= 1e-13 * np.sum(np.abs(coef))
 
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("n", [16, 64, 1024, 2048])
+    def test_fourier_sum_matches_direct_sum_over_all_modes(self, n, real):
+        # summed over k >= 0 only: a complex row with c_-k far from conj(c_k)
+        # through its two stacked halves, a real row as 2 Re of its k >= 0
+        # half; both with a sizeable Nyquist mode and at x outside [0, 1)
+        rng = np.random.default_rng(n)
+        samples = rng.normal(size=(2, n))
+        if not real:
+            samples = samples + 1j * rng.normal(size=(2, n))
+        c = np.fft.fft(samples) / n
+        assert np.min(np.abs(c[:, n // 2])) > 1e-3 * np.max(np.abs(c))
+        if not real:
+            mirror = np.conj(c[:, -np.arange(n)])  # conj(c_-k) at mode k
+            assert np.max(np.abs(c - mirror)) > 0.5 * np.max(np.abs(c))
+        x = np.concatenate([[-2.5, -1.0, -0.5, 1.0, 1.5], rng.uniform(-3.0, -1e-3, 100), rng.uniform(1.0, 4.0, 100)])
+        # a real row takes the n/2 + 1 coefficients of rfft's order
+        rows = c[:, : n // 2 + 1] if real else c
+        sums = _fourier_sum(rows, x, real=real)
+        assert sums.shape == (2, len(x))
+        assert sums.dtype == (float if real else complex)
+        for row, coef in zip(sums, c):
+            direct = direct_phases(n, x) @ coef
+            expected = direct.real if real else direct
+            assert np.max(np.abs(row - expected)) <= 1e-13 * np.sum(np.abs(coef))
+        np.testing.assert_array_equal(_fourier_sum(rows[1], x, real=real), sums[1])
+
     @pytest.mark.parametrize(
         "scale, start, count",
         [
@@ -167,20 +195,25 @@ class TestSpectralCalculus:
         ],
     )
     def test_phases_match_an_exactly_reduced_phase(self, scale, start, count):
-        # row j is exp(2 pi i k x) with k = scale (start + j), on x scaled
-        # exactly (scale is a power of two); the reference reduces k x to
-        # [-1/2, 1/2) in rational arithmetic before its cos and sin, so its
-        # own error is a few eps, and the table's error must stay at the level
-        # of the rounding of its argument 2 pi k x
+        # the phase of mode k = scale (start + j), j < count, as the Fourier
+        # sums take it: row k of the table for k >= 0 and the conjugate of
+        # row -k below, on x scaled exactly (scale is a power of two); the
+        # reference reduces k x to [-1/2, 1/2) in rational arithmetic before
+        # its cos and sin, so its own error is a few eps, and the table's
+        # error must stay at the level of the rounding of its argument
+        # 2 pi k x
         rng = np.random.default_rng(count)
         x = np.concatenate([[-0.5, 0.0, 0.5], rng.uniform(-0.5, 0.5, 40), rng.uniform(-1e-3, 1e-3, 8)])
-        table = _phases(scale * x, start, count)
-        assert table.shape == (count, len(x))
-        assert _phases(np.empty(0), start, count).shape == (count, 0)
+        rows = max(-start, start + count - 1) + 1
+        table = _phases(scale * x, rows)
+        assert table.shape == (rows, len(x))
+        assert _phases(np.empty(0), rows).shape == (rows, 0)
+        np.testing.assert_array_equal(table[0], 1.0)
         eps = np.finfo(float).eps
         half = Fraction(1, 2)
-        for j, row in enumerate(table):
-            k = scale * (start + j)
+        for mode in range(start, start + count):
+            row = table[mode] if mode >= 0 else np.conj(table[-mode])
+            k = scale * mode
             turns = np.array([float((Fraction(v) * k + half) % 1 - half) for v in x])
             ref = np.cos(2 * np.pi * turns) + 1j * np.sin(2 * np.pi * turns)
             bound = 8 * eps * (1 + 2 * np.pi * np.abs(k * x))
@@ -285,6 +318,38 @@ class TestTimeMap:
         raw += np.real(c[0]) * x + np.real(c[n // 2]) * np.sin(np.pi * n * x) / (np.pi * n)
         np.testing.assert_allclose(t, raw / tm.zhat, rtol=0, atol=bound)
         np.testing.assert_allclose(tm.t(x), raw / tm.zhat, rtol=0, atol=bound)
+
+    @pytest.mark.parametrize("kind", ["plain", "twisted", "grazing"])
+    @pytest.mark.parametrize("n", [64, 100, 1024])
+    def test_node_values_are_the_nodal_antiderivative(self, rng, kind, n):
+        # the node values come from the map's own FFT; K, the dense nodal
+        # antiderivative, is the oracle, and t sums the same coefficients
+        if kind == "grazing":
+            loop = DiscreteLoop(2.0 + 0.99 * np.exp(2j * np.pi * np.arange(n) / n))
+        else:
+            loop = random_smooth_loop(rng, n, twisted=kind == "twisted")
+        tm = time_map(loop)
+        assert tm.t_of_tau.shape == (n + 1,)
+        assert tm.t_of_tau[0] == 0.0 and tm.t_of_tau[n] == 1.0
+        expected = integration_matrix(n) @ tm.weights / tm.zhat
+        assert np.max(np.abs(tm.t_of_tau[:n] - expected)) <= 1e-14
+        assert np.max(np.abs(tm.t(np.arange(n) / n) - tm.t_of_tau[:n])) <= 1e-15
+
+    def test_reconstruct_and_lift_build_no_integration_matrix(self, rng, monkeypatch):
+        # the dense K takes 8 MiB at n = 1024: the time map, reconstruct and
+        # lift take their node values from an FFT instead
+        calls = []
+        build = loops_module.integration_matrix
+
+        def counted(n):
+            calls.append(n)
+            return build(n)
+
+        monkeypatch.setattr(loops_module, "integration_matrix", counted)
+        for loop in (random_smooth_loop(rng, 1024, center=3.0 + 0.5j), random_smooth_loop(rng, 1024, twisted=True)):
+            back = lift(reconstruct(loop, 1024))
+            assert back.twisted == loop.twisted
+        assert calls == []
 
     def test_inverse_round_trip(self):
         z = 2.1 + 0.4 * np.exp(2j * np.pi * TAU64)
