@@ -170,6 +170,19 @@ class FieldConfig:
         if not 0.0 <= self.mu <= 1.0:
             raise FieldConfigError("mu must lie in [0, 1]")
 
+    @property
+    def reflection_even(self) -> bool:
+        """Whether the field is even under the reflection q -> conj(q) at
+        every time, so that the real loops are an invariant subspace of the
+        action: no magnetic field (a field strength is odd under a
+        reflection), and an electric field that is zero or
+        ``uniform_oscillating`` with a real d.  A custom spec is never taken
+        to be even."""
+        electric = self.electric
+        return self.magnetic.is_zero and (
+            electric.is_zero or (electric.kind == "uniform_oscillating" and electric.params["d"].imag == 0)
+        )
+
 
 # A Python number, as the integrator passes one point at a time.
 _NUMBER = (complex, float, int)

@@ -6,7 +6,9 @@ in the Kepler limit also the ellipses of one period.  The solve finds one
 critical point; which member of its family to return is a separate question,
 answered here by a stated rule.  The exact Hessian's spectrum at the critical
 point gives the Morse index, the nullity (eigenvalues below _NULL_REL of the
-largest in modulus) and the smallest non-null eigenvalue.  Where the nullity
+largest in modulus) and the smallest non-null eigenvalue.  On a real loop of
+a reflection-even field the Hessian is block-diagonal in [Re; Im], and the
+spectrum is read from its two n x n diagonal blocks.  Where the nullity
 is more than the time shift's one, the member returned is the one closest to
 the seed in physical time (``anchor_measure``), reached by moving along the
 family (``select_member``).
@@ -36,9 +38,31 @@ _NULL_REL = 1e-9
 _MOVE_TOL = 1e-10
 
 
+def on_real_line(z: np.ndarray, cfg: FieldConfig) -> bool:
+    """Whether the loop of samples z lies on the real line, every sample
+    exactly real, in a field even under q -> conj(q)
+    (``FieldConfig.reflection_even``).  The real loops are then an invariant
+    subspace: the gradient there is real, and the exact Hessian's Re-Im
+    blocks vanish, so a critical point of the action on Re z alone is one of
+    the full action (symmetric criticality)."""
+    return cfg.reflection_even and not np.any(z.imag)
+
+
+def _eigenvalues(hess: np.ndarray, real: bool) -> np.ndarray:
+    """The exact Hessian's eigenvalues; on the real line (``on_real_line``)
+    the union of its two diagonal blocks' eigenvalues, since the
+    off-diagonal blocks vanish there."""
+    if not real:
+        return np.linalg.eigvalsh(hess)
+    n = len(hess) // 2
+    return np.concatenate([np.linalg.eigvalsh(hess[:n, :n]), np.linalg.eigvalsh(hess[n:, n:])])
+
+
 def spectrum(evals: np.ndarray) -> tuple[int, int, float]:
     """Morse index, nullity and the smallest non-null |eigenvalue| relative
-    to the largest, from the eigenvalues of the exact Hessian."""
+    to the largest, from the eigenvalues of the exact Hessian, in any order:
+    on the real line ``select_member`` passes those of the Hessian's two
+    diagonal blocks, one after the other."""
     rel = evals / np.max(np.abs(evals))
     null = np.abs(rel) < _NULL_REL
     return int(np.sum(rel <= -_NULL_REL)), int(np.sum(null)), float(np.min(np.abs(rel[~null])))
@@ -116,11 +140,16 @@ def select_member(
     Broyden updates, which supply its second-order terms and the family's
     curvature.  It stops once the next step is below _MOVE_TOL of x with the
     gradient norm below g_tol, so a member already selected stops at once.
+
+    On the real line (``on_real_line``) the eigenvalues are those of the
+    Hessian's two diagonal blocks, and each step is projected onto Re z, so
+    the member returned is exactly real.
     """
     n, twisted, cfg = nodes.n, nodes.twisted, nodes.cfg
+    real = on_real_line(nodes.z, cfg)
     x = pack(nodes.z)
     hess = second_variation_matrix(nodes.z, twisted, cfg, nodes=nodes)
-    evals = np.linalg.eigvalsh(hess)
+    evals = _eigenvalues(hess, real)
     k = spectrum(evals)[1]
     if k <= 1:
         return nodes, gn, 0, evals
@@ -143,10 +172,12 @@ def select_member(
         else:  # Broyden, from the last step ds and the change it made
             model += np.outer(reduced - prev - model @ ds, ds) / (ds @ ds)
         move = tmap @ np.linalg.solve(model, -reduced)
+        if real:  # the member stays on the real line
+            move[n:] = newton[n:] = 0.0
         log.debug("select %d: gn=%.3e move=%.3e", steps, gn, float(np.linalg.norm(move)))
         if gn < g_tol and np.linalg.norm(move) <= _MOVE_TOL * max(1.0, np.linalg.norm(x)):
             # unmoved, x's eigenvalues are the ones already computed
-            return nodes, gn, steps, evals if steps == 0 else np.linalg.eigvalsh(hess)
+            return nodes, gn, steps, evals if steps == 0 else _eigenvalues(hess, real)
         if steps == budget:
             return None
         ds, prev = frame.T @ (move + newton), reduced

@@ -20,6 +20,18 @@ first read, and the windings of the seed and of the record are read at their
 loops' own nodes.  The settings are module constants; ``SolveOptions`` holds
 only the grid, the tolerance and the iteration cap.
 
+A seed whose every sample is exactly real, on a field even under q -> conj(q)
+(``FieldConfig.reflection_even``), is solved on the real line
+(``selection.on_real_line``).  The real loops are invariant there, the
+gradient is real and the Hessian's Re-Im blocks vanish, so by symmetric
+criticality a critical point in Re z alone is one of the full action.  The
+Jacobian is the Re-Re block H[:n, :n], the right-hand sides take the
+residual's first n entries, and each step's imaginary part is exactly 0: the
+normal matrix is n x n, not 2n x 2n.  Acceptance and convergence still test
+the full gradient norm.  No option selects the path; the seed and the field
+do, so a continuation family's secant seeds and a real record read back from
+an archive stay on it.
+
 The converged loop then goes to ``selection.select_member``, which returns
 the member of its family of critical points that the record holds, with the
 Hessian's spectrum there.
@@ -59,7 +71,7 @@ from .loops import (
     _require_points,
     _require_real,
 )
-from .selection import select_member, spectrum
+from .selection import on_real_line, select_member, spectrum
 
 log = logging.getLogger(__name__)
 
@@ -403,6 +415,9 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         raise ValueError(f"seed has n={n} samples, but the solve options ask for n={opts.n}")
     twisted = seed.twisted
     x = pack(np.asarray(seed.samples))
+    # a real seed on a reflection-even field stays on the real line: the
+    # unknowns are Re z alone, and every step's imaginary part is exactly 0
+    size = n if on_real_line(seed.samples, cfg) else 2 * n
     residual = _residual_factory(cfg, twisted, n)
     r, nodes = residual(x)
     gn = float(np.linalg.norm(r))
@@ -417,16 +432,18 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         if gn < opts.g_tol:
             break
         iterations += 1
-        # the scaled Hessian, symmetric: the Jacobian of the residual
-        jmat = second_variation_matrix(nodes.z, twisted, cfg, nodes=nodes)
+        # the scaled Hessian, symmetric: the Jacobian of the residual, in the
+        # unknowns; the residual is the full gradient all the same
+        jmat = second_variation_matrix(nodes.z, twisted, cfg, nodes=nodes)[:size, :size]
         jmat /= np.sqrt(n)
         ata = jmat.T @ jmat
-        rhs = -(jmat.T @ r)
+        rhs = -(jmat.T @ r[:size])
 
         # one damping ladder, until a trial is accepted or lam passes _LAM_MAX
         while lam <= _LAM_MAX:
             normal = _action._add_diag(ata.copy(), lam)
-            delta = np.linalg.solve(normal, rhs)
+            delta = np.zeros_like(x)
+            delta[:size] = np.linalg.solve(normal, rhs)
             # geodesic acceleration: second-order correction along the step,
             # which keeps long narrow valleys from throttling the step size.
             # Below _ACCEL_MIN_STEP the residual's second difference is
@@ -436,10 +453,10 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
                 plus = _trial(residual, x + hg * delta)
                 minus = None if plus is None else _trial(residual, x - hg * delta)
                 if minus is not None:
-                    second = (plus[0] - 2.0 * r + minus[0]) / hg**2
+                    second = (plus[0] - 2.0 * r + minus[0])[:size] / hg**2
                     accel = np.linalg.solve(normal, -(jmat.T @ second))
                     if np.linalg.norm(accel) < 0.75 * np.linalg.norm(delta):
-                        delta = delta + 0.5 * accel
+                        delta[:size] += 0.5 * accel
             xt = x + delta
             trial = _trial(residual, xt)
             # the residual is the gradient: an accepted point is the best so far

@@ -37,3 +37,18 @@ def random_smooth_loop(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def solve_sizes(monkeypatch):
+    """A list that records the size of every square system handed to
+    ``np.linalg.solve`` while the test runs."""
+    sizes = []
+    solve = np.linalg.solve
+
+    def recorded(a, b):
+        sizes.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    return sizes

@@ -195,6 +195,30 @@ class TestContinue:
         expected = cli.dumps_canonical({"family": [rec.to_dict() for rec in family]})
         assert out.read_text() == expected + "\n"
 
+    def test_real_record_stays_real_through_its_archive(self, tmp_path):
+        # a real record on a reflection-even field, read back from its text,
+        # continues on the real line, by continue_family and by the command
+        # seeded with its loop; two runs of the command write the same bytes
+        opts = SolveOptions(n=64, m=256)
+        rec = solve(make_seed(self.CASE["seed"], n=64), config_from_dict(self.CASE["fields"]), opts)
+        back = record_from_dict(json.loads(cli.dumps_canonical(rec.to_dict())))
+        assert not np.any(back.z.samples.imag)
+        family = continue_family(back, [config_from_dict(block) for block in self.PATH], opts)
+        assert len(family) == 3
+        assert not any(np.any(member.z.samples.imag) for member in family)
+        loop = tmp_path / "start.json"
+        save_loop(back.z, loop)
+        cfg = write_config(tmp_path, {**self.CASE, "seed": {"kind": "file", "path": str(loop)}, "path": self.PATH})
+        texts = []
+        for k in range(2):
+            out = tmp_path / f"family{k}.json"
+            assert run(["continue", "--config", cfg, "--out", out, "--quiet"]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        members = json.loads(texts[0])["family"]
+        assert len(members) == 3
+        assert all(im == 0.0 for member in members for _, im in member["z"]["samples"])
+
     def test_config_without_a_path_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.CASE)
         assert run(["continue", "--config", cfg, "--quiet"]) == 2

@@ -91,6 +91,25 @@ class TestPresets:
             for d in fallback.gauge_hess_at(q):
                 np.testing.assert_allclose(d, 0.0, atol=1e-7)
 
+    @pytest.mark.parametrize("cfg, even", [
+        (preset("zero", mu=0.3), True),
+        (preset("uniform_oscillating", mu=0.3, epsilon=0.05), True),
+        (preset("uniform_oscillating", mu=0.3, epsilon=0.05, d=-0.6), True),
+        (preset("uniform_oscillating", mu=0.3, epsilon=0.05, d=0.6 + 1e-9j), False),
+        (preset("constant", mu=0.3, b=0.1), False),
+        (preset("rotating_charge", mu=0.3, mu_s=0.01, r_s=3.0), False),
+        (FieldConfig(mu=0.3, magnetic=magnetic_preset("custom", field=np.zeros_like, gauge=np.zeros_like),
+                     electric=electric_preset("zero")), False),
+        (FieldConfig(mu=0.3, magnetic=magnetic_preset("zero"),
+                     electric=electric_preset("custom", e=None, grad=None, dot=None)), False),
+    ], ids=["zero", "real_d", "negative_d", "complex_d", "constant", "rotating_charge",
+            "custom_magnetic", "custom_electric"])
+    def test_reflection_even(self, cfg, even):
+        # even under q -> conj(q): no field strength, and an electric
+        # potential that is zero or oscillates along a real d; a custom
+        # spec is never taken to be even
+        assert cfg.reflection_even is even
+
     def test_unknown_parameters_rejected(self):
         with pytest.raises(FieldConfigError):
             magnetic_preset("constant", b=1.0, frequency=3.0)

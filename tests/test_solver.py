@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -43,7 +44,7 @@ import szbov.solver
 from szbov.cli import dumps_canonical
 from szbov.loops import TimeMap
 from szbov.action import _Nodes, second_variation_matrix
-from szbov.selection import _NULL_REL, anchor_measure
+from szbov.selection import _NULL_REL, _eigenvalues, anchor_measure, spectrum
 
 KEPLER = preset("zero", mu=0.0)
 EULER = preset("zero", mu=0.5)
@@ -704,3 +705,85 @@ class TestContinuation:
         bad = SolveOptions(n=64, m=256, max_iter=1)
         with pytest.raises(SolveError):
             continue_family(rec, [preset("zero", mu=0.4)], bad)
+
+
+def _real_loop(rng, n: int, twisted: bool) -> DiscreteLoop:
+    """A random loop on the real line: a plain one about 1.9, or the
+    ejection seed, which is twisted, times exp(g) with g real and
+    antiperiodic, so that z(tau + 1) = 1/z(tau) still holds."""
+    tau = np.arange(n) / n
+    if twisted:
+        k = np.array([1, 3, 5])
+        g = rng.normal(0, 0.05, 3) @ np.cos(np.pi * np.outer(k, tau))
+        g += rng.normal(0, 0.05, 3) @ np.sin(np.pi * np.outer(k, tau))
+        return DiscreteLoop(seed_ejection(-1, n).samples * np.exp(g), twisted=True)
+    k = np.arange(1, 4)
+    z = 1.9 + rng.normal(0, 0.1, 3) @ np.cos(2 * np.pi * np.outer(k, tau))
+    z += rng.normal(0, 0.1, 3) @ np.sin(2 * np.pi * np.outer(k, tau))
+    return DiscreteLoop(z.astype(complex))
+
+
+class TestRealLine:
+    """A real loop on a field even under q -> conj(q) stays on the real
+    line: the solve moves Re z alone and the spectrum is read from the
+    Hessian's two diagonal blocks."""
+
+    EVEN = [
+        ("zero", preset("zero", mu=0.3)),
+        ("real_d", preset("uniform_oscillating", mu=0.3, epsilon=0.05, d=-0.6)),
+    ]
+
+    @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+    @pytest.mark.parametrize("cfg", [c for _, c in EVEN], ids=[name for name, _ in EVEN])
+    def test_hessian_is_block_diagonal(self, rng, cfg, twisted):
+        # the Re-Im blocks vanish and the gradient is real, so the two
+        # diagonal blocks' spectra are the full matrix's
+        n = 64
+        for _ in range(3):
+            loop = _real_loop(rng, n, twisted)
+            hess = second_variation_matrix(loop.samples, twisted, cfg)
+            scale = np.max(np.abs(hess))
+            assert np.max(np.abs(hess[:n, n:])) <= 1e-13 * scale
+            assert np.max(np.abs(hess[n:, :n])) <= 1e-13 * scale
+            g = gradient(loop, cfg)
+            assert np.max(np.abs(g.imag)) <= 1e-13 * np.max(np.abs(g))
+            full = np.linalg.eigvalsh(hess)
+            merged = np.sort(_eigenvalues(hess, True))
+            assert np.max(np.abs(merged - full)) <= 1e-12 * np.max(np.abs(full))
+
+    def test_mu_family_spectrum_is_the_full_matrixs(self):
+        # criterion 10's family at n=64: every member is exactly real, its
+        # unreduced gradient norm is below the tolerance, and the spectrum
+        # read from the blocks is the full Hessian's
+        start = solve(seed_ejection(-1, 64), KEPLER, OPTS)
+        family = continue_family(start, [preset("zero", mu=m) for m in np.linspace(0.01, 0.2, 20)], OPTS)
+        assert len(family) == 21
+        for rec in family:
+            assert not np.any(rec.z.samples.imag)
+            assert grad_norm(gradient(rec.z, rec.cfg)) < OPTS.g_tol
+            hess = second_variation_matrix(rec.z.samples, rec.twisted, rec.cfg)
+            index, nullity, gap = spectrum(np.linalg.eigvalsh(hess))
+            assert (rec.morse_index, rec.nullity) == (index, nullity)
+            assert rec.gap == pytest.approx(gap, rel=1e-9)
+
+    @pytest.mark.parametrize("cfg, nudge, real", [
+        (preset("zero", mu=0.1), 0.0, True),
+        (preset("uniform_oscillating", mu=0.1, epsilon=0.01), 0.0, True),
+        (preset("zero", mu=0.1), 1e-12j, False),
+        (preset("constant", mu=0.1, b=0.1), 0.0, False),
+        (preset("rotating_charge", mu=0.1, mu_s=0.01, r_s=3.0), 0.0, False),
+        (preset("uniform_oscillating", mu=0.1, epsilon=0.01, d=1.0 + 0.5j), 0.0, False),
+    ], ids=["zero", "real_d", "off_the_line", "constant", "rotating_charge", "complex_d"])
+    def test_path_is_chosen_from_the_seed_and_field(self, solve_sizes, cfg, nudge, real):
+        # an ejection solve on the real line hands n x n systems to the
+        # linear solver and returns a real loop; one sample off the line by
+        # 1e-12, or a field that is not reflection-even, keeps the full
+        # 2n x 2n systems.  Four iterations show the path.
+        n = 64
+        samples = seed_ejection(-1, n).samples.copy()
+        samples[5] += nudge
+        with contextlib.suppress(NoConvergenceError):
+            rec = solve(DiscreteLoop(samples, twisted=True), cfg, replace(OPTS, max_iter=4))
+            if real:
+                assert not np.any(rec.z.samples.imag)
+        assert solve_sizes and set(solve_sizes) == {n if real else 2 * n}
