@@ -216,7 +216,7 @@ class _Nodes:
     @cached_property
     def qdot(self) -> np.ndarray:
         """The chain-rule velocity at the nodes (``loops.chain_rule_state``)."""
-        return _chain_rule_velocity(self.w, self.f, self.zp[: self.n], self.bp)
+        return _chain_rule_velocity(self.q, self.w, self.f, self.zp[: self.n], self.bp)
 
     @cached_property
     def qp(self) -> np.ndarray:

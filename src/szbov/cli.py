@@ -28,7 +28,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import sys
 
 import numpy as np
@@ -41,11 +40,11 @@ from .loops import (
     LoopError,
     chain_rule_state,
     double_cover,
+    dumps_canonical,
     load_loop,
     loop_from_dict,
     loop_to_dict,
-    save_loop,
-    _NONFINITE_TEXT,
+    _read_json,
 )
 from .solver import (
     NoConvergenceError,
@@ -68,52 +67,7 @@ _CONFIG_KEYS = {"fields", "grid", "solver", "seed", "out", "path"}
 _DEFAULT_SEED = {"kind": "kepler_guess", "side": -1, "radius": 0.3}
 
 
-# -------------------------------------------------------- deterministic JSON
-
-
-def _fmt_float(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        return f'"{_NONFINITE_TEXT[repr(x)]}"'
-    text = format(x, ".17g")
-    # "-0" would read back as the integer 0, which has no sign
-    return "-0.0" if text == "-0" else text
-
-
-def dumps_canonical(obj, indent: int = 0) -> str:
-    """Serialize to JSON with 17-significant-digit floats.
-
-    Plain ``json.dumps`` formats floats by shortest round trip, which is also
-    deterministic but version-sensitive; the fixed format pins the bytes.
-    A NaN or an infinity is written as its text in ``loops._NONFINITE_TEXT``,
-    which ``record_from_dict`` reads back.
-    """
-    pad = " " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(k))}: {dumps_canonical(v, indent + 2)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(isinstance(v, float) for v in obj):
-            return "[" + ", ".join(map(_fmt_float, obj)) + "]"
-        flat = all(isinstance(v, (int, float, bool)) or v is None for v in obj)
-        if flat:
-            return "[" + ", ".join(dumps_canonical(v) for v in obj) + "]"
-        items = [f"{pad}  {dumps_canonical(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    return json.dumps(obj)
+# ------------------------------------------------------------------ output
 
 
 def _write_text(path, text: str, quiet: bool) -> None:
@@ -141,21 +95,13 @@ class RunConfig:
     path: list = dataclasses.field(default_factory=list)
 
 
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FieldConfigError(f"{path}: invalid JSON near line {exc.lineno}: {exc.msg}")
-
-
 def load_run_config(args) -> RunConfig:
     """Merge the config file (if any) with the command's flags: ``eval``
     reads --config, --seed, --n and --out; ``solve`` and ``continue`` also
     --m and --tol."""
     data = {}
     if args.config:
-        data = _load_json(args.config)
+        data = _read_json(args.config)
         if not isinstance(data, dict):
             raise FieldConfigError("config must be a JSON object")
         unknown = set(data) - _CONFIG_KEYS
@@ -337,7 +283,7 @@ def cmd_continue(args) -> int:
 def cmd_integrate(args) -> int:
     m = _positive(args, "m", SolveOptions.m)
     tol = _positive(args, "tol", 1e-10)
-    record = record_from_dict(_load_json(args.orbit))
+    record = record_from_dict(_read_json(args.orbit))
     q0, v0 = chain_rule_state(record.z)
     times = np.arange(m + 1) / m
     traj = integrate(q0[0], v0[0], 0.0, 1.0, record.cfg, tol=tol, sample_times=times)
@@ -354,7 +300,7 @@ def cmd_integrate(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = _positive(args, "tol", 1e-5)
-    record = record_from_dict(_load_json(args.orbit))
+    record = record_from_dict(_read_json(args.orbit))
     report = verify_generalized(record, record.cfg, tol=tol)
     if not args.quiet:
         print(report)
@@ -372,7 +318,7 @@ def _svg_path(points, scale: float, offset_x: float, offset_y: float) -> str:
 
 
 def cmd_plot(args) -> int:
-    record = record_from_dict(_load_json(args.orbit))
+    record = record_from_dict(_read_json(args.orbit))
     zc = double_cover(record.z)
     qc = record.q.samples
     size, half = 420.0, 210.0
@@ -403,15 +349,9 @@ def cmd_plot(args) -> int:
 
 
 def cmd_export(args) -> int:
-    data = _load_json(args.orbit)
-    if "z" in data and isinstance(data["z"], dict):
-        loop = loop_from_dict(data["z"])
-    else:
-        loop = loop_from_dict(data)
-    if args.out:
-        save_loop(loop, args.out)
-    else:
-        _write_text(None, dumps_canonical(loop_to_dict(loop)), args.quiet)
+    data = _read_json(args.orbit)
+    loop = loop_from_dict(data["z"] if "z" in data and isinstance(data["z"], dict) else data)
+    _write_text(args.out, dumps_canonical(loop_to_dict(loop)), args.quiet)
     return EXIT_OK
 
 

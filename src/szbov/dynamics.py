@@ -22,7 +22,7 @@ from ._dop853 import A, B, C, D, E3, E5, N_STAGES
 from .action import _Nodes
 from .fields import FieldConfig
 from .geometry import birkhoff_map, center_distance
-from .loops import EPS_COLLISION, DiscreteLoop, PhysicalLoop, _fft_derivative, eval_loop
+from .loops import EPS_COLLISION, EPS_NODE, DiscreteLoop, PhysicalLoop, _fft_derivative, eval_loop
 
 __all__ = [
     "SingularityError",
@@ -38,8 +38,6 @@ __all__ = [
 COMPLETED = "completed"
 COLLISION_PROXIMITY = "collision_proximity"
 STEP_FAILURE = "step_failure"
-# nodes this close to a center are left out of the energy profiles' checks
-_NEAR_CENTER = 10.0 * EPS_COLLISION
 
 
 class SingularityError(ValueError):
@@ -65,8 +63,8 @@ class Trajectory:
 def _node_defect(nodes: _Nodes, C: float) -> tuple[np.ndarray, float]:
     """The defect phi_j = C - |qdot_j|^2/2 - U(q_j) - tail_j - e(t_j, q_j) at
     the nodes of ``nodes`` (the tail is the delay residual's, ``_Nodes.tail``),
-    and its sup over the energy scale max |C| + |qdot|^2/2 + |U|.  A node on
-    a collision, where qdot is not defined, reads 0 and is left out of the sup."""
+    and its sup over the energy scale max |C| + |qdot|^2/2 + |U|.  A node
+    within EPS_NODE of a center (qdot NaN) reads 0 and is left out of the sup."""
     q, qdot = nodes.q, nodes.qdot
     safe = np.isfinite(qdot)
     u = _potential(q[safe], nodes.cfg.mu)
@@ -290,6 +288,9 @@ def integrate(
     v0 = complex(v0)
     if min(abs(q0 - 1.0), abs(q0 + 1.0)) < EPS_COLLISION:
         raise SingularityError("initial position at a Coulomb center")
+    if not math.isfinite(abs(q0) + abs(v0)):
+        # as the chain-rule velocity is at a node within EPS_NODE of a center
+        raise SingularityError("initial state is not finite")
 
     def gap(q):
         return min(abs(q - 1.0), abs(q + 1.0)) - EPS_COLLISION
@@ -401,10 +402,10 @@ def phi_profile(
 
     When C is not supplied it is assembled from the loop by the defining
     quadratures, which makes the trapezoid mean of Phi vanish identically for
-    every loop, critical or not.  ``mask`` drops the nodes within _NEAR_CENTER
-    of a center.  When a source loop z is supplied, the defect is also
-    evaluated at its own nodes from the chain-rule velocity, which stays
-    accurate between collisions.
+    every loop, critical or not.  ``mask`` drops the nodes within EPS_NODE of
+    a center, as the node defect does.  When a source loop z is supplied, the
+    defect is also evaluated at its own nodes from the chain-rule velocity,
+    which stays accurate between collisions.
     """
     # the closed grid t_0..t_M, with the wrap value
     m = q.m
@@ -426,7 +427,7 @@ def phi_profile(
     if C is None:
         C = float(np.trapezoid(energy, dx=1.0 / m))
     phi = C - energy
-    mask = center_distance(qs) > _NEAR_CENTER
+    mask = center_distance(qs) > EPS_NODE
 
     source_sup = None if z_loop is None else _node_defect(_Nodes(z_loop.samples, z_loop.twisted, cfg), C)[1]
     return PhiProfile(C=float(C), phi=phi, mask=mask, source_sup=source_sup)
@@ -497,8 +498,7 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5) -> Verificati
     qs = q_loop.samples
     nodes = _Nodes(z_loop.samples, z_loop.twisted, cfg)
     phi = _node_defect(nodes, c_const)[0]
-    # w = |q - 1| |q + 1| > _EPS_WEIGHT here, so qdot is defined
-    usable = center_distance(nodes.q) > _NEAR_CENTER
+    usable = np.isfinite(nodes.qdot)  # the nodes off EPS_NODE of a center
 
     checks = []
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -61,6 +62,7 @@ __all__ = [
     "lift",
     "loop_to_dict",
     "loop_from_dict",
+    "dumps_canonical",
     "save_loop",
     "load_loop",
 ]
@@ -69,8 +71,9 @@ EPS_ZHAT = 1e-10
 # the one collision radius (PhysicalLoop.collision_times): no lift, winding or
 # unregularized action is taken through it, and integrate stops at it
 EPS_COLLISION = 1e-6
-# conformal weight below which chain_rule_state leaves the velocity undefined
-_EPS_WEIGHT = 1e-12
+# the one node radius: within it of a center the chain-rule velocity is NaN,
+# and the energy defect, verify's start nodes and phi_profile's mask drop it
+EPS_NODE = 10.0 * EPS_COLLISION
 
 # TimeMap.inverse: residual and bracket width at which a point has converged
 # (t and tau both lie in [0, 1], so these are round-off), and a step cap
@@ -296,17 +299,17 @@ def chain_rule_state(loop: DiscreteLoop):
     Since dt/dtau = w(z)/zhat, the chain rule gives
     qdot = B'(z) z' zhat / w(z), with z' the spectral derivative.  At a
     collision the weight vanishes and the speed is unbounded; the velocity
-    is NaN there.
+    is NaN at the nodes within EPS_NODE of a center.
     """
     z = loop.samples
-    qdot = _chain_rule_velocity(conformal_weight(z), zhat(loop), derivative(loop), birkhoff_derivative(z))
-    return birkhoff_map(z), qdot
+    q = birkhoff_map(z)
+    return q, _chain_rule_velocity(q, conformal_weight(z), zhat(loop), derivative(loop), birkhoff_derivative(z))
 
 
-def _chain_rule_velocity(w: np.ndarray, zh: float, zp: np.ndarray, bp: np.ndarray) -> np.ndarray:
-    """qdot = B'(z) z' zhat / w at the nodes, from the weights w, their mean
-    zhat, the derivative z' and B'(z); NaN where w is at most _EPS_WEIGHT."""
-    safe = w > _EPS_WEIGHT
+def _chain_rule_velocity(q: np.ndarray, w: np.ndarray, zh: float, zp: np.ndarray, bp: np.ndarray) -> np.ndarray:
+    """qdot = B'(z) z' zhat / w at the nodes, from q = B(z), the weights w,
+    their mean zhat, z' and B'(z); NaN where q lies within EPS_NODE of a center."""
+    safe = center_distance(q) > EPS_NODE
     qdot = np.full(w.shape, np.nan, dtype=complex)
     qdot[safe] = bp[safe] * (zh / w[safe]) * zp[safe]
     return qdot
@@ -694,8 +697,63 @@ def _require_points(values, name: str, error: type = LoopError) -> np.ndarray:
 
 
 # JSON has no number for a NaN or an infinity: a record holds its text, keyed
-# here by the float's repr, as cli.dumps_canonical writes it.
+# here by the float's repr, as dumps_canonical writes it.
 _NONFINITE_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _fmt_float(x: float) -> str:
+    x = float(x)
+    if not math.isfinite(x):
+        return f'"{_NONFINITE_TEXT[repr(x)]}"'
+    text = format(x, ".17g")
+    # "-0" would read back as the integer 0, which has no sign
+    return "-0.0" if text == "-0" else text
+
+
+def dumps_canonical(obj, indent: int = 0) -> str:
+    """Serialize to JSON with 17-significant-digit floats, as every file is written.
+
+    Plain ``json.dumps`` formats floats by shortest round trip, which is also
+    deterministic but version-sensitive; the fixed format pins the bytes.
+    A NaN or an infinity is written as its text in ``_NONFINITE_TEXT``,
+    which ``record_from_dict`` reads back.
+    """
+    pad = " " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f'{pad}  {json.dumps(str(k))}: {dumps_canonical(v, indent + 2)}'
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(isinstance(v, float) for v in obj):
+            return "[" + ", ".join(map(_fmt_float, obj)) + "]"
+        flat = all(isinstance(v, (int, float, bool)) or v is None for v in obj)
+        if flat:
+            return "[" + ", ".join(dumps_canonical(v) for v in obj) + "]"
+        items = [f"{pad}  {dumps_canonical(v, indent + 2)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _fmt_float(obj)
+    return json.dumps(obj)
+
+
+def _read_json(path):
+    """The JSON in the file at ``path``, for loop, record and config files
+    alike; text that is not JSON raises LoopError naming the file and line."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise LoopError(f"{path}: invalid JSON near line {exc.lineno}: {exc.msg}")
 
 
 def _require_diagnostic(value, name: str) -> float:
@@ -719,9 +777,8 @@ def loop_from_dict(data: dict) -> DiscreteLoop:
 
 def save_loop(loop: DiscreteLoop, path) -> None:
     with open(path, "w") as fh:
-        json.dump(loop_to_dict(loop), fh)
+        fh.write(dumps_canonical(loop_to_dict(loop)) + "\n")
 
 
 def load_loop(path) -> DiscreteLoop:
-    with open(path) as fh:
-        return loop_from_dict(json.load(fh))
+    return loop_from_dict(_read_json(path))

@@ -37,7 +37,9 @@ from szbov import (
     winding_report,
 )
 from szbov.action import _Nodes
-from szbov.dynamics import _node_defect
+from szbov.dynamics import _node_defect, _potential
+from szbov.geometry import center_distance
+from szbov.loops import EPS_NODE
 
 OPTS = SolveOptions(n=128, m=512)
 
@@ -212,6 +214,27 @@ def test_criterion_05_four_way_equivalence(capsys):
         assert ver.ok, f"{name}: {ver.checks}"
         details.append(f"{name} grad {rec.grad_norm:.1e}")
     report(capsys, 5, 120, time.perf_counter() - t0, "; ".join(details))
+
+
+def test_electric_phi_sup_is_the_sup_over_verifys_usable_nodes():
+    # the n=128 electric orbit has one node 3.4e-6 from a center, inside
+    # EPS_NODE, where its chain-rule speed is ~540: counted, that node's
+    # kinetic energy would set the energy scale, and phi_sup would read
+    # 1.6e-11.  phi_sup is the defect's sup over the nodes that verify
+    # starts from, those farther than EPS_NODE from both centers
+    rec = matrix_records()["electric"]
+    cfg = MATRIX["electric"]
+    nodes = _Nodes(rec.z.samples, rec.z.twisted, cfg)
+    dist = center_distance(nodes.q)
+    assert np.any((dist > 5e-13) & (dist <= EPS_NODE))
+    usable = dist > EPS_NODE
+    q, qdot = nodes.q[usable], nodes.qdot[usable]
+    kin = 0.5 * np.abs(qdot) ** 2
+    u = _potential(q, cfg.mu)
+    phi = rec.C - kin - u - nodes.tail[usable] - nodes.e[usable]
+    expected = np.max(np.abs(phi)) / np.max(np.abs(rec.C) + kin + np.abs(u))
+    assert rec.phi_sup == pytest.approx(expected, rel=1e-12)
+    assert rec.phi_sup < 1e-12
 
 
 def test_criterion_06_oracle_cross_integration(capsys):

@@ -15,7 +15,8 @@ from szbov import (
     seed_circle,
     solve,
 )
-from szbov.loops import double_cover
+from szbov import loops
+from szbov.loops import double_cover, loop_to_dict
 
 
 def run(argv):
@@ -122,6 +123,38 @@ class TestPipeline:
         assert loop["samples"] == record["z"]["samples"]
         cfg = write_config(tmp_path, {"fields": {"mu": 0.0}})
         assert run(["eval", "--config", cfg, loop_path, "--quiet"]) == 0
+
+    def test_export_writes_the_bytes_it_prints(self, orbit_path, tmp_path, capsys):
+        # one writer: --out and stdout carry the same canonical text
+        loop_path = tmp_path / "loop.json"
+        assert run(["export", orbit_path, "--out", loop_path]) == 0
+        capsys.readouterr()
+        assert run(["export", orbit_path]) == 0
+        printed = capsys.readouterr().out
+        assert loop_path.read_bytes() == printed.encode()
+        z = record_from_dict(json.loads(orbit_path.read_text())).z
+        assert printed == cli.dumps_canonical(loop_to_dict(z)) + "\n"
+
+    def test_export_of_a_bare_loop_file(self, tmp_path, capsys):
+        # a loop file, as save_loop writes it, exports to its own bytes
+        loop_path = tmp_path / "loop.json"
+        save_loop(seed_circle(0.5, 2.0, 64), loop_path)
+        assert run(["export", loop_path]) == 0
+        assert capsys.readouterr().out.encode() == loop_path.read_bytes()
+
+    def test_verify_prints_its_report(self, orbit_path, capsys):
+        assert run(["verify", orbit_path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "collisions: 0"
+        names = [
+            "finite collision set",
+            "newtonian defect (re-integration)",
+            "energy continuity across collisions",
+            "loop closure",
+        ]
+        assert len(lines) == 1 + len(names)
+        for line, name in zip(lines[1:], names):
+            assert re.fullmatch(rf"ok   {re.escape(name)}: \d\.\d{{3}}e[+-]\d\d \(tol \d\.\de[+-]\d\d\)", line), line
 
     def test_integrate_writes_csv(self, orbit_path, tmp_path):
         csv_path = tmp_path / "traj.csv"
@@ -274,6 +307,23 @@ class TestExitCodes:
             cfg = write_config(tmp_path, {"fields": {"mu": 0.5}, "solver": block})
             assert run(["eval", "--config", cfg, "--seed", seed]) == 2
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "{path}"],
+        ["solve", "--seed", "{path}", "--quiet"],
+        ["eval", "--config", "{path}"],
+        ["verify", "{path}"],
+    ], ids=["eval_loop", "seed_loop", "config", "orbit"])
+    def test_file_that_is_not_json_is_named(self, tmp_path, capsys, argv):
+        # one reader for loop, config and orbit files: it names the file and
+        # the line, and the command exits 2
+        path = tmp_path / "input.json"
+        path.write_text('{"n": 16,\n "twisted": false,\n samples}')
+        assert run([a.format(path=path) for a in argv]) == 2
+        assert f"{path}: invalid JSON near line 3" in capsys.readouterr().err
+
+    def test_dumps_canonical_is_the_loop_writers(self):
+        assert cli.dumps_canonical is loops.dumps_canonical
 
     def test_seed_file_grid_must_match_n(self, tmp_path, capsys):
         # a loop file brings its own grid; a different --n is rejected, not ignored

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +32,10 @@ from szbov import (
     solve,
     verify_generalized,
 )
-from szbov.loops import EPS_COLLISION, TimeMap, derivative_matrix
+from szbov.action import _Nodes
+from szbov.dynamics import _node_defect, _potential
+from szbov.geometry import center_distance
+from szbov.loops import EPS_COLLISION, EPS_NODE, TimeMap, chain_rule_state, derivative_matrix
 
 ZERO = preset("zero", mu=0.5)
 KEPLER = preset("zero", mu=0.0)
@@ -272,6 +276,59 @@ class TestPhiProfile:
         assert np.isfinite(prof.sup_phi)
 
 
+class TestNodeRadius:
+    """One radius, ``loops.EPS_NODE``, decides which nodes are too close to a
+    center: the chain-rule velocity is NaN inside it, and the energy defect,
+    verify's usable nodes and phi_profile's mask follow."""
+
+    def test_a_node_inside_the_radius_is_left_out_everywhere(self, monkeypatch):
+        # z(0) = 1 + 2e-3 puts q(0) about 2e-6 from the center +1: inside
+        # EPS_NODE, far outside the 5e-13 at which the conformal weight
+        # w = |q - 1||q + 1| falls to 1e-12, and outside EPS_COLLISION
+        loop = szbov.DiscreteLoop(2.0 - (1.0 - 2e-3) * np.exp(2j * np.pi * np.arange(64) / 64))
+        nodes = _Nodes(loop.samples, loop.twisted, ZERO)
+        dist = center_distance(nodes.q)
+        assert EPS_COLLISION < dist[0] <= EPS_NODE
+        assert np.all(dist[1:] > EPS_NODE)
+        inside = dist <= EPS_NODE
+        np.testing.assert_array_equal(np.isnan(chain_rule_state(loop)[1]), inside)
+        np.testing.assert_array_equal(np.isnan(nodes.qdot), inside)
+        # and the integrator refuses to start from it, instead of stepping on NaN
+        with pytest.raises(SingularityError, match="not finite"):
+            integrate(nodes.q[0], nodes.qdot[0], 0.0, 1.0, ZERO)
+
+        # the defect reads 0 there, and its sup is the other nodes' alone
+        c_const = 1.0
+        phi, sup = _node_defect(nodes, c_const)
+        assert phi[0] == 0.0
+        q, qdot = nodes.q[1:], nodes.qdot[1:]
+        kin = 0.5 * np.abs(qdot) ** 2
+        u = _potential(q, ZERO.mu)
+        expected = np.max(np.abs(c_const - kin - u)) / np.max(abs(c_const) + kin + np.abs(u))
+        assert sup == pytest.approx(expected, rel=1e-12)
+
+        # verify re-integrates and compares energies on the same nodes
+        usable = []
+        arc_defect = szbov.dynamics._arc_defect
+
+        def recorded(nodes, mask, *args):
+            usable.append(mask.copy())
+            return arc_defect(nodes, mask, *args)
+
+        monkeypatch.setattr(szbov.dynamics, "_arc_defect", recorded)
+        q_loop = reconstruct(loop, 256)
+        report = verify_generalized(SimpleNamespace(z=loop, q=q_loop, C=c_const), ZERO)
+        assert report.collision_count == 0
+        np.testing.assert_array_equal(usable[0], ~inside)
+
+        # and phi_profile masks the samples within the same radius
+        prof = phi_profile(q_loop, ZERO, C=c_const, z_loop=loop)
+        closed = np.append(q_loop.samples, q_loop.samples[0])
+        np.testing.assert_array_equal(prof.mask, center_distance(closed) > EPS_NODE)
+        assert not prof.mask[0] and not prof.mask[-1]
+        assert prof.sup_phi_relative == sup
+
+
 class TestVerifyGeneralized:
     def test_accepts_a_converged_orbit(self):
         opts = SolveOptions(n=64, m=256)
@@ -337,6 +394,31 @@ class TestVerifyGeneralized:
         assert values["newtonian defect (re-integration)"] == np.inf
         assert not report.ok
         assert verify_generalized(rec, rec.cfg, tol=1e-5).ok
+
+    def test_a_run_that_stops_early_reads_inf(self, monkeypatch):
+        # the unit-circle orbit with its two collision samples moved 1e-3
+        # off the centers: q has no collision left, so the whole circle is
+        # one arc, and a re-integration across it runs into a center
+        rec = record_from_dict(json.loads((test_solver.ARCHIVES / "unit_circle.json").read_text()))
+        q = rec.q.samples.copy()
+        assert rec.q.collision_times == (0.0, 0.5)
+        q[center_distance(q) < EPS_COLLISION] += 1e-3j
+        bad = replace(rec, q=PhysicalLoop(samples=q))
+        runs = []
+        integrate_real = szbov.dynamics.integrate
+
+        def recorded(*args, **kwargs):
+            traj = integrate_real(*args, **kwargs)
+            runs.append(traj.terminated)
+            return traj
+
+        monkeypatch.setattr(szbov.dynamics, "integrate", recorded)
+        report = verify_generalized(bad, rec.cfg, tol=1e-5)
+        values = {name: value for name, value, _, _ in report.checks}
+        assert report.collision_count == 0
+        assert "collision_proximity" in runs
+        assert values["newtonian defect (re-integration)"] == np.inf
+        assert not report.ok
 
     def test_rejects_an_arbitrary_loop(self, rng):
         opts = SolveOptions(n=64, m=256)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from szbov import (
     DiscreteLoop,
+    LiftError,
     LoopError,
     PhysicalLoop,
     birkhoff_derivative,
@@ -37,6 +39,7 @@ from szbov.loops import (
     _spectral_derivative,
     _trig_eval,
     derivative_matrix,
+    dumps_canonical,
     integration_matrix,
 )
 
@@ -480,6 +483,28 @@ class TestLiftReconstruct:
         assert PhysicalLoop(samples=q.samples).collision_times == q.collision_times
 
 
+    def test_lift_refuses_a_sample_on_a_center(self):
+        q = 3.0 * np.exp(2j * np.pi * np.arange(64) / 64)
+        q[5] = 1.0
+        with pytest.raises(LiftError, match="branch point"):
+            lift(PhysicalLoop(samples=q))
+
+    def test_lift_refuses_a_tie_between_the_branches(self):
+        # q = 0 lifts to +-i, equally far from the real lift 2 + sqrt(3) of
+        # the sample before it
+        q = np.full(16, 2.0 + 0j)
+        q[1] = 0.0
+        with pytest.raises(LiftError, match="undersampled"):
+            lift(PhysicalLoop(samples=q))
+
+    def test_lift_refuses_a_jump_at_the_close(self):
+        # half a circle: the branch tracked to q = -3 ends near -5.8, far
+        # from both preimages of the first sample q = 3
+        q = 3.0 * np.exp(1j * np.pi * np.arange(16) / 15)
+        with pytest.raises(LiftError, match="undersampled"):
+            lift(PhysicalLoop(samples=q))
+
+
 class TestSerialization:
     def test_dict_round_trip(self):
         z = 2.0 + 0.5 * np.exp(1j * np.pi * TAU64)
@@ -495,6 +520,14 @@ class TestSerialization:
         save_loop(loop, path)
         again = load_loop(path)
         np.testing.assert_array_equal(again.samples, loop.samples)
+        # canonical text, as every other file the package writes
+        assert path.read_text() == dumps_canonical(loop_to_dict(loop)) + "\n"
+
+    def test_file_that_is_not_json_is_named(self, tmp_path):
+        path = tmp_path / "loop.json"
+        path.write_text('{"n": 16,\n "twisted": false,\n samples}')
+        with pytest.raises(LoopError, match=re.escape(f"{path}: invalid JSON near line 3")):
+            load_loop(path)
 
     def test_malformed_dict_rejected(self):
         samples = [[2.0 + np.cos(x), np.sin(x)] for x in 2 * np.pi * np.arange(16) / 16]

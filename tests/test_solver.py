@@ -200,6 +200,25 @@ class TestSolve:
         assert err.value.best_grad_norm == pytest.approx(grad_norm(gradient(best, EULER)), rel=1e-12)
         assert err.value.best_grad_norm < grad_norm(gradient(seed, EULER))
 
+    def test_collapse_onto_a_center_is_an_error(self, monkeypatch):
+        # a small circle around the massless center +1 at mu = 0: the
+        # iteration drives it onto the branch point, where trials fall out
+        # of the admissible space (F at most EPS_ZHAT) and are refused, and
+        # the damping ladder runs out with F below 10 EPS_ZHAT
+        refused = []
+        trial = szbov.solver._trial
+
+        def recorded(residual, x):
+            out = trial(residual, x)
+            refused.append(out is None)
+            return out
+
+        monkeypatch.setattr(szbov.solver, "_trial", recorded)
+        seed = DiscreteLoop(1.0 + 2e-5 * np.exp(2j * np.pi * np.arange(16) / 16))
+        with pytest.raises(SolveError, match="degenerated toward excluded locus"):
+            solve(seed, KEPLER, SolveOptions(n=16, m=64))
+        assert any(refused)
+
     def test_one_damping_ladder_per_jacobian(self, monkeypatch):
         # re-solved at an unreachable tolerance, a converged loop ends once
         # one ladder raises lam past its cap with no step accepted: no
@@ -699,6 +718,16 @@ class TestContinuation:
         assert fine.m == fine.q.m == 1024
         with pytest.raises(ValueError, match="needs its q"):
             replace(rec, q=None, m=None)
+
+    def test_failure_on_a_later_step_returns_the_partial_family(self, caplog):
+        # the first step, at the start's own field, is met at once; the jump
+        # to mu = 0.4 is not met in one iteration
+        rec = solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, OPTS)
+        bad = SolveOptions(n=64, m=256, max_iter=1)
+        fam = continue_family(rec, [KEPLER, preset("zero", mu=0.4)], bad)
+        assert len(fam) == 2 and fam[0] is rec
+        assert fam[1].grad_norm < bad.g_tol
+        assert "continuation stopped at step 2/2" in caplog.text
 
     def test_failure_on_first_step_raises(self):
         rec = solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, OPTS)
