@@ -32,13 +32,12 @@ import sys
 
 import numpy as np
 
-from .action import _components_to_dict, eval_action, eval_components, gradient, pack
-from .dynamics import SingularityError, integrate, verify_generalized
+from .action import _Nodes, _components_to_dict, eval_action, eval_components, gradient, pack
+from .dynamics import SingularityError, _arc_runs, _arcs, verify_generalized
 from .fields import FieldConfig, FieldConfigError, config_from_dict, preset
 from .loops import (
     DiscreteLoop,
     LoopError,
-    chain_rule_state,
     double_cover,
     dumps_canonical,
     load_loop,
@@ -284,17 +283,17 @@ def cmd_integrate(args) -> int:
     m = _positive(args, "m", SolveOptions.m)
     tol = _positive(args, "tol", 1e-10)
     record = record_from_dict(_read_json(args.orbit))
-    q0, v0 = chain_rule_state(record.z)
-    times = np.arange(m + 1) / m
-    traj = integrate(q0[0], v0[0], 0.0, 1.0, record.cfg, tol=tol, sample_times=times)
-    rows = ["t,q_re,q_im,v_re,v_im"]
-    for t, q, v in zip(traj.times, traj.positions, traj.velocities):
-        rows.append(
-            f"{t:.17g},{q.real:.17g},{q.imag:.17g},{v.real:.17g},{v.imag:.17g}"
-        )
+    nodes = _Nodes(record.z.samples, record.z.twisted, record.cfg)
+    states = {}
+    for ta, tb in _arcs(record.q.collision_times):
+        for traj in _arc_runs(nodes, np.isfinite(nodes.qdot), m, ta, tb, 0.0, tol):
+            states.update(zip(traj.times, zip(traj.positions, traj.velocities)))
+            if not args.quiet and traj.terminated != "completed":
+                print(f"integration terminated early: {traj.terminated}", file=sys.stderr)
+    rows = ["t,q_re,q_im,v_re,v_im"] + [
+        f"{t:.17g},{q.real:.17g},{q.imag:.17g},{v.real:.17g},{v.imag:.17g}" for t, (q, v) in sorted(states.items())
+    ]
     _write_text(args.out, "\n".join(rows), args.quiet)
-    if not args.quiet and traj.terminated != "completed":
-        print(f"integration terminated early: {traj.terminated}", file=sys.stderr)
     return EXIT_OK
 
 

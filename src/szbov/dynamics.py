@@ -21,8 +21,8 @@ import numpy as np
 from ._dop853 import A, B, C, D, E3, E5, N_STAGES
 from .action import _Nodes
 from .fields import FieldConfig
-from .geometry import birkhoff_map, center_distance
-from .loops import EPS_COLLISION, EPS_NODE, DiscreteLoop, PhysicalLoop, _fft_derivative, eval_loop
+from .geometry import center_distance
+from .loops import EPS_COLLISION, EPS_NODE, DiscreteLoop, PhysicalLoop, _fft_derivative
 
 __all__ = [
     "SingularityError",
@@ -280,9 +280,9 @@ def integrate(
     Aborts with ``collision_proximity`` when the distance to the nearer
     center falls to ``EPS_COLLISION`` at a step end; the crossing is located
     on that step's interpolant.  When ``sample_times`` are given, the
-    interpolant is evaluated there, in one pass over the steps that hold
-    them, otherwise the accepted step ends are returned.  ``step_failure``
-    means the step fell below 10 ulp of the time.
+    interpolant is evaluated at those the run reached, in one pass over the
+    steps that hold them, otherwise the accepted step ends are returned.
+    ``step_failure`` means the step fell below 10 ulp of the time.
     """
     q0 = complex(q0)
     v0 = complex(v0)
@@ -353,11 +353,13 @@ def integrate(
         if terminated == COLLISION_PROXIMITY:
             break
 
-    if sample_times is not None and terminated == COMPLETED:
+    if sample_times is not None:
         ts = np.asarray(sample_times, dtype=float)
-        if steps:
+        if terminated != COMPLETED:  # only the sample times it reached
+            ts = ts[direction * (ts - t) <= 0]
+        if steps and ts.size:
             positions, velocities = _sample(cfg, steps, np.array(times), ts, direction)
-        else:  # an empty span: the solution is the initial state
+        else:  # no step or no sample: the solution is the initial state
             positions, velocities = np.full(ts.shape, q0), np.full(ts.shape, v0)
     else:
         ts = np.array(times)
@@ -451,33 +453,40 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _arc_defect(nodes: _Nodes, usable: np.ndarray, qs: np.ndarray, ta: float, tb: float) -> float:
-    """The Newtonian defect on the collision-free arc [ta, tb]: the largest
-    miss |q(t_k) - q_k| of the RK re-integrations forward and backward from
-    the usable node nearest its midpoint to margins of 5 grid steps, at the
-    grid times t_k = k/m.  inf where a run stops early, and where the arc
-    has no window to integrate: an arc that is not checked does not pass."""
-    m = len(qs)
-    margin = 5.0 / m
+def _arcs(collisions) -> list:
+    """The arcs (ta, tb) between consecutive collisions, or the period."""
+    return list(zip(collisions, (*collisions[1:], collisions[0] + 1.0))) if collisions else [(0.0, 1.0)]
+
+
+def _arc_runs(nodes: _Nodes, usable: np.ndarray, m: int, ta: float, tb: float, margin: float, tol: float) -> list:
+    """The RK runs on the collision-free arc [ta, tb], forward and backward from
+    the usable node nearest its midpoint to ``margin`` inside its ends, at the grid
+    times k/m in the arc's period; none if the arc is under 4 margins or has no such node."""
     if tb - ta < 4 * margin:
-        return np.inf
+        return []
     t_arc = ta + (nodes.t - ta) % 1.0  # the node times, in the arc's period
     inside = np.flatnonzero(usable & (t_arc >= ta + margin) & (t_arc <= tb - margin))
     if len(inside) == 0:
-        return np.inf
+        return []
     j = inside[np.argmin(np.abs(t_arc[inside] - 0.5 * (ta + tb)))]
-    misses = []
+    runs = []
     for lo, hi in ((t_arc[j], tb - margin), (t_arc[j], ta + margin)):
         ka, kb = sorted((lo, hi))
         kk = np.arange(int(np.ceil(ka * m)), int(np.floor(kb * m)) + 1)
-        if len(kk) < 2:
-            continue
-        traj = integrate(nodes.q[j], nodes.qdot[j], lo, hi, nodes.cfg, tol=1e-13, sample_times=kk / m)
-        if traj.terminated != COMPLETED:
-            misses.append(np.inf)
-            continue
+        if len(kk) >= 2:
+            runs.append(integrate(nodes.q[j], nodes.qdot[j], lo, hi, nodes.cfg, tol=tol, sample_times=kk / m))
+    return runs
+
+
+def _arc_defect(nodes: _Nodes, usable: np.ndarray, qs: np.ndarray, ta: float, tb: float) -> float:
+    """The Newtonian defect on the arc [ta, tb]: the largest miss |q(t_k) - q_k|
+    of its runs to margins of 5 grid steps at t_k = k/m (``_arc_runs``); inf if
+    a run stops early or there is none: an arc that is not checked does not pass."""
+    m = len(qs)
+    misses = []
+    for traj in _arc_runs(nodes, usable, m, ta, tb, 5.0 / m, 1e-13):
         idx = np.round((traj.times % 1.0) * m).astype(int) % m
-        misses.append(float(np.max(np.abs(traj.positions - qs[idx]))))
+        misses.append(float(np.max(np.abs(traj.positions - qs[idx]))) if traj.terminated == COMPLETED else np.inf)
     return max(misses, default=np.inf)
 
 
@@ -508,8 +517,7 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5) -> Verificati
 
     # (2) Newtonian defect on each arc between collisions (the whole circle
     # if none)
-    arcs = list(zip(collisions, collisions[1:] + [collisions[0] + 1.0])) if collisions else [(0.0, 1.0)]
-    worst = max(_arc_defect(nodes, usable, qs, ta, tb) for ta, tb in arcs)
+    worst = max(_arc_defect(nodes, usable, qs, ta, tb) for ta, tb in _arcs(collisions))
     checks.append(("newtonian defect (re-integration)", worst, tol, worst <= tol))
 
     # (3) continuity of the energy extension across collisions, evaluated at
@@ -523,8 +531,8 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5) -> Verificati
     rel_jump = jump / max(abs(c_const), float(np.max(np.abs(ue), initial=0.0)), 1.0)
     checks.append(("energy continuity across collisions", rel_jump, 10 * tol, rel_jump <= 10 * tol))
 
-    # (4) closure: z at tau = 1, which is t = 1
-    closure = float(abs(birkhoff_map(eval_loop(z_loop, [1.0]))[0] - qs[0]))
+    # (4) closure: q(1) = B(z(1)) is B(z_0) on either sheet, as B(1/z) = B(z)
+    closure = float(abs(nodes.q[0] - qs[0]))
     checks.append(("loop closure", closure, tol, closure <= tol))
 
     return VerificationReport(collision_count=len(collisions), checks=tuple(checks))

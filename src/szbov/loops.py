@@ -748,12 +748,14 @@ def dumps_canonical(obj, indent: int = 0) -> str:
 
 def _read_json(path):
     """The JSON in the file at ``path``, for loop, record and config files
-    alike; text that is not JSON raises LoopError naming the file and line."""
+    alike; text that is not JSON, or not UTF-8, raises LoopError naming the file."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise LoopError(f"{path}: invalid JSON near line {exc.lineno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise LoopError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
 
 
 def _require_diagnostic(value, name: str) -> float:

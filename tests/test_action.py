@@ -9,6 +9,7 @@ from szbov import (
     DegenerateLoopError,
     DiscreteLoop,
     FieldConfig,
+    PhysicalLoop,
     delay_residual,
     eval_action,
     eval_components,
@@ -276,6 +277,12 @@ class TestPullback:
             a_z = eval_action(loop, ZERO)
             a_q = eval_unregularized(reconstruct(loop, n), ZERO)
             assert abs(a_q - a_z) <= 1e-10 * abs(a_z)
+
+    def test_unregularized_action_refuses_a_sample_on_a_center(self):
+        q = 1.0 + 0.5 * np.exp(2j * np.pi * np.arange(64) / 64)
+        q[16] = 1.0
+        with pytest.raises(ValueError, match="singular near collision"):
+            eval_unregularized(PhysicalLoop(samples=q), ZERO)
 
 
 class TestDelayResidual:

@@ -15,7 +15,8 @@ from szbov import (
     seed_circle,
     solve,
 )
-from szbov import loops
+from szbov import dynamics, loops
+from test_solver import ARCHIVES
 from szbov.loops import double_cover, loop_to_dict
 
 
@@ -207,6 +208,49 @@ class TestPipeline:
         assert out2.read_bytes() == orbit_path.read_bytes()
 
 
+class TestIntegrateArchives:
+    """``szbov integrate`` prints the runs of verify's Newtonian check, with
+    no margin: each arc between collisions from the usable node nearest its
+    midpoint, forward and backward, at the grid times k/m."""
+
+    # the fewest grid rows at m = 64: a run that meets a collision stops
+    # before the grid time on it
+    MIN_ROWS = {"kepler": 65, "magnetic": 65, "euler": 64, "electric": 64, "mu_family_end": 64, "unit_circle": 62}
+
+    @pytest.mark.parametrize("name", sorted(MIN_ROWS))
+    def test_prints_grid_rows(self, name, tmp_path, capsys):
+        csv_path = tmp_path / "traj.csv"
+        assert run(["integrate", ARCHIVES / f"{name}.json", "--m", 64, "--out", csv_path]) == 0
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "t,q_re,q_im,v_re,v_im"
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        k = rows[:, 0] * 64
+        np.testing.assert_array_equal(k, np.round(k))
+        assert np.all(np.diff(k) > 0)
+        assert self.MIN_ROWS[name] <= len(rows) <= 65
+        stopped = "integration terminated early: collision_proximity" in capsys.readouterr().err
+        assert stopped == (len(rows) < 65)
+
+    @pytest.mark.parametrize("name", sorted(MIN_ROWS))
+    def test_starts_where_verify_does(self, name, monkeypatch):
+        # the CLI (margin 0) and verify (margins of 5 grid steps) start each
+        # arc's runs at the same node, at the same time and state
+        rec = record_from_dict(json.loads((ARCHIVES / f"{name}.json").read_text()))
+        starts = []
+        integrate = dynamics.integrate
+
+        def recorded(q0, v0, t0, *args, **kwargs):
+            starts.append((t0, q0, v0))
+            return integrate(q0, v0, t0, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "integrate", recorded)
+        assert dynamics.verify_generalized(rec, rec.cfg).ok
+        verified, starts[:] = set(starts), []
+        assert run(["integrate", ARCHIVES / f"{name}.json", "--m", 64, "--quiet"]) == 0
+        assert set(starts) == verified
+        assert len(verified) == max(1, len(rec.q.collision_times))
+
+
 class TestContinue:
     CASE = {
         "fields": {"mu": 0.0},
@@ -321,6 +365,33 @@ class TestExitCodes:
         path.write_text('{"n": 16,\n "twisted": false,\n samples}')
         assert run([a.format(path=path) for a in argv]) == 2
         assert f"{path}: invalid JSON near line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "{path}"],
+        ["verify", "{path}"],
+        ["solve", "--config", "{path}", "--quiet"],
+    ], ids=["eval", "verify", "solve_config"])
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, capsys, argv):
+        # a byte-order mark of UTF-16 is no UTF-8: the message names the file
+        path = tmp_path / "input.json"
+        path.write_bytes(b"\xff\xfe" + '{"n": 16}'.encode("utf-16-le"))
+        assert run([a.format(path=path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: not UTF-8 text" in err
+
+    @pytest.mark.parametrize("payload, message", [
+        ([{"mu": 0.5}], "config must be a JSON object"),
+        ({"fields": {"mu": 0.5}, "grid": {"n": 32, "nodes": 64}}, "unknown grid keys: ['nodes']"),
+        ({"fields": {"mu": 0.5}, "solver": {"g_tol": "1e-9"}}, "bad solver options"),
+    ], ids=["not_an_object", "grid_key", "g_tol_text"])
+    def test_malformed_config_rejected(self, tmp_path, capsys, payload, message):
+        cfg = write_config(tmp_path, payload)
+        assert run(["eval", "--config", cfg, "--seed", '{"kind": "circle", "radius": 2}']) == 2
+        assert message in capsys.readouterr().err
+
+    def test_seed_flag_that_is_not_json_rejected(self, capsys):
+        assert run(["eval", "--seed", "{bad", "--quiet"]) == 2
+        assert "--seed: invalid JSON" in capsys.readouterr().err
 
     def test_dumps_canonical_is_the_loop_writers(self):
         assert cli.dumps_canonical is loops.dumps_canonical

@@ -33,7 +33,7 @@ from szbov import (
     verify_generalized,
 )
 from szbov.action import _Nodes
-from szbov.dynamics import _node_defect, _potential
+from szbov.dynamics import _arc_defect, _node_defect, _potential
 from szbov.geometry import center_distance
 from szbov.loops import EPS_COLLISION, EPS_NODE, TimeMap, chain_rule_state, derivative_matrix
 
@@ -151,6 +151,25 @@ class TestIntegrate:
         traj = integrate(-0.7 + 0j, 0j, 0.0, 10.0, KEPLER)
         assert traj.terminated == "collision_proximity"
         assert abs(traj.positions[-1] + 1.0) < 2 * EPS_COLLISION
+
+    def test_a_sampled_run_that_stops_returns_only_the_times_it_reached(self):
+        # radial free fall onto the center at -1 takes about 0.18: the run
+        # stops there, with rows at the sample times before the stop and none
+        # at its step ends
+        samples = np.linspace(0.0, 1.0, 101)
+        stop = integrate(-0.7 + 0j, 0j, 0.0, 1.0, KEPLER).times[-1]
+        traj = integrate(-0.7 + 0j, 0j, 0.0, 1.0, KEPLER, sample_times=samples)
+        assert traj.terminated == "collision_proximity"
+        reached = samples[samples <= stop]
+        assert 10 < len(reached) < len(samples)
+        np.testing.assert_array_equal(traj.times, reached)
+        assert np.all(np.abs(traj.positions.imag) == 0.0)
+        assert np.all(np.diff(traj.positions.real) < 0)
+        assert -1.0 < traj.positions.real[-1] and traj.positions[0] == -0.7
+        # and none at all when every sample time lies past the stop
+        late = integrate(-0.7 + 0j, 0j, 0.0, 1.0, KEPLER, sample_times=[0.5, 0.9])
+        assert late.terminated == "collision_proximity"
+        assert len(late.times) == len(late.positions) == len(late.velocities) == 0
 
     def test_backward_integration_returns_increasing_times(self):
         traj = integrate(-1.0 + 0.7j, 0.7 ** (-0.5) + 0j, 1.0, 0.0, KEPLER)
@@ -394,6 +413,14 @@ class TestVerifyGeneralized:
         assert values["newtonian defect (re-integration)"] == np.inf
         assert not report.ok
         assert verify_generalized(rec, rec.cfg, tol=1e-5).ok
+
+    def test_an_arc_with_no_usable_node_in_its_window_reads_inf(self):
+        # the same arc checks out with every node usable
+        rec = record_from_dict(json.loads((test_solver.ARCHIVES / "kepler.json").read_text()))
+        nodes = _Nodes(rec.z.samples, rec.z.twisted, rec.cfg)
+        usable = np.ones(rec.z.n, dtype=bool)
+        assert _arc_defect(nodes, usable, rec.q.samples, 0.0, 1.0) < 1e-8
+        assert _arc_defect(nodes, ~usable, rec.q.samples, 0.0, 1.0) == np.inf
 
     def test_a_run_that_stops_early_reads_inf(self, monkeypatch):
         # the unit-circle orbit with its two collision samples moved 1e-3

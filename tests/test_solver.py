@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -236,6 +237,17 @@ class TestSolve:
             solve(rec.z, EULER, replace(OPTS, g_tol=1e-30))
         assert len(points) > 1
         assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+
+    def test_a_ladder_that_runs_out_off_the_excluded_locus_ends_the_solve(self):
+        # at an unreachable tolerance the iteration stalls at round-off: the
+        # last ladder raises lam past its cap at a loop far from degenerate,
+        # which is no convergence, well before the iteration cap
+        opts = SolveOptions(n=32, m=128, g_tol=1e-30)
+        with pytest.raises(NoConvergenceError) as err:
+            solve(seed_kepler_guess(-1, 0.3, 32), KEPLER, opts)
+        iterations = int(re.search(r"after (\d+) iterations", str(err.value)).group(1))
+        assert 0 < iterations < opts.max_iter
+        assert err.value.best_grad_norm < 1e-10
 
     def test_inadmissible_seed_is_refused(self):
         # no residual at a seed collapsed onto a branch point, where F
