@@ -30,6 +30,13 @@ second derivatives and the integration matrix of the cumulative time map, and
 the means F and G as rank-one products.  So the solver's Jacobian is exact to
 round-off and symmetric in ``pack`` coordinates, as the Hessian of the
 discretized functional.
+
+On a real loop of a field even under q -> conj(q) every one of these terms
+is real, A and B are real and the Re-Im blocks vanish.  There
+``_real_line_hessian`` assembles the two diagonal blocks Re(A + B) and
+Re(A - B) in real arithmetic, which the solver and the member selection read
+in place of the full matrix; ``second_variation_matrix`` stays the general
+assembly, and the tests' oracle for the blocks.
 """
 
 from __future__ import annotations
@@ -589,6 +596,79 @@ def _real_matmul(r: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (r @ m.view(float)).view(complex)
 
 
+def _pointwise_terms(nodes: _Nodes):
+    """(diag_a, diag_b, along_df, dm), the Hessian's terms outside the
+    kinetic, magnetic and electric ones.  The gradient  G phi + F g_kin +
+    g_cen / F - h_mu phi / F^2  varies pointwise, on the diagonals diag_a of
+    A and diag_b of B, plus F times the kinetic variation, plus the means:
+    dF = mean Re(conj(phi) xi) along along_df, and dG - dh_mu / F^2 =
+    mean Re(conj(dm) xi) along phi."""
+    cfg, f = nodes.cfg, nodes.f
+    h_mu = (1 - cfg.mu) * nodes.h1 + cfg.mu * nodes.h2
+    phi_z, phi_zb = nodes.phi_wirtinger
+    cen_z, cen_zb = _wirtinger_centers(nodes.z, cfg.mu)
+    a0 = nodes.g - h_mu / f**2
+    dm = nodes.grad_g - nodes.grad_centers / f**2
+    along_df = dm + 2.0 * h_mu / f**3 * nodes.phi
+    return a0 * phi_z + cen_z / f, a0 * phi_zb + cen_zb / f, along_df, dm
+
+
+def _real_line_hessian(nodes: _Nodes) -> tuple[np.ndarray, np.ndarray]:
+    """The two diagonal blocks H_rr = Re(A + B) and H_ii = Re(A - B) of
+    ``second_variation_matrix`` at a loop on the real line
+    (``selection.on_real_line``), where its Re-Im blocks vanish, assembled
+    in real arithmetic: two (n, n) arrays.
+
+    On a real loop z, the cover, zp, s = -1/z^2, L, u = v, phi, its
+    Wirtinger derivatives and the centers' are all real.  So the kinetic X
+    and Y of ``_kinetic_hessian`` are equal, and so are the rank-one terms
+    of A and B: both enter H_rr twice and H_ii not at all,
+
+        H_rr = f weight (L diag(r) L^T + 2 (X + X^T)) + diagonals + 2 rank-one
+        H_ii = f weight L diag(r) L^T + diagonals
+
+    and the blocks share the one real (n, 2n) x (2n, n) product.  A
+    reflection-even field has no magnetic term; the electric term of
+    ``uniform_oscillating`` with a real d is Re(A_e +- B_e), from the
+    complex ``_electric_hessian``."""
+    n, f, zc, zp = nodes.n, nodes.f, nodes.zc.real, nodes.zp.real
+    dmat = derivative_matrix(len(zc), nodes.period)
+    if nodes.twisted:
+        s = -1.0 / nodes.z.real**2
+        t, weight = np.concatenate([np.ones(n), s]), 0.5
+        lmat = s[:, None] * dmat[n:]
+        lmat += dmat[:n]
+    else:
+        t, weight, lmat = np.ones(n), 1.0, dmat
+    fw, r, zp2 = f * weight, 1.0 / zc**2, zp**2
+    lr = lmat * (fw * r)
+    h_ii = lr @ lmat.T
+    del lr
+    h_rr = h_ii.copy()
+    x = _fold_columns(lmat, 2.0 * fw * r**2 * zp * zc * t)
+    h_rr += x
+    h_rr += x.T
+    del x
+    d_a = fw * _fold_diag(t**2 * r**2 * zp2, n)
+    d_b = fw * _fold_diag(t**2 * 2.0 * r**3 * zp2 * zc**2, n)
+    if nodes.twisted:
+        d_b += f * nodes.g_cover[n:].real / nodes.z.real**3
+    diag_a, diag_b, along_df, dm = (v.real for v in _pointwise_terms(nodes))
+    _add_diag(h_rr, d_a + d_b + diag_a + diag_b)
+    _add_diag(h_ii, d_a - d_b + diag_a - diag_b)
+    # the rank-one pair as one product: an outer product of two vectors
+    # buffers twice its own size
+    phi = nodes.phi.real
+    h_rr += np.stack([along_df / n, phi / n], axis=1) @ np.stack([phi, dm])
+    if not nodes.cfg.electric.is_zero:
+        a_e, b_e = _electric_hessian(nodes)
+        h_rr -= a_e.real
+        h_rr -= b_e.real
+        h_ii -= a_e.real
+        h_ii += b_e.real
+    return h_rr, h_ii
+
+
 def second_variation_matrix(
     z: np.ndarray, twisted: bool, cfg: FieldConfig, nodes: _Nodes | None = None
 ) -> np.ndarray:
@@ -609,22 +689,12 @@ def second_variation_matrix(
     if nodes is None:
         nodes = _Nodes(np.asarray(z, dtype=complex), twisted, cfg)
     n, f, phi = nodes.n, nodes.f, nodes.phi
-    h_mu = (1 - cfg.mu) * nodes.h1 + cfg.mu * nodes.h2
-    phi_z, phi_zb = nodes.phi_wirtinger
-    cen_z, cen_zb = _wirtinger_centers(nodes.z, cfg.mu)
-
-    # the gradient  G phi + F g_kin + g_cen / F - h_mu phi / F^2  varies
-    # pointwise, plus F times the kinetic variation, plus the means: dF =
-    # mean Re(conj(phi) xi) along along_df, and dG - dh_mu / F^2 =
-    # mean Re(conj(dm) xi) along phi
-    a0 = nodes.g - h_mu / f**2
-    dm = nodes.grad_g - nodes.grad_centers / f**2
-    along_df = dm + 2.0 * h_mu / f**3 * phi
+    diag_a, diag_b, along_df, dm = _pointwise_terms(nodes)
     a, b = _kinetic_hessian(nodes)
     a *= f
     b *= f
-    _add_diag(a, a0 * phi_z + cen_z / f)
-    _add_diag(b, a0 * phi_zb + cen_zb / f)
+    _add_diag(a, diag_a)
+    _add_diag(b, diag_b)
     a += np.outer(along_df / (2 * n), np.conj(phi))
     a += np.outer(phi / (2 * n), np.conj(dm))
     b += np.outer(along_df / (2 * n), phi)

@@ -531,7 +531,10 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5) -> Verificati
     rel_jump = jump / max(abs(c_const), float(np.max(np.abs(ue), initial=0.0)), 1.0)
     checks.append(("energy continuity across collisions", rel_jump, 10 * tol, rel_jump <= 10 * tol))
 
-    # (4) closure: q(1) = B(z(1)) is B(z_0) on either sheet, as B(1/z) = B(z)
+    # (4) closure: B(z_0), which is q(1) = B(z(1)) on either sheet as
+    # B(1/z) = B(z), against the stored q's first sample.  It catches a
+    # stored q edited apart from z; on a q rebuilt from z, whose first
+    # sample ``reconstruct`` sets to B(z_0), it reads round-off
     closure = float(abs(nodes.q[0] - qs[0]))
     checks.append(("loop closure", closure, tol, closure <= tol))
 

@@ -8,10 +8,11 @@ answered here by a stated rule.  The exact Hessian's spectrum at the critical
 point gives the Morse index, the nullity (eigenvalues below _NULL_REL of the
 largest in modulus) and the smallest non-null eigenvalue.  On a real loop of
 a reflection-even field the Hessian is block-diagonal in [Re; Im], and the
-spectrum is read from its two n x n diagonal blocks.  Where the nullity
-is more than the time shift's one, the member returned is the one closest to
-the seed in physical time (``anchor_measure``), reached by moving along the
-family (``select_member``).
+spectrum is read from its two n x n diagonal blocks, which are assembled in
+real arithmetic (``action._real_line_hessian``) without the full matrix.
+Where the nullity is more than the time shift's one, the member returned is
+the one closest to the seed in physical time (``anchor_measure``), reached by
+moving along the family (``select_member``).
 """
 
 from __future__ import annotations
@@ -48,14 +49,16 @@ def on_real_line(z: np.ndarray, cfg: FieldConfig) -> bool:
     return cfg.reflection_even and not np.any(z.imag)
 
 
-def _eigenvalues(hess: np.ndarray, real: bool) -> np.ndarray:
-    """The exact Hessian's eigenvalues; on the real line (``on_real_line``)
-    the union of its two diagonal blocks' eigenvalues, since the
-    off-diagonal blocks vanish there."""
-    if not real:
-        return np.linalg.eigvalsh(hess)
-    n = len(hess) // 2
-    return np.concatenate([np.linalg.eigvalsh(hess[:n, :n]), np.linalg.eigvalsh(hess[n:, n:])])
+def _eigenvalues(nodes: _action._Nodes, hess: Optional[np.ndarray]) -> np.ndarray:
+    """The exact Hessian's eigenvalues at the loop of the node object
+    ``nodes``.  On the real line (``on_real_line``) they are the union of
+    those of its two diagonal blocks, assembled in real arithmetic from
+    ``nodes`` (``action._real_line_hessian``), since the off-diagonal blocks
+    vanish there, and hess is not read; elsewhere they are those of hess,
+    the full matrix at ``nodes``."""
+    if on_real_line(nodes.z, nodes.cfg):
+        return np.concatenate([np.linalg.eigvalsh(block) for block in _action._real_line_hessian(nodes)])
+    return np.linalg.eigvalsh(hess)
 
 
 def spectrum(evals: np.ndarray) -> tuple[int, int, float]:
@@ -141,18 +144,22 @@ def select_member(
     curvature.  It stops once the next step is below _MOVE_TOL of x with the
     gradient norm below g_tol, so a member already selected stops at once.
 
-    On the real line (``on_real_line``) the eigenvalues are those of the
-    Hessian's two diagonal blocks, and each step is projected onto Re z, so
-    the member returned is exactly real.
+    On the real line (``on_real_line``) every spectrum, at x and after a
+    move, is read from the node object's two real diagonal blocks
+    (``_eigenvalues``), so where k is at most one no (2n, 2n) Hessian is
+    assembled; only the bordered system of a move reads the full matrix.
+    Each step is projected onto Re z, so the member returned is exactly real.
     """
     n, twisted, cfg = nodes.n, nodes.twisted, nodes.cfg
     real = on_real_line(nodes.z, cfg)
     x = pack(nodes.z)
-    hess = second_variation_matrix(nodes.z, twisted, cfg, nodes=nodes)
-    evals = _eigenvalues(hess, real)
+    hess = None if real else second_variation_matrix(nodes.z, twisted, cfg, nodes=nodes)
+    evals = _eigenvalues(nodes, hess)
     k = spectrum(evals)[1]
     if k <= 1:
         return nodes, gn, 0, evals
+    if real:  # the bordered step reads the full matrix
+        hess = second_variation_matrix(nodes.z, twisted, cfg, nodes=nodes)
     vals, vecs = np.linalg.eigh(hess)
     frame = vecs[:, np.argsort(np.abs(vals))[:k]]
     measure = anchor_measure(seed, cfg)
@@ -177,7 +184,7 @@ def select_member(
         log.debug("select %d: gn=%.3e move=%.3e", steps, gn, float(np.linalg.norm(move)))
         if gn < g_tol and np.linalg.norm(move) <= _MOVE_TOL * max(1.0, np.linalg.norm(x)):
             # unmoved, x's eigenvalues are the ones already computed
-            return nodes, gn, steps, evals if steps == 0 else _eigenvalues(hess, real)
+            return nodes, gn, steps, evals if steps == 0 else _eigenvalues(nodes, hess)
         if steps == budget:
             return None
         ds, prev = frame.T @ (move + newton), reduced

@@ -25,12 +25,14 @@ A seed whose every sample is exactly real, on a field even under q -> conj(q)
 (``selection.on_real_line``).  The real loops are invariant there, the
 gradient is real and the Hessian's Re-Im blocks vanish, so by symmetric
 criticality a critical point in Re z alone is one of the full action.  The
-Jacobian is the Re-Re block H[:n, :n], the right-hand sides take the
-residual's first n entries, and each step's imaginary part is exactly 0: the
-normal matrix is n x n, not 2n x 2n.  Acceptance and convergence still test
-the full gradient norm.  No option selects the path; the seed and the field
-do, so a continuation family's secant seeds and a real record read back from
-an archive stay on it.
+Jacobian is the Re-Re block H_rr = Re(A + B), assembled on its own in real
+arithmetic (``action._real_line_hessian``), with no complex (2n, 2n)
+Hessian; the right-hand sides take the residual's first n entries, and each
+step's imaginary part is exactly 0: the normal matrix is n x n, not 2n x 2n.
+Each iteration's debug line names the path, "real n x n" or "full 2n x 2n".
+Acceptance and convergence still test the full gradient norm.  No option
+selects the path; the seed and the field do, so a continuation family's
+secant seeds and a real record read back from an archive stay on it.
 
 The converged loop then goes to ``selection.select_member``, which returns
 the member of its family of critical points that the record holds, with the
@@ -417,7 +419,9 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
     x = pack(np.asarray(seed.samples))
     # a real seed on a reflection-even field stays on the real line: the
     # unknowns are Re z alone, and every step's imaginary part is exactly 0
-    size = n if on_real_line(seed.samples, cfg) else 2 * n
+    real = on_real_line(seed.samples, cfg)
+    size = n if real else 2 * n
+    path = "real n x n" if real else "full 2n x 2n"
     residual = _residual_factory(cfg, twisted, n)
     r, nodes = residual(x)
     gn = float(np.linalg.norm(r))
@@ -434,7 +438,10 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         iterations += 1
         # the scaled Hessian, symmetric: the Jacobian of the residual, in the
         # unknowns; the residual is the full gradient all the same
-        jmat = second_variation_matrix(nodes.z, twisted, cfg, nodes=nodes)[:size, :size]
+        if real:
+            jmat = _action._real_line_hessian(nodes)[0]
+        else:
+            jmat = second_variation_matrix(nodes.z, twisted, cfg, nodes=nodes)
         jmat /= np.sqrt(n)
         ata = jmat.T @ jmat
         rhs = -(jmat.T @ r[:size])
@@ -470,7 +477,9 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         x, (r, nodes) = xt, trial
         gn = float(np.linalg.norm(r))
         lam = max(lam * _LAM_DOWN, 1e-14)
-        log.debug("iter %d: gn=%.3e step=%.3e lam=%.1e", iterations, gn, float(np.linalg.norm(delta)), lam)
+        log.debug(
+            "iter %d: gn=%.3e step=%.3e lam=%.1e solve=%s", iterations, gn, float(np.linalg.norm(delta)), lam, path
+        )
 
     if gn >= opts.g_tol:
         raise NoConvergenceError(

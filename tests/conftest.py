@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from szbov import DiscreteLoop
+from szbov import DiscreteLoop, seed_ejection
 
 
 def random_smooth_loop(
@@ -32,6 +32,22 @@ def random_smooth_loop(
     coef = scale * (rng.normal(0, 1, len(k)) + 1j * rng.normal(0, 1, len(k)))
     z = center + sum(c * np.exp(2j * np.pi * kk * tau) for c, kk in zip(coef, k))
     return DiscreteLoop(samples=z)
+
+
+def random_real_loop(rng, n: int, twisted: bool) -> DiscreteLoop:
+    """A random loop on the real line: a plain one about 1.9, or the
+    ejection seed, which is twisted, times exp(g) with g real and
+    antiperiodic, so that z(tau + 1) = 1/z(tau) still holds."""
+    tau = np.arange(n) / n
+    if twisted:
+        k = np.array([1, 3, 5])
+        g = rng.normal(0, 0.05, 3) @ np.cos(np.pi * np.outer(k, tau))
+        g += rng.normal(0, 0.05, 3) @ np.sin(np.pi * np.outer(k, tau))
+        return DiscreteLoop(seed_ejection(-1, n).samples * np.exp(g), twisted=True)
+    k = np.arange(1, 4)
+    z = 1.9 + rng.normal(0, 0.1, 3) @ np.cos(2 * np.pi * np.outer(k, tau))
+    z += rng.normal(0, 0.1, 3) @ np.sin(2 * np.pi * np.outer(k, tau))
+    return DiscreteLoop(z.astype(complex))
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import random_smooth_loop
+from conftest import random_real_loop, random_smooth_loop
 from szbov import (
     DegenerateLoopError,
     DiscreteLoop,
@@ -24,7 +24,7 @@ from szbov import (
     reconstruct,
     unpack,
 )
-from szbov.action import _kinetic_hessian, _Nodes, second_variation_matrix
+from szbov.action import _kinetic_hessian, _Nodes, _real_line_hessian, second_variation_matrix
 from szbov.loops import derivative_matrix
 
 ZERO = preset("zero", mu=0.5)
@@ -247,6 +247,50 @@ class TestKineticHessian:
                 tracemalloc.stop()
             assert out.nbytes == 128 * 128 * 8
             assert peak <= results * out.nbytes
+
+    def test_real_line_blocks_are_assembled_in_half_the_memory(self, rng):
+        # the two real (n, n) blocks of a real twisted loop stay within half
+        # the full assembly's allowance of four (2n, 2n) results, which is 8
+        # blocks.  Measured: 6.4 blocks at n=64 (the (n, 2n) L and its
+        # scaled copy during the product, and numpy's 64 KiB ufunc buffer
+        # for the broadcast scaling, 2 blocks at this n)
+        z = random_real_loop(rng, 64, twisted=True).samples
+        _real_line_hessian(_Nodes(z, True, ZERO))
+        tracemalloc.start()
+        try:
+            h_rr, h_ii = _real_line_hessian(_Nodes(z, True, ZERO))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h_rr.dtype == h_ii.dtype == np.float64
+        assert h_rr.nbytes == h_ii.nbytes == 64 * 64 * 8
+        assert peak <= 8 * h_rr.nbytes
+
+
+class TestRealLineHessian:
+    """On a real loop of a reflection-even field the Hessian's two diagonal
+    blocks, assembled in real arithmetic, are the complex assembly's."""
+
+    EVEN = [
+        ("zero", preset("zero", mu=0.3)),
+        ("real_d", preset("uniform_oscillating", mu=0.3, epsilon=0.05, d=-0.6)),
+    ]
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+    @pytest.mark.parametrize("cfg", [c for _, c in EVEN], ids=[name for name, _ in EVEN])
+    def test_blocks_are_the_complex_assemblys(self, rng, cfg, twisted, n):
+        for _ in range(3):
+            z = random_real_loop(rng, n, twisted).samples
+            assert not np.any(z.imag)
+            hess = second_variation_matrix(z, twisted, cfg)
+            h_rr, h_ii = _real_line_hessian(_Nodes(z, twisted, cfg))
+            scale = np.max(np.abs(hess))
+            assert np.max(np.abs(h_rr - hess[:n, :n])) <= 1e-14 * scale
+            assert np.max(np.abs(h_ii - hess[n:, n:])) <= 1e-14 * scale
+            full = np.linalg.eigvalsh(hess)
+            merged = np.sort(np.concatenate([np.linalg.eigvalsh(h_rr), np.linalg.eigvalsh(h_ii)]))
+            assert np.max(np.abs(merged - full)) <= 1e-12 * np.max(np.abs(full))
 
 
 class TestPacking:

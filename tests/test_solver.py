@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_smooth_loop
+from conftest import random_real_loop, random_smooth_loop
 from szbov import (
     EPS_COLLISION,
     DegenerateLoopError,
@@ -41,6 +41,8 @@ from szbov import (
     winding_report,
     WindingError,
 )
+import szbov.action
+import szbov.selection
 import szbov.solver
 from szbov.cli import dumps_canonical
 from szbov.loops import TimeMap
@@ -748,22 +750,6 @@ class TestContinuation:
             continue_family(rec, [preset("zero", mu=0.4)], bad)
 
 
-def _real_loop(rng, n: int, twisted: bool) -> DiscreteLoop:
-    """A random loop on the real line: a plain one about 1.9, or the
-    ejection seed, which is twisted, times exp(g) with g real and
-    antiperiodic, so that z(tau + 1) = 1/z(tau) still holds."""
-    tau = np.arange(n) / n
-    if twisted:
-        k = np.array([1, 3, 5])
-        g = rng.normal(0, 0.05, 3) @ np.cos(np.pi * np.outer(k, tau))
-        g += rng.normal(0, 0.05, 3) @ np.sin(np.pi * np.outer(k, tau))
-        return DiscreteLoop(seed_ejection(-1, n).samples * np.exp(g), twisted=True)
-    k = np.arange(1, 4)
-    z = 1.9 + rng.normal(0, 0.1, 3) @ np.cos(2 * np.pi * np.outer(k, tau))
-    z += rng.normal(0, 0.1, 3) @ np.sin(2 * np.pi * np.outer(k, tau))
-    return DiscreteLoop(z.astype(complex))
-
-
 class TestRealLine:
     """A real loop on a field even under q -> conj(q) stays on the real
     line: the solve moves Re z alone and the spectrum is read from the
@@ -777,11 +763,12 @@ class TestRealLine:
     @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
     @pytest.mark.parametrize("cfg", [c for _, c in EVEN], ids=[name for name, _ in EVEN])
     def test_hessian_is_block_diagonal(self, rng, cfg, twisted):
-        # the Re-Im blocks vanish and the gradient is real, so the two
-        # diagonal blocks' spectra are the full matrix's
+        # the Re-Im blocks vanish and the gradient is real, so the spectra
+        # of the two diagonal blocks, which the selection assembles in real
+        # arithmetic, are the full matrix's
         n = 64
         for _ in range(3):
-            loop = _real_loop(rng, n, twisted)
+            loop = random_real_loop(rng, n, twisted)
             hess = second_variation_matrix(loop.samples, twisted, cfg)
             scale = np.max(np.abs(hess))
             assert np.max(np.abs(hess[:n, n:])) <= 1e-13 * scale
@@ -789,7 +776,7 @@ class TestRealLine:
             g = gradient(loop, cfg)
             assert np.max(np.abs(g.imag)) <= 1e-13 * np.max(np.abs(g))
             full = np.linalg.eigvalsh(hess)
-            merged = np.sort(_eigenvalues(hess, True))
+            merged = np.sort(_eigenvalues(_Nodes(loop.samples, twisted, cfg), None))
             assert np.max(np.abs(merged - full)) <= 1e-12 * np.max(np.abs(full))
 
     def test_mu_family_spectrum_is_the_full_matrixs(self):
@@ -815,16 +802,44 @@ class TestRealLine:
         (preset("rotating_charge", mu=0.1, mu_s=0.01, r_s=3.0), 0.0, False),
         (preset("uniform_oscillating", mu=0.1, epsilon=0.01, d=1.0 + 0.5j), 0.0, False),
     ], ids=["zero", "real_d", "off_the_line", "constant", "rotating_charge", "complex_d"])
-    def test_path_is_chosen_from_the_seed_and_field(self, solve_sizes, cfg, nudge, real):
+    def test_path_is_chosen_from_the_seed_and_field(self, solve_sizes, caplog, cfg, nudge, real):
         # an ejection solve on the real line hands n x n systems to the
         # linear solver and returns a real loop; one sample off the line by
         # 1e-12, or a field that is not reflection-even, keeps the full
-        # 2n x 2n systems.  Four iterations show the path.
+        # 2n x 2n systems.  Four iterations show the path, and each
+        # iteration's debug line names it.
         n = 64
         samples = seed_ejection(-1, n).samples.copy()
         samples[5] += nudge
+        caplog.set_level("DEBUG", logger="szbov.solver")
         with contextlib.suppress(NoConvergenceError):
             rec = solve(DiscreteLoop(samples, twisted=True), cfg, replace(OPTS, max_iter=4))
             if real:
                 assert not np.any(rec.z.samples.imag)
         assert solve_sizes and set(solve_sizes) == {n if real else 2 * n}
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("iter ")]
+        assert lines and all(line.endswith("solve=real n x n" if real else "solve=full 2n x 2n") for line in lines)
+
+    def test_real_line_solve_assembles_no_full_hessian(self, monkeypatch):
+        # criterion 10's first step from the ejection start: each Jacobian
+        # of the solve, and the selection's spectrum, are the two real
+        # blocks, so the complex (2n, 2n) Hessian is never assembled
+        start = solve(seed_ejection(-1, 64), KEPLER, OPTS)
+        full, blocks = [], []
+
+        def refused(*args, **kwargs):
+            full.append(sys._getframe(1).f_globals["__name__"])
+            return second_variation_matrix(*args, **kwargs)
+
+        def counted(nodes, _real=szbov.action._real_line_hessian):
+            blocks.append(sys._getframe(1).f_globals["__name__"])
+            return _real(nodes)
+
+        monkeypatch.setattr(szbov.solver, "second_variation_matrix", refused)
+        monkeypatch.setattr(szbov.selection, "second_variation_matrix", refused)
+        monkeypatch.setattr(szbov.action, "_real_line_hessian", counted)
+        rec = solve(start.z, preset("zero", mu=0.01), OPTS)
+        assert full == []
+        assert rec.iterations == blocks.count("szbov.solver") > 0
+        assert blocks.count("szbov.selection") == 1 and len(blocks) == rec.iterations + 1
+        assert not np.any(rec.z.samples.imag) and rec.nullity == 1
