@@ -47,11 +47,12 @@ from functools import cached_property
 import numpy as np
 
 from .fields import FieldConfig
-from .geometry import birkhoff_derivative, birkhoff_map, conformal_weight
+from .geometry import birkhoff_derivative, birkhoff_map
 from .loops import (
     EPS_ZHAT,
     DegenerateLoopError,
     DiscreteLoop,
+    LoopError,
     PhysicalLoop,
     _chain_rule_velocity,
     _periodic_cover,
@@ -136,11 +137,15 @@ class DelayResidual:
 
 
 class _Nodes:
-    """The node quantities of the discretized functional at one loop z: w and
-    F on construction, which rejects a degenerate loop, and each other one on
-    first use.  Values (the gauge at q = B(z), the potential e and its time
-    derivative edot at the node times) are kept apart from derivatives, so a
-    value evaluates no derivative of a field.
+    """The node quantities of the discretized functional at one loop z: the
+    moduli |z| and |z -+ 1|^2, w and F on construction, which rejects a
+    sample that is not finite or is 0 (LoopError) and a degenerate loop, and
+    each other one on first use.  Each modulus, those of the cover and of zp
+    too, is computed once and read by every quadrature, gradient and Hessian
+    term that needs it; each mean is a sum over the count, as ``np.mean``
+    computes it, with the same bits.  Values (the gauge at q = B(z), the
+    potential e and its time derivative edot at the node times) are kept
+    apart from derivatives, so a value evaluates no derivative of a field.
 
     The electric term goes through the time map t = K w / F.  N := F E is
     mean(e w); its gradient n c phi + force has a dW channel, with
@@ -152,8 +157,16 @@ class _Nodes:
         self.z, self.twisted, self.cfg = z, twisted, cfg
         self.n = len(z)
         self.period = 2.0 if twisted else 1.0
-        self.w = conformal_weight(z)
-        self.f = float(np.mean(self.w))
+        # the moduli |z|, |z|^2 and |z -+ 1|^2, which w, H1, H2, phi, the
+        # centers' gradient and the Hessian share
+        self.absz = np.abs(z)
+        if not (np.isfinite(self.absz).all() and self.absz.all()):
+            raise LoopError("loop samples must be finite and avoid the origin")
+        self.abs2 = self.absz**2
+        self.am2, self.ap2 = np.abs(z - 1.0) ** 2, np.abs(z + 1.0) ** 2
+        # geometry.conformal_weight, from the shared moduli
+        self.w = self.am2 * self.ap2 / (4.0 * self.abs2)
+        self.f = float(self.w.sum()) / self.n
         if self.f <= EPS_ZHAT:
             raise DegenerateLoopError("degenerate loop: zhat vanishes")
 
@@ -170,15 +183,29 @@ class _Nodes:
         return _spectral_derivative(self.zc, period=self.period)
 
     @cached_property
+    def abs_zc(self) -> np.ndarray:
+        return np.abs(self.zc) if self.twisted else self.absz
+
+    @cached_property
+    def zc2(self) -> np.ndarray:
+        """|zc|^2, shared by G, its gradient and the kinetic Hessian."""
+        return self.abs_zc**2
+
+    @cached_property
+    def zp2(self) -> np.ndarray:
+        """|zp|^2, shared as zc2 is."""
+        return np.abs(self.zp) ** 2
+
+    @cached_property
     def g(self) -> float:
         """G, averaged over the whole cover, which its gradient differentiates."""
-        return 0.5 * float(np.mean(np.abs(self.zp) ** 2 / np.abs(self.zc) ** 2))
+        return 0.5 * float((self.zp2 / self.zc2).sum()) / len(self.zc)
 
     @cached_property
     def g_cover(self) -> np.ndarray:
         """Gradient of G in the samples of the cover."""
         zc, zp = self.zc, self.zp
-        return -_spectral_derivative(zp / np.abs(zc) ** 2, period=self.period) - zc * np.abs(zp) ** 2 / np.abs(zc) ** 4
+        return -_spectral_derivative(zp / self.zc2, period=self.period) - zc * self.zp2 / self.abs_zc**4
 
     @cached_property
     def grad_g(self) -> np.ndarray:
@@ -189,22 +216,23 @@ class _Nodes:
 
     @cached_property
     def h1(self) -> float:
-        return 0.5 * float(np.mean(np.abs(self.z - 1.0) ** 2 / np.abs(self.z)))
+        return 0.5 * float((self.am2 / self.absz).sum()) / self.n
 
     @cached_property
     def h2(self) -> float:
-        return 0.5 * float(np.mean(np.abs(self.z + 1.0) ** 2 / np.abs(self.z)))
+        return 0.5 * float((self.ap2 / self.absz).sum()) / self.n
 
     @cached_property
     def grad_centers(self) -> np.ndarray:
         """Gradient of the mass-weighted two-center term (1-mu) H1 + mu H2."""
-        return (1 - self.cfg.mu) * _grad_center(self.z, 1.0) + self.cfg.mu * _grad_center(self.z, -1.0)
+        z, den = self.z, 2.0 * self.absz**3
+        return (1 - self.cfg.mu) * _grad_center(z, 1.0, den) + self.cfg.mu * _grad_center(z, -1.0, den)
 
     @cached_property
     def phi(self) -> np.ndarray:
         """Pointwise gradient of the conformal weight: dw = Re(conj(phi) xi)."""
         z = self.z
-        return z * (z**2 - 1.0) * (np.conj(z) ** 2 + 1.0) / (2.0 * np.abs(z) ** 4)
+        return z * (z**2 - 1.0) * (np.conj(z) ** 2 + 1.0) / (2.0 * self.absz**4)
 
     @cached_property
     def phi_wirtinger(self) -> tuple[np.ndarray, np.ndarray]:
@@ -238,7 +266,7 @@ class _Nodes:
         """M, the circulation of the gauge along q."""
         if self.cfg.magnetic.is_zero:
             return 0.0
-        return float(np.mean(np.real(np.conj(self.gauge) * self.qp)))
+        return float(np.real(np.conj(self.gauge) * self.qp).sum()) / self.n
 
     @cached_property
     def gauge_jac(self) -> tuple[np.ndarray, np.ndarray]:
@@ -273,13 +301,13 @@ class _Nodes:
     def e_val(self) -> float:
         if self.cfg.electric.is_zero:
             return 0.0
-        return float(np.mean(self.e * self.w)) / self.f
+        return float((self.e * self.w).sum()) / self.n / self.f
 
     @cached_property
     def e1(self) -> float:
         if self.cfg.electric.is_zero:
             return 0.0
-        return float(np.mean(self.edot * self.raw * self.w)) / (self.f * self.f)
+        return float((self.edot * self.raw * self.w).sum()) / self.n / (self.f * self.f)
 
     @cached_property
     def ge(self) -> np.ndarray:
@@ -297,7 +325,7 @@ class _Nodes:
     def tail(self) -> np.ndarray:
         """tail_j, the integral of edot dt from t_j to 1: the interpolant of
         beta = edot w integrated from node j to the end, over F."""
-        return (float(np.mean(self.beta)) - integration_matrix(self.n) @ self.beta) / self.f
+        return (float(self.beta.sum()) / self.n - integration_matrix(self.n) @ self.beta) / self.f
 
     @cached_property
     def beta_k(self) -> np.ndarray:
@@ -305,7 +333,7 @@ class _Nodes:
 
     @cached_property
     def beta_t(self) -> float:
-        return float(np.mean(self.beta * self.t))
+        return float((self.beta * self.t).sum()) / self.n
 
     @cached_property
     def c(self) -> np.ndarray:
@@ -346,19 +374,21 @@ def eval_unregularized(q: PhysicalLoop, cfg: FieldConfig) -> float:
     return kinetic - circulation + attract - electric
 
 
-def _grad_center(z: np.ndarray, s: float) -> np.ndarray:
-    """Gradient of the two-center term of the center at s (H1 at 1, H2 at -1)."""
-    return z * (z - s) * (np.conj(z) + s) / (2.0 * np.abs(z) ** 3)
+def _grad_center(z: np.ndarray, s: float, den: np.ndarray) -> np.ndarray:
+    """Gradient of the two-center term of the center at s (H1 at 1, H2 at
+    -1), given den = 2 |z|^3."""
+    return z * (z - s) * (np.conj(z) + s) / den
 
 
 def component_gradients(loop: DiscreteLoop, cfg: FieldConfig) -> dict:
     """Per-component (value, gradient) pairs, for isolating each formula."""
     nodes = _Nodes(loop.samples, loop.twisted, cfg)
+    den = 2.0 * nodes.absz**3
     out = {
         "F": (nodes.f, nodes.phi),
         "G": (nodes.g, nodes.grad_g),
-        "H1": (nodes.h1, _grad_center(nodes.z, 1.0)),
-        "H2": (nodes.h2, _grad_center(nodes.z, -1.0)),
+        "H1": (nodes.h1, _grad_center(nodes.z, 1.0, den)),
+        "H2": (nodes.h2, _grad_center(nodes.z, -1.0, den)),
         "M": (nodes.m, np.conj(nodes.bp) * nodes.gq),
     }
     if not cfg.electric.is_zero:
@@ -366,11 +396,12 @@ def component_gradients(loop: DiscreteLoop, cfg: FieldConfig) -> dict:
     return out
 
 
-def gradient(loop: DiscreteLoop, cfg: FieldConfig, nodes: _Nodes | None = None) -> np.ndarray:
+def gradient(loop: DiscreteLoop | None, cfg: FieldConfig, nodes: _Nodes | None = None) -> np.ndarray:
     """Exact gradient of the discretized regularized functional.
 
     ``nodes``, where the caller has it, is the node object of this loop and
-    cfg, whose cached quantities are then read instead of computed again.
+    cfg, whose cached quantities are then read instead of computed again;
+    the loop is then not read, and may be None.
     """
     if nodes is None:
         nodes = _Nodes(loop.samples, loop.twisted, cfg)
@@ -386,10 +417,11 @@ def gradient(loop: DiscreteLoop, cfg: FieldConfig, nodes: _Nodes | None = None) 
     return grad
 
 
-def _wirtinger_centers(z: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """d/dz and d/dzbar of ``_Nodes.grad_centers``: the center at s contributes
-    (z - s)(1 + s/conj(z)) / (2|z|), s = 1 for H1 and s = -1 for H2."""
-    absz, zb = np.abs(z), np.conj(z)
+def _wirtinger_centers(z: np.ndarray, absz: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """d/dz and d/dzbar of ``_Nodes.grad_centers``, given absz = |z|: the
+    center at s contributes (z - s)(1 + s/conj(z)) / (2|z|), s = 1 for H1
+    and s = -1 for H2."""
+    zb = np.conj(z)
     d_z, d_zb = 0.0, 0.0
     for s, weight in ((1.0, 1.0 - mu), (-1.0, mu)):
         d_z = d_z + weight * np.abs(1.0 + s / z) ** 2 / (4.0 * absz)
@@ -458,8 +490,8 @@ def _kinetic_hessian(nodes: _Nodes):
         lmat.real += dmat[:n]
     else:
         t, weight, lmat = np.ones(n), 1.0, dmat
-    r = 1.0 / np.abs(zc) ** 2
-    zp2 = np.abs(zp) ** 2
+    r = 1.0 / nodes.zc2
+    zp2 = nodes.zp2
     u = r**2 * zp * np.conj(zc)
     v = r**2 * zp * zc
 
@@ -606,7 +638,7 @@ def _pointwise_terms(nodes: _Nodes):
     cfg, f = nodes.cfg, nodes.f
     h_mu = (1 - cfg.mu) * nodes.h1 + cfg.mu * nodes.h2
     phi_z, phi_zb = nodes.phi_wirtinger
-    cen_z, cen_zb = _wirtinger_centers(nodes.z, cfg.mu)
+    cen_z, cen_zb = _wirtinger_centers(nodes.z, nodes.absz, cfg.mu)
     a0 = nodes.g - h_mu / f**2
     dm = nodes.grad_g - nodes.grad_centers / f**2
     along_df = dm + 2.0 * h_mu / f**3 * nodes.phi
@@ -746,7 +778,7 @@ def _delay_residual(nodes: _Nodes) -> DelayResidual:
     c_const = _energy_constant(f, nodes.g, nodes.h1, nodes.h2, nodes.e_val, nodes.e1, cfg.mu)
     zp = nodes.zp[: nodes.n]
     zpp = _spectral_derivative(nodes.zc, period=nodes.period, order=2)[: nodes.n]
-    absz2 = np.abs(z) ** 2
+    absz2 = nodes.abs2
 
     rhs = c_const * phi * absz2 / f**2
     rhs = rhs + np.conj(z) * zp**2 / absz2

@@ -732,6 +732,11 @@ def dumps_canonical(obj, indent: int = 0) -> str:
             return "[]"
         if all(isinstance(v, float) for v in obj):
             return "[" + ", ".join(map(_fmt_float, obj)) + "]"
+        if _is_pair_list(obj):
+            # a block of samples, one [re, im] line each: the text of the
+            # general case below, without a call per pair
+            items = [f"{pad}  [{_fmt_float(re)}, {_fmt_float(im)}]" for re, im in obj]
+            return "[\n" + ",\n".join(items) + f"\n{pad}]"
         flat = all(isinstance(v, (int, float, bool)) or v is None for v in obj)
         if flat:
             return "[" + ", ".join(dumps_canonical(v) for v in obj) + "]"
@@ -744,6 +749,17 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, float):
         return _fmt_float(obj)
     return json.dumps(obj)
+
+
+def _is_pair_list(obj) -> bool:
+    """Whether obj is a list of [re, im] lists of floats, as the samples of a
+    loop object and of a record's q are written: checked in bulk, as
+    ``_require_points`` reads them."""
+    return (
+        set(map(type, obj)) == {list}
+        and set(map(len, obj)) == {2}
+        and set(map(type, itertools.chain.from_iterable(obj))) == {float}
+    )
 
 
 def _read_json(path):

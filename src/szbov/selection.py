@@ -166,7 +166,7 @@ def select_member(
     model = None
     steps = 0
     while True:
-        g = pack(gradient(DiscreteLoop(nodes.z, twisted=twisted), cfg, nodes=nodes))
+        g = pack(gradient(None, cfg, nodes=nodes))
         gn = float(np.linalg.norm(g)) / np.sqrt(n)
         border = np.block([[hess, frame], [frame.T, np.zeros((k, k))]])
         rhs = np.block([[-g[:, None], np.zeros((2 * n, k))], [np.zeros((k, 1)), np.eye(k)]])

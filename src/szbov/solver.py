@@ -9,16 +9,21 @@ once: the scaled exact Hessian (``action.second_variation_matrix``),
 symmetric to round-off, which gives the damped normal equations and the
 right-hand sides of the step and of the acceleration.  Without the
 acceleration the bench's `euler` solve does not converge in 200 iterations.
-A trial point's residual builds the point's node object (``action._Nodes``)
-once; its gradient reads it, and so does the next Jacobian once the point is
-accepted.  The last accepted point's object goes on to the member
+A trial point's residual checks the point once, that every sample is finite
+and at least _MIN_ABS_Z from 0, and builds the point's node object
+(``action._Nodes``) from its samples, with no loop object; the node object
+computes the moduli of the samples once, for every quadrature and Hessian
+term.  Its gradient reads it, and so does the next Jacobian once the point
+is accepted.  The last accepted point's object goes on to the member
 selection's first Hessian and, where no member moves, to the record.  A
-point with a sample within _MIN_ABS_Z of 0, a non-finite sample, or a
-vanishing mean conformal weight gets no residual.  A solve inverts no time
-map unless the member selection moves: the record's q is built when it is
-first read, and the windings of the seed and of the record are read at their
-loops' own nodes.  The settings are module constants; ``SolveOptions`` holds
-only the grid, the tolerance and the iteration cap.
+point that fails the check, or whose mean conformal weight vanishes, gets no
+residual.  Each damping ladder forms its normal matrix once and resets its
+diagonal for each trial's damping, so its trials copy no (2n, 2n) matrix.
+A solve inverts no time map unless the member selection moves: the record's
+q is built when it is first read, and the windings of the seed and of the
+record are read at their loops' own nodes.  The settings are module
+constants; ``SolveOptions`` holds only the grid, the tolerance and the
+iteration cap.
 
 A seed whose every sample is exactly real, on a field even under q -> conj(q)
 (``FieldConfig.reflection_even``), is solved on the real line
@@ -371,20 +376,22 @@ def _residual_factory(cfg: FieldConfig, twisted: bool, n: int):
     gradient, scaled by 1/sqrt(n), so that its norm is the gradient norm.
 
     The residual at x comes with the node object (``action._Nodes``) of x's
-    loop, which it builds once: the gradient reads it, and so does the
-    Jacobian at x once x is accepted.  An inadmissible x gets no residual:
-    one with a sample within _MIN_ABS_Z of 0 or a non-finite one, or whose
-    mean conformal weight F is at most EPS_ZHAT, raises LoopError.
+    samples, which it builds once, with no loop object: the gradient reads
+    it, and so does the Jacobian at x once x is accepted.  An inadmissible x
+    gets no residual: one with a non-finite sample or one within _MIN_ABS_Z
+    of 0, checked here before the node object is built, or whose mean
+    conformal weight F is at most EPS_ZHAT, raises LoopError.
     """
     scale = 1.0 / np.sqrt(n)
 
     def residual(x: np.ndarray) -> tuple[np.ndarray, _action._Nodes]:
+        if not np.isfinite(x).all():
+            raise LoopError("loop samples must be finite")
         z = unpack(x)
-        if np.any(np.abs(z) < _MIN_ABS_Z):
+        if np.abs(z).min() < _MIN_ABS_Z:
             raise DegenerateLoopError(f"a sample lies within {_MIN_ABS_Z} of 0")
-        loop = DiscreteLoop(z, twisted=twisted)
-        nodes = _action._Nodes(loop.samples, twisted, cfg)
-        return pack(gradient(loop, cfg, nodes=nodes)) * scale, nodes
+        nodes = _action._Nodes(z, twisted, cfg)
+        return pack(gradient(None, cfg, nodes=nodes)) * scale, nodes
 
     return residual
 
@@ -443,12 +450,15 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         else:
             jmat = second_variation_matrix(nodes.z, twisted, cfg, nodes=nodes)
         jmat /= np.sqrt(n)
-        ata = jmat.T @ jmat
+        # the normal matrix J^T J + lam I: formed once per ladder, and each
+        # trial resets its diagonal to that of J^T J plus its own lam
+        normal = jmat.T @ jmat
+        diag = normal.diagonal().copy()
         rhs = -(jmat.T @ r[:size])
 
         # one damping ladder, until a trial is accepted or lam passes _LAM_MAX
         while lam <= _LAM_MAX:
-            normal = _action._add_diag(ata.copy(), lam)
+            normal.flat[:: size + 1] = diag + lam
             delta = np.zeros_like(x)
             delta[:size] = np.linalg.solve(normal, rhs)
             # geodesic acceleration: second-order correction along the step,

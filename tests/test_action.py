@@ -24,8 +24,9 @@ from szbov import (
     reconstruct,
     unpack,
 )
-from szbov.action import _kinetic_hessian, _Nodes, _real_line_hessian, second_variation_matrix
-from szbov.loops import derivative_matrix
+from szbov.action import _kinetic_hessian, _Nodes, _real_line_hessian, _wirtinger_centers, second_variation_matrix
+from szbov.geometry import conformal_weight
+from szbov.loops import LoopError, _spectral_derivative, derivative_matrix, integration_matrix
 
 ZERO = preset("zero", mu=0.5)
 
@@ -291,6 +292,73 @@ class TestRealLineHessian:
             full = np.linalg.eigvalsh(hess)
             merged = np.sort(np.concatenate([np.linalg.eigvalsh(h_rr), np.linalg.eigvalsh(h_ii)]))
             assert np.max(np.abs(merged - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+class TestSharedModuli:
+    """The node object computes |z|, |z -+ 1|^2, |zc|^2 and |zp|^2 once and
+    writes each mean as a sum over the count.  Every quantity that reads
+    them has the very bits of the expressions written out in full, as they
+    were before they shared them: equal arrays, with no tolerance."""
+
+    CONFIGS = [
+        ("zero", preset("zero", mu=0.3)),
+        ("constant", preset("constant", mu=0.5, b=2.0)),
+        ("oscillating", preset("uniform_oscillating", mu=0.5, epsilon=0.1)),
+    ]
+
+    @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+    @pytest.mark.parametrize("cfg", [c for _, c in CONFIGS], ids=[name for name, _ in CONFIGS])
+    def test_quantities_are_bit_identical_to_the_full_expressions(self, rng, cfg, twisted):
+        mu = cfg.mu
+        for n in (32, 64, 128):
+            z = random_smooth_loop(rng, n, twisted=twisted).samples
+            nodes = _Nodes(z, twisted, cfg)
+            zc, zp = nodes.zc, nodes.zp
+
+            def grad_center(s):
+                return z * (z - s) * (np.conj(z) + s) / (2.0 * np.abs(z) ** 3)
+
+            w = conformal_weight(z)
+            f = float(np.mean(w))
+            expected = {
+                "absz": np.abs(z),
+                "abs2": np.abs(z) ** 2,
+                "zc2": np.abs(zc) ** 2,
+                "zp2": np.abs(zp) ** 2,
+                "w": w,
+                "f": f,
+                "g": 0.5 * float(np.mean(np.abs(zp) ** 2 / np.abs(zc) ** 2)),
+                "g_cover": -_spectral_derivative(zp / np.abs(zc) ** 2, period=nodes.period)
+                - zc * np.abs(zp) ** 2 / np.abs(zc) ** 4,
+                "h1": 0.5 * float(np.mean(np.abs(z - 1.0) ** 2 / np.abs(z))),
+                "h2": 0.5 * float(np.mean(np.abs(z + 1.0) ** 2 / np.abs(z))),
+                "grad_centers": (1 - mu) * grad_center(1.0) + mu * grad_center(-1.0),
+                "phi": z * (z**2 - 1.0) * (np.conj(z) ** 2 + 1.0) / (2.0 * np.abs(z) ** 4),
+            }
+            if not cfg.magnetic.is_zero:
+                expected["m"] = float(np.mean(np.real(np.conj(nodes.gauge) * nodes.qp)))
+            if not cfg.electric.is_zero:
+                beta, t = nodes.edot * w, nodes.raw / f
+                expected.update(
+                    e_val=float(np.mean(nodes.e * w)) / f,
+                    e1=float(np.mean(nodes.edot * nodes.raw * w)) / (f * f),
+                    beta_t=float(np.mean(beta * t)),
+                    tail=(float(np.mean(beta)) - integration_matrix(n) @ beta) / f,
+                )
+            for name, value in expected.items():
+                assert np.array_equal(getattr(nodes, name), value), name
+            # the centers' Wirtinger derivatives read the shared |z|
+            for got, want in zip(_wirtinger_centers(z, nodes.absz, mu), _wirtinger_centers(z, np.abs(z), mu)):
+                assert np.array_equal(got, want)
+
+    def test_node_samples_must_be_finite_and_nonzero(self, rng):
+        # the one guard of the node object, for callers that build no loop
+        z = random_smooth_loop(rng, 32).samples
+        for bad in (np.nan, np.inf, complex(np.nan, 1.0), 0.0):
+            samples = z.copy()
+            samples[7] = bad
+            with pytest.raises(LoopError, match="finite and avoid the origin"):
+                _Nodes(samples, False, ZERO)
 
 
 class TestPacking:

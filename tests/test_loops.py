@@ -1,6 +1,8 @@
+import json
 import re
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from szbov import (
     loop_to_dict,
     preset,
     reconstruct,
+    record_from_dict,
     save_loop,
     second_derivative,
     time_map,
@@ -44,6 +47,7 @@ from szbov.loops import (
 )
 
 TAU64 = np.arange(64) / 64
+ARCHIVES = Path(__file__).resolve().parents[1] / "perfbench" / "archives"
 
 
 def direct_phases(n, x):
@@ -522,6 +526,54 @@ class TestSerialization:
         np.testing.assert_array_equal(again.samples, loop.samples)
         # canonical text, as every other file the package writes
         assert path.read_text() == dumps_canonical(loop_to_dict(loop)) + "\n"
+
+    @staticmethod
+    def general_case(obj):
+        """obj with every [re, im] list made a tuple, which dumps_canonical
+        writes through its general case, one call per pair."""
+        if isinstance(obj, dict):
+            return {k: TestSerialization.general_case(v) for k, v in obj.items()}
+        if isinstance(obj, list):
+            if obj and all(isinstance(v, list) and len(v) == 2 for v in obj):
+                return [tuple(v) for v in obj]
+            return [TestSerialization.general_case(v) for v in obj]
+        return obj
+
+    @pytest.mark.parametrize("path", sorted(ARCHIVES.glob("*.json")), ids=lambda p: p.stem)
+    def test_sample_blocks_are_written_as_the_general_case(self, path):
+        # the z and q blocks of a record take the pair-list case of
+        # dumps_canonical: read back and written again, each archive is its
+        # own text, and the general case writes the same bytes.  JSON reads
+        # a sample written "1" back as an int, so the record's own blocks,
+        # all floats, are written too
+        text = path.read_text()
+        data = json.loads(text)
+        assert dumps_canonical(data) + "\n" == text
+        assert dumps_canonical(self.general_case(data)) + "\n" == text
+        written = record_from_dict(data).to_dict()
+        assert loops_module._is_pair_list(written["z"]["samples"])
+        assert loops_module._is_pair_list(written["q"]["samples"])
+        assert dumps_canonical(written) == dumps_canonical(self.general_case(written))
+
+    def test_pair_list_case_writes_every_float_as_the_general_case(self, tmp_path):
+        # signed zeros, non-finite values and both exponent forms, in a pair
+        # list and as tuples; and a saved loop file, read back and rewritten
+        pairs = [[-0.0, 0.0], [float("nan"), float("inf")], [-float("inf"), 1e-300], [1.0 / 3.0, -2.5e17]]
+        for indent in (0, 2, 6):
+            assert dumps_canonical(pairs, indent) == dumps_canonical([tuple(p) for p in pairs], indent)
+        assert "[-0.0, 0]," in dumps_canonical(pairs)
+        # int, bool or null entries are no float pair: the general case
+        assert not loops_module._is_pair_list([[1.0, 2]])
+        assert not loops_module._is_pair_list([[1.0, True]])
+        assert not loops_module._is_pair_list([[1.0, 2.0, 3.0]])
+        assert dumps_canonical([[1.5, 2], [3.5, None]]) == "[\n  [1.5, 2],\n  [3.5, null]\n]"
+        path = tmp_path / "loop.json"
+        save_loop(DiscreteLoop(samples=np.concatenate([[complex(-0.0, 1.5)], 2.0 + np.exp(2j * np.pi * TAU64[1:])])), path)
+        text = path.read_text()
+        assert "[-0.0, 1.5]" in text
+        data = json.loads(text)
+        assert dumps_canonical(data) + "\n" == text
+        assert dumps_canonical(self.general_case(data)) + "\n" == text
 
     def test_file_that_is_not_json_is_named(self, tmp_path):
         path = tmp_path / "loop.json"

@@ -260,6 +260,52 @@ class TestSolve:
             with pytest.raises(DegenerateLoopError):
                 solve(DiscreteLoop(samples), EULER, OPTS)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_trial_point_is_refused(self, bad):
+        # the residual checks its point itself, with no loop object: a trial
+        # with a NaN or infinite coordinate, real or imaginary, gets none
+        seed = seed_kepler_guess(-1, 0.3, 64)
+        residual = szbov.solver._residual_factory(EULER, seed.twisted, 64)
+        x = pack(seed.samples)
+        assert szbov.solver._trial(residual, x) is not None
+        for i in (5, 64 + 5):
+            point = x.copy()
+            point[i] = bad
+            assert szbov.solver._trial(residual, point) is None
+
+    def test_one_normal_matrix_per_damping_ladder(self, monkeypatch):
+        # every linear solve of one damping ladder, the step and the
+        # acceleration of each of its trials, is handed the same normal
+        # matrix J^T J + lam I, its diagonal reset per trial, and not a new
+        # (2n, 2n) copy per trial.  A marker splits the solves by ladder.
+        calls = []
+        linear_solve = np.linalg.solve
+        assemble = szbov.solver.second_variation_matrix
+
+        def recorded(a, b):
+            calls.append(a)
+            return linear_solve(a, b)
+
+        def marked(*args, **kwargs):
+            calls.append(None)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        monkeypatch.setattr(szbov.solver, "second_variation_matrix", marked)
+        rec = solve(seed_kepler_guess(-1, 0.3, 64), EULER, OPTS)
+        assert calls[0] is None
+        ladders = []
+        for a in calls:
+            if a is None:
+                ladders.append([])
+            else:
+                ladders[-1].append(a)
+        assert len(ladders) == rec.iterations
+        # some ladder rejects a trial: more solves than one trial's two
+        assert max(map(len, ladders)) > 2
+        for ladder in ladders:
+            assert all(a is ladder[0] for a in ladder)
+
     def test_member_selection_shares_the_iteration_cap(self):
         # kepler converges in 2 iterations, then moves along its family for
         # 9 more; with a cap of 4 the error carries the unmoved critical point
