@@ -28,18 +28,23 @@ from szbov import (
     record_from_dict,
     save_loop,
     second_derivative,
+    seed_circle,
+    seed_ellipse_lift,
+    seed_kepler_guess,
     time_map,
     zhat,
 )
 from conftest import random_smooth_loop
 from szbov import loops as loops_module
 from szbov.action import _Nodes
+from szbov.geometry import center_distance
 from szbov.loops import (
     _DENSE_DERIVATIVE_MAX_N,
     TimeMap,
     _fourier_sum,
     _phases,
     _spectral_derivative,
+    _time_map_from_weights,
     _trig_eval,
     derivative_matrix,
     dumps_canonical,
@@ -421,6 +426,86 @@ class TestTimeMap:
             assert np.all(np.diff(tau) >= 0)
 
 
+    @pytest.mark.parametrize("n, limit", [(64, 2.1), (1024, 1.1)])
+    def test_inverse_retires_a_point_after_its_round_off_newton_step(self, rng, monkeypatch, n, limit):
+        # Newton's error bound puts the step from the Hermite start at
+        # round-off at n = 1024, so no second pass confirms it; at n = 64 the
+        # second step is the last
+        t = np.arange(1024) / 1024
+        for loop in bound_test_loops(rng, n):
+            tm = time_map(loop)
+            tau, evaluated = inverse_with_evaluations(tm, t, monkeypatch)
+            assert sum(map(len, evaluated)) <= limit * len(t)
+            assert np.max(np.abs(tm.t(tau) - t)) <= 1e-13
+            assert np.all(np.diff(tau) >= 0)
+
+    @pytest.mark.parametrize("n", [64, 100, 1024])
+    def test_curvature_bound_bounds_t_second_derivative(self, rng, n):
+        # t'' = w'/zhat, w' the spectral derivative of the weight interpolant,
+        # sampled 16 times finer than the nodes by zero padding; the Nyquist
+        # mode is the cosine, split in half between the modes +-n/2.  Weights
+        # 1 + 0.99 cos(2 pi k tau) at the top modes k put the bound at about
+        # twice max |t''|.
+        fine = 16 * n
+        maps = [time_map(loop) for loop in bound_test_loops(rng, n) + [noisy_loop(rng, n)]]
+        for k in (n // 2 - 1, n // 2):
+            maps.append(_time_map_from_weights(1.0 + 0.99 * np.cos(2.0 * np.pi * k * np.arange(n) / n)))
+        for tm in maps:
+            c = np.fft.rfft(tm.weights) / n
+            padded = np.zeros(fine // 2 + 1, dtype=complex)
+            padded[: n // 2 + 1] = c
+            padded[n // 2] *= 0.5
+            k = np.arange(fine // 2 + 1)
+            second = fine * np.fft.irfft(2j * np.pi * k * padded, fine) / tm.zhat
+            assert tm._curvature_bound >= np.max(np.abs(second))
+
+    @pytest.mark.parametrize("n", [64, 100, 1024])
+    def test_points_retired_by_the_bound_are_at_round_off(self, rng, monkeypatch, n):
+        # a point the bound retires returns a Newton step that t never
+        # evaluated; its residual, evaluated now, is at round-off
+        t = np.arange(1024) / 1024
+        retired = 0
+        for loop in bound_test_loops(rng, n) + [noisy_loop(rng, n)]:
+            tm = time_map(loop)
+            tau, evaluated = inverse_with_evaluations(tm, t, monkeypatch)
+            unseen = ~np.isin(tau, np.concatenate(evaluated))
+            retired += np.count_nonzero(unseen)
+            assert np.max(np.abs(tm.t(tau[unseen]) - t[unseen]), initial=0.0) <= 4 * np.finfo(float).eps
+        assert retired >= 0.5 * len(t)
+
+
+def bound_test_loops(rng, n):
+    """Collision-free plain, twisted and grazing loops."""
+    return [
+        random_smooth_loop(rng, n, center=3.0 + 0.5j),
+        random_smooth_loop(rng, n, center=3.0 + 0.5j),
+        random_smooth_loop(rng, n, twisted=True),
+        random_smooth_loop(rng, n, twisted=True),
+        DiscreteLoop(2.0 + 0.99 * np.exp(2j * np.pi * np.arange(n) / n)),
+    ]
+
+
+def noisy_loop(rng, n):
+    """A loop whose weights carry every mode up to the Nyquist one."""
+    noise = 0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    return DiscreteLoop(2.0 + 0.99 * np.exp(2j * np.pi * np.arange(n) / n) + noise)
+
+
+def inverse_with_evaluations(tm, t, monkeypatch):
+    """tm.inverse(t) and the list of the tau arrays at which it evaluated t."""
+    evaluated = []
+    t_eval = TimeMap.t
+
+    def recorded(self, tau, *args, **kwargs):
+        evaluated.append(np.atleast_1d(tau).copy())
+        return t_eval(self, tau, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TimeMap, "t", recorded)
+        tau = tm.inverse(t)
+    return tau, evaluated
+
+
 def collision_free_loops(rng, n=64):
     return [
         random_smooth_loop(rng, n, center=3.0 + 0.5j),
@@ -507,6 +592,73 @@ class TestLiftReconstruct:
         q = 3.0 * np.exp(1j * np.pi * np.arange(16) / 15)
         with pytest.raises(LiftError, match="undersampled"):
             lift(PhysicalLoop(samples=q))
+
+
+    def test_branch_tracking_matches_the_sample_by_sample_loop(self, rng):
+        # reconstructions of seeded and random loops, and random walks, whose
+        # large steps take the constant and swap maps as well as the identity
+        loops = [seed_circle(3.0, 1.0, 64), seed_ellipse_lift(2.0, 1.0, 64), seed_kepler_guess(1, 0.5, 64)]
+        samples = [reconstruct(loop, 1024).samples for loop in loops + collision_free_loops(rng)]
+        for scale in (0.3, 1.0):
+            samples += [np.cumsum(rng.normal(0, scale, 256) + 1j * rng.normal(0, scale, 256)) for _ in range(10)]
+        outcomes = set()
+        for q in samples:
+            expected = branch_outcome(track_branch_by_loop, q)
+            got = branch_outcome(loops_module._track_branch, q)
+            if isinstance(expected, str):
+                assert got == expected
+                outcomes.add(expected)
+            else:
+                np.testing.assert_array_equal(got[0].view(float), expected[0].view(float))
+                assert got[1] == expected[1]
+                outcomes.add(expected[1])
+        assert outcomes == {False, True, "undersampled lift"}
+
+    def test_branch_tracking_raises_as_the_sample_by_sample_loop(self):
+        on_center = 3.0 * np.exp(2j * np.pi * np.arange(64) / 64)
+        on_center[5] = 1.0
+        tie = np.full(16, 2.0 + 0j)
+        tie[1] = 0.0
+        jump = 3.0 * np.exp(1j * np.pi * np.arange(16) / 15)
+        for q, message in ((on_center, "cannot lift through branch point"), (tie, "undersampled lift"), (jump, "undersampled lift")):
+            assert branch_outcome(track_branch_by_loop, q) == message
+            assert branch_outcome(loops_module._track_branch, q) == message
+
+
+def track_branch_by_loop(q):
+    """The branch tracked one sample at a time: the oracle for
+    ``loops._track_branch``."""
+    if np.min(center_distance(q)) <= loops_module.EPS_COLLISION:
+        raise LiftError("cannot lift through branch point")
+    root = np.sqrt(q * q - 1.0)
+    z = np.empty_like(q)
+    prev = q[0] + root[0]
+    z[0] = prev
+    for j in range(1, len(q)):
+        plus = q[j] + root[j]
+        minus = q[j] - root[j]
+        d_plus = abs(plus - prev)
+        d_minus = abs(minus - prev)
+        if abs(d_plus - d_minus) <= 1e-9 * max(d_plus, d_minus, 1e-30):
+            raise LiftError("undersampled lift")
+        prev = plus if d_plus < d_minus else minus
+        z[j] = prev
+    plus = q[0] + root[0]
+    minus = q[0] - root[0]
+    closed = abs(plus - prev) < abs(minus - prev)
+    end = plus if closed else minus
+    if abs(end - prev) > 0.5 * abs(z[0] - 1.0 / z[0]) + 1e-6:
+        raise LiftError("undersampled lift")
+    twisted = not np.isclose(abs(end - z[0]), 0.0, atol=1e-6 * (1 + abs(z[0])))
+    return z, twisted
+
+
+def branch_outcome(track, q):
+    """track(q), or the message of the LiftError it raises."""
+    try:
+        return track(q)
+    except LiftError as exc:
+        return str(exc)
 
 
 class TestSerialization:
