@@ -15,8 +15,8 @@ functional; the continuum differential formulas serve as test oracles.
 Each public function reads one loop's node quantities from one ``_Nodes``
 object (the weights and F, the cover, H1/H2, q = B(z), the fields at q and at
 the discrete times), which computes each of them on first use, once.
-``gradient`` and ``second_variation_matrix`` also take the caller's object,
-so that the solver's gradient and Hessian at one point share it.
+``gradient`` and ``_hessian_blocks`` also take the caller's object, so that
+the solver's gradient and Hessian at one point share it.
 
 Gradients use the L2 pairing  dB(z)xi = mean_j Re(conj(g_j) xi_j).
 
@@ -31,12 +31,12 @@ the means F and G as rank-one products.  So the solver's Jacobian is exact to
 round-off and symmetric in ``pack`` coordinates, as the Hessian of the
 discretized functional.
 
-On a real loop of a field even under q -> conj(q) every one of these terms
-is real, A and B are real and the Re-Im blocks vanish.  There
-``_real_line_hessian`` assembles the two diagonal blocks Re(A + B) and
-Re(A - B) in real arithmetic, which the solver and the member selection read
-in place of the full matrix; ``second_variation_matrix`` stays the general
-assembly, and the tests' oracle for the blocks.
+On a real loop of a field even under q -> conj(q) (``on_real_line``) every
+one of these terms is real and the Re-Im blocks vanish.  ``_hessian_blocks``
+decides this once: it returns the Hessian as its diagonal blocks, the first
+on the solve's unknowns, which are Re(A + B) and Re(A - B) in real
+arithmetic on the real line, and the full matrix elsewhere.
+``second_variation_matrix`` stays the general assembly and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -645,10 +645,30 @@ def _pointwise_terms(nodes: _Nodes):
     return a0 * phi_z + cen_z / f, a0 * phi_zb + cen_zb / f, along_df, dm
 
 
+def on_real_line(z: np.ndarray, cfg: FieldConfig) -> bool:
+    """Whether every sample of z is exactly real, in a field even under
+    q -> conj(q) (``FieldConfig.reflection_even``).  The real loops are then
+    invariant, the gradient there is real and the Hessian's Re-Im blocks
+    vanish, so a critical point in Re z alone is one of the full action
+    (symmetric criticality)."""
+    return cfg.reflection_even and not np.any(z.imag)
+
+
+def _hessian_blocks(nodes: _Nodes) -> tuple[np.ndarray, ...]:
+    """The exact Hessian at the loop of the node object ``nodes`` as its
+    diagonal blocks, the first one on the solve's unknowns: on the real line
+    (``on_real_line``), (H_rr, H_ii) from ``_real_line_hessian``, with
+    unknowns Re z; elsewhere (H,), the full matrix, with unknowns pack(z).
+    The Hessian's spectrum is the union of the blocks'."""
+    if on_real_line(nodes.z, nodes.cfg):
+        return _real_line_hessian(nodes)
+    return (_second_variation_matrix(nodes),)
+
+
 def _real_line_hessian(nodes: _Nodes) -> tuple[np.ndarray, np.ndarray]:
     """The two diagonal blocks H_rr = Re(A + B) and H_ii = Re(A - B) of
     ``second_variation_matrix`` at a loop on the real line
-    (``selection.on_real_line``), where its Re-Im blocks vanish, assembled
+    (``on_real_line``), where its Re-Im blocks vanish, assembled
     in real arithmetic: two (n, n) arrays.
 
     On a real loop z, the cover, zp, s = -1/z^2, L, u = v, phi, its
@@ -701,9 +721,7 @@ def _real_line_hessian(nodes: _Nodes) -> tuple[np.ndarray, np.ndarray]:
     return h_rr, h_ii
 
 
-def second_variation_matrix(
-    z: np.ndarray, twisted: bool, cfg: FieldConfig, nodes: _Nodes | None = None
-) -> np.ndarray:
+def second_variation_matrix(z: np.ndarray, twisted: bool, cfg: FieldConfig) -> np.ndarray:
     """The exact Hessian of the discretized functional at the one loop z
     (shape (n,)): the (2n, 2n) real Jacobian of pack(gradient) in pack
     coordinates, symmetric to round-off.
@@ -714,13 +732,13 @@ def second_variation_matrix(
     matrix D folded to n x n blocks on a twisted loop's double cover,
     rank-one products for the means F and G, and the integration matrix K
     of the electric time map.  The real block [[Re(A+B), -Im(A-B)],
-    [Im(A+B), Re(A-B)]] is written into one (2n, 2n) array.
+    [Im(A+B), Re(A-B)]] is written into one (2n, 2n) array."""
+    return _second_variation_matrix(_Nodes(np.asarray(z, dtype=complex), twisted, cfg))
 
-    ``nodes``, where the caller has it, is the node object of this z,
-    twisted and cfg, as for ``gradient``."""
-    if nodes is None:
-        nodes = _Nodes(np.asarray(z, dtype=complex), twisted, cfg)
-    n, f, phi = nodes.n, nodes.f, nodes.phi
+
+def _second_variation_matrix(nodes: _Nodes) -> np.ndarray:
+    """``second_variation_matrix`` read from the loop's node object."""
+    cfg, n, f, phi = nodes.cfg, nodes.n, nodes.f, nodes.phi
     diag_a, diag_b, along_df, dm = _pointwise_terms(nodes)
     a, b = _kinetic_hessian(nodes)
     a *= f

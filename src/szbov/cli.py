@@ -109,7 +109,7 @@ def load_run_config(args) -> RunConfig:
 
     cfg = config_from_dict(data.get("fields", {"mu": 0.5}))
 
-    grid = dict(data.get("grid", {}))
+    grid = dict(_config_block(data, "grid", dict, {}))
     unknown = set(grid) - {"n", "m"}
     if unknown:
         raise FieldConfigError(f"unknown grid keys: {sorted(unknown)}")
@@ -117,7 +117,7 @@ def load_run_config(args) -> RunConfig:
     n = grid.get("n", SolveOptions.n)
     m = grid.get("m", SolveOptions.m)
 
-    solver_block = dict(data.get("solver", {}))
+    solver_block = dict(_config_block(data, "solver", dict, {}))
     # n and m are SolveOptions fields too, but they are set from the grid
     option_names = {f.name for f in dataclasses.fields(SolveOptions)} - {"n", "m"}
     unknown = set(solver_block) - option_names
@@ -126,8 +126,8 @@ def load_run_config(args) -> RunConfig:
         raise FieldConfigError(f"unknown solver keys: {sorted(unknown)}{hint}")
 
     seed_spec = data.get("seed", dict(_DEFAULT_SEED))
-    out = data.get("out")
-    path = [config_from_dict(block) for block in data.get("path", [])]
+    out = _config_block(data, "out", str, None)
+    path = [config_from_dict(block) for block in _config_block(data, "path", list, [])]
 
     # a flag given as 0 is rejected by SolveOptions below, not ignored
     if args.n is not None:
@@ -146,6 +146,18 @@ def load_run_config(args) -> RunConfig:
     except TypeError as exc:
         raise FieldConfigError(f"bad solver options: {exc}")
     return RunConfig(cfg=cfg, opts=opts, seed_spec=seed_spec, out=out, path=path)
+
+
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _config_block(data: dict, key: str, kind: type, default):
+    """data[key], which must be JSON of the given kind, or default where the
+    key is absent."""
+    value = data.get(key, default)
+    if key in data and not isinstance(value, kind):
+        raise FieldConfigError(f"config: {key!r} must be {_JSON_KINDS[kind]}, not {value!r}")
+    return value
 
 
 def _parse_seed_flag(text: str) -> dict:

@@ -134,8 +134,7 @@ class DiscreteLoop:
 
 def double_cover(loop: DiscreteLoop) -> np.ndarray:
     """2N samples of the genuine loop induced on [0, 2): z followed by 1/z."""
-    z = loop.samples
-    return np.concatenate([z, 1.0 / z])
+    return _periodic_cover(loop.samples, True)[0]
 
 
 # Largest n at which _spectral_derivative applies the dense derivative matrix
@@ -388,9 +387,11 @@ class TimeMap:
     """Cumulative reparametrization data between loop parameter and time.
 
     t(tau) is the normalized antiderivative of the conformal weight along the
-    loop.  The Fourier coefficients of the weights and of their antiderivative
-    are computed once per map, by one real FFT, and kept as one two-row stack
-    of the modes k >= 0 (``_spectral``), from which the node values
+    loop, built from the weights w(z_j) at the nodes alone; the mean weight
+    ``zhat`` and everything else are read from them on first use.  The
+    Fourier coefficients of the weights and of their antiderivative are
+    computed once per map, by one real FFT, and kept as one two-row stack of
+    the modes k >= 0 (``_spectral``), from which the node values
     ``t_of_tau`` are taken as well; ``t`` sums the antiderivative row at any
     tau with ``_fourier_sum`` as a real row and, asked for the slope as well,
     sums both rows from the same phase tables.
@@ -403,13 +404,35 @@ class TimeMap:
     round-off.
     """
 
-    zhat: float
-    t_of_tau: np.ndarray  # length n+1, from 0 to 1
     weights: np.ndarray = field(repr=False)  # w(z_j) at the nodes
 
     @property
     def n(self) -> int:
         return len(self.weights)
+
+    @functools.cached_property
+    def zhat(self) -> float:
+        """The mean weight, t's normalization."""
+        return float(np.mean(self.weights))
+
+    @functools.cached_property
+    def t_of_tau(self) -> np.ndarray:
+        """t at the nodes tau = j/n, j = 0..n, made monotone against
+        round-off, from the map's own coefficients, the ones ``t`` sums: at
+        tau = j/n the antiderivative is c_0 j/n + (n ifft(coef))_j -
+        sum(coef), over all modes k of the antiderivative's coefficients
+        coef, since the Nyquist mode's sine vanishes there;
+        ``np.fft.irfft`` takes that sum from the k >= 0 half.  So one FFT of
+        the weights serves the nodes and every later ``t``, and no n x n
+        matrix is formed."""
+        n = self.n
+        (coef, c), at_zero = self._spectral
+        raw = (c[0].real / n) * np.arange(n) + (n * np.fft.irfft(coef, n) - at_zero)
+        nodes = np.empty(n + 1)
+        nodes[:n] = np.maximum.accumulate(np.clip(raw / self.zhat, 0.0, 1.0))
+        nodes[0] = 0.0
+        nodes[n] = 1.0
+        return nodes
 
     @functools.cached_property
     def _spectral(self):
@@ -577,41 +600,15 @@ class PhysicalLoop:
 
 def zhat(loop: DiscreteLoop) -> float:
     """Mean of the conformal weight along the loop (periodic trapezoid rule)."""
-    value = float(np.mean(conformal_weight(loop.samples)))
-    if value <= EPS_ZHAT:
-        raise DegenerateLoopError("degenerate loop: zhat vanishes")
-    return value
-
-
-def _time_map_from_weights(w: np.ndarray) -> TimeMap:
-    """The map whose t(tau) is the normalized antiderivative of the weights
-    w, with its node values made monotone against round-off.
-
-    The node values come from the map's own coefficients, the ones ``t``
-    sums: at tau = j/n the antiderivative is c_0 j/n + (n ifft(coef))_j -
-    sum(coef), over all modes k of the antiderivative's coefficients coef,
-    since the Nyquist mode's sine vanishes there; ``np.fft.irfft`` takes
-    that sum from the k >= 0 half.  So one FFT of the weights serves the
-    nodes and every later ``t``, and no n x n matrix is formed.
-    """
-    n = len(w)
-    total = float(np.mean(w))
-    out = TimeMap(zhat=total, t_of_tau=np.empty(n + 1), weights=w)
-    (coef, c), at_zero = out._spectral
-    raw = (c[0].real / n) * np.arange(n) + (n * np.fft.irfft(coef, n) - at_zero)
-    nodes = out.t_of_tau
-    nodes[:n] = np.maximum.accumulate(np.clip(raw / total, 0.0, 1.0))
-    nodes[0] = 0.0
-    nodes[n] = 1.0
-    return out
+    return time_map(loop).zhat
 
 
 def time_map(loop: DiscreteLoop) -> TimeMap:
     """Reparametrization t(tau) between loop parameter and physical time."""
-    w = conformal_weight(loop.samples)
-    if float(np.mean(w)) <= EPS_ZHAT:
+    out = TimeMap(conformal_weight(loop.samples))
+    if out.zhat <= EPS_ZHAT:
         raise DegenerateLoopError("degenerate loop: zhat vanishes")
-    return _time_map_from_weights(w)
+    return out
 
 
 def reconstruct(loop: DiscreteLoop, m: int) -> PhysicalLoop:
@@ -683,7 +680,7 @@ def lift(q: PhysicalLoop) -> DiscreteLoop:
     zt, twisted = _track_branch(qs)
     m = len(zt)
     # reparametrize: dtau/dt proportional to 1/w(z(t)); normalize tau(1) = 1
-    aux = _time_map_from_weights(1.0 / conformal_weight(zt))
+    aux = TimeMap(1.0 / conformal_weight(zt))
     t_of_uniform_tau = aux.inverse(np.arange(m) / m)
     zc, period = _periodic_cover(zt, twisted)
     return DiscreteLoop(samples=_trig_eval(zc, t_of_uniform_tau, period=period), twisted=twisted)

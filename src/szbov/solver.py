@@ -5,7 +5,7 @@ acceleration drives the exact discrete gradient to zero, so it does not rely
 on the critical point being a minimum.  The residual is the gradient alone,
 scaled by 1/sqrt(n), so its norm is the gradient norm and every accepted
 iterate is the best so far.  Each iteration assembles its Jacobian densely,
-once: the scaled exact Hessian (``action.second_variation_matrix``),
+once: the scaled exact Hessian on the unknowns (``action._hessian_blocks``),
 symmetric to round-off, which gives the damped normal equations and the
 right-hand sides of the step and of the acceleration.  Without the
 acceleration the bench's `euler` solve does not converge in 200 iterations.
@@ -25,19 +25,19 @@ record are read at their loops' own nodes.  The settings are module
 constants; ``SolveOptions`` holds only the grid, the tolerance and the
 iteration cap.
 
-A seed whose every sample is exactly real, on a field even under q -> conj(q)
-(``FieldConfig.reflection_even``), is solved on the real line
-(``selection.on_real_line``).  The real loops are invariant there, the
-gradient is real and the Hessian's Re-Im blocks vanish, so by symmetric
-criticality a critical point in Re z alone is one of the full action.  The
-Jacobian is the Re-Re block H_rr = Re(A + B), assembled on its own in real
-arithmetic (``action._real_line_hessian``), with no complex (2n, 2n)
-Hessian; the right-hand sides take the residual's first n entries, and each
-step's imaginary part is exactly 0: the normal matrix is n x n, not 2n x 2n.
-Each iteration's debug line names the path, "real n x n" or "full 2n x 2n".
+The unknowns are those of the Hessian's first block.  For a loop whose every
+sample is exactly real, on a field even under q -> conj(q)
+(``action.on_real_line``), they are Re z alone: the real loops are invariant
+there, the gradient is real and the Hessian's Re-Im blocks vanish, so by
+symmetric criticality a critical point in Re z alone is one of the full
+action.  The block is then H_rr = Re(A + B), assembled in real arithmetic
+with no complex (2n, 2n) Hessian; the right-hand sides take the residual's
+first n entries, and each step's imaginary part is exactly 0, so every
+iterate stays real: the normal matrix is n x n, not 2n x 2n.  Each
+iteration's debug line names the block, "real n x n" or "full 2n x 2n".
 Acceptance and convergence still test the full gradient norm.  No option
-selects the path; the seed and the field do, so a continuation family's
-secant seeds and a real record read back from an archive stay on it.
+selects the unknowns; the seed and the field do, so a continuation family's
+secant seeds and a real record read back from an archive stay real.
 
 The converged loop then goes to ``selection.select_member``, which returns
 the member of its family of critical points that the record holds, with the
@@ -55,7 +55,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import action as _action
-from .action import _components_from_dict, _components_to_dict, gradient, pack, second_variation_matrix, unpack
+from .action import _components_from_dict, _components_to_dict, gradient, pack, unpack
 from .dynamics import _node_defect
 from .fields import FieldConfig, config_from_dict, config_to_dict
 from .geometry import WindingError, WindingReport, birkhoff_map, winding_report
@@ -78,7 +78,7 @@ from .loops import (
     _require_points,
     _require_real,
 )
-from .selection import on_real_line, select_member, spectrum
+from .selection import select_member, spectrum
 
 log = logging.getLogger(__name__)
 
@@ -424,11 +424,6 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         raise ValueError(f"seed has n={n} samples, but the solve options ask for n={opts.n}")
     twisted = seed.twisted
     x = pack(np.asarray(seed.samples))
-    # a real seed on a reflection-even field stays on the real line: the
-    # unknowns are Re z alone, and every step's imaginary part is exactly 0
-    real = on_real_line(seed.samples, cfg)
-    size = n if real else 2 * n
-    path = "real n x n" if real else "full 2n x 2n"
     residual = _residual_factory(cfg, twisted, n)
     r, nodes = residual(x)
     gn = float(np.linalg.norm(r))
@@ -445,11 +440,10 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         iterations += 1
         # the scaled Hessian, symmetric: the Jacobian of the residual, in the
         # unknowns; the residual is the full gradient all the same
-        if real:
-            jmat = _action._real_line_hessian(nodes)[0]
-        else:
-            jmat = second_variation_matrix(nodes.z, twisted, cfg, nodes=nodes)
+        jmat = _action._hessian_blocks(nodes)[0]
         jmat /= np.sqrt(n)
+        size = len(jmat)
+        path = "real n x n" if size == n else "full 2n x 2n"
         # the normal matrix J^T J + lam I: formed once per ladder, and each
         # trial resets its diagonal to that of J^T J plus its own lam
         normal = jmat.T @ jmat

@@ -389,6 +389,24 @@ class TestExitCodes:
         assert run(["eval", "--config", cfg, "--seed", '{"kind": "circle", "radius": 2}']) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("grid", 5), ("grid", []), ("grid", [["n", 64]]),
+        ("solver", 5), ("solver", "ab"),
+        ("path", 5), ("path", {"mu": 0.1}),
+        ("out", ["a"]), ("out", True), ("out", 7),
+    ])
+    def test_config_block_of_the_wrong_kind_rejected(self, tmp_path, capfd, monkeypatch, key, value):
+        # grid and solver are objects, path a list and out a string: any
+        # other JSON value is refused with its key named, before anything is
+        # written (an out of true or 7 would be opened as a file descriptor)
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, {"fields": {"mu": 0.5}, key: value})
+        assert run(["eval", "--config", cfg, "--seed", '{"kind": "circle", "radius": 2}', "--n", 32, "--quiet"]) == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert f"config: {key!r} must be" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_seed_flag_that_is_not_json_rejected(self, capsys):
         assert run(["eval", "--seed", "{bad", "--quiet"]) == 2
         assert "--seed: invalid JSON" in capsys.readouterr().err

@@ -44,7 +44,6 @@ from szbov.loops import (
     _fourier_sum,
     _phases,
     _spectral_derivative,
-    _time_map_from_weights,
     _trig_eval,
     derivative_matrix,
     dumps_canonical,
@@ -449,7 +448,7 @@ class TestTimeMap:
         fine = 16 * n
         maps = [time_map(loop) for loop in bound_test_loops(rng, n) + [noisy_loop(rng, n)]]
         for k in (n // 2 - 1, n // 2):
-            maps.append(_time_map_from_weights(1.0 + 0.99 * np.cos(2.0 * np.pi * k * np.arange(n) / n)))
+            maps.append(TimeMap(1.0 + 0.99 * np.cos(2.0 * np.pi * k * np.arange(n) / n)))
         for tm in maps:
             c = np.fft.rfft(tm.weights) / n
             padded = np.zeros(fine // 2 + 1, dtype=complex)

@@ -46,8 +46,8 @@ import szbov.selection
 import szbov.solver
 from szbov.cli import dumps_canonical
 from szbov.loops import TimeMap
-from szbov.action import _Nodes, second_variation_matrix
-from szbov.selection import _NULL_REL, _eigenvalues, anchor_measure, spectrum
+from szbov.action import _hessian_blocks, _Nodes, _second_variation_matrix, second_variation_matrix
+from szbov.selection import _NULL_REL, anchor_measure, spectrum
 
 KEPLER = preset("zero", mu=0.0)
 EULER = preset("zero", mu=0.5)
@@ -228,13 +228,13 @@ class TestSolve:
         # Hessian is assembled twice at the same point
         rec = solve(seed_kepler_guess(-1, 0.3, 64), EULER, OPTS)
         points = []
-        assemble = szbov.solver.second_variation_matrix
+        assemble = szbov.action._hessian_blocks
 
-        def recorded(z, *args, **kwargs):
-            points.append(np.array(z))
-            return assemble(z, *args, **kwargs)
+        def recorded(nodes):
+            points.append(np.array(nodes.z))
+            return assemble(nodes)
 
-        monkeypatch.setattr(szbov.solver, "second_variation_matrix", recorded)
+        monkeypatch.setattr(szbov.action, "_hessian_blocks", recorded)
         with pytest.raises(NoConvergenceError):
             solve(rec.z, EULER, replace(OPTS, g_tol=1e-30))
         assert len(points) > 1
@@ -280,18 +280,19 @@ class TestSolve:
         # (2n, 2n) copy per trial.  A marker splits the solves by ladder.
         calls = []
         linear_solve = np.linalg.solve
-        assemble = szbov.solver.second_variation_matrix
+        assemble = szbov.action._hessian_blocks
 
         def recorded(a, b):
             calls.append(a)
             return linear_solve(a, b)
 
-        def marked(*args, **kwargs):
-            calls.append(None)
-            return assemble(*args, **kwargs)
+        def marked(nodes):
+            if sys._getframe(1).f_globals["__name__"] == "szbov.solver":
+                calls.append(None)
+            return assemble(nodes)
 
         monkeypatch.setattr(np.linalg, "solve", recorded)
-        monkeypatch.setattr(szbov.solver, "second_variation_matrix", marked)
+        monkeypatch.setattr(szbov.action, "_hessian_blocks", marked)
         rec = solve(seed_kepler_guess(-1, 0.3, 64), EULER, OPTS)
         assert calls[0] is None
         ladders = []
@@ -362,12 +363,14 @@ class TestSolve:
         # not the passes of the loop, which end with one more convergence
         # test; so a seed already at tolerance takes no iteration
         calls = []
+        assemble = szbov.action._hessian_blocks
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return second_variation_matrix(*args, **kwargs)
+        def counted(nodes):
+            if sys._getframe(1).f_globals["__name__"] == "szbov.solver":
+                calls.append(1)
+            return assemble(nodes)
 
-        monkeypatch.setattr(szbov.solver, "second_variation_matrix", counted)
+        monkeypatch.setattr(szbov.action, "_hessian_blocks", counted)
         rec = solve(seed_kepler_guess(-1, 0.3, 64), EULER, OPTS)
         assert rec.iterations == len(calls) > 10
         again = solve(rec.z, EULER, OPTS)
@@ -659,7 +662,7 @@ class TestDenseJacobian:
         loop = random_smooth_loop(rng, 32, twisted=twisted)
         nodes = _Nodes(loop.samples, twisted, cfg)
         first = gradient(loop, cfg, nodes=nodes)
-        hess = second_variation_matrix(loop.samples, twisted, cfg, nodes=nodes)
+        hess = _second_variation_matrix(nodes)
         again = gradient(loop, cfg, nodes=nodes)
         np.testing.assert_array_equal(hess, second_variation_matrix(loop.samples, twisted, cfg))
         for g in (first, again):
@@ -822,7 +825,8 @@ class TestRealLine:
             g = gradient(loop, cfg)
             assert np.max(np.abs(g.imag)) <= 1e-13 * np.max(np.abs(g))
             full = np.linalg.eigvalsh(hess)
-            merged = np.sort(_eigenvalues(_Nodes(loop.samples, twisted, cfg), None))
+            blocks = _hessian_blocks(_Nodes(loop.samples, twisted, cfg))
+            merged = np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
             assert np.max(np.abs(merged - full)) <= 1e-12 * np.max(np.abs(full))
 
     def test_mu_family_spectrum_is_the_full_matrixs(self):
@@ -873,19 +877,49 @@ class TestRealLine:
         start = solve(seed_ejection(-1, 64), KEPLER, OPTS)
         full, blocks = [], []
 
-        def refused(*args, **kwargs):
-            full.append(sys._getframe(1).f_globals["__name__"])
-            return second_variation_matrix(*args, **kwargs)
+        def refused(nodes, _full=szbov.action._second_variation_matrix):
+            full.append(nodes.n)
+            return _full(nodes)
 
-        def counted(nodes, _real=szbov.action._real_line_hessian):
+        def counted(nodes, _blocks=szbov.action._hessian_blocks):
             blocks.append(sys._getframe(1).f_globals["__name__"])
-            return _real(nodes)
+            return _blocks(nodes)
 
-        monkeypatch.setattr(szbov.solver, "second_variation_matrix", refused)
-        monkeypatch.setattr(szbov.selection, "second_variation_matrix", refused)
-        monkeypatch.setattr(szbov.action, "_real_line_hessian", counted)
+        monkeypatch.setattr(szbov.action, "_second_variation_matrix", refused)
+        monkeypatch.setattr(szbov.action, "_hessian_blocks", counted)
         rec = solve(start.z, preset("zero", mu=0.01), OPTS)
         assert full == []
         assert rec.iterations == blocks.count("szbov.solver") > 0
         assert blocks.count("szbov.selection") == 1 and len(blocks) == rec.iterations + 1
         assert not np.any(rec.z.samples.imag) and rec.nullity == 1
+
+    def test_real_line_member_move_assembles_no_full_hessian(self, monkeypatch, solve_sizes):
+        # criterion 10's start at mu = 0 has nullity 3, the time shift in
+        # Re z and two directions in Im z, so its selection moves.  The move
+        # is made in Re z, as the solve's steps are: no complex (2n, 2n)
+        # Hessian is assembled, and the largest system is the bordered one
+        # on Re z and the time shift, n + 1
+        n = 64
+        full = []
+        assemble = szbov.action._second_variation_matrix
+
+        def recorded(nodes):
+            full.append(nodes.n)
+            return assemble(nodes)
+
+        monkeypatch.setattr(szbov.action, "_second_variation_matrix", recorded)
+        rec = solve(seed_ejection(-1, n), KEPLER, OPTS)
+        assert rec.nullity == 3 and not np.any(rec.z.samples.imag)
+        assert full == []
+        assert max(solve_sizes) == n + 1
+
+    def test_real_line_member_is_the_general_paths(self, monkeypatch):
+        # the same start with the real line switched off: the solve and the
+        # move run in pack(z) on the full Hessian, with no projection onto
+        # Re z, and reach the same member, real to round-off
+        rec = solve(seed_ejection(-1, 64), KEPLER, OPTS)
+        monkeypatch.setattr(szbov.action, "on_real_line", lambda z, cfg: False)
+        general = solve(seed_ejection(-1, 64), KEPLER, OPTS)
+        assert np.max(np.abs(general.z.samples - rec.z.samples)) <= 1e-12
+        assert np.max(np.abs(general.z.samples.imag)) <= 1e-15
+        assert (general.morse_index, general.nullity) == (rec.morse_index, rec.nullity)
