@@ -44,10 +44,19 @@ import json
 import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
+from typing import Optional
 
 import numpy as np
 
-from .geometry import birkhoff_derivative, birkhoff_map, center_distance, conformal_weight
+from .geometry import (
+    WindingError,
+    WindingReport,
+    birkhoff_derivative,
+    birkhoff_map,
+    center_distance,
+    conformal_weight,
+    winding_report,
+)
 
 __all__ = [
     "LoopError",
@@ -107,6 +116,10 @@ class DiscreteLoop:
     samples : complex array of length N at nodes tau_j = j/N
     twisted : interpret the samples as the [0,1) restriction of a map with
         z(tau+1) = 1/z(tau)
+
+    ``winding`` is computed on its first read and kept with the loop object,
+    so every reader of one loop (a solve's seed, the record that holds it,
+    the next continuation step seeded with it) shares one computation.
     """
 
     samples: np.ndarray
@@ -130,6 +143,17 @@ class DiscreteLoop:
     @property
     def n(self) -> int:
         return len(self.samples)
+
+    @functools.cached_property
+    def winding(self) -> Optional[WindingReport]:
+        """The winding of B(z) about -1 and +1 at the loop's own nodes, or None
+        where it is undefined (a node within EPS_COLLISION of a center, or
+        too coarse a loop).  The winding does not depend on the
+        parametrization, so the nodes need no time map."""
+        try:
+            return winding_report(birkhoff_map(self.samples), clearance=EPS_COLLISION)
+        except WindingError:
+            return None
 
 
 def double_cover(loop: DiscreteLoop) -> np.ndarray:

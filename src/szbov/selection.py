@@ -138,13 +138,20 @@ def select_member(
     frame = vecs[:, np.argsort(np.abs(vals))[:k]]
     measure = anchor_measure(seed, cfg)
     x = pack(nodes.z)[:size]
+    # the bordered system's frame rows and columns and the tangent map's
+    # right-hand sides are fixed: each step overwrites only H and -grad
+    border = np.zeros((size + k, size + k))
+    border[:size, size:] = frame
+    border[size:, :size] = frame.T
+    rhs = np.zeros((size + k, 1 + k))
+    rhs[size:, 1:] = np.eye(k)
     model = None
     steps = 0
     while True:
         g = pack(gradient(None, cfg, nodes=nodes))
         gn = float(np.linalg.norm(g)) / np.sqrt(n)
-        border = np.block([[blocks[0], frame], [frame.T, np.zeros((k, k))]])
-        rhs = np.block([[-g[:size, None], np.zeros((size, k))], [np.zeros((k, 1)), np.eye(k)]])
+        border[:size, :size] = blocks[0]
+        rhs[:size, 0] = -g[:size]
         sol = np.linalg.solve(border, rhs)[:size]
         newton, tmap = sol[:, 0], sol[:, 1:]
         grad, curv = (v[:size] for v in measure(nodes)[1:])

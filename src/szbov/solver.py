@@ -21,7 +21,11 @@ residual.  Each damping ladder forms its normal matrix once and resets its
 diagonal for each trial's damping, so its trials copy no (2n, 2n) matrix.
 A solve inverts no time map unless the member selection moves: the record's
 q is built when it is first read, and the windings of the seed and of the
-record are read at their loops' own nodes.  The settings are module
+record are read at their loops' own nodes, once per loop object
+(``DiscreteLoop.winding``).  The record's delay_sup and phi_sup are
+computed when first read too, and its spectrum at solve time, where the
+Hessian is.  A NoConvergenceError's message names its cause: the iteration cap, or
+a damping ladder spent with no step accepted.  The settings are module
 constants; ``SolveOptions`` holds only the grid, the tolerance and the
 iteration cap.
 
@@ -48,7 +52,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 from numbers import Integral
 from typing import Optional, Sequence
 
@@ -58,9 +61,8 @@ from . import action as _action
 from .action import _components_from_dict, _components_to_dict, gradient, pack, unpack
 from .dynamics import _node_defect
 from .fields import FieldConfig, config_from_dict, config_to_dict
-from .geometry import WindingError, WindingReport, birkhoff_map, winding_report
+from .geometry import WindingReport
 from .loops import (
-    EPS_COLLISION,
     EPS_ZHAT,
     DegenerateLoopError,
     DiscreteLoop,
@@ -102,12 +104,15 @@ class SolveError(RuntimeError):
 
 
 class NoConvergenceError(SolveError):
-    """Iteration cap reached; carries the best iterate found."""
+    """No critical point within the iteration cap, or a damping ladder spent
+    with no step accepted (the message says which); carries the best iterate
+    found, its gradient norm and the iterations taken."""
 
-    def __init__(self, message, best_loop=None, best_grad_norm=None):
+    def __init__(self, message, best_loop=None, best_grad_norm=None, iterations=None):
         super().__init__(message)
         self.best_loop = best_loop
         self.best_grad_norm = best_grad_norm
+        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -135,50 +140,78 @@ class SolveOptions:
             raise ValueError(f"m must be at least 16, not {self.m!r}")
 
 
-class _Reconstruction:
-    """The record's q: the physical loop it was given, or else
-    ``reconstruct(z, m)``, built on the first read and kept.  As the field's
-    default it reads None, which stands for "not given"."""
+class _GivenOrDerived:
+    """A record field: the value it was given, or else ``derive(rec)``'s,
+    computed on the first read and kept.  As the field's default it reads
+    None, which stands for "not given", and a None is not stored.
+    ``derive`` returns a dict of one or more fields' values, computed
+    together: each one that was not given is kept, so a later read of
+    another of them computes nothing."""
+
+    def __init__(self, derive):
+        self.derive = derive
+
+    def __set_name__(self, owner, name):
+        self.name = name
 
     def __get__(self, rec, owner=None):
         if rec is None:
             return None
-        q = rec.__dict__["q"]
-        if q is None:
-            q = rec.__dict__["q"] = reconstruct(rec.z, rec.m)
-        return q
+        if self.name not in rec.__dict__:
+            for name, value in self.derive(rec).items():
+                rec.__dict__.setdefault(name, value)
+        return rec.__dict__[self.name]
 
-    def __set__(self, rec, q):
-        rec.__dict__["q"] = q
+    def __set__(self, rec, value):
+        if value is not None:
+            rec.__dict__[self.name] = value
+
+
+def _sups(rec) -> dict:
+    """The sups of the delay residual (``action._delay_residual``) and of
+    the energy defect at the breakdown's C (``dynamics._node_defect``), from
+    one node object of z."""
+    nodes = _action._Nodes(rec.z.samples, rec.z.twisted, rec.cfg)
+    return {
+        "delay_sup": _action._delay_residual(nodes).sup_relative,
+        "phi_sup": _node_defect(nodes, rec.breakdown.C)[1],
+    }
 
 
 @dataclass(frozen=True)
 class OrbitRecord:
-    """A converged critical point with its diagnostics, as the solve
+    """A converged critical point with its diagnostics.  The breakdown, the
+    gradient norm, the iteration count and the spectrum are as the solve
     measured them.  C is derived from the breakdown, and the winding (None
-    where it is undefined) from B(z) at z's own nodes, once per record.
+    where it is undefined) is z's own (``DiscreteLoop.winding``), read from
+    B(z) at z's nodes once per loop object.
 
+    q, delay_sup and phi_sup are given or derived on their first read
+    (``_GivenOrDerived``), so a record pays only for what is read of it.
     q, the physical loop at m uniform times, is a view of z: a record given
     no q builds ``reconstruct(z, m)`` the first time q is read, so a solve
     whose q nobody reads inverts no time map.  A record given its q (as one
-    read from a file is) keeps it, and takes its m from it."""
+    read from a file is) keeps it, and takes its m from it.  A record given
+    no sups computes both from one node object of z the first time either is
+    read (``_sups``), so a family member that nobody writes skips them; a
+    record given them (as one read from a file is) computes nothing."""
 
     z: DiscreteLoop
     breakdown: "_action.ActionBreakdown"
     grad_norm: float
-    delay_sup: float
-    phi_sup: float
     cfg: FieldConfig = field(repr=False)
     iterations: int = 0
     # the Hessian's spectrum at z (``selection.spectrum``); None on older records
     morse_index: Optional[int] = None
     nullity: Optional[int] = None
     gap: Optional[float] = None
-    q: PhysicalLoop = _Reconstruction()
+    delay_sup: float = _GivenOrDerived(_sups)
+    phi_sup: float = _GivenOrDerived(_sups)
+    q: PhysicalLoop = _GivenOrDerived(lambda rec: {"q": reconstruct(rec.z, rec.m)})
     m: Optional[int] = None
 
     def __post_init__(self):
-        q = self.__dict__["q"]
+        q = self.__dict__.get("q")
         if q is not None:
             object.__setattr__(self, "m", q.m)
         elif self.m is None:
@@ -192,9 +225,9 @@ class OrbitRecord:
     def C(self) -> float:
         return self.breakdown.C
 
-    @cached_property
+    @property
     def winding(self) -> Optional[WindingReport]:
-        return _safe_winding(self.z.samples)
+        return self.z.winding
 
     @property
     def twisted(self) -> bool:
@@ -427,10 +460,10 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
     residual = _residual_factory(cfg, twisted, n)
     r, nodes = residual(x)
     gn = float(np.linalg.norm(r))
-    seed_winding = _safe_winding(seed.samples)
 
     lam = _LAM0
     iterations = 0
+    cause = "the iteration cap was reached"
 
     # an iteration is counted once its Jacobian is assembled, so a seed
     # already at tolerance takes none
@@ -477,6 +510,7 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         else:  # lam passed _LAM_MAX with no trial accepted
             if nodes.f < 10.0 * EPS_ZHAT:
                 raise SolveError("degenerated toward excluded locus")
+            cause = f"a damping ladder passed lambda = {_LAM_MAX:.0e} with no step accepted"
             break
         x, (r, nodes) = xt, trial
         gn = float(np.linalg.norm(r))
@@ -487,9 +521,10 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
 
     if gn >= opts.g_tol:
         raise NoConvergenceError(
-            f"no convergence: gradient norm {gn:.3e} after {iterations} iterations",
+            f"no convergence: {cause}; gradient norm {gn:.3e} after {iterations} iterations",
             best_loop=DiscreteLoop(unpack(x), twisted=twisted),
             best_grad_norm=gn,
+            iterations=iterations,
         )
     member = select_member(nodes, gn, seed, opts.max_iter - iterations, opts.g_tol)
     if member is None:
@@ -497,36 +532,24 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
             f"no convergence: the member selection did not settle after {opts.max_iter} iterations",
             best_loop=DiscreteLoop(unpack(x), twisted=twisted),
             best_grad_norm=gn,
+            iterations=opts.max_iter,
         )
     nodes, gn, steps, evals = member
-    return _finalize(nodes, opts, gn, iterations + steps, seed_winding, evals)
-
-
-def _safe_winding(z: np.ndarray) -> Optional[WindingReport]:
-    """The winding of the physical loop through B(z) at the samples z, or
-    None where it is undefined.  The winding does not depend on the
-    parametrization, so z's own nodes need no time map."""
-    try:
-        return winding_report(birkhoff_map(z), clearance=EPS_COLLISION)
-    except WindingError:
-        return None
+    return _finalize(nodes, opts, gn, iterations + steps, seed.winding, evals)
 
 
 def _finalize(nodes, opts, gn, iterations, seed_winding, evals) -> OrbitRecord:
     """The record of the selected member, read from its node object: the
-    breakdown, the delay residual's sup (``action._delay_residual``) and the
-    energy defect's (``dynamics._node_defect``).  Its q is built at
-    ``opts.m`` only when first read, and its winding, compared here with the
-    seed's, is read at z's nodes: nothing here inverts a time map."""
-    breakdown = nodes.breakdown()
+    breakdown and the spectrum.  Its q is built at ``opts.m``, and its
+    delay_sup and phi_sup from a node object of z, only when first read.
+    Its winding, compared here with the seed's, is read at z's nodes:
+    nothing here inverts a time map."""
     morse_index, nullity, gap = spectrum(evals)
     rec = OrbitRecord(
         z=DiscreteLoop(nodes.z, twisted=nodes.twisted),
         m=opts.m,
-        breakdown=breakdown,
+        breakdown=nodes.breakdown(),
         grad_norm=gn,
-        delay_sup=_action._delay_residual(nodes).sup_relative,
-        phi_sup=_node_defect(nodes, breakdown.C)[1],
         cfg=nodes.cfg,
         iterations=iterations,
         morse_index=morse_index,
@@ -550,8 +573,11 @@ def continue_family(
 
     The first configuration is seeded with the start orbit, and each later
     one with the secant 2 z_k - z_(k-1) through the last two converged
-    loops.  A failure on the very first configuration raises; a later
-    failure returns the partial family.
+    loops.  A failure on the very first configuration raises, of the
+    failure's own type, so a NoConvergenceError keeps its best iterate; a
+    later failure returns the partial family.  Seeded with the last
+    member's z, a step reads that loop object's winding, which the member's
+    solve has already computed.
     """
     records = [start]
     for i, cfg in enumerate(path):
@@ -562,7 +588,10 @@ def continue_family(
             rec = solve(seed, cfg, opts)
         except SolveError as exc:
             if i == 0:
-                raise SolveError(f"continuation failed at the first configuration: {exc}") from exc
+                message = f"continuation failed at the first configuration: {exc}"
+                if isinstance(exc, NoConvergenceError):
+                    raise NoConvergenceError(message, exc.best_loop, exc.best_grad_norm, exc.iterations) from exc
+                raise SolveError(message) from exc
             log.warning("continuation stopped at step %d/%d: %s", i + 1, len(path), exc)
             break
         records.append(rec)

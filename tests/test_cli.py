@@ -335,6 +335,22 @@ class TestExitCodes:
         seed = '{"kind": "circle", "center": [0.3, 0.2], "radius": 2.5}'
         assert run(["solve", "--config", cfg, "--seed", seed, "--quiet"]) == 3
 
+    def test_continuation_that_does_not_converge_at_its_first_step(self, tmp_path, capsys):
+        # the start converges; the first configuration does not within the
+        # cap, which is no convergence (exit 3), not invalid input
+        cfg = write_config(
+            tmp_path,
+            {
+                "fields": {"mu": 0.5},
+                "seed": {"kind": "kepler_guess", "side": -1, "radius": 0.3},
+                "grid": {"n": 32, "m": 128},
+                "solver": {"g_tol": 1e-9, "max_iter": 30},
+                "path": [{"mu": 0.5, "electric": {"kind": "uniform_oscillating", "epsilon": 0.01}}],
+            },
+        )
+        assert run(["continue", "--config", cfg, "--quiet"]) == 3
+        assert "first configuration: no convergence" in capsys.readouterr().err
+
     def test_unknown_solver_option_rejected(self, tmp_path, capsys):
         # n and m are SolveOptions fields, but belong under "grid"
         seed = '{"kind": "circle", "radius": 2}'

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from szbov import (
+    EPS_COLLISION,
     DiscreteLoop,
     LiftError,
     LoopError,
@@ -32,6 +33,7 @@ from szbov import (
     seed_ellipse_lift,
     seed_kepler_guess,
     time_map,
+    WindingError,
     zhat,
 )
 from conftest import random_smooth_loop
@@ -74,6 +76,29 @@ class TestDiscreteLoop:
         z[3] = 0.0
         with pytest.raises(LoopError):
             DiscreteLoop(samples=z)
+
+    def test_winding_is_read_at_the_nodes_once_per_loop(self, monkeypatch):
+        # B(z)'s winding at the loop's own nodes, computed on the first read
+        # and kept; None where winding_report raises, as on the unit circle,
+        # whose nodes hit both centers
+        calls = []
+        report = loops_module.winding_report
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return report(*args, **kwargs)
+
+        monkeypatch.setattr(loops_module, "winding_report", counted)
+        for loop in (seed_kepler_guess(-1, 0.3, 64), seed_circle(2.0, 0.5, 64), seed_circle(0.0, 1.0, 64)):
+            try:
+                expected = report(birkhoff_map(loop.samples), clearance=EPS_COLLISION)
+            except WindingError:
+                expected = None
+            before = len(calls)
+            assert loop.winding == expected
+            assert loop.winding == expected
+            assert len(calls) == before + 1
+        assert expected is None
 
     def test_double_cover_of_twisted_loop_appends_inversion(self):
         loop = DiscreteLoop(samples=2.0 + np.exp(1j * np.pi * TAU64), twisted=True)

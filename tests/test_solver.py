@@ -250,6 +250,18 @@ class TestSolve:
         iterations = int(re.search(r"after (\d+) iterations", str(err.value)).group(1))
         assert 0 < iterations < opts.max_iter
         assert err.value.best_grad_norm < 1e-10
+        # the message names the cause, a spent ladder, and not the cap
+        assert "damping ladder passed lambda = 1e+12 with no step accepted" in str(err.value)
+        assert "iteration cap" not in str(err.value)
+        assert err.value.iterations == iterations
+
+    def test_the_iteration_cap_is_named(self):
+        opts = SolveOptions(n=32, m=128, g_tol=1e-30, max_iter=1)
+        with pytest.raises(NoConvergenceError, match="the iteration cap was reached; gradient norm") as err:
+            solve(seed_kepler_guess(-1, 0.3, 32), KEPLER, opts)
+        assert "after 1 iterations" in str(err.value)
+        assert "damping ladder" not in str(err.value)
+        assert err.value.iterations == 1
 
     def test_inadmissible_seed_is_refused(self):
         # no residual at a seed collapsed onto a branch point, where F
@@ -378,9 +390,9 @@ class TestSolve:
         np.testing.assert_array_equal(again.z.samples, rec.z.samples)
 
     def test_record_reads_the_last_node_object(self, monkeypatch):
-        # the selection's first Hessian, and the record's breakdown, delay
-        # residual and node states, read the node object of the last
-        # accepted point: where no member moves, neither builds one
+        # the selection's first Hessian, and the record's breakdown, read the
+        # node object of the last accepted point: where no member moves,
+        # neither builds one
         built = _count_node_builds(monkeypatch)
         inside = {}
         for name in ("select_member", "_finalize"):
@@ -413,6 +425,26 @@ class TestSolve:
         rec = solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, OPTS)
         assert rec.nullity == 3
         assert inside == [(10, 9)]
+
+    def test_one_bordered_system_per_selection(self, monkeypatch):
+        # each step of the move along kepler's family solves its bordered
+        # system in the same matrix and right-hand sides, allocated once per
+        # selection: a step overwrites only the Hessian block and the
+        # gradient column
+        systems = []
+        linear_solve = np.linalg.solve
+
+        def recorded(a, b):
+            if sys._getframe(1).f_globals["__name__"] == "szbov.selection" and b.ndim == 2:
+                systems.append((a, b))
+            return linear_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        rec = solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, OPTS)
+        assert rec.nullity == 3 and rec.iterations == 11
+        # one system per pass: 9 steps and the pass that stops
+        assert len(systems) == 10
+        assert all(a is systems[0][0] and b is systems[0][1] for a, b in systems)
 
     @pytest.mark.parametrize("cfg", [KEPLER, EULER], ids=["kepler", "euler"])
     def test_record_carries_the_spectrum(self, cfg):
@@ -552,6 +584,27 @@ def test_archive_reads_back_as_it_was_written(path, monkeypatch):
         if key not in written["diagnostics"]:
             assert data["diagnostics"].pop(key) is None
     assert dumps_canonical(data) + "\n" == text
+
+
+def test_given_sups_are_read_back_and_computed_sups_fill_only_the_rest(monkeypatch):
+    # a record read from a file returns its stored sups and computes
+    # neither; a record given one sup keeps it and derives the other
+    def computed(*args):
+        raise AssertionError("a sup was computed")
+
+    data = json.loads((ARCHIVES / "euler.json").read_text())
+    with monkeypatch.context() as patched:
+        patched.setattr(szbov.action, "_delay_residual", computed)
+        patched.setattr(szbov.solver, "_node_defect", computed)
+        rec = record_from_dict(data)
+        assert (rec.delay_sup, rec.phi_sup) == (data["diagnostics"]["delay_sup"], data["diagnostics"]["phi_sup"])
+    given = szbov.solver.OrbitRecord(
+        z=rec.z, breakdown=rec.breakdown, grad_norm=rec.grad_norm, cfg=rec.cfg, m=64, delay_sup=1.0
+    )
+    derived = szbov.solver.OrbitRecord(z=rec.z, breakdown=rec.breakdown, grad_norm=rec.grad_norm, cfg=rec.cfg, m=64)
+    assert given.delay_sup == 1.0
+    assert given.phi_sup == derived.phi_sup < 1e-6
+    assert derived.delay_sup < 1e-6
 
 
 def test_loaded_record_derives_its_C_and_winding():
@@ -793,10 +846,57 @@ class TestContinuation:
         assert "continuation stopped at step 2/2" in caplog.text
 
     def test_failure_on_first_step_raises(self):
+        # a first step that does not converge raises NoConvergenceError, as
+        # a solve does, with the step's best iterate and its iterations
         rec = solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, OPTS)
         bad = SolveOptions(n=64, m=256, max_iter=1)
-        with pytest.raises(SolveError):
-            continue_family(rec, [preset("zero", mu=0.4)], bad)
+        cfg = preset("zero", mu=0.4)
+        with pytest.raises(NoConvergenceError, match="first configuration: no convergence") as err:
+            continue_family(rec, [cfg], bad)
+        assert err.value.iterations == 1
+        assert err.value.best_grad_norm == pytest.approx(grad_norm(gradient(err.value.best_loop, cfg)), rel=1e-12)
+        assert err.value.best_grad_norm < grad_norm(gradient(rec.z, cfg))
+
+    def test_a_step_from_a_member_computes_only_what_its_record_holds(self, monkeypatch):
+        # seeded with the member's z, a step reads that loop object's
+        # winding, which the member's solve computed, and computes one: its
+        # record's.  The record's sups are left to their first read, which
+        # computes both from one node object, bit for bit the values of the
+        # node object the solve ended with.
+        rec = solve(seed_ejection(-1, 64), KEPLER, OPTS)
+        assert rec.winding is not None
+        calls = {"winding_report": 0, "_delay_residual": 0, "_node_defect": 0}
+        last = []
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+            return fn
+
+        winding_report = counted(szbov.loops, "winding_report")
+        delay_residual = counted(szbov.action, "_delay_residual")
+        node_defect = counted(szbov.solver, "_node_defect")
+        finalize = szbov.solver._finalize
+
+        def recorded(nodes, *args):
+            last.append(nodes)
+            return finalize(nodes, *args)
+
+        monkeypatch.setattr(szbov.solver, "_finalize", recorded)
+        member = continue_family(rec, [preset("zero", mu=0.01)], OPTS)[-1]
+        assert calls == {"winding_report": 1, "_delay_residual": 0, "_node_defect": 0}
+        expected = (
+            delay_residual(last[0]).sup_relative,
+            node_defect(last[0], last[0].breakdown().C)[1],
+        )
+        assert (member.delay_sup, member.phi_sup) == expected
+        assert calls == {"winding_report": 1, "_delay_residual": 1, "_node_defect": 1}
+        assert member.winding == winding_report(szbov.loops.birkhoff_map(member.z.samples), clearance=EPS_COLLISION)
 
 
 class TestRealLine:
