@@ -532,9 +532,9 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5) -> Verificati
     checks.append(("energy continuity across collisions", rel_jump, 10 * tol, rel_jump <= 10 * tol))
 
     # (4) closure: B(z_0), which is q(1) = B(z(1)) on either sheet as
-    # B(1/z) = B(z), against the stored q's first sample.  It catches a
-    # stored q edited apart from z; on a q rebuilt from z, whose first
-    # sample ``reconstruct`` sets to B(z_0), it reads round-off
+    # B(1/z) = B(z), against q's first sample.  A record's own q is rebuilt
+    # from z, whose first sample ``reconstruct`` sets to B(z_0), so there it
+    # reads round-off; it catches a q given apart from z (``replace``)
     closure = float(abs(nodes.q[0] - qs[0]))
     checks.append(("loop closure", closure, tol, closure <= tol))
 

@@ -200,12 +200,16 @@ def _zero_gauge_hess(q):
     return zero, zero, zero
 
 
-def _require(params: dict, name: str, kind: str, default: Optional[float] = None) -> float:
-    """A preset's real parameter, read as given; required without a default."""
+def _require(params: dict, name: str, kind: str, default=None, read=_require_real):
+    """A preset's parameter, read as given by ``read`` and finite (json reads
+    NaN and Infinity as numbers); required without a default."""
     value = params.pop(name, default)
     if value is None:
         raise FieldConfigError(f"{kind!r} preset requires parameter {name!r}")
-    return _require_real(value, f"{kind} {name}", FieldConfigError)
+    value = read(value, f"{kind} {name}", FieldConfigError)
+    if not np.isfinite(value):
+        raise FieldConfigError(f"{kind} {name} must be finite, not {value!r}")
+    return value
 
 
 def _reject_rest(params: dict, kind: str) -> None:
@@ -262,7 +266,7 @@ def electric_preset(kind: str, **params) -> ElectricSpec:
         )
     if kind == "uniform_oscillating":
         eps = _require(params, "epsilon", kind)
-        d = _require_point(params.pop("d", 1.0), f"{kind} d", FieldConfigError)
+        d = _require(params, "d", kind, default=1.0, read=_require_point)
         _reject_rest(params, kind)
         # E(t, q) = eps cos(2 pi t) <d, q>.  The gradient puts d first: at a
         # Python number t, d times numpy's float64 is a Python complex, while

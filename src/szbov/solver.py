@@ -19,15 +19,15 @@ selection's first Hessian and, where no member moves, to the record.  A
 point that fails the check, or whose mean conformal weight vanishes, gets no
 residual.  Each damping ladder forms its normal matrix once and resets its
 diagonal for each trial's damping, so its trials copy no (2n, 2n) matrix.
-A solve inverts no time map unless the member selection moves: the record's
-q is built when it is first read, and the windings of the seed and of the
-record are read at their loops' own nodes, once per loop object
-(``DiscreteLoop.winding``).  The record's delay_sup and phi_sup are
-computed when first read too, and its spectrum at solve time, where the
-Hessian is.  A NoConvergenceError's message names its cause: the iteration cap, or
-a damping ladder spent with no step accepted.  The settings are module
-constants; ``SolveOptions`` holds only the grid, the tolerance and the
-iteration cap.
+A solve inverts no time map unless the member selection moves, nor does
+writing its record, which holds q's grid alone: q is built when first read,
+and the windings of the seed and of the record are read at their loops' own
+nodes, once per loop object (``DiscreteLoop.winding``).  The record's
+delay_sup and phi_sup are computed when first read too, and its spectrum at
+solve time, where the Hessian is.  A NoConvergenceError's message names its
+cause: the iteration cap, or a damping ladder spent with no step accepted.
+The settings are module constants; ``SolveOptions`` holds only the grid,
+the tolerance and the iteration cap.
 
 The unknowns are those of the Hessian's first block.  For a loop whose every
 sample is exactly real, on a field even under q -> conj(q)
@@ -77,7 +77,6 @@ from .loops import (
     _require_diagnostic,
     _require_int,
     _require_point,
-    _require_points,
     _require_real,
 )
 from .selection import select_member, spectrum
@@ -92,7 +91,6 @@ __all__ = [
     "seed_circle",
     "seed_ellipse_lift",
     "seed_kepler_guess",
-    "seed_from_file",
     "make_seed",
     "solve",
     "continue_family",
@@ -190,11 +188,12 @@ class OrbitRecord:
     (``_GivenOrDerived``), so a record pays only for what is read of it.
     q, the physical loop at m uniform times, is a view of z: a record given
     no q builds ``reconstruct(z, m)`` the first time q is read, so a solve
-    whose q nobody reads inverts no time map.  A record given its q (as one
-    read from a file is) keeps it, and takes its m from it.  A record given
-    no sups computes both from one node object of z the first time either is
-    read (``_sups``), so a family member that nobody writes skips them; a
-    record given them (as one read from a file is) computes nothing."""
+    whose q nobody reads inverts no time map, and ``to_dict`` writes m
+    alone.  A record given its q (``dataclasses.replace(rec, q=...)``)
+    keeps it, and takes its m from it.  A record given no sups computes both
+    from one node object of z the first time either is read (``_sups``), so
+    a family member that nobody writes skips them; a record given them (as
+    one read from a file is) computes nothing."""
 
     z: DiscreteLoop
     breakdown: "_action.ActionBreakdown"
@@ -214,8 +213,8 @@ class OrbitRecord:
         q = self.__dict__.get("q")
         if q is not None:
             object.__setattr__(self, "m", q.m)
-        elif self.m is None:
-            raise ValueError("a record needs its q, or the m to reconstruct it at")
+        elif self.m is None or self.m < 16:  # a PhysicalLoop's fewest samples
+            raise LoopError(f"a record needs its q, or an m of at least 16 to reconstruct it at, not {self.m!r}")
 
     @property
     def action(self) -> float:
@@ -260,20 +259,17 @@ class OrbitRecord:
                 "nullity": self.nullity,
                 "gap": self.gap,
             },
-            "q": {
-                "m": self.q.m,
-                "samples": [[float(v.real), float(v.imag)] for v in self.q.samples],
-                "collision_times": list(self.q.collision_times),
-            },
+            "q": {"m": self.m},
         }
 
 
 def record_from_dict(data: dict) -> OrbitRecord:
-    """The OrbitRecord as it was written: the breakdown is the components
-    block's, not recomputed, and q is the stored samples, not rebuilt from z
-    (``reconstruct`` would differ from them in the last bits).  The keys that restate another value (twisted,
-    mu, action, C, winding, collision_times) are not read back, but a
-    contradicting twisted is rejected.  A malformed record raises LoopError."""
+    """The OrbitRecord as it was written: the breakdown and the sups are the
+    file's, not recomputed, and of the q block only m is read; an older
+    file's q samples are ignored, not checked against z (a check would
+    reconstruct every record read).  The keys that restate another value
+    (twisted, mu, action, C, winding) are not read back, but a contradicting
+    twisted is rejected.  A malformed record raises LoopError."""
     if not isinstance(data, dict):
         raise LoopError(f"malformed record: a JSON object is needed, not {type(data).__name__}")
     try:
@@ -285,7 +281,7 @@ def record_from_dict(data: dict) -> OrbitRecord:
         diag = data["diagnostics"]
         return OrbitRecord(
             z=z,
-            q=PhysicalLoop(samples=_require_points(data["q"]["samples"], "record: a q sample")),
+            m=_require_int(data["q"]["m"], "record: 'm'"),
             breakdown=_components_from_dict(diag["components"], cfg.mu),
             grad_norm=_require_diagnostic(diag["grad_norm"], "record: 'grad_norm'"),
             delay_sup=_require_diagnostic(diag["delay_sup"], "record: 'delay_sup'"),
@@ -350,10 +346,6 @@ def seed_kepler_guess(side: int, radius: float, n: int = 256) -> DiscreteLoop:
     return lift(q)
 
 
-def seed_from_file(path) -> DiscreteLoop:
-    return load_loop(path)
-
-
 def _number(spec: dict, key: str) -> float:
     """spec[key] read as given: a missing key or true is no radius."""
     return _require_real(spec.get(key), f"seed: {key!r}")
@@ -386,7 +378,11 @@ def make_seed(spec, n: int = 256) -> DiscreteLoop:
     if kind == "ejection":
         return seed_ejection(_require_int(spec.get("side", -1), "seed: 'side'"), n)
     if kind == "file":
-        return seed_from_file(spec["path"])
+        # a JSON string: a number or true would be opened as a file descriptor
+        path = spec.get("path")
+        if not isinstance(path, str):
+            raise LoopError(f"seed: 'path' must be a string, not {path!r}")
+        return load_loop(path)
     raise LoopError(f"unknown seed kind {kind!r}")
 
 
@@ -519,7 +515,8 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
             "iter %d: gn=%.3e step=%.3e lam=%.1e solve=%s", iterations, gn, float(np.linalg.norm(delta)), lam, path
         )
 
-    if gn >= opts.g_tol:
+    # written so that a NaN gradient norm fails it too
+    if not gn < opts.g_tol:
         raise NoConvergenceError(
             f"no convergence: {cause}; gradient norm {gn:.3e} after {iterations} iterations",
             best_loop=DiscreteLoop(unpack(x), twisted=twisted),

@@ -181,15 +181,32 @@ class TestPipeline:
         # "-0" would read back as the integer 0 and lose the sign
         assert cli.dumps_canonical([-0.0, 0.0, 1.0]) == "[-0.0, 0, 1]"
         data = json.loads(orbit_path.read_text())
-        data["q"]["samples"][5][1] = -0.0
+        data["z"]["samples"][5][1] = -0.0
         data["z"]["samples"][7][0] = -0.0
         data["diagnostics"]["components"]["E1"] = -0.0
         text = cli.dumps_canonical(data)
         record = record_from_dict(json.loads(text))
-        assert np.signbit(record.q.samples[5].imag)
+        assert np.signbit(record.z.samples[5].imag)
         assert np.signbit(record.z.samples[7].real)
         assert np.signbit(record.breakdown.E1)
         assert cli.dumps_canonical(record.to_dict()) == text
+
+    @pytest.mark.parametrize("command", ["solve", "continue"])
+    def test_writing_records_inverts_no_time_map(self, tmp_path, monkeypatch, command):
+        # from a circle seed, on a path along which no member moves, nothing
+        # inverts a time map: a written record holds q's grid, not q
+        case = {"fields": {"mu": 0.5}, "seed": {"kind": "circle", "radius": 2.0}, "grid": {"n": 64, "m": 256}}
+        cfg = write_config(tmp_path, {**case, "path": [{"mu": 0.49}, {"mu": 0.48}]})
+        calls = []
+        inverse = loops.TimeMap.inverse
+        monkeypatch.setattr(loops.TimeMap, "inverse", lambda self, t: calls.append(t) or inverse(self, t))
+        out = tmp_path / "out.json"
+        assert run([command, "--config", cfg, "--out", out, "--quiet"]) == 0
+        assert calls == []
+        data = json.loads(out.read_text())
+        records = data["family"] if command == "continue" else [data]
+        assert [rec["q"] for rec in records] == [{"m": 256}] * (3 if command == "continue" else 1)
+        assert out.stat().st_size < 5000 * len(records)
 
     def test_a_list_of_floats_is_written_as_its_items(self):
         # a list of floats alone is formatted without the per-item dispatch:
@@ -430,6 +447,31 @@ class TestExitCodes:
     def test_dumps_canonical_is_the_loop_writers(self):
         assert cli.dumps_canonical is loops.dumps_canonical
 
+    @pytest.mark.parametrize("spec", ['{"kind": "file"}', '{"kind": "file", "path": 5}',
+                                      '{"kind": "file", "path": true}'], ids=["missing", "number", "true"])
+    def test_seed_file_path_must_be_a_string(self, tmp_path, capsys, spec):
+        # 5 or true would be opened as a file descriptor, true as stdout's
+        cfg = write_config(tmp_path, {**EULER, "grid": {"n": 64, "m": 256}})
+        assert run(["solve", "--config", cfg, "--seed", spec]) == 2
+        captured = capsys.readouterr()
+        assert "seed: 'path' must be a string" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"electric": {"kind": "uniform_oscillating", "epsilon": float("nan")}}, "epsilon"),
+        ({"electric": {"kind": "uniform_oscillating", "epsilon": 0.1, "d": [float("nan"), 0.0]}}, "d"),
+        ({"magnetic": {"kind": "constant", "b": float("inf")}}, "b"),
+        ({"electric": {"kind": "rotating_charge", "mu_s": 0.01, "r_s": 3.0, "theta0": -float("inf")}}, "theta0"),
+    ], ids=["epsilon", "d", "b", "theta0"])
+    @pytest.mark.parametrize("command", ["eval", "solve"])
+    def test_non_finite_field_parameter_rejected(self, tmp_path, capsys, fields, name, command):
+        # json reads NaN and Infinity as numbers; a field made of them is no field
+        cfg = write_config(tmp_path, {"fields": {"mu": 0.5, **fields}, "grid": {"n": 64, "m": 256}})
+        assert run([command, "--config", cfg, "--seed", '{"kind": "circle", "radius": 2}']) == 2
+        captured = capsys.readouterr()
+        assert f"{name} must be finite" in captured.err
+        assert captured.out == ""
+
     def test_seed_file_grid_must_match_n(self, tmp_path, capsys):
         # a loop file brings its own grid; a different --n is rejected, not ignored
         loop_path = tmp_path / "loop64.json"
@@ -467,14 +509,14 @@ class TestExitCodes:
             (lambda d: d["diagnostics"].update(gap="Inf"), "'gap' must be a number"),
             (lambda d: d["diagnostics"]["components"].update(H1=False), "'H1' must be a number"),
             (lambda d: d["diagnostics"]["components"].update(E="0"), "'E' must be a number"),
-            (lambda d: d["q"]["samples"][3].__setitem__(0, True), "a q sample must be a number"),
-            (lambda d: d["q"]["samples"][200].__setitem__(1, True), "a q sample must be a number"),
-            (lambda d: d["q"]["samples"].__setitem__(3, [1.0, 0.0, 0.0]), "an [re, im] pair"),
+            (lambda d: d["q"].update(m=True), "'m' must be an integer"),
+            (lambda d: d["q"].update(m=256.5), "'m' must be an integer"),
+            (lambda d: d["q"].update(m=8), "an m of at least 16"),
             (lambda d: d["z"]["samples"][0].__setitem__(1, True), "a sample must be a number"),
             (lambda d: d["z"]["samples"][0].__setitem__(1, "0.5"), "a sample must be a number"),
         ],
         ids=["bool_grad_norm", "text_phi_sup", "null_delay_sup", "misspelt_infinity", "bool_component",
-             "text_component", "bool_q_sample", "bool_deep_q_sample", "q_triple", "bool_z_sample", "text_z_sample"],
+             "text_component", "bool_m", "fractional_m", "small_m", "bool_z_sample", "text_z_sample"],
     )
     def test_record_number_read_as_given(self, orbit_path, tmp_path, capsys, edit, message):
         # true is not read as 1, nor "3e-11" as a number: only the NaN and
@@ -508,10 +550,11 @@ class TestExitCodes:
         "edit, message",
         [
             (lambda d: d["diagnostics"].pop("grad_norm") and d, "no 'grad_norm' key"),
+            (lambda d: d["q"].pop("m") and d, "no 'm' key"),
             (lambda d: [d], "a JSON object is needed, not list"),
             (lambda d: {**d, "diagnostics": [1.0]}, "malformed record: list indices"),
         ],
-        ids=["no_grad_norm", "not_an_object", "diagnostics_not_an_object"],
+        ids=["no_grad_norm", "no_m", "not_an_object", "diagnostics_not_an_object"],
     )
     def test_malformed_record_rejected(self, orbit_path, tmp_path, capsys, edit, message):
         record_path = tmp_path / "record.json"

@@ -38,6 +38,7 @@ from szbov import (
     seed_kepler_guess,
     solve,
     unpack,
+    verify_generalized,
     winding_report,
     WindingError,
 )
@@ -262,6 +263,21 @@ class TestSolve:
         assert "after 1 iterations" in str(err.value)
         assert "damping ladder" not in str(err.value)
         assert err.value.iterations == 1
+
+    def test_a_nan_gradient_is_no_convergence(self, monkeypatch):
+        # every comparison with NaN is false: a NaN gradient norm must not
+        # pass the convergence test on to the member selection
+        selected = []
+        monkeypatch.setattr(szbov.solver, "select_member", lambda *args: selected.append(args))
+        nan_grad = electric_preset(
+            "custom", e=lambda t, q: 0.0 * q.real, grad=lambda t, q: np.full(np.shape(q), np.nan + 0j),
+            dot=lambda t, q: 0.0 * q.real,
+        )
+        cfg = FieldConfig(mu=0.5, magnetic=magnetic_preset("zero"), electric=nan_grad)
+        with pytest.raises(NoConvergenceError, match="gradient norm nan") as err:
+            solve(seed_circle(0.0, 2.0, 32), cfg, SolveOptions(n=32, m=64))
+        assert np.isnan(err.value.best_grad_norm)
+        assert selected == []
 
     def test_inadmissible_seed_is_refused(self):
         # no residual at a seed collapsed onto a branch point, where F
@@ -515,10 +531,16 @@ class TestSolve:
         moved = seed.samples + 1e-3 * np.exp(1j * np.arange(seed.n))
         assert measure(_Nodes(moved, True, KEPLER))[0] > 1e-9
 
-    def test_record_serialization_round_trip(self):
+    def test_record_serialization_round_trip(self, monkeypatch):
         rec = solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, OPTS)
-        again = record_from_dict(rec.to_dict())
-        assert dumps_canonical(again.to_dict()) == dumps_canonical(rec.to_dict())
+        # the written record holds q's grid, not q: writing it inverts no
+        # time map, and its text reads back to the same bytes
+        inverted = _count_inversions(monkeypatch)
+        text = dumps_canonical(rec.to_dict())
+        assert inverted == [0]
+        assert json.loads(text)["q"] == {"m": OPTS.m} and len(text) < 5000
+        again = record_from_dict(json.loads(text))
+        assert dumps_canonical(again.to_dict()) == text
         np.testing.assert_allclose(again.z.samples, rec.z.samples, atol=1e-15)
         assert again.twisted == rec.twisted
         assert again.action == pytest.approx(rec.action, rel=1e-12)
@@ -559,31 +581,63 @@ def test_record_sector_is_its_loops():
         record_from_dict(data)
 
 
+def _count_inversions(monkeypatch) -> list:
+    """A one-item list that counts the calls of ``TimeMap.inverse``."""
+    calls = [0]
+    inverse = TimeMap.inverse
+
+    def counted(self, *args):
+        calls[0] += 1
+        return inverse(self, *args)
+
+    monkeypatch.setattr(TimeMap, "inverse", counted)
+    return calls
+
+
 @pytest.mark.parametrize("path", sorted(ARCHIVES.glob("*.json")), ids=lambda p: p.stem)
 def test_archived_q_block_survives_a_round_trip(path):
-    # the record derives collision_times from the samples and writes them
-    # back: the archive's q block, samples and collision times, is unchanged
-    text = path.read_text()
-    rec = record_from_dict(json.loads(text))
-    block = f'"q": {dumps_canonical(rec.to_dict()["q"], 2)}'
-    assert block in text
-    assert '"collision_times"' in block
+    # of an archive's q block only its grid is read and written back: the
+    # record's q is reconstruct(z, m), collision times and all
+    data = json.loads(path.read_text())
+    rec = record_from_dict(data)
+    assert rec.to_dict()["q"] == {"m": data["q"]["m"]} == {"m": rec.q.m}
+    rebuilt = reconstruct(rec.z, rec.m)
+    np.testing.assert_array_equal(rec.q.samples, rebuilt.samples)
+    assert rec.q.collision_times == rebuilt.collision_times == tuple(data["q"]["collision_times"])
 
 
 @pytest.mark.parametrize("path", sorted(ARCHIVES.glob("*.json")), ids=lambda p: p.stem)
 def test_archive_reads_back_as_it_was_written(path, monkeypatch):
-    # the record holds what the file holds, and loading it evaluates nothing:
-    # it writes the file's text back, but for the null spectrum keys of an
+    # the record holds what the file holds, and loading and writing it
+    # evaluates nothing: it writes the file's text back without the q
+    # samples and collision times, and for the null spectrum keys of an
     # archive older than the spectrum
     built = _count_node_builds(monkeypatch)
-    text = path.read_text()
-    written = json.loads(text)
+    inverted = _count_inversions(monkeypatch)
+    written = json.loads(path.read_text())
     data = record_from_dict(written).to_dict()
-    assert built == [0]
+    assert built == inverted == [0]
     for key in ("morse_index", "nullity", "gap"):
         if key not in written["diagnostics"]:
             assert data["diagnostics"].pop(key) is None
-    assert dumps_canonical(data) + "\n" == text
+    del written["q"]["samples"], written["q"]["collision_times"]
+    assert dumps_canonical(data) == dumps_canonical(written)
+
+
+def test_an_old_files_q_samples_are_ignored():
+    # a q sample edited, or no number at all, and a collision time made up:
+    # the record read back, its q, its file and its verify report are the
+    # unedited file's
+    data = json.loads((ARCHIVES / "unit_circle.json").read_text())
+    rec = record_from_dict(data)
+    data["q"]["samples"][5][0] += 1.0
+    data["q"]["samples"][7] = [True, "0.5", 0.0]
+    data["q"]["collision_times"] = [0.25]
+    edited = record_from_dict(data)
+    assert dumps_canonical(edited.to_dict()) == dumps_canonical(rec.to_dict())
+    np.testing.assert_array_equal(edited.q.samples, rec.q.samples)
+    assert edited.q.collision_times == rec.q.collision_times == (0.0, 0.5)
+    assert verify_generalized(edited, edited.cfg) == verify_generalized(rec, rec.cfg)
 
 
 def test_given_sups_are_read_back_and_computed_sups_fill_only_the_rest(monkeypatch):
