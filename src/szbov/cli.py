@@ -36,6 +36,7 @@ from .action import _Nodes, _components_to_dict, eval_action, eval_components, g
 from .dynamics import SingularityError, _arc_runs, _arcs, verify_generalized
 from .fields import FieldConfig, FieldConfigError, config_from_dict, preset
 from .loops import (
+    MAX_M,
     DiscreteLoop,
     LoopError,
     double_cover,
@@ -293,6 +294,8 @@ def cmd_continue(args) -> int:
 
 def cmd_integrate(args) -> int:
     m = _positive(args, "m", SolveOptions.m)
+    if m > MAX_M:
+        raise ValueError(f"--m must be at most MAX_M = {MAX_M}, not {m!r}")
     tol = _positive(args, "tol", 1e-10)
     record = record_from_dict(_read_json(args.orbit))
     nodes = _Nodes(record.z.samples, record.z.twisted, record.cfg)

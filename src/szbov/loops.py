@@ -87,6 +87,11 @@ EPS_COLLISION = 1e-6
 # the one node radius: within it of a center the chain-rule velocity is NaN,
 # and the energy defect, verify's start nodes and phi_profile's mask drop it
 EPS_NODE = 10.0 * EPS_COLLISION
+# The most uniform times a physical loop is built at.  reconstruct's work
+# arrays take about 0.8 KB a sample at n = 256 (53 MB at this bound), and the
+# finest grid in use is m = 1024; a larger m, as from an edited record file,
+# is refused before anything is allocated.
+MAX_M = 2**16
 
 # TimeMap.inverse: residual and bracket width at which a point has converged
 # (t and tau both lie in [0, 1], so these are round-off; the residual's eps

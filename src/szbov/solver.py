@@ -9,6 +9,10 @@ once: the scaled exact Hessian on the unknowns (``action._hessian_blocks``),
 symmetric to round-off, which gives the damped normal equations and the
 right-hand sides of the step and of the acceleration.  Without the
 acceleration the bench's `euler` solve does not converge in 200 iterations.
+The acceleration's probes are taken only for a step above its second
+difference's round-off floor (``_ACCEL_MIN_STEP``, derived from the probe's
+size and eps), so the last step of a warm continuation step, at ~1e-7, is a
+trial alone.
 A trial point's residual checks the point once, that every sample is finite
 and at least _MIN_ABS_Z from 0, and builds the point's node object
 (``action._Nodes``) from its samples, with no loop object; the node object
@@ -38,7 +42,9 @@ action.  The block is then H_rr = Re(A + B), assembled in real arithmetic
 with no complex (2n, 2n) Hessian; the right-hand sides take the residual's
 first n entries, and each step's imaginary part is exactly 0, so every
 iterate stays real: the normal matrix is n x n, not 2n x 2n.  Each
-iteration's debug line names the block, "real n x n" or "full 2n x 2n".
+iteration's debug line counts its ladder's trials and residuals, names the
+accepted trial's acceleration outcome (taken, below_floor, refused or
+probe_inadmissible) and the block, "real n x n" or "full 2n x 2n".
 Acceptance and convergence still test the full gradient norm.  No option
 selects the unknowns; the seed and the field do, so a continuation family's
 secant seeds and a real record read back from an archive stay real.
@@ -64,6 +70,7 @@ from .fields import FieldConfig, config_from_dict, config_to_dict
 from .geometry import WindingReport
 from .loops import (
     EPS_ZHAT,
+    MAX_M,
     DegenerateLoopError,
     DiscreteLoop,
     PhysicalLoop,
@@ -136,6 +143,8 @@ class SolveOptions:
         # a PhysicalLoop is refused here, not at that read
         if self.m < 16:
             raise ValueError(f"m must be at least 16, not {self.m!r}")
+        if self.m > MAX_M:
+            raise ValueError(f"m must be at most MAX_M = {MAX_M}, not {self.m!r}")
 
 
 class _GivenOrDerived:
@@ -215,6 +224,8 @@ class OrbitRecord:
             object.__setattr__(self, "m", q.m)
         elif self.m is None or self.m < 16:  # a PhysicalLoop's fewest samples
             raise LoopError(f"a record needs its q, or an m of at least 16 to reconstruct it at, not {self.m!r}")
+        elif self.m > MAX_M:
+            raise LoopError(f"a record's m must be at most MAX_M = {MAX_M}, not {self.m!r}")
 
     @property
     def action(self) -> float:
@@ -433,13 +444,21 @@ def _trial(residual, x: np.ndarray):
         return None
 
 
-# Step, relative to the iterate, below which no geodesic acceleration is
-# taken.  Across a tenth of a smaller step the residual's second difference
-# is round-off, and a correction made of it spoils the step: with the gate at
-# 1e-12, criterion 10's continuation steps take 2-3 iterations instead of
-# 1-2.  Gates from 1e-6 to 1e-4 give the same counts there but for one
-# iteration less on the first two mass-ratio solves.
-_ACCEL_MIN_STEP = 1e-8
+# Geodesic acceleration (Transtrum and Sethna's correction to the LM step):
+# the residual's second difference along the step delta, from probes at
+# x +- _ACCEL_PROBE delta.  Each probe's residual carries round-off of order
+# eps against a second difference of order (_ACCEL_PROBE |delta|)^2, so the
+# difference rises above round-off only for |delta| above
+# sqrt(eps) / _ACCEL_PROBE of the iterate, about 1.5e-7.  No probe is taken
+# below _ACCEL_MARGIN times that floor, about 7.5e-7, where the difference is
+# at most 25 times its round-off.  A warm continuation step's last step, of
+# 1.5e-8 to 2.6e-8 of the iterate, then costs a trial alone, and its iterates
+# change at round-off only.  A margin of 10 would put the gate within 3% of a
+# step the magnetic test-matrix solve takes (1.45e-6 of its iterate), which
+# the correction still moves at 1e-13.
+_ACCEL_PROBE = 0.1
+_ACCEL_MARGIN = 5.0
+_ACCEL_MIN_STEP = _ACCEL_MARGIN * np.sqrt(np.finfo(float).eps) / _ACCEL_PROBE
 
 
 def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOptions()) -> OrbitRecord:
@@ -479,26 +498,33 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         diag = normal.diagonal().copy()
         rhs = -(jmat.T @ r[:size])
 
-        # one damping ladder, until a trial is accepted or lam passes _LAM_MAX
+        # one damping ladder, until a trial is accepted or lam passes _LAM_MAX;
+        # the debug line counts its trials and residuals, and gives the
+        # accepted trial's acceleration outcome
+        trials = evals = 0
         while lam <= _LAM_MAX:
+            trials += 1
             normal.flat[:: size + 1] = diag + lam
             delta = np.zeros_like(x)
             delta[:size] = np.linalg.solve(normal, rhs)
             # geodesic acceleration: second-order correction along the step,
-            # which keeps long narrow valleys from throttling the step size.
-            # Below _ACCEL_MIN_STEP the residual's second difference is
-            # round-off, and a correction made of it only spoils the step.
-            hg = 0.1
+            # which keeps long narrow valleys from throttling the step size
+            accel = "below_floor"
             if np.linalg.norm(delta) > _ACCEL_MIN_STEP * max(1.0, np.linalg.norm(x)):
-                plus = _trial(residual, x + hg * delta)
-                minus = None if plus is None else _trial(residual, x - hg * delta)
+                accel = "probe_inadmissible"
+                plus = _trial(residual, x + _ACCEL_PROBE * delta)
+                minus = None if plus is None else _trial(residual, x - _ACCEL_PROBE * delta)
+                evals += 1 if plus is None else 2
                 if minus is not None:
-                    second = (plus[0] - 2.0 * r + minus[0])[:size] / hg**2
-                    accel = np.linalg.solve(normal, -(jmat.T @ second))
-                    if np.linalg.norm(accel) < 0.75 * np.linalg.norm(delta):
-                        delta[:size] += 0.5 * accel
+                    second = (plus[0] - 2.0 * r + minus[0])[:size] / _ACCEL_PROBE**2
+                    correction = np.linalg.solve(normal, -(jmat.T @ second))
+                    accel = "refused"
+                    if np.linalg.norm(correction) < 0.75 * np.linalg.norm(delta):
+                        delta[:size] += 0.5 * correction
+                        accel = "taken"
             xt = x + delta
             trial = _trial(residual, xt)
+            evals += 1
             # the residual is the gradient: an accepted point is the best so far
             if trial is not None and np.linalg.norm(trial[0]) < gn:
                 break
@@ -512,7 +538,8 @@ def solve(seed: DiscreteLoop, cfg: FieldConfig, opts: SolveOptions = SolveOption
         gn = float(np.linalg.norm(r))
         lam = max(lam * _LAM_DOWN, 1e-14)
         log.debug(
-            "iter %d: gn=%.3e step=%.3e lam=%.1e solve=%s", iterations, gn, float(np.linalg.norm(delta)), lam, path
+            "iter %d: gn=%.3e step=%.3e lam=%.1e trials=%d residuals=%d accel=%s solve=%s",
+            iterations, gn, float(np.linalg.norm(delta)), lam, trials, evals, accel, path,
         )
 
     # written so that a NaN gradient norm fails it too

@@ -15,7 +15,7 @@ from szbov import (
     seed_circle,
     solve,
 )
-from szbov import dynamics, loops
+from szbov import dynamics, loops, solver
 from test_solver import ARCHIVES
 from szbov.loops import double_cover, loop_to_dict
 
@@ -561,6 +561,28 @@ class TestExitCodes:
         record_path.write_text(json.dumps(edit(json.loads(orbit_path.read_text()))))
         assert run(["verify", record_path, "--quiet"]) == 2
         assert message in capsys.readouterr().err
+
+    def test_a_record_m_above_the_bound_is_refused(self, orbit_path, tmp_path, capsys, monkeypatch):
+        # a file's m sets how large a q its first read builds: one above
+        # loops.MAX_M is refused, naming the bound, before any is built
+        def refused(*args):
+            raise AssertionError("reconstruct was called")
+
+        monkeypatch.setattr(loops, "reconstruct", refused)
+        monkeypatch.setattr(solver, "reconstruct", refused)
+        data = json.loads(orbit_path.read_text())
+        data["q"]["m"] = 1125899906842624
+        record_path = tmp_path / "record.json"
+        record_path.write_text(json.dumps(data))
+        assert run(["verify", record_path, "--quiet"]) == 2
+        assert f"m must be at most MAX_M = {loops.MAX_M}, not 1125899906842624" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "integrate"])
+    def test_m_flag_above_the_bound_is_refused(self, orbit_path, capsys, command):
+        # the same bound holds for the grid a flag asks for
+        source = [orbit_path] if command == "integrate" else ["--seed", '{"kind": "circle", "radius": 2}']
+        assert run([command, *source, "--m", loops.MAX_M + 1, "--quiet"]) == 2
+        assert f"m must be at most MAX_M = {loops.MAX_M}" in capsys.readouterr().err
 
     def test_nan_tolerance_rejected(self, capsys):
         # a NaN tolerance is never met, yet never reported as missed either

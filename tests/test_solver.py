@@ -301,6 +301,50 @@ class TestSolve:
             point[i] = bad
             assert szbov.solver._trial(residual, point) is None
 
+    def test_no_probe_is_taken_below_the_floor(self, monkeypatch):
+        # the acceleration's probes sit at x +- _ACCEL_PROBE delta about the
+        # iterate x, so a pair of residual points whose midpoint is x is a
+        # probe pair: across one euler solve, every pair's step is above the
+        # floor, sqrt(eps) / _ACCEL_PROBE times the margin, of the iterate,
+        # and some accepted step is below it
+        floor = szbov.solver._ACCEL_MARGIN * np.sqrt(np.finfo(float).eps) / szbov.solver._ACCEL_PROBE
+        assert szbov.solver._ACCEL_MIN_STEP == floor
+        events = []
+        trial = szbov.solver._trial
+        assemble = szbov.action._hessian_blocks
+
+        def recorded(residual, x):
+            events.append(x.copy())
+            return trial(residual, x)
+
+        def marked(nodes):
+            if sys._getframe(1).f_globals["__name__"] == "szbov.solver":
+                events.append(("iterate", pack(nodes.z)))
+            return assemble(nodes)
+
+        monkeypatch.setattr(szbov.solver, "_trial", recorded)
+        monkeypatch.setattr(szbov.action, "_hessian_blocks", marked)
+        solve(seed_kepler_guess(-1, 0.3, 64), EULER, OPTS)
+        probed, small = [], []
+        k = 0
+        while k < len(events):
+            if isinstance(events[k], tuple):
+                x = events[k][1]
+                gate = floor * max(1.0, np.linalg.norm(x))
+                k += 1
+                continue
+            point = events[k]
+            pair = k + 1 < len(events) and not isinstance(events[k + 1], tuple)
+            if pair and np.linalg.norm(0.5 * (point + events[k + 1]) - x) <= 1e-13 * np.linalg.norm(x):
+                probed.append(np.linalg.norm(point - x) / szbov.solver._ACCEL_PROBE / gate)
+                k += 2
+                continue
+            if np.linalg.norm(point - x) <= gate:
+                small.append(point)
+            k += 1
+        assert probed and min(probed) > 1.0
+        assert small
+
     def test_one_normal_matrix_per_damping_ladder(self, monkeypatch):
         # every linear solve of one damping ladder, the step and the
         # acceleration of each of its trials, is handed the same normal
@@ -361,6 +405,13 @@ class TestSolve:
         # refused with the options
         with pytest.raises(ValueError, match="m must be at least 16"):
             SolveOptions(n=64, m=8)
+
+    def test_a_physical_grid_above_the_bound_is_rejected(self):
+        # nor is one larger than loops.MAX_M taken, which would be built at
+        # the first read of q; the message names the bound
+        SolveOptions(n=64, m=szbov.loops.MAX_M)
+        with pytest.raises(ValueError, match=f"m must be at most MAX_M = {szbov.loops.MAX_M}"):
+            SolveOptions(n=64, m=szbov.loops.MAX_M + 1)
 
     def test_seed_grid_must_match_the_options(self):
         with pytest.raises(ValueError, match="n=64.*n=128"):
@@ -951,6 +1002,68 @@ class TestContinuation:
         assert (member.delay_sup, member.phi_sup) == expected
         assert calls == {"winding_report": 1, "_delay_residual": 1, "_node_defect": 1}
         assert member.winding == winding_report(szbov.loops.birkhoff_map(member.z.samples), clearance=EPS_COLLISION)
+
+    def test_a_warm_step_takes_no_probe_at_round_off(self, monkeypatch):
+        # a step seeded with a converged member takes two iterations: the
+        # first probes and accelerates, the second's step (~1e-7, below the
+        # acceleration's floor) is a trial alone.  That is the seed's
+        # residual and 4 through _trial, and 3 linear solves.
+        rec = solve(seed_ejection(-1, 64), KEPLER, OPTS)
+        counts = {"residual": 0, "trial": 0, "solve": 0}
+        factory = szbov.solver._residual_factory
+        trial = szbov.solver._trial
+        linear_solve = np.linalg.solve
+
+        def counted_factory(*args):
+            residual = factory(*args)
+
+            def counted(x):
+                counts["residual"] += 1
+                return residual(x)
+
+            return counted
+
+        def counted_trial(residual, x):
+            counts["trial"] += 1
+            return trial(residual, x)
+
+        def counted_solve(a, b):
+            counts["solve"] += 1
+            return linear_solve(a, b)
+
+        monkeypatch.setattr(szbov.solver, "_residual_factory", counted_factory)
+        monkeypatch.setattr(szbov.solver, "_trial", counted_trial)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        member = continue_family(rec, [preset("zero", mu=0.01)], OPTS)[-1]
+        assert member.iterations == 2
+        assert counts == {"residual": 5, "trial": 4, "solve": 3}
+
+    def test_the_debug_line_reports_the_acceleration(self, caplog):
+        # each iteration's line counts its ladder's trials and residuals and
+        # names the accepted trial's acceleration outcome
+        rec = solve(seed_ejection(-1, 64), KEPLER, OPTS)
+        caplog.set_level("DEBUG", logger="szbov.solver")
+        member = continue_family(rec, [preset("zero", mu=0.01)], OPTS)[-1]
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("iter ")]
+        assert len(lines) == member.iterations == 2
+        assert "trials=1 residuals=3 accel=taken " in lines[0]
+        assert "trials=1 residuals=1 accel=below_floor " in lines[1]
+
+        caplog.clear()
+        euler = solve(seed_kepler_guess(-1, 0.3, 64), EULER, OPTS)
+        found = [
+            re.search(r"trials=(\d+) residuals=(\d+) accel=(\w+) ", r.getMessage())
+            for r in caplog.records if r.getMessage().startswith("iter ")
+        ]
+        assert len(found) == euler.iterations and all(found)
+        outcomes = {"taken", "below_floor", "refused", "probe_inadmissible"}
+        for trials, residuals, accel in (f.groups() for f in found):
+            assert accel in outcomes
+            # one trial residual per trial and at most two probes each
+            assert int(trials) <= int(residuals) <= 3 * int(trials)
+            if accel == "taken":
+                assert int(residuals) >= 3
+        assert found[0].group(3) == "taken" and found[-1].group(3) == "below_floor"
 
 
 class TestRealLine:
