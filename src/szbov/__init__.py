@@ -5,166 +5,25 @@ The package discretizes a regularized action functional on the loop space of
 the doubly-branched cover of the plane (where binary collisions become
 regular points), finds its critical points by damped Gauss-Newton iteration,
 and certifies each converged orbit against the underlying Newtonian dynamics.
+
+Each module's ``__all__`` is the list of names exported here.
 """
 
-from .geometry import (
-    DomainError,
-    WindingError,
-    WindingReport,
-    birkhoff_derivative,
-    birkhoff_map,
-    conformal_weight,
-    involution,
-    winding,
-    winding_report,
-)
-from .loops import (
-    EPS_COLLISION,
-    EPS_ZHAT,
-    DegenerateLoopError,
-    DiscreteLoop,
-    LiftError,
-    LoopError,
-    PhysicalLoop,
-    TimeMap,
-    chain_rule_state,
-    derivative,
-    double_cover,
-    eval_loop,
-    lift,
-    load_loop,
-    loop_from_dict,
-    loop_to_dict,
-    reconstruct,
-    save_loop,
-    second_derivative,
-    time_map,
-    zhat,
-)
-from .fields import (
-    ElectricSpec,
-    FieldConfig,
-    FieldConfigError,
-    MagneticSpec,
-    ValidationReport,
-    config_from_dict,
-    config_to_dict,
-    electric_preset,
-    magnetic_preset,
-    preset,
-    validate,
-)
-from .action import (
-    ActionBreakdown,
-    DelayResidual,
-    component_gradients,
-    delay_residual,
-    eval_action,
-    eval_components,
-    eval_unregularized,
-    grad_norm,
-    gradient,
-    pack,
-    unpack,
-)
-from .dynamics import (
-    PhiProfile,
-    SingularityError,
-    Trajectory,
-    VerificationReport,
-    integrate,
-    newtonian_rhs,
-    phi_profile,
-    verify_generalized,
-)
-from .solver import (
-    NoConvergenceError,
-    OrbitRecord,
-    SolveError,
-    SolveOptions,
-    continue_family,
-    make_seed,
-    record_from_dict,
-    seed_circle,
-    seed_ejection,
-    seed_ellipse_lift,
-    seed_kepler_guess,
-    solve,
-)
+from . import action, dynamics, fields, geometry, loops, solver
+from .geometry import *
+from .loops import *
+from .fields import *
+from .action import *
+from .dynamics import *
+from .solver import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionBreakdown",
-    "DegenerateLoopError",
-    "DelayResidual",
-    "DiscreteLoop",
-    "DomainError",
-    "ElectricSpec",
-    "EPS_COLLISION",
-    "EPS_ZHAT",
-    "FieldConfig",
-    "FieldConfigError",
-    "LiftError",
-    "LoopError",
-    "MagneticSpec",
-    "NoConvergenceError",
-    "OrbitRecord",
-    "PhiProfile",
-    "PhysicalLoop",
-    "SingularityError",
-    "SolveError",
-    "SolveOptions",
-    "TimeMap",
-    "Trajectory",
-    "ValidationReport",
-    "VerificationReport",
-    "WindingError",
-    "WindingReport",
-    "birkhoff_derivative",
-    "birkhoff_map",
-    "chain_rule_state",
-    "component_gradients",
-    "config_from_dict",
-    "config_to_dict",
-    "conformal_weight",
-    "continue_family",
-    "delay_residual",
-    "derivative",
-    "double_cover",
-    "electric_preset",
-    "eval_action",
-    "eval_components",
-    "eval_loop",
-    "eval_unregularized",
-    "grad_norm",
-    "gradient",
-    "integrate",
-    "involution",
-    "lift",
-    "load_loop",
-    "loop_from_dict",
-    "loop_to_dict",
-    "magnetic_preset",
-    "make_seed",
-    "newtonian_rhs",
-    "pack",
-    "phi_profile",
-    "preset",
-    "reconstruct",
-    "record_from_dict",
-    "save_loop",
-    "second_derivative",
-    "seed_circle",
-    "seed_ejection",
-    "seed_ellipse_lift",
-    "seed_kepler_guess",
-    "solve",
-    "time_map",
-    "unpack",
-    "validate",
-    "verify_generalized",
-    "winding",
-    "winding_report",
-    "zhat",
+    *geometry.__all__,
+    *loops.__all__,
+    *fields.__all__,
+    *action.__all__,
+    *dynamics.__all__,
+    *solver.__all__,
 ]

@@ -69,7 +69,6 @@ __all__ = [
     "eval_action",
     "eval_unregularized",
     "gradient",
-    "second_variation_matrix",
     "component_gradients",
     "delay_residual",
     "pack",

@@ -37,6 +37,7 @@ from .dynamics import SingularityError, _arc_runs, _arcs, verify_generalized
 from .fields import FieldConfig, FieldConfigError, config_from_dict, preset
 from .loops import (
     MAX_M,
+    MAX_N,
     DiscreteLoop,
     LoopError,
     double_cover,
@@ -224,6 +225,8 @@ def _random_smooth_loop(rng, n: int, twisted: bool) -> DiscreteLoop:
 
 def cmd_grad_check(args) -> int:
     n = _positive(args, "n", 64)
+    if n > MAX_N:
+        raise ValueError(f"--n must be at most MAX_N = {MAX_N}, not {n!r}")
     tol = _positive(args, "tol", 1e-6)
     rng = np.random.default_rng(7)
     configs = [
@@ -364,7 +367,9 @@ def cmd_plot(args) -> int:
 
 def cmd_export(args) -> int:
     data = _read_json(args.orbit)
-    loop = loop_from_dict(data["z"] if "z" in data and isinstance(data["z"], dict) else data)
+    if not isinstance(data, dict):
+        raise LoopError(f"malformed record or loop object: a JSON object is needed, not {type(data).__name__}")
+    loop = loop_from_dict(data["z"] if isinstance(data.get("z"), dict) else data)
     _write_text(args.out, dumps_canonical(loop_to_dict(loop)), args.quiet)
     return EXIT_OK
 

@@ -18,7 +18,6 @@ __all__ = [
     "WindingReport",
     "birkhoff_map",
     "birkhoff_derivative",
-    "center_distance",
     "conformal_weight",
     "involution",
     "winding",

@@ -39,7 +39,6 @@ bisection tail.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -59,6 +58,8 @@ from .geometry import (
 )
 
 __all__ = [
+    "EPS_ZHAT",
+    "EPS_COLLISION",
     "LoopError",
     "DegenerateLoopError",
     "LiftError",
@@ -69,13 +70,13 @@ __all__ = [
     "chain_rule_state",
     "second_derivative",
     "double_cover",
+    "eval_loop",
     "zhat",
     "time_map",
     "reconstruct",
     "lift",
     "loop_to_dict",
     "loop_from_dict",
-    "dumps_canonical",
     "save_loop",
     "load_loop",
 ]
@@ -92,6 +93,12 @@ EPS_NODE = 10.0 * EPS_COLLISION
 # finest grid in use is m = 1024; a larger m, as from an edited record file,
 # is refused before anything is allocated.
 MAX_M = 2**16
+# The finest loop grid taken.  A solve's dense arrays grow as n^2: at this
+# bound its (2n)^2 real Hessian takes 128 MiB, each of its complex n x n
+# blocks 64 MiB and the n x n integration_matrix 32 MiB, and the finest grid
+# in use is n = 1024; a larger n, as from an edited record file, is refused
+# before any of them is allocated.
+MAX_N = 2**11
 
 # TimeMap.inverse: residual and bracket width at which a point has converged
 # (t and tau both lie in [0, 1], so these are round-off; the residual's eps
@@ -758,18 +765,6 @@ def _require_point(value, name: str, error: type = LoopError) -> complex:
     return complex(_require_real(value, name, error))
 
 
-def _require_points(values, name: str, error: type = LoopError) -> np.ndarray:
-    """A list of points, each read as ``_require_point`` reads it, into a
-    complex array.  A list of [re, im] pairs of JSON numbers, as a loop
-    object's and a record's samples are written, has its element types
-    checked in bulk; any other list is read point by point, so that a bad
-    point is rejected and named as before."""
-    if set(map(type, values)) == {list} and set(map(len, values)) == {2}:
-        if set(map(type, itertools.chain.from_iterable(values))) <= {float, int}:
-            return np.array(values, dtype=float).view(complex)[:, 0]
-    return np.array([_require_point(p, name, error) for p in values])
-
-
 # JSON has no number for a NaN or an infinity: a record holds its text, keyed
 # here by the float's repr, as dumps_canonical writes it.
 _NONFINITE_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -802,38 +797,13 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(isinstance(v, float) for v in obj):
-            return "[" + ", ".join(map(_fmt_float, obj)) + "]"
-        if _is_pair_list(obj):
-            # a block of samples, one [re, im] line each: the text of the
-            # general case below, without a call per pair
-            items = [f"{pad}  [{_fmt_float(re)}, {_fmt_float(im)}]" for re, im in obj]
-            return "[\n" + ",\n".join(items) + f"\n{pad}]"
-        flat = all(isinstance(v, (int, float, bool)) or v is None for v in obj)
-        if flat:
-            return "[" + ", ".join(dumps_canonical(v) for v in obj) + "]"
+        # numbers and nulls on one line (an empty list too), else one item a line
+        if all(isinstance(v, (int, float)) or v is None for v in obj):
+            return "[" + ", ".join(map(dumps_canonical, obj)) + "]"
         items = [f"{pad}  {dumps_canonical(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    return json.dumps(obj)
-
-
-def _is_pair_list(obj) -> bool:
-    """Whether obj is a list of [re, im] lists of floats, as the samples of a
-    loop object and of a record's q are written: checked in bulk, as
-    ``_require_points`` reads them."""
-    return (
-        set(map(type, obj)) == {list}
-        and set(map(len, obj)) == {2}
-        and set(map(type, itertools.chain.from_iterable(obj))) == {float}
-    )
+    # a float in the fixed format; a bool, None, an int or a string as json.dumps writes it
+    return _fmt_float(obj) if isinstance(obj, float) else json.dumps(obj)
 
 
 def _read_json(path):
@@ -858,11 +828,14 @@ def _require_diagnostic(value, name: str) -> float:
 def loop_from_dict(data: dict) -> DiscreteLoop:
     try:
         n, twisted = data["n"], data["twisted"]
-        samples = _require_points(data["samples"], "loop object: a sample")
+        samples = np.array([_require_point(p, "loop object: a sample") for p in data["samples"]])
     except (KeyError, TypeError) as exc:
         raise LoopError(f"malformed loop object: {exc}") from exc
     _require_bool(twisted, "loop object: 'twisted'")
-    if len(samples) != _require_int(n, "loop object: 'n'"):
+    n = _require_int(n, "loop object: 'n'")
+    if n > MAX_N:
+        raise LoopError(f"loop object: 'n' must be at most MAX_N = {MAX_N}, not {n!r}")
+    if len(samples) != n:
         raise LoopError("loop object: 'n' does not match number of samples")
     return DiscreteLoop(samples=samples, twisted=twisted)
 

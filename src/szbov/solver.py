@@ -71,6 +71,7 @@ from .geometry import WindingReport
 from .loops import (
     EPS_ZHAT,
     MAX_M,
+    MAX_N,
     DegenerateLoopError,
     DiscreteLoop,
     PhysicalLoop,
@@ -97,10 +98,12 @@ __all__ = [
     "OrbitRecord",
     "seed_circle",
     "seed_ellipse_lift",
+    "seed_ejection",
     "seed_kepler_guess",
     "make_seed",
     "solve",
     "continue_family",
+    "record_from_dict",
 ]
 
 
@@ -145,6 +148,8 @@ class SolveOptions:
             raise ValueError(f"m must be at least 16, not {self.m!r}")
         if self.m > MAX_M:
             raise ValueError(f"m must be at most MAX_M = {MAX_M}, not {self.m!r}")
+        if self.n > MAX_N:
+            raise ValueError(f"n must be at most MAX_N = {MAX_N}, not {self.n!r}")
 
 
 class _GivenOrDerived:

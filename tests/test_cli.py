@@ -15,7 +15,7 @@ from szbov import (
     seed_circle,
     solve,
 )
-from szbov import dynamics, loops, solver
+from szbov import action, dynamics, loops, selection, solver
 from test_solver import ARCHIVES
 from szbov.loops import double_cover, loop_to_dict
 
@@ -583,6 +583,70 @@ class TestExitCodes:
         source = [orbit_path] if command == "integrate" else ["--seed", '{"kind": "circle", "radius": 2}']
         assert run([command, *source, "--m", loops.MAX_M + 1, "--quiet"]) == 2
         assert f"m must be at most MAX_M = {loops.MAX_M}" in capsys.readouterr().err
+
+    @staticmethod
+    def refuse(monkeypatch, *targets):
+        """Make each (module, name) raise when called, so that a test shows
+        the grid was refused before anything was built at it."""
+
+        def refused(*args, **kwargs):
+            raise AssertionError("an array was built at the refused grid")
+
+        for module, name in targets:
+            monkeypatch.setattr(module, name, refused)
+
+    @pytest.mark.parametrize("source", ["flag", "flag_far_above", "grid"])
+    def test_a_loop_grid_above_the_bound_is_refused(self, tmp_path, capsys, monkeypatch, source):
+        # a solve's (2n)^2 Hessian: an n above loops.MAX_N is refused,
+        # naming the bound, before the seed is built
+        self.refuse(monkeypatch, (cli, "make_seed"))
+        n = 100000 if source == "flag_far_above" else loops.MAX_N + 1
+        seed = '{"kind": "circle", "radius": 2}'
+        if source == "grid":
+            cfg = write_config(tmp_path, {"fields": {"mu": 0.5}, "grid": {"n": n}})
+            argv = ["solve", "--config", cfg, "--seed", seed]
+        else:
+            argv = ["solve", "--seed", seed, "--n", n]
+        assert run([*argv, "--quiet"]) == 2
+        assert f"n must be at most MAX_N = {loops.MAX_N}, not {n}" in capsys.readouterr().err
+
+    def test_grad_check_n_above_the_bound_is_refused(self, capsys, monkeypatch):
+        self.refuse(monkeypatch, (cli, "_random_smooth_loop"))
+        assert run(["grad-check", "--n", loops.MAX_N + 1, "--quiet"]) == 2
+        assert f"--n must be at most MAX_N = {loops.MAX_N}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "plot", "integrate", "export", "eval", "solve"])
+    def test_a_file_loop_above_the_bound_is_refused(self, orbit_path, tmp_path, capsys, monkeypatch, command):
+        # a record, loop or seed file whose z has n above loops.MAX_N is
+        # refused as it is read, before the dense n x n integration matrix
+        self.refuse(monkeypatch, *((module, "integration_matrix") for module in (loops, action, selection)))
+        data = json.loads(orbit_path.read_text())
+        n = loops.MAX_N + 1
+        data["z"]["samples"] = (data["z"]["samples"] * n)[:n]
+        data["z"]["n"] = n
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data if command in ("verify", "plot", "integrate") else data["z"]))
+        argv = {
+            "verify": [path],
+            "plot": [path, "--out", tmp_path / "out.svg"],
+            "integrate": [path, "--out", tmp_path / "out.csv"],
+            "export": [path, "--out", tmp_path / "loop.json"],
+            "eval": [path],
+            "solve": ["--seed", path, "--n", n - 1],
+        }[command]
+        assert run([command, *argv, "--quiet"]) == 2
+        assert f"'n' must be at most MAX_N = {loops.MAX_N}, not {n}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, kind", [('"zebra"', "str"), ("null", "NoneType"), ("5", "int"), ("[1, 2]", "list")]
+    )
+    def test_export_of_a_file_that_is_no_object(self, tmp_path, capsys, text, kind):
+        # neither a record nor a loop object: a message naming what was
+        # read, not a traceback
+        path = tmp_path / "not_an_object.json"
+        path.write_text(text)
+        assert run(["export", path, "--quiet"]) == 2
+        assert f"a JSON object is needed, not {kind}" in capsys.readouterr().err
 
     def test_nan_tolerance_rejected(self, capsys):
         # a NaN tolerance is never met, yet never reported as missed either

@@ -413,6 +413,13 @@ class TestSolve:
         with pytest.raises(ValueError, match=f"m must be at most MAX_M = {szbov.loops.MAX_M}"):
             SolveOptions(n=64, m=szbov.loops.MAX_M + 1)
 
+    def test_a_loop_grid_above_the_bound_is_rejected(self):
+        # nor a loop grid above loops.MAX_N, whose (2n)^2 Hessian the first
+        # iteration would build
+        SolveOptions(n=szbov.loops.MAX_N, m=256)
+        with pytest.raises(ValueError, match=f"n must be at most MAX_N = {szbov.loops.MAX_N}"):
+            SolveOptions(n=szbov.loops.MAX_N + 1, m=256)
+
     def test_seed_grid_must_match_the_options(self):
         with pytest.raises(ValueError, match="n=64.*n=128"):
             solve(seed_kepler_guess(-1, 0.3, 64), KEPLER, SolveOptions(n=128, m=256))
