@@ -496,7 +496,8 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5) -> Verificati
     orbit must expose ``z`` (DiscreteLoop), ``q`` (PhysicalLoop), and ``C``.
     Conditions: finitely many collisions (``q.collision_times``); the
     Newtonian equation holds on each collision-free arc (``_arc_defect``);
-    the energy extension is continuous across collisions; the loop closes up.
+    the energy extension is continuous across collisions; the loop closes up;
+    C is the energy constant of z itself.
     The states it starts from and compares are z's own node times, positions
     and velocities (``action._Nodes``), with the defect there (``_node_defect``).
     """
@@ -537,5 +538,10 @@ def verify_generalized(orbit, cfg: FieldConfig, tol: float = 1e-5) -> Verificati
     # reads round-off; it catches a q given apart from z (``replace``)
     closure = float(abs(nodes.q[0] - qs[0]))
     checks.append(("loop closure", closure, tol, closure <= tol))
+
+    # (5) the orbit's C is z's own: (3) reads C - phi_j, the node energy, in
+    # which a C given apart from z cancels
+    c_rel = abs(c_const - nodes.breakdown().C) / max(abs(c_const), 1.0)
+    checks.append(("energy constant", c_rel, tol, c_rel <= tol))
 
     return VerificationReport(collision_count=len(collisions), checks=tuple(checks))

@@ -12,18 +12,19 @@ cover) which is what gets differentiated and interpolated.
 
 Off the nodes, every Fourier sum (the interpolant in ``eval_loop`` and
 ``lift``, the time map t(tau) and its derivative) is evaluated by one
-baby-step/giant-step routine, ``_fourier_sum``, over the modes k >= 0 only:
-two small tables of phases, of about sqrt(N) and sqrt(N)/2 rows, and one
-matrix product, instead of an M x N phase matrix.  A complex row's negative
-modes are the conjugate of a second k > 0 row; a real row, such as t and
-t', needs no second row.  Each table takes cos and sin of its power-of-two
-step rows alone and fills the others by complex products (``_phases``), so
-that M points cost about log2(N) M cos/sin pairs and 1.5 sqrt(N) M
-products.  Several coefficient rows at the same points share the tables:
-the time map sums t and its slope t' in one pass.  The time map's node
-values come from the same coefficients by one inverse FFT, so the dense
-``integration_matrix`` is left to the action's node object and Hessian and
-to the solver's anchor measure.
+baby-step/giant-step routine, ``_fourier_sum``, over the real rows of the
+modes k >= 0 only: two small tables of phases, of about sqrt(N) and
+sqrt(N)/2 rows, and one matrix product, instead of an M x N phase matrix.
+A complex loop is two real rows, its real and imaginary parts, and the
+interpolant's Nyquist convention is kept there alone, so that derivative
+and antiderivative rows need no special case.  Each table takes cos and sin
+of its power-of-two step rows alone and fills the others by complex
+products (``_phases``), so that M points cost about log2(N) M cos/sin pairs
+and 1.5 sqrt(N) M products.  Several coefficient rows at the same points
+share the tables: the time map sums t and its slope t' in one pass.  The
+time map's node values come from the same coefficients by one inverse FFT,
+so the dense ``integration_matrix`` is left to the action's node object and
+Hessian and to the solver's anchor measure.
 
 The inverse time map tau(t), which every physical loop q(t) = B(z(tau(t)))
 needs, is a safeguarded Newton iteration that costs one such pass per step.
@@ -212,23 +213,23 @@ def _fft_derivative(samples: np.ndarray, period: float, order: int = 1) -> np.nd
     return np.fft.ifft(np.fft.fft(samples) * sym)
 
 
-def _fourier_sum(c: np.ndarray, x, real: bool = False) -> np.ndarray:
-    """sum_k c_k exp(2 pi i k x) over the modes of ``np.fft.fftfreq(n, 1/n)``,
-    for coefficients c in that order, with the Nyquist mode k = -n/2 taken as
-    cos(pi n x) (the symmetric convention).
+def _fourier_sum(c: np.ndarray, x) -> np.ndarray:
+    """The real trigonometric sum of coefficient rows c at the points x.
 
-    c is one row of n coefficients or a stack of p rows shaped (p, n), and the
-    result is shaped (m,) or (p, m) to match: the phase tables depend on x
-    alone, so every row is summed from the same two tables.  With ``real``,
-    each row is the spectrum of real samples, c_-k = conj(c_k), given as
-    ``np.fft.rfft`` gives it, the n/2 + 1 coefficients c_0 ... c_n/2, and
-    the result is the real sum.
+    Each row holds the n/2 + 1 coefficients c_0 ... c_n/2 of the modes
+    k >= 0, in the order of ``np.fft.rfft``, and sums to
+    Re c_0 + 2 Re sum_{0<k<n/2} c_k exp(2 pi i k x) + Re(c_n/2 exp(i pi n x)).
+    For the spectrum of real samples (``rfft(f) / n``, whose c_n/2 is real)
+    this is their trigonometric interpolant, the Nyquist mode taken as
+    c_n/2 cos(pi n x) (the symmetric convention); and since the Nyquist term
+    keeps its phase, the rows (2 pi i k)^{+-1} c_k are the interpolant's
+    derivative and periodic antiderivative at every k <= n/2, the Nyquist
+    cosine's slope -pi n c_n/2 sin(pi n x) included, with no special case.
+    A complex series is two rows, its real and imaginary parts.
 
-    Every row is summed over the modes k >= 0 only.  A complex row is the
-    k >= 0 sum of c_k plus the conjugate of the k > 0 sum of conj(c_-k), the
-    two summed as two stacked rows.  A real row is 2 Re of the k >= 0 sum
-    with c_0 halved: one row, so half the matmul and the giant-step
-    products of a complex row.
+    c has any leading shape (..., n/2 + 1), and the result is shaped
+    (..., m): the phase tables depend on x alone, so every row is summed
+    from the same two tables.
 
     Baby-step/giant-step: with B a power of two near sqrt(n), each mode
     0 <= k < n/2 is k = a*B + b with 0 <= b < B.  The coefficients,
@@ -237,7 +238,7 @@ def _fourier_sum(c: np.ndarray, x, real: bool = False) -> np.ndarray:
     the product, times the giant-step phases exp(2 pi i a B x) entry by
     entry, is summed over a.  Both tables come from ``_phases``, which takes
     cos and sin of about log2 of its row count and fills the rest by complex
-    products: with the Nyquist cosine, each point costs about log2(n)
+    products: with the Nyquist phase, each point costs about log2(n)
     cos/sin pairs and 1.5 sqrt(n) table products (10 and 48 at n = 1024).
     Each table is built outward from k = 0, so that the low modes, which
     carry the largest coefficients of a smooth loop, keep phase errors of
@@ -246,31 +247,20 @@ def _fourier_sum(c: np.ndarray, x, real: bool = False) -> np.ndarray:
     the giant steps' scaling B x, B a power of two).
     """
     c = np.asarray(c)
-    stack = np.atleast_2d(c)
-    p, width = stack.shape
-    n = 2 * (width - 1) if real else width
-    half = n // 2
-    baby = 1 << (n.bit_length() // 2)
+    stack = c.reshape(-1, c.shape[-1])
+    half = c.shape[-1] - 1
+    baby = 1 << ((2 * half).bit_length() // 2)
     rows = -(-half // baby)
-    if real:
-        table = np.zeros((p, rows * baby), dtype=complex)
-        table[:, :half] = 2.0 * stack[:, :half]
-        table[:, 0] = stack[:, 0]
-    else:
-        table = np.zeros((2 * p, rows * baby), dtype=complex)
-        table[:p, :half] = stack[:, :half]
-        np.conjugate(stack[:, :half:-1], out=table[p:, 1:half])
+    table = np.zeros((len(stack), rows * baby), dtype=complex)
+    table[:, :half] = 2.0 * stack[:, :half]
+    table[:, 0] = stack[:, 0]
     x = np.atleast_1d(np.asarray(x, dtype=float))
     x = x - np.round(x)
     partial = (table.reshape(-1, baby) @ _phases(x, baby)).reshape(len(table), rows, len(x))
     partial *= _phases(baby * x, rows)
-    sums = partial.sum(axis=1)
-    nyquist = np.multiply.outer(stack[:, half], np.cos(np.pi * n * x))
-    if real:
-        out = sums.real + nyquist.real
-    else:
-        out = sums[:p] + np.conjugate(sums[p:]) + nyquist
-    return out if c.ndim == 2 else out[0]
+    nyquist = np.multiply.outer(stack[:, half], np.exp(2j * np.pi * half * x))
+    out = partial.sum(axis=1).real + nyquist.real
+    return out.reshape(c.shape[:-1] + (len(x),))
 
 
 def _phases(x: np.ndarray, count: int) -> np.ndarray:
@@ -300,9 +290,11 @@ def _phases(x: np.ndarray, count: int) -> np.ndarray:
 
 
 def _trig_eval(samples: np.ndarray, x, period: float = 1.0) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of uniform samples at x."""
-    c = np.fft.fft(samples) / len(samples)
-    return _fourier_sum(c, np.asarray(x, dtype=float) / period)
+    """Evaluate the trigonometric interpolant of uniform complex samples at x,
+    summed as two real rows."""
+    c = np.fft.rfft([samples.real, samples.imag]) / len(samples)
+    re, im = _fourier_sum(c, np.asarray(x, dtype=float) / period)
+    return re + 1j * im
 
 
 def _periodic_cover(z: np.ndarray, twisted: bool) -> tuple[np.ndarray, float]:
@@ -375,8 +367,11 @@ def derivative_matrix(n: int, period: float = 1.0) -> np.ndarray:
     (``_spectral_derivative`` applies D itself at small n): D[j, l] =
     d[(j - l) mod n].  With the Nyquist mode zeroed, D is real and
     antisymmetric; d is made exactly odd, d[-m] = -d[m], so that D.T = -D
-    holds exactly.  Built in O(n^2) as a C-contiguous float64 array, and
-    read-only, since the cached array is shared.
+    holds exactly.  Zeroing the Nyquist mode is exact at the nodes for one
+    derivative, since its cosine's slope, a multiple of sin(pi j), vanishes
+    there; off the nodes ``_fourier_sum`` keeps that slope.  Built in O(n^2)
+    as a C-contiguous float64 array, and read-only, since the cached array
+    is shared.
     """
     unit = np.zeros(n)
     unit[0] = 1.0
@@ -401,7 +396,8 @@ def integration_matrix(n: int) -> np.ndarray:
     to tau, and the Nyquist cosine to a sine that vanishes at the nodes.  So
     K[j, l] = (j/n + h[(j - l) mod n] - h[(-l) mod n]) / n, with h = n
     ifft(c) the periodic part, c_k = 1 / (2 pi i k) and the mean and Nyquist
-    modes zeroed: one circulant plus a row and a column, built in O(n^2) as
+    modes zeroed (exact at the nodes; off them ``_fourier_sum`` keeps the
+    Nyquist sine): one circulant plus a row and a column, built in O(n^2) as
     a C-contiguous float64 array, read-only since the cached array is shared.
     """
     k = np.fft.fftfreq(n, d=1.0 / n)
@@ -429,8 +425,8 @@ class TimeMap:
     computed once per map, by one real FFT, and kept as one two-row stack of
     the modes k >= 0 (``_spectral``), from which the node values
     ``t_of_tau`` are taken as well; ``t`` sums the antiderivative row at any
-    tau with ``_fourier_sum`` as a real row and, asked for the slope as well,
-    sums both rows from the same phase tables.
+    tau with ``_fourier_sum`` and, asked for the slope as well, sums both
+    rows from the same phase tables.
     The continuous inverse is realized by a safeguarded Newton iteration
     inside the node brackets of ``t_of_tau``, one such pass per step, started
     from the cubic Hermite interpolant of tau(t) on each node cell and
@@ -455,15 +451,13 @@ class TimeMap:
     def t_of_tau(self) -> np.ndarray:
         """t at the nodes tau = j/n, j = 0..n, made monotone against
         round-off, from the map's own coefficients, the ones ``t`` sums: at
-        tau = j/n the antiderivative is c_0 j/n + (n ifft(coef))_j -
-        sum(coef), over all modes k of the antiderivative's coefficients
-        coef, since the Nyquist mode's sine vanishes there;
-        ``np.fft.irfft`` takes that sum from the k >= 0 half.  So one FFT of
-        the weights serves the nodes and every later ``t``, and no n x n
-        matrix is formed."""
+        tau = j/n the periodic part is (n irfft(coef))_j, since the Nyquist
+        mode's sine vanishes there (``np.fft.irfft`` ignores its imaginary
+        coefficient).  So one FFT of the weights serves the nodes and every
+        later ``t``, and no n x n matrix is formed."""
         n = self.n
-        (coef, c), at_zero = self._spectral
-        raw = (c[0].real / n) * np.arange(n) + (n * np.fft.irfft(coef, n) - at_zero)
+        coef, c = self._spectral
+        raw = (c[0].real / n) * np.arange(n) + n * np.fft.irfft(coef, n)
         nodes = np.empty(n + 1)
         nodes[:n] = np.maximum.accumulate(np.clip(raw / self.zhat, 0.0, 1.0))
         nodes[0] = 0.0
@@ -472,17 +466,18 @@ class TimeMap:
 
     @functools.cached_property
     def _spectral(self):
-        """The stack of two rows of coefficients of the modes 0 <= k <= n/2,
-        in the order of ``np.fft.rfft``: the antiderivative's, c_k / (2 pi i k)
-        with the mean and Nyquist modes zeroed, above the weights' own c_k;
-        and that antiderivative's value at tau = 0."""
+        """The two coefficient rows of the modes 0 <= k <= n/2 that
+        ``_fourier_sum`` sums: the weights' own c_k in row 1 and, in row 0,
+        their periodic antiderivative c_k / (2 pi i k), whose mean entry is
+        minus its value at tau = 0, so that it vanishes there."""
         n = self.n
         half = n // 2
         stack = np.zeros((2, half + 1), dtype=complex)
         stack[1] = np.fft.rfft(self.weights) / n
-        # the Nyquist mode is handled as a cosine below
-        stack[0, 1:half] = stack[1, 1:half] / (2j * np.pi * np.arange(1, half))
-        return stack, 2.0 * np.sum(stack[0].real)
+        stack[0, 1:] = stack[1, 1:] / (2j * np.pi * np.arange(1, half + 1))
+        # the Nyquist entry is imaginary, so it adds nothing at tau = 0
+        stack[0, 0] = -2.0 * np.sum(stack[0].real)
+        return stack
 
     @functools.cached_property
     def _curvature_bound(self) -> float:
@@ -493,7 +488,7 @@ class TimeMap:
         a polynomial bounds its derivative by 2 pi (n/2) times its own sup
         (Zygmund, Trigonometric Series, ch. X), so sup |t''| <= pi n sup |t'|;
         and sup |w| <= |c_0| + 2 sum_{0<k<n/2} |c_k| + |c_n/2|."""
-        c = np.abs(self._spectral[0][1])
+        c = np.abs(self._spectral[1])
         n = self.n
         return math.pi * n * (c[0] + 2.0 * np.sum(c[1 : n // 2]) + c[n // 2]) / self.zhat
 
@@ -507,14 +502,9 @@ class TimeMap:
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         base = np.floor(tau)
         frac = tau - base
-        stack, at_zero = self._spectral
-        c = stack[1]
-        m = self.n // 2
-        sums = _fourier_sum(stack[: 2 if with_slope else 1], frac, real=True)
-        osc = sums[0] - at_zero
-        # Nyquist mode interpolated as cos: antiderivative sin(2 pi m tau)/(2 pi m)
-        osc += np.real(c[m]) * np.sin(2.0 * np.pi * m * frac) / (2.0 * np.pi * m)
-        raw = np.real(c[0]) * frac + osc
+        stack = self._spectral
+        sums = _fourier_sum(stack[: 2 if with_slope else 1], frac)
+        raw = np.real(stack[1, 0]) * frac + sums[0]
         t = base + raw / self.zhat
         if not with_slope:
             return t

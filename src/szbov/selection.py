@@ -56,23 +56,23 @@ def anchor_measure(seed: DiscreteLoop, cfg: FieldConfig):
     |d_j|^2 / 2, with rho_j = w_j/zhat = dt/dtau and d_j = B(z_j) - q0(t_j) - o_j.
 
     q0 is the seed reconstructed at n uniform times and interpolated in t,
-    and t_j = (K w)_j / zhat are the loop's node times, so no time map is
-    inverted.  Where the seed has a collision, q0 rings there and misses the
-    seed's own nodes; the fixed offset o_j, that miss, makes the measure
-    zero at the seed.  The gradient is exact, through B(z_j) and through w_j
+    its value and slope summed by ``_fourier_sum`` from the rows c_k and
+    2 pi i k c_k of its real and imaginary parts, and t_j = (K w)_j / zhat
+    are the loop's node times, so no time map is inverted.  Where the seed
+    has a collision, q0 rings there and misses the seed's own nodes; the
+    fixed offset o_j, that miss, makes the measure zero at the seed.  The gradient is exact, through B(z_j) and through w_j
     in rho_j and t_j; curv, the diagonal of its Gauss-Newton Hessian with
     rho_j and t_j held, is rho_j |B'(z_j)|^2 / n on both coordinates of z_j.
     """
     n, twisted = seed.n, seed.twisted
-    c = np.fft.fft(reconstruct(seed, n).samples) / n
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    stack = np.stack([c, 2j * np.pi * k * c])
-    stack[1, n // 2] = 0.0  # the Nyquist cosine's slope is added below
+    q0 = reconstruct(seed, n).samples
+    c = np.fft.rfft([q0.real, q0.imag]) / n
+    stack = np.stack([c, 2j * np.pi * np.arange(n // 2 + 1) * c])
     kmat = integration_matrix(n)
 
     def miss(nodes):
-        q0, slope = _fourier_sum(stack, nodes.t)
-        slope -= np.pi * n * c[n // 2] * np.sin(np.pi * n * nodes.t)
+        sums = _fourier_sum(stack, nodes.t)
+        q0, slope = sums[:, 0] + 1j * sums[:, 1]
         return nodes.q - q0, slope
 
     offset = miss(_action._Nodes(seed.samples, twisted, cfg))[0]

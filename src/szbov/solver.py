@@ -362,9 +362,10 @@ def seed_kepler_guess(side: int, radius: float, n: int = 256) -> DiscreteLoop:
     return lift(q)
 
 
-def _number(spec: dict, key: str) -> float:
-    """spec[key] read as given: a missing key or true is no radius."""
-    return _require_real(spec.get(key), f"seed: {key!r}")
+def _number(params: dict, key: str) -> float:
+    """params[key], taken out, read as given: a missing key or true is no
+    radius."""
+    return _require_real(params.pop(key, None), f"seed: {key!r}")
 
 
 def make_seed(spec, n: int = 256) -> DiscreteLoop:
@@ -375,31 +376,36 @@ def make_seed(spec, n: int = 256) -> DiscreteLoop:
     {"kind": "kepler_guess", "side": -1, "radius": r}
     {"kind": "ejection", "side": -1}
     {"kind": "file", "path": "loop.json"}
+
+    A kind takes only its own keys: each is taken out of the spec as it is
+    read, and what is left is refused.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise LoopError("seed spec must be an object with a 'kind'")
-    kind = spec["kind"]
-    extra = set(spec) - {"kind", "center", "radius", "a", "b", "side", "path"}
-    if extra:
-        raise LoopError(f"unknown seed keys: {sorted(extra)}")
+    params = dict(spec)
+    kind = params.pop("kind")
     if kind == "circle":
-        center = _require_point(spec.get("center", [0.0, 0.0]), "seed: 'center'")
-        return seed_circle(center, _number(spec, "radius"), n)
-    if kind == "ellipse_lift":
-        return seed_ellipse_lift(_number(spec, "a"), _number(spec, "b"), n)
+        center = _require_point(params.pop("center", [0.0, 0.0]), "seed: 'center'")
+        seed = seed_circle(center, _number(params, "radius"), n)
+    elif kind == "ellipse_lift":
+        seed = seed_ellipse_lift(_number(params, "a"), _number(params, "b"), n)
     # read as given: a side of 0.5 or true is rejected, not cast
-    if kind == "kepler_guess":
-        side = _require_int(spec.get("side", -1), "seed: 'side'")
-        return seed_kepler_guess(side, _number(spec, "radius"), n)
-    if kind == "ejection":
-        return seed_ejection(_require_int(spec.get("side", -1), "seed: 'side'"), n)
-    if kind == "file":
+    elif kind == "kepler_guess":
+        side = _require_int(params.pop("side", -1), "seed: 'side'")
+        seed = seed_kepler_guess(side, _number(params, "radius"), n)
+    elif kind == "ejection":
+        seed = seed_ejection(_require_int(params.pop("side", -1), "seed: 'side'"), n)
+    elif kind == "file":
         # a JSON string: a number or true would be opened as a file descriptor
-        path = spec.get("path")
+        path = params.pop("path", None)
         if not isinstance(path, str):
             raise LoopError(f"seed: 'path' must be a string, not {path!r}")
-        return load_loop(path)
-    raise LoopError(f"unknown seed kind {kind!r}")
+        seed = load_loop(path)
+    else:
+        raise LoopError(f"unknown seed kind {kind!r}")
+    if params:
+        raise LoopError(f"unknown {kind!r} seed keys: {sorted(params)}")
+    return seed
 
 
 # ------------------------------------------------------------------- solve

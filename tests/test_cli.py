@@ -152,10 +152,26 @@ class TestPipeline:
             "newtonian defect (re-integration)",
             "energy continuity across collisions",
             "loop closure",
+            "energy constant",
         ]
         assert len(lines) == 1 + len(names)
         for line, name in zip(lines[1:], names):
             assert re.fullmatch(rf"ok   {re.escape(name)}: \d\.\d{{3}}e[+-]\d\d \(tol \d\.\de[+-]\d\d\)", line), line
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.update(G=10 * c["G"]),
+        lambda c: c.update(F=-1.0),
+    ], ids=["G_times_10", "negative_F"])
+    def test_verify_fails_a_record_whose_c_is_not_its_z(self, orbit_path, tmp_path, capsys, edit):
+        # C enters the continuity check only as C - phi_j, the node energy,
+        # where it cancels: the energy constant check compares it with z's
+        data = json.loads(orbit_path.read_text())
+        edit(data["diagnostics"]["components"])
+        record_path = tmp_path / "record.json"
+        record_path.write_text(json.dumps(data))
+        assert run(["verify", record_path]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == ["FAIL energy constant"]
 
     def test_integrate_writes_csv(self, orbit_path, tmp_path):
         csv_path = tmp_path / "traj.csv"
@@ -455,6 +471,25 @@ class TestExitCodes:
         assert run(["solve", "--config", cfg, "--seed", spec]) == 2
         captured = capsys.readouterr()
         assert "seed: 'path' must be a string" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("spec, kind, keys", [
+        ({"kind": "ejection", "side": -1, "radius": 0.3}, "ejection", ["radius"]),
+        ({"kind": "ejection", "side": -1, "radius": 0.3, "path": 5, "center": "x"}, "ejection",
+         ["center", "path", "radius"]),
+        ({"kind": "circle", "radius": 2.0, "side": 1}, "circle", ["side"]),
+        ({"kind": "file", "radius": 0.3}, "file", ["radius"]),
+        ({"kind": "kepler_guess", "side": -1, "radius": 0.3, "path": "loop.json"}, "kepler_guess", ["path"]),
+    ], ids=["ejection_radius", "ejection_all", "circle_side", "file_radius", "kepler_guess_path"])
+    def test_seed_keys_of_another_kind_rejected(self, tmp_path, capsys, spec, kind, keys):
+        # dropped unread, they would seed another orbit than the one asked for
+        if kind == "file":
+            save_loop(seed_circle(0.0, 2.0, 64), tmp_path / "loop.json")
+            spec = {**spec, "path": str(tmp_path / "loop.json")}
+        cfg = write_config(tmp_path, {**EULER, "grid": {"n": 64, "m": 256}})
+        assert run(["solve", "--config", cfg, "--seed", json.dumps(spec), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert f"unknown {kind!r} seed keys: {keys}" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("fields, name", [

@@ -177,41 +177,60 @@ class TestSpectralCalculus:
         direct = direct_phases(n, x / period) @ c
         error = np.max(np.abs(_trig_eval(samples, x, period) - direct))
         assert error <= 1e-13 * np.sum(np.abs(c))
-        # a (2, n) stack: each row summed from the same phase tables
-        other = np.fft.fft(rng.normal(size=n) + 1j * rng.normal(size=n)) / n
-        assert abs(other[n // 2]) > 1e-3 * np.max(np.abs(other))
-        sums = _fourier_sum(np.stack([c, other]), x / period)
+        # a (2, n/2 + 1) stack of two real rows from rfft: each row summed
+        # from the same phase tables
+        real = rng.normal(size=(2, n))
+        full = np.fft.fft(real) / n
+        assert np.min(np.abs(full[:, n // 2])) > 1e-3 * np.max(np.abs(full))
+        sums = _fourier_sum(np.fft.rfft(real) / n, x / period)
         assert sums.shape == (2, len(x))
-        for row, coef in zip(sums, [c, other]):
-            error = np.max(np.abs(row - direct_phases(n, x / period) @ coef))
+        for row, coef in zip(sums, full):
+            error = np.max(np.abs(row - (direct_phases(n, x / period) @ coef).real))
             assert error <= 1e-13 * np.sum(np.abs(coef))
 
-    @pytest.mark.parametrize("real", [False, True])
     @pytest.mark.parametrize("n", [16, 64, 1024, 2048])
-    def test_fourier_sum_matches_direct_sum_over_all_modes(self, n, real):
-        # summed over k >= 0 only: a complex row with c_-k far from conj(c_k)
-        # through its two stacked halves, a real row as 2 Re of its k >= 0
-        # half; both with a sizeable Nyquist mode and at x outside [0, 1)
+    def test_fourier_sum_matches_direct_sum_over_all_modes(self, n):
+        # summed over k >= 0 only: a real row as 2 Re of its k >= 0 half,
+        # with a sizeable Nyquist mode and at x outside [0, 1)
         rng = np.random.default_rng(n)
         samples = rng.normal(size=(2, n))
-        if not real:
-            samples = samples + 1j * rng.normal(size=(2, n))
         c = np.fft.fft(samples) / n
         assert np.min(np.abs(c[:, n // 2])) > 1e-3 * np.max(np.abs(c))
-        if not real:
-            mirror = np.conj(c[:, -np.arange(n)])  # conj(c_-k) at mode k
-            assert np.max(np.abs(c - mirror)) > 0.5 * np.max(np.abs(c))
         x = np.concatenate([[-2.5, -1.0, -0.5, 1.0, 1.5], rng.uniform(-3.0, -1e-3, 100), rng.uniform(1.0, 4.0, 100)])
         # a real row takes the n/2 + 1 coefficients of rfft's order
-        rows = c[:, : n // 2 + 1] if real else c
-        sums = _fourier_sum(rows, x, real=real)
+        rows = c[:, : n // 2 + 1]
+        sums = _fourier_sum(rows, x)
         assert sums.shape == (2, len(x))
-        assert sums.dtype == (float if real else complex)
+        assert sums.dtype == float
         for row, coef in zip(sums, c):
-            direct = direct_phases(n, x) @ coef
-            expected = direct.real if real else direct
+            expected = (direct_phases(n, x) @ coef).real
             assert np.max(np.abs(row - expected)) <= 1e-13 * np.sum(np.abs(coef))
-        np.testing.assert_array_equal(_fourier_sum(rows[1], x, real=real), sums[1])
+        np.testing.assert_array_equal(_fourier_sum(rows[1], x), sums[1])
+
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    def test_derivative_and_antiderivative_rows_keep_the_nyquist_mode(self, n):
+        # the rows (2 pi i k)^{+-1} c_k, the Nyquist mode's included, sum to
+        # the interpolant's derivative and periodic antiderivative, whose
+        # Nyquist cosine c cos(pi n x) has slope -pi n c sin(pi n x) and
+        # antiderivative c sin(pi n x) / (pi n)
+        rng = np.random.default_rng(n)
+        samples = rng.normal(size=n)
+        c = np.fft.fft(samples) / n
+        assert abs(c[n // 2]) > 1e-3 * np.max(np.abs(c))
+        x = np.concatenate([[-2.5, -1.0, -0.5, 0.0, 1.0, 1.5], rng.uniform(-3.0, 4.0, 200)])
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        inner = (k != 0) & (np.abs(k) < n // 2)  # neither the mean nor the Nyquist mode
+        phases = direct_phases(n, x)[:, inner]
+        nyquist = c[n // 2].real * np.sin(np.pi * n * x)
+        slope = (phases @ (2j * np.pi * k[inner] * c[inner])).real - np.pi * n * nyquist
+        anti = (phases @ (c[inner] / (2j * np.pi * k[inner]))).real + nyquist / (np.pi * n)
+        half = np.arange(n // 2 + 1)
+        rows = np.fft.rfft(samples) / n
+        derived = np.stack([2j * np.pi * half * rows, np.zeros_like(rows)])
+        derived[1, 1:] = rows[1:] / (2j * np.pi * half[1:])
+        sums = _fourier_sum(derived, x)
+        for row, expected, coef in zip(sums, [slope, anti], derived):
+            assert np.max(np.abs(row - expected)) <= 1e-12 * np.sum(np.abs(coef))
 
     @pytest.mark.parametrize(
         "scale, start, count",
